@@ -5,7 +5,7 @@
 use bench::toolkits::opseq_toolkit;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ga::crossover::RepCrossover;
-use ga::engine::Engine;
+use ga::engine::{Engine, Model};
 use ga::mutate::SeqMutation;
 use hpc::model::{island_time, master_slave_time, RunShape};
 use hpc::Platform;
@@ -34,7 +34,7 @@ fn bench_models(c: &mut Criterion) {
             opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
             &eval,
         );
-        b.iter(|| e.step());
+        b.iter(|| e.step(&mut ()));
     });
 
     let rayon_eval = RayonEvaluator::new(eval);
@@ -44,7 +44,7 @@ fn bench_models(c: &mut Criterion) {
             opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
             &rayon_eval,
         );
-        b.iter(|| e.step());
+        b.iter(|| e.step(&mut ()));
     });
 
     g.bench_function("cellular_generation_7x7", |b| {
@@ -53,7 +53,7 @@ fn bench_models(c: &mut Criterion) {
             opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
             &eval,
         );
-        b.iter(|| cga.step());
+        b.iter(|| cga.step(&mut ()));
     });
 
     g.bench_function("island_generation_4x12_ring", |b| {
@@ -64,7 +64,7 @@ fn bench_models(c: &mut Criterion) {
             &eval,
             IslandConfig::new(MigrationConfig::ring(1, 2)), // migrate every gen
         );
-        b.iter(|| ig.step_generation());
+        b.iter(|| ig.step(&mut ()));
     });
 
     let shape = RunShape {

@@ -8,6 +8,7 @@ use crate::toolkits::{opseq_toolkit, survey_config};
 use ga::crossover::RepCrossover;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::{MigrationConfig, MigrationPolicy};
 use pga::topology::Topology;
@@ -40,7 +41,7 @@ pub fn run() -> Report {
                     &eval,
                     IslandConfig::new(mig),
                 );
-                ig.run(generations).cost
+                ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost
             })
             .collect();
         mean(&costs)

@@ -32,7 +32,7 @@ pub fn run() -> Report {
                 opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
                 &eval,
             );
-            e.run(&Termination::Generations(generations)).cost
+            ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost
         })
         .collect();
 
@@ -47,7 +47,7 @@ pub fn run() -> Report {
                 keys_toolkit(total_ops, KeysCrossover::Uniform),
                 &eval,
             );
-            e.run(&Termination::Generations(generations)).cost
+            ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost
         })
         .collect();
 
@@ -62,7 +62,7 @@ pub fn run() -> Report {
                 keys_toolkit(total_ops, KeysCrossover::Uniform),
                 &eval,
             );
-            e.run(&Termination::Generations(generations)).cost
+            ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost
         })
         .collect();
 

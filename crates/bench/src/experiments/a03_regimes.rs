@@ -75,7 +75,7 @@ pub fn run() -> Report {
                 opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
                 &eval,
             );
-            e.run(&Termination::Generations(generations));
+            ga::run(&mut e, &Termination::Generations(generations), &mut ());
             single.push(e.best().cost);
 
             let base = regime(name, 12, split_seed(0xA03, s));
@@ -89,7 +89,7 @@ pub fn run() -> Report {
                 &eval,
                 IslandConfig::new(mig),
             );
-            island.push(ig.run(generations).cost);
+            island.push(ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost);
         }
         let sm = mean(&single);
         let im = mean(&island);

@@ -49,7 +49,7 @@ pub fn run() -> Report {
     let serial: Vec<usize> = (0..10).flat_map(|j| std::iter::repeat_n(j, 5)).collect();
     engine.seed_individuals(vec![serial]);
     let start_cost = engine.best().cost;
-    engine.run(&Termination::Generations(60));
+    ga::run(&mut engine, &Termination::Generations(60), &mut ());
     let end_cost = engine.best().cost;
 
     // Cost-model reproduction of the explored-solutions ratio. The paper

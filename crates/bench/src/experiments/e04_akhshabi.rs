@@ -32,14 +32,14 @@ pub fn run() -> Report {
     let tk = perm_toolkit(50, PermCrossover::Cycle, SeqMutation::Swap);
     let mut engine = Engine::new(cfg.clone(), tk, &batched);
     let start = engine.best().cost;
-    engine.run(&Termination::Generations(50));
+    ga::run(&mut engine, &Termination::Generations(50), &mut ());
     let end = engine.best().cost;
     let batches = batched.batches();
 
     // Equivalence check: plain sequential evaluation gives the same run.
     let tk2 = perm_toolkit(50, PermCrossover::Cycle, SeqMutation::Swap);
     let mut seq_engine = Engine::new(cfg, tk2, &eval);
-    seq_engine.run(&Termination::Generations(50));
+    ga::run(&mut seq_engine, &Termination::Generations(50), &mut ());
     let identical = (seq_engine.best().cost - end).abs() < 1e-12;
 
     // Predicted speedup with 12 batch-fed slaves.

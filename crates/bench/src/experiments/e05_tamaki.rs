@@ -33,12 +33,12 @@ pub fn run() -> Report {
     };
     let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
     let mut pan = Engine::new(cfg, tk, &eval);
-    pan.run(&Termination::Generations(generations));
+    ga::run(&mut pan, &Termination::Generations(generations), &mut ());
 
     // 6x6 cellular grid.
     let tk2 = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
     let mut cell = CellularGa::new(CellularConfig::new(6, 6, 0xE05), tk2, &eval);
-    cell.run(generations);
+    ga::run(&mut cell, &Termination::Generations(generations), &mut ());
 
     let div_at = |h: &ga::stats::History, g: usize| h.records[g.min(h.records.len() - 1)].diversity;
     let pan_div = div_at(pan.history(), generations as usize);

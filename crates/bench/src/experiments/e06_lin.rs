@@ -43,7 +43,7 @@ pub fn run() -> Report {
     for &s in &seeds {
         let cfg = |pop: usize| crate::toolkits::survey_config(pop, split_seed(0xE06, s));
         let mut e = Engine::new(cfg(64), tk(0), &eval);
-        e.run(&Termination::Generations(generations));
+        ga::run(&mut e, &Termination::Generations(generations), &mut ());
         single.push(e.best().cost);
 
         let mut i5 = IslandGa::homogeneous(
@@ -53,7 +53,7 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(MigrationConfig::ring(10, 2)),
         );
-        island5.push(i5.run(generations).cost);
+        island5.push(ga::run(&mut i5, &Termination::Generations(generations), &mut ()).cost);
 
         let mut i20 = IslandGa::homogeneous(
             cfg(4),
@@ -62,14 +62,14 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(MigrationConfig::ring(10, 1)),
         );
-        island20.push(i20.run(generations).cost);
+        island20.push(ga::run(&mut i20, &Termination::Generations(generations), &mut ()).cost);
 
         let mut c = CellularGa::new(
             CellularConfig::new(8, 8, split_seed(0xE06, s)),
             tk(0),
             &eval,
         );
-        torus.push(c.run(generations).cost);
+        torus.push(ga::run(&mut c, &Termination::Generations(generations), &mut ()).cost);
 
         let mut h1 = IslandsOfCellular::new(
             4,
@@ -79,10 +79,10 @@ pub fn run() -> Report {
             20,
             2,
         );
-        hybrid_ioc.push(h1.run(generations).cost);
+        hybrid_ioc.push(ga::run(&mut h1, &Termination::Generations(generations), &mut ()).cost);
 
         let mut h2 = cellular_style_islands(cfg(8), 2, 4, &tk, &eval, 5, 2);
-        hybrid_csi.push(h2.run(generations).cost);
+        hybrid_csi.push(ga::run(&mut h2, &Termination::Generations(generations), &mut ()).cost);
     }
 
     // Predicted speedups for the two island sizes on a MIMD workstation

@@ -12,6 +12,7 @@ use ga::crossover::keys::keys_to_permutation;
 use ga::crossover::KeysCrossover;
 use ga::engine::GaConfig;
 use ga::fitness::FitnessTransform;
+use ga::termination::Termination;
 use hpc::model::{island_time, sequential_time, speedup};
 use hpc::Platform;
 use pga::island::{IslandConfig, IslandGa};
@@ -49,7 +50,7 @@ pub fn run() -> Report {
         IslandConfig::new(MigrationConfig::ring(0, 0)), // no migration
     );
     let start = islands.best().cost;
-    islands.run(40);
+    ga::run(&mut islands, &Termination::Generations(40), &mut ());
     let end = islands.best().cost;
 
     // 200-job speed model on a GTX 285 (240 cores): one chromosome per

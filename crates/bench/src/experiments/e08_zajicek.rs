@@ -12,6 +12,7 @@ use ga::crossover::keys::keys_to_permutation;
 use ga::crossover::KeysCrossover;
 use ga::engine::GaConfig;
 use ga::select::Selection;
+use ga::termination::Termination;
 use hpc::model::{master_slave_time, sequential_time, speedup, RunShape};
 use hpc::Platform;
 use pga::island::{IslandConfig, IslandGa};
@@ -47,7 +48,7 @@ pub fn run() -> Report {
         IslandConfig::new(mig),
     );
     let start = islands.best().cost;
-    islands.run(40);
+    ga::run(&mut islands, &Termination::Generations(40), &mut ());
     let end = islands.best().cost;
 
     // Speed model at the paper's scale: large GPU-resident population vs

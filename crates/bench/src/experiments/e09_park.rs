@@ -29,7 +29,14 @@ use shop::instance::JobShopInstance;
 /// floor; by ~600 generations the panmictic run has converged while
 /// migration keeps the islands improving, which is the regime the
 /// paper's tables describe.
+#[cfg(not(test))]
 const GENERATIONS: u64 = 600;
+
+/// The unit test only smoke-tests the pipeline (debug build, whole
+/// workspace suite running alongside), so it runs a short horizon;
+/// `run_all` and EXPERIMENTS.md keep the full one.
+#[cfg(test)]
+const GENERATIONS: u64 = 20;
 
 /// Independent repetitions; best/average are taken over these, per the
 /// paper's protocol. Six seeds keep the per-instance averages stable
@@ -64,7 +71,7 @@ fn run_single(inst: &JobShopInstance, eval: &dyn Evaluator<Vec<usize>>) -> Outco
         .map(|&seed| {
             let cfg = survey_config(48, split_seed(0x09, seed));
             let mut e = Engine::new(cfg, island_toolkit(inst, 0), eval);
-            e.run(&Termination::Generations(GENERATIONS));
+            ga::run(&mut e, &Termination::Generations(GENERATIONS), &mut ());
             e.best().cost
         })
         .collect();
@@ -95,7 +102,7 @@ fn run_islands(inst: &JobShopInstance, eval: &dyn Evaluator<Vec<usize>>, n: usiz
                 evals,
                 IslandConfig::new(MigrationConfig::ring(10, 2)),
             );
-            ig.run(GENERATIONS).cost
+            ga::run(&mut ig, &Termination::Generations(GENERATIONS), &mut ()).cost
         })
         .collect();
     summarize(&per_seed)

@@ -36,7 +36,7 @@ pub fn run() -> Report {
         let cfg = crate::toolkits::survey_config(96, split_seed(0xE10, s));
         let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
         let mut e = Engine::new(cfg, tk, &eval);
-        e.run(&Termination::Generations(generations));
+        ga::run(&mut e, &Termination::Generations(generations), &mut ());
         serial_best.push(e.best().cost);
         serial_auc.push(e.history().convergence_auc());
 
@@ -52,7 +52,7 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(mig),
         );
-        ig.run(generations);
+        ga::run(&mut ig, &Termination::Generations(generations), &mut ());
         cube_best.push(ig.best().cost);
         cube_auc.push(ig.history().convergence_auc());
     }

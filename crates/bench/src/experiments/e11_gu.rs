@@ -60,7 +60,11 @@ pub fn run() -> Report {
         };
         let tk = opseq_toolkit(&crisp, RepCrossover::JobOrder, SeqMutation::Swap);
         let mut conventional = Engine::new(cfg, tk, &eval);
-        conventional.run(&Termination::Generations(generations));
+        ga::run(
+            &mut conventional,
+            &Termination::Generations(generations),
+            &mut (),
+        );
         conv_v.push(conventional.best().cost);
         conv_auc_v.push(conventional.history().convergence_auc());
 

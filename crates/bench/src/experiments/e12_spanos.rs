@@ -14,6 +14,7 @@ use ga::crossover::fusion::path_relink;
 use ga::engine::{GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa, MergeRule};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
@@ -61,7 +62,14 @@ pub fn run() -> Report {
             majority: 0.5,
         });
         let mut merging = IslandGa::homogeneous(base.clone(), 4, &pr_toolkit, &eval, ic);
-        merged_best.push(merging.run(generations).cost);
+        merged_best.push(
+            ga::run(
+                &mut merging,
+                &Termination::Generations(generations),
+                &mut (),
+            )
+            .cost,
+        );
         final_islands.push(merging.active_islands());
 
         let mut fixed = IslandGa::homogeneous(
@@ -71,7 +79,7 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(MigrationConfig::ring(10, 1)),
         );
-        fixed_best.push(fixed.run(generations).cost);
+        fixed_best.push(ga::run(&mut fixed, &Termination::Generations(generations), &mut ()).cost);
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let mb = mean(&merged_best);

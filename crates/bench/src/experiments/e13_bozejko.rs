@@ -64,7 +64,7 @@ fn run_strategy(
         evals,
         IslandConfig::new(MigrationConfig::ring(interval, 2)),
     );
-    ig.run(generations).cost
+    ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost
 }
 
 pub fn run() -> Report {
@@ -84,7 +84,7 @@ pub fn run() -> Report {
             perm_toolkit(20, PermCrossover::Order, SeqMutation::Swap),
             &eval,
         );
-        e.run(&Termination::Generations(generations));
+        ga::run(&mut e, &Termination::Generations(generations), &mut ());
         seq_costs.push(e.best().cost);
     }
 

@@ -63,7 +63,7 @@ pub fn run() -> Report {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg.clone(), rep_toolkit(8, 5), &eval);
-        e.run(&Termination::Generations(generations));
+        ga::run(&mut e, &Termination::Generations(generations), &mut ());
         serial.push(e.best().cost);
 
         let base = GaConfig {
@@ -80,7 +80,7 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(mig),
         );
-        parallel.push(ig.run(generations).cost);
+        parallel.push(ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost);
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let sm = mean(&serial);

@@ -11,6 +11,7 @@ use crate::report::{fmt, Report};
 use crate::toolkits::run_shape;
 use ga::engine::{GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
+use ga::termination::Termination;
 use hpc::model::{island_time, sequential_time, speedup};
 use hpc::Platform;
 use pga::island::{IslandConfig, IslandGa};
@@ -54,7 +55,7 @@ pub fn run() -> Report {
     let mut ic = IslandConfig::new(mig);
     ic.broadcast_interval = Some(20);
     let mut ig = IslandGa::homogeneous(base, 5, &|_| rep_toolkit(20, 8), &eval, ic);
-    ig.run(generations);
+    ga::run(&mut ig, &Termination::Generations(generations), &mut ());
 
     // Convergence-then-saturation: most of the improvement should land in
     // the first half of the run.

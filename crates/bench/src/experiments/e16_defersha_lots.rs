@@ -50,7 +50,7 @@ pub fn run() -> Report {
                 ..GaConfig::default()
             };
             let mut e = Engine::new(cfg, dual_toolkit(&inst), &eval);
-            e.run(&Termination::Generations(generations));
+            ga::run(&mut e, &Termination::Generations(generations), &mut ());
             e.best().cost
         })
         .collect();
@@ -75,7 +75,7 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(mig),
         );
-        ig.run(generations).cost
+        ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost
     };
 
     let topologies = [

@@ -40,7 +40,7 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
     for &s in &seeds {
         let cfg = crate::toolkits::pressure_config(48, split_seed(seed, s));
         let mut e = Engine::new(cfg.clone(), dual_toolkit(&inst), &eval);
-        e.run(&Termination::Generations(generations));
+        ga::run(&mut e, &Termination::Generations(generations), &mut ());
         single_best.push(e.best().cost);
 
         let base = crate::toolkits::pressure_config(12, split_seed(seed, s));
@@ -59,7 +59,7 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
             &eval,
             IslandConfig::new(mig),
         );
-        ig.run(generations);
+        ga::run(&mut ig, &Termination::Generations(generations), &mut ());
         island_best.push(ig.best().cost);
 
         // "Converges within the allowable time": reaching within 5% of

@@ -50,7 +50,7 @@ pub fn run() -> Report {
                         &eval,
                         IslandConfig::new(mig),
                     );
-                    ig.run(generations).cost
+                    ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost
                 })
                 .collect();
             mean(&costs)
@@ -63,7 +63,7 @@ pub fn run() -> Report {
             .map(|&s| {
                 let cfg = crate::toolkits::pressure_config(total_pop, split_seed(0xE18, s));
                 let mut e = Engine::new(cfg, dual_toolkit(&inst), &eval);
-                e.run(&Termination::Generations(generations));
+                ga::run(&mut e, &Termination::Generations(generations), &mut ());
                 e.best().cost
             })
             .collect::<Vec<f64>>(),

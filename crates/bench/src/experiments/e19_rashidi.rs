@@ -15,6 +15,7 @@ use ga::dual::DualGenome;
 use ga::engine::GaConfig;
 use ga::local_search::{hill_climb, Neighborhood};
 use ga::rng::split_seed;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::flexible::FlexDecoder;
@@ -77,7 +78,7 @@ pub fn run() -> Report {
             eval_refs,
             IslandConfig::new(MigrationConfig::ring(10, 1)),
         );
-        ig.run(30);
+        ga::run(&mut ig, &Termination::Generations(30), &mut ());
         // Per-island champions; the LS variant polishes each champion's
         // sequencing chromosome with hill climbing + Redirect.
         ig.best_per_island()

@@ -12,6 +12,7 @@ use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
 use ga::engine::GaConfig;
 use ga::rng::split_seed;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use rand::Rng;
@@ -87,7 +88,7 @@ pub fn run() -> Report {
             f,
             IslandConfig::new(MigrationConfig::ring(10, 1)),
         );
-        let best = ig.run(150);
+        let best = ga::run(&mut ig, &Termination::Generations(150), &mut ());
         points.push(objectives(&best.genome));
     }
 

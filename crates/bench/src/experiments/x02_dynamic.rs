@@ -34,7 +34,7 @@ pub fn run() -> Report {
         tk,
         &eval,
     );
-    let predictive = engine.run(&Termination::Generations(120));
+    let predictive = ga::run(&mut engine, &Termination::Generations(120), &mut ());
     let schedule = JobDecoder::new(&inst).semi_active(&predictive.genome);
     let mk0 = schedule.makespan();
 
@@ -88,7 +88,7 @@ pub fn run() -> Report {
     );
     // Warm start: the identity permutation = keep the old order.
     reactive.seed_individuals(vec![(0..k).collect()]);
-    let rebest = reactive.run(&Termination::Generations(120));
+    let rebest = ga::run(&mut reactive, &Termination::Generations(120), &mut ());
 
     // Validity check of the reactive winner.
     let order: Vec<(usize, usize)> = rebest.genome.iter().map(|&i| remaining[i]).collect();

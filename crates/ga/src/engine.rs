@@ -23,7 +23,7 @@ use crate::termination::{Progress, Termination};
 use crate::Evaluator;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fresh-random-genome constructor.
 pub type InitFn<G> = dyn Fn(&mut ChaCha8Rng) -> G + Send + Sync;
@@ -179,15 +179,7 @@ pub struct Individual<G> {
     pub cost: f64,
 }
 
-/// Snapshot a generational model reports to [`run_anytime`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnytimeStatus {
-    pub generation: u64,
-    pub evaluations: u64,
-    pub best_cost: f64,
-}
-
-/// Search phase a [`PhaseHook`] attributes time to — the profiler's
+/// Search phase an [`Observer`] attributes time to — the profiler's
 /// view of one generation. `Breed` covers crossover *and* mutation (one
 /// pipeline stage on the hot path); evaluation is the master-slave
 /// fan-out seam; `Migrate` only fires for island models.
@@ -203,89 +195,97 @@ pub enum GaPhase {
     Migrate,
 }
 
-/// Callback receiving per-generation phase timings when profiling is
-/// enabled (see [`Engine::set_phase_hook`]). Invoked at most once per
-/// phase per generation with that generation's accumulated duration.
-/// Timing flows through [`crate::clock`] and is measurement-only: the
-/// hook must not influence the search (the engine's RNG stream never
-/// sees it), which keeps profiled runs bit-identical to bare runs.
-pub type PhaseHook<'h> = dyn Fn(GaPhase, Duration) + Send + Sync + 'h;
-
-/// Drives any generational model until `termination` fires, invoking
-/// `on_best` on the initial best and on every improvement — the one
-/// shared anytime loop behind the parallel models' `run_until_observed`
-/// entry points (wall time is measured from this call; improvement
-/// stagnation is tracked here, per call, from the model's best cost).
-pub fn run_anytime<M, G: Clone>(
-    model: &mut M,
-    termination: &Termination,
-    status: &dyn Fn(&M) -> AnytimeStatus,
-    step: &dyn Fn(&mut M),
-    best: &dyn Fn(&M) -> Individual<G>,
-    on_best: &mut dyn FnMut(&Individual<G>),
-) -> Individual<G> {
-    run_anytime_sampled(
-        model,
-        termination,
-        status,
-        &mut |m, _emit| step(m),
-        best,
-        on_best,
-        &mut |_| {},
-    )
+/// Progress counters a [`Model`] reports to [`run`] between
+/// generations.
+#[derive(Debug, Clone, Copy)]
+pub struct Status {
+    /// Generations stepped since construction.
+    pub generation: u64,
+    /// Fitness evaluations since construction.
+    pub evaluations: u64,
 }
 
-/// The per-generation sample emitter a sampled step function reports
-/// through (see [`run_anytime_sampled`]).
-pub type SampleEmit<'a> = dyn FnMut(GenerationSample) + 'a;
+/// A generational search model: one Table II loop body. [`Engine`] and
+/// every `pga` model implement it, and [`run`] drives any of them.
+pub trait Model<G> {
+    /// Runs one generation, reporting its convergence samples (and,
+    /// when [`Observer::wants_phases`] asks, its phase timings) to
+    /// `obs`.
+    fn step(&mut self, obs: &mut dyn Observer<G>);
+    /// Counters the termination criteria are checked against.
+    fn status(&self) -> Status;
+    /// Best individual found so far.
+    fn best(&self) -> &Individual<G>;
+}
 
-/// [`run_anytime`] with a per-generation telemetry stream: `step` is
-/// handed an emitter and may report any number of
-/// [`GenerationSample`]s per generation (one per island for island
-/// models); every emitted sample is forwarded to `on_sample`. The
-/// control flow — termination checks, improvement tracking, `on_best`
-/// cadence — is identical to [`run_anytime`], so a sampled run of a
-/// deterministic model is bit-identical to an unsampled one.
-pub fn run_anytime_sampled<M, G: Clone>(
+/// A passive watcher of a [`run`]. Every method defaults to a no-op, so
+/// `&mut ()` is the bare observer. Nothing a model decides ever reads
+/// from its observer (the RNG streams never see it), so an observed run
+/// is bit-identical to a bare one. `Sync` because an island model hands
+/// one shared reference to all of its engines, which may step in
+/// parallel and report phase timings concurrently.
+pub trait Observer<G>: Sync {
+    /// The best-so-far when a run starts, and after every strict
+    /// improvement.
+    fn on_best(&mut self, _best: &Individual<G>) {}
+    /// One per-generation convergence sample (one per island for
+    /// island models).
+    fn on_sample(&mut self, _sample: GenerationSample) {}
+    /// True when models should time their phases for
+    /// [`on_phase`](Self::on_phase). Models read [`crate::clock`] for
+    /// phase timing only when this says so.
+    fn wants_phases(&self) -> bool {
+        false
+    }
+    /// One phase's accumulated duration within one generation.
+    fn on_phase(&self, _phase: GaPhase, _d: Duration) {}
+}
+
+impl<G> Observer<G> for () {}
+
+/// The generational loop of survey Table II, shared by every model:
+/// steps `model` until `termination` fires and returns its best
+/// individual. `obs` sees the starting best, every strict improvement,
+/// and whatever each step reports. Wall time and improvement
+/// stagnation are measured from this call; generation and evaluation
+/// counts are the model's own, so a fresh model run for
+/// `Termination::Generations(n)` steps exactly `n` times.
+pub fn run<G: Clone, M: Model<G> + ?Sized>(
     model: &mut M,
     termination: &Termination,
-    status: &dyn Fn(&M) -> AnytimeStatus,
-    step: &mut dyn FnMut(&mut M, &mut SampleEmit<'_>),
-    best: &dyn Fn(&M) -> Individual<G>,
-    on_best: &mut dyn FnMut(&Individual<G>),
-    on_sample: &mut dyn FnMut(GenerationSample),
+    obs: &mut dyn Observer<G>,
 ) -> Individual<G> {
     let started = crate::clock::now();
     let mut since_improvement = 0u64;
-    let mut last_best = status(model).best_cost;
-    on_best(&best(model));
+    let mut last_best = model.best().cost;
+    obs.on_best(model.best());
     loop {
-        let s = status(model);
+        let s = model.status();
         let progress = Progress {
             generation: s.generation,
             evaluations: s.evaluations,
             elapsed: crate::clock::elapsed_since(started),
-            best_cost: s.best_cost,
+            best_cost: model.best().cost,
             generations_since_improvement: since_improvement,
         };
         if termination.should_stop(&progress) {
             break;
         }
-        step(model, on_sample);
-        let now_best = status(model).best_cost;
+        model.step(obs);
+        let now_best = model.best().cost;
         if now_best < last_best {
             last_best = now_best;
             since_improvement = 0;
-            on_best(&best(model));
+            obs.on_best(model.best());
         } else {
             since_improvement += 1;
         }
     }
-    best(model)
+    model.best().clone()
 }
 
 /// The engine itself. Create with [`Engine::new`], advance with
-/// [`Engine::step`] or [`Engine::run`].
+/// [`Model::step`] or drive with [`run`].
 pub struct Engine<'a, G> {
     config: GaConfig,
     toolkit: Toolkit<G>,
@@ -298,8 +298,6 @@ pub struct Engine<'a, G> {
     gens_since_improvement: u64,
     improvements: u64,
     history: History,
-    started: Instant,
-    phase_hook: Option<&'a PhaseHook<'a>>,
 }
 
 impl<'a, G: Clone> Engine<'a, G> {
@@ -309,7 +307,7 @@ impl<'a, G: Clone> Engine<'a, G> {
     /// evaluator in population order — the initial population in slot
     /// order here, and each generation's children in the order they
     /// were bred (crossover pairs, then immigrants) in
-    /// [`step`](Self::step). `Evaluator::cost_batch` receives them as
+    /// [`evolve`](Self::evolve). `Evaluator::cost_batch` receives them as
     /// one slice in that order, and the default implementation calls
     /// `cost` sequentially over it. Stateful caching evaluators (the
     /// incremental re-decoders in `shop::decoder::table`) rely on this:
@@ -352,21 +350,9 @@ impl<'a, G: Clone> Engine<'a, G> {
             gens_since_improvement: 0,
             improvements: 0,
             history: History::default(),
-            started: crate::clock::now(),
-            phase_hook: None,
         };
         engine.record();
         engine
-    }
-
-    /// Enables the phase profiler: `hook` receives this engine's
-    /// per-generation `Select`/`Breed`/`Evaluate` timings from every
-    /// subsequent [`step`](Self::step). Timing reads go through
-    /// [`crate::clock`] and happen *only* while a hook is installed, so
-    /// unprofiled runs pay nothing and profiled runs stay bit-identical
-    /// (the RNG stream never depends on the clock).
-    pub fn set_phase_hook(&mut self, hook: &'a PhaseHook<'a>) {
-        self.phase_hook = Some(hook);
     }
 
     /// Seeds some individuals (e.g. NEH or heuristic solutions) into the
@@ -419,8 +405,13 @@ impl<'a, G: Clone> Engine<'a, G> {
         });
     }
 
-    /// Runs one generation: Selection, Crossover, Mutation, Evaluation.
-    pub fn step(&mut self) {
+    /// Runs one generation — Selection, Crossover, Mutation, Evaluation
+    /// — reporting its `Select`/`Breed`/`Evaluate` timings to `obs`
+    /// when [`Observer::wants_phases`] asks, but no sample: the
+    /// [`Model::step`] of this engine adds its own, and an island model
+    /// adds island-tagged ones. Takes the observer by shared reference
+    /// so the engines of one island model can evolve in parallel.
+    pub fn evolve(&mut self, obs: &dyn Observer<G>) {
         self.generation += 1;
         let pop = self.config.pop_size;
         let elites = self.config.elites;
@@ -431,10 +422,11 @@ impl<'a, G: Clone> Engine<'a, G> {
         let costs: Vec<f64> = self.population.iter().map(|i| i.cost).collect();
         let fitness = self.config.fitness.apply_all(&costs);
 
-        // Breed offspring. Phase timing reads the clock only when a
-        // hook is installed; the RNG call sequence is identical either
-        // way (the profiled run stays bit-identical to the bare run).
-        let profiled = self.phase_hook.is_some();
+        // Breed offspring. Phase timing reads the clock only when the
+        // observer asks for it; the RNG call sequence is identical
+        // either way (the profiled run stays bit-identical to the bare
+        // run).
+        let profiled = obs.wants_phases();
         let mut select_ns = 0u64;
         let mut breed_ns = 0u64;
         let mut children: Vec<G> = Vec::with_capacity(offspring_target + immigrants);
@@ -479,10 +471,10 @@ impl<'a, G: Clone> Engine<'a, G> {
         let te = profiled.then(crate::clock::now);
         let child_costs = self.evaluator.cost_batch(&children);
         self.evaluations += children.len() as u64;
-        if let (Some(hook), Some(te)) = (self.phase_hook, te) {
-            hook(GaPhase::Evaluate, crate::clock::elapsed_since(te));
-            hook(GaPhase::Select, Duration::from_nanos(select_ns));
-            hook(GaPhase::Breed, Duration::from_nanos(breed_ns));
+        if let Some(te) = te {
+            obs.on_phase(GaPhase::Evaluate, crate::clock::elapsed_since(te));
+            obs.on_phase(GaPhase::Select, Duration::from_nanos(select_ns));
+            obs.on_phase(GaPhase::Breed, Duration::from_nanos(breed_ns));
         }
 
         // Elites survive unchanged.
@@ -503,60 +495,6 @@ impl<'a, G: Clone> Engine<'a, G> {
         self.gens_since_improvement += 1;
         self.refresh_best();
         self.record();
-    }
-
-    /// Runs until `termination` fires; returns the best individual found.
-    pub fn run(&mut self, termination: &Termination) -> Individual<G> {
-        self.run_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run`](Self::run), but invokes `on_best` every time the
-    /// best-so-far individual improves (including once for the initial
-    /// best before the first generation). This is the anytime hook: a
-    /// caller racing several solvers against a deadline extracts each
-    /// improvement the moment it happens instead of waiting for the run
-    /// to finish.
-    pub fn run_observed(
-        &mut self,
-        termination: &Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_observed`](Self::run_observed), but additionally
-    /// emits one [`GenerationSample`] after every generation — the
-    /// per-generation convergence stream (best/mean cost, diversity,
-    /// stagnation age) that the serve layer forwards to `watch`
-    /// subscribers. Sampling reads state the engine already records
-    /// and never touches the RNG, so a sampled run is bit-identical
-    /// to a plain [`run`](Self::run) with the same seed.
-    pub fn run_sampled(
-        &mut self,
-        termination: &Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        on_best(&self.best);
-        loop {
-            let progress = Progress {
-                generation: self.generation,
-                evaluations: self.evaluations,
-                elapsed: crate::clock::elapsed_since(self.started),
-                best_cost: self.best.cost,
-                generations_since_improvement: self.gens_since_improvement,
-            };
-            if termination.should_stop(&progress) {
-                break;
-            }
-            let before = self.best.cost;
-            self.step();
-            if self.best.cost < before {
-                on_best(&self.best);
-            }
-            on_sample(self.last_sample());
-        }
-        self.best.clone()
     }
 
     /// The engine's latest generation as a [`GenerationSample`]
@@ -607,18 +545,10 @@ impl<'a, G: Clone> Engine<'a, G> {
         self.evaluations
     }
 
-    /// Generations since the best-so-far last improved (0 right after
-    /// an improvement) — the stagnation age sampled into
-    /// [`GenerationSample::since_improvement`].
-    pub fn gens_since_improvement(&self) -> u64 {
-        self.gens_since_improvement
-    }
-
     /// Strict improvements of the best-so-far since construction (the
-    /// initial population's best is the baseline, not an improvement).
-    /// This is the count an anytime observer sees fire via
-    /// [`run_observed`](Self::run_observed), and the basis of the
-    /// serve layer's per-member improvement timelines.
+    /// initial population's best is the baseline, not an improvement),
+    /// including those a migrant brought in through
+    /// [`replace`](Self::replace).
     pub fn improvements(&self) -> u64 {
         self.improvements
     }
@@ -633,6 +563,24 @@ impl<'a, G: Clone> Engine<'a, G> {
     /// and stagnation detection).
     pub fn seq_view(&self) -> Option<&SeqView<G>> {
         self.toolkit.seq_view.as_deref()
+    }
+}
+
+impl<G: Clone> Model<G> for Engine<'_, G> {
+    fn step(&mut self, obs: &mut dyn Observer<G>) {
+        self.evolve(&*obs);
+        obs.on_sample(self.last_sample());
+    }
+
+    fn status(&self) -> Status {
+        Status {
+            generation: self.generation,
+            evaluations: self.evaluations,
+        }
+    }
+
+    fn best(&self) -> &Individual<G> {
+        &self.best
     }
 }
 
@@ -674,7 +622,7 @@ mod tests {
         };
         let mut engine = Engine::new(cfg, perm_toolkit(12), &eval);
         let initial = engine.best().cost;
-        engine.run(&Termination::Generations(60));
+        run(&mut engine, &Termination::Generations(60), &mut ());
         assert!(engine.best().cost < initial, "no improvement");
         assert_eq!(engine.generation(), 60);
         assert_eq!(engine.history().records.len(), 61);
@@ -683,23 +631,23 @@ mod tests {
     #[test]
     fn same_seed_same_result() {
         let eval = |g: &Vec<usize>| displacement(g);
-        let run = || {
+        let once = || {
             let cfg = GaConfig {
                 pop_size: 24,
                 seed: 5,
                 ..GaConfig::default()
             };
             let mut e = Engine::new(cfg, perm_toolkit(9), &eval);
-            e.run(&Termination::Generations(25));
+            run(&mut e, &Termination::Generations(25), &mut ());
             (e.best().cost, e.best().genome.clone())
         };
-        assert_eq!(run(), run());
+        assert_eq!(once(), once());
     }
 
     #[test]
     fn different_seeds_usually_differ() {
         let eval = |g: &Vec<usize>| displacement(g);
-        let run = |seed| {
+        let once = |seed| {
             let cfg = GaConfig {
                 pop_size: 16,
                 seed,
@@ -707,10 +655,10 @@ mod tests {
                 ..GaConfig::default()
             };
             let mut e = Engine::new(cfg, perm_toolkit(10), &eval);
-            e.run(&Termination::Generations(3));
+            run(&mut e, &Termination::Generations(3), &mut ());
             e.history().records.iter().map(|r| r.mean_cost).sum::<f64>()
         };
-        assert_ne!(run(1), run(2));
+        assert_ne!(once(1), once(2));
     }
 
     #[test]
@@ -725,7 +673,7 @@ mod tests {
         let mut e = Engine::new(cfg, perm_toolkit(8), &eval);
         let mut last = f64::INFINITY;
         for _ in 0..30 {
-            e.step();
+            e.step(&mut ());
             let best_now = e.best().cost;
             assert!(best_now <= last + 1e-12);
             last = best_now;
@@ -743,7 +691,7 @@ mod tests {
         };
         let mut e = Engine::new(cfg, perm_toolkit(7), &eval);
         for _ in 0..5 {
-            e.step();
+            e.step(&mut ());
             assert_eq!(e.population().len(), 30);
         }
     }
@@ -757,17 +705,38 @@ mod tests {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg, perm_toolkit(6), &eval);
-        e.run(&Termination::Any(vec![
-            Termination::TargetCost(0.0),
-            Termination::Generations(500),
-        ]));
+        run(
+            &mut e,
+            &Termination::Any(vec![
+                Termination::TargetCost(0.0),
+                Termination::Generations(500),
+            ]),
+            &mut (),
+        );
         // Tiny instance: the GA should actually sort it.
         assert_eq!(e.best().cost, 0.0);
         assert!(e.generation() < 500);
     }
 
+    /// Records the best-so-far reports and samples a run emits.
+    #[derive(Default)]
+    struct Recorder {
+        bests: Vec<f64>,
+        samples: Vec<GenerationSample>,
+    }
+
+    impl<G> Observer<G> for Recorder {
+        fn on_best(&mut self, best: &Individual<G>) {
+            self.bests.push(best.cost);
+        }
+
+        fn on_sample(&mut self, sample: GenerationSample) {
+            self.samples.push(sample);
+        }
+    }
+
     #[test]
-    fn run_observed_reports_every_improvement() {
+    fn observer_sees_every_improvement() {
         let eval = |g: &Vec<usize>| displacement(g);
         let cfg = GaConfig {
             pop_size: 40,
@@ -775,15 +744,15 @@ mod tests {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg, perm_toolkit(12), &eval);
-        let mut seen: Vec<f64> = Vec::new();
-        let best = e.run_observed(&Termination::Generations(60), &mut |ind| {
-            seen.push(ind.cost);
-        });
+        let mut rec = Recorder::default();
+        let best = run(&mut e, &Termination::Generations(60), &mut rec);
+        let seen = rec.bests;
         // First report is the initial best, last is the final best, and
         // the sequence is strictly decreasing.
         assert!(seen.len() >= 2, "expected at least one improvement");
         assert_eq!(*seen.last().unwrap(), best.cost);
         assert!(seen.windows(2).all(|w| w[1] < w[0]));
+        assert_eq!(seen.len() as u64, e.improvements() + 1);
     }
 
     #[test]
@@ -826,7 +795,7 @@ mod tests {
             assert_eq!(seen[0], seed);
         }
         eval.seen.lock().unwrap().clear();
-        engine.step();
+        engine.step(&mut ());
         // Children are evaluated in breeding order: each differs from a
         // recent genome by one crossover/mutation, which is what the
         // incremental decoders exploit.
@@ -874,7 +843,7 @@ mod tests {
     fn warm_start_is_seed_deterministic() {
         let eval = |g: &Vec<usize>| displacement(g);
         let incumbent: Vec<usize> = (0..9).rev().collect();
-        let run = || {
+        let once = || {
             let cfg = GaConfig {
                 pop_size: 20,
                 seed: 5,
@@ -882,10 +851,10 @@ mod tests {
             };
             let toolkit = perm_toolkit(9).with_warm_start(vec![incumbent.clone()], 4);
             let mut e = Engine::new(cfg, toolkit, &eval);
-            e.run(&Termination::Generations(15));
+            run(&mut e, &Termination::Generations(15), &mut ());
             (e.best().cost, e.best().genome.clone())
         };
-        assert_eq!(run(), run());
+        assert_eq!(once(), once());
     }
 
     #[test]
@@ -918,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn run_sampled_emits_one_sample_per_generation() {
+    fn step_emits_one_sample_per_generation() {
         let eval = |g: &Vec<usize>| displacement(g);
         let cfg = GaConfig {
             pop_size: 30,
@@ -926,10 +895,9 @@ mod tests {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg, perm_toolkit(10), &eval);
-        let mut samples: Vec<GenerationSample> = Vec::new();
-        let best = e.run_sampled(&Termination::Generations(25), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        let mut rec = Recorder::default();
+        let best = run(&mut e, &Termination::Generations(25), &mut rec);
+        let samples = rec.samples;
         assert_eq!(samples.len(), 25);
         for (k, s) in samples.iter().enumerate() {
             assert_eq!(s.generation, k as u64 + 1);
@@ -950,34 +918,35 @@ mod tests {
                 || w[1].since_improvement == w[0].since_improvement + 1));
     }
 
+    /// Accumulates phase nanoseconds, indexed by [`GaPhase`].
+    #[derive(Default)]
+    struct PhaseTimes([std::sync::atomic::AtomicU64; 4]);
+
+    impl<G> Observer<G> for PhaseTimes {
+        fn wants_phases(&self) -> bool {
+            true
+        }
+
+        fn on_phase(&self, phase: GaPhase, d: Duration) {
+            self.0[phase as usize]
+                .fetch_add(d.as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn profiled_run_is_bit_identical_and_accounts_phase_time() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
         let eval = |g: &Vec<usize>| displacement(g);
         let cfg = GaConfig {
             pop_size: 24,
             seed: 9,
             ..GaConfig::default()
         };
+        let t = Termination::Generations(20);
         let mut bare = Engine::new(cfg.clone(), perm_toolkit(12), &eval);
-        bare.run(&Termination::Generations(20));
-
-        let select = AtomicU64::new(0);
-        let breed = AtomicU64::new(0);
-        let evaluate = AtomicU64::new(0);
-        let hook = |phase: GaPhase, d: Duration| {
-            let ns = d.as_nanos() as u64;
-            match phase {
-                GaPhase::Select => select.fetch_add(ns, Ordering::Relaxed),
-                GaPhase::Breed => breed.fetch_add(ns, Ordering::Relaxed),
-                GaPhase::Evaluate => evaluate.fetch_add(ns, Ordering::Relaxed),
-                GaPhase::Migrate => unreachable!("engine never migrates"),
-            };
-        };
+        run(&mut bare, &t, &mut ());
         let mut profiled = Engine::new(cfg, perm_toolkit(12), &eval);
-        profiled.set_phase_hook(&hook);
-        profiled.run(&Termination::Generations(20));
+        let mut times = PhaseTimes::default();
+        run(&mut profiled, &t, &mut times);
 
         // The profiler is measurement-only: same seed, same trajectory.
         assert_eq!(bare.best().cost, profiled.best().cost);
@@ -985,7 +954,9 @@ mod tests {
         assert_eq!(bare.history().records, profiled.history().records);
         // Evaluation work was actually attributed (select/breed can be
         // sub-nanosecond-rounding small, but 20 generations of batch
-        // evaluation cannot be zero).
-        assert!(evaluate.load(Ordering::Relaxed) > 0);
+        // evaluation cannot be zero), and an engine never migrates.
+        let [_, _, evaluate, migrate] = times.0.map(|a| a.into_inner());
+        assert!(evaluate > 0);
+        assert_eq!(migrate, 0);
     }
 }

@@ -30,7 +30,7 @@ pub mod select;
 pub mod stats;
 pub mod termination;
 
-pub use engine::{Engine, GaConfig, Individual, Toolkit};
+pub use engine::{run, Engine, GaConfig, GaPhase, Individual, Model, Observer, Toolkit};
 pub use fitness::FitnessTransform;
 pub use select::Selection;
 pub use termination::Termination;

@@ -103,9 +103,9 @@ pub struct GenRecord {
     pub diversity: f64,
 }
 
-/// One generation's convergence telemetry as emitted by the sampled
-/// anytime runs (`Engine::run_sampled`, `run_until_sampled` on the
-/// parallel models): a [`GenRecord`] plus the anytime counters an
+/// One generation's convergence telemetry, as every model's
+/// `Model::step` reports it to `Observer::on_sample`: a [`GenRecord`]
+/// plus the anytime counters an
 /// external observer needs to judge progress without access to the
 /// model — evaluation count, stagnation age, and (for island models)
 /// which island produced the sample and whether migration fired on

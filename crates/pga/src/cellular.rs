@@ -10,7 +10,7 @@
 //! thread scheduling.
 
 use crate::telemetry::RunTelemetry;
-use ga::engine::{GaPhase, Individual, PhaseHook, Toolkit};
+use ga::engine::{GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::stream_rng;
 use ga::stats::{mean_hamming, GenRecord, GenerationSample, History};
 use ga::Evaluator;
@@ -82,7 +82,6 @@ pub struct CellularGa<'a, G> {
     history: History,
     pub telemetry: RunTelemetry,
     since_improvement: u64,
-    phase_hook: Option<&'a PhaseHook<'a>>,
 }
 
 impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
@@ -125,18 +124,9 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             best,
             history: History::default(),
             since_improvement: 0,
-            phase_hook: None,
         };
         cga.record();
         cga
-    }
-
-    /// Enables the phase profiler: `hook` receives each generation's
-    /// `Breed` (neighbourhood selection + crossover + mutation) and
-    /// `Evaluate` (grid-wide fitness batch) timings. Measurement-only —
-    /// the per-cell RNG streams never see the clock.
-    pub fn set_phase_hook(&mut self, hook: &'a PhaseHook<'a>) {
-        self.phase_hook = Some(hook);
     }
 
     fn neighbour_indices(&self, idx: usize) -> Vec<usize> {
@@ -157,8 +147,12 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
 
     /// One synchronous generation: every cell picks its best neighbour,
     /// mates with it, mutates, and the child replaces the incumbent only
-    /// if it is at least as good (elitist cellular replacement).
-    pub fn step(&mut self) {
+    /// if it is at least as good (elitist cellular replacement). Reports
+    /// `Breed` (neighbourhood selection + crossover + mutation) and
+    /// `Evaluate` (grid-wide fitness batch) timings to `obs` when it
+    /// asks, but no sample — [`Model::step`] adds the whole-grid one,
+    /// the hybrid a torus-tagged one.
+    pub(crate) fn evolve(&mut self, obs: &dyn Observer<G>) {
         self.generation += 1;
         let gen = self.generation;
         let seed = self.config.seed;
@@ -167,8 +161,9 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         let neighbours: Vec<Vec<usize>> = (0..n).map(|i| self.neighbour_indices(i)).collect();
 
         // Phase 1 (parallel, read-only grid): breed one child per cell.
-        // Phase timing reads the clock only when a hook is installed.
-        let tb = self.phase_hook.map(|_| ga::clock::now());
+        // Phase timing reads the clock only when the observer asks.
+        let profiled = obs.wants_phases();
+        let tb = profiled.then(ga::clock::now);
         let grid = &self.grid;
         let toolkit = &self.toolkit;
         let children: Vec<G> = (0..n)
@@ -191,13 +186,13 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
 
         // Phase 2: evaluate all children (the massively-parallel fitness
         // phase of the survey's Table IV).
-        let te = self.phase_hook.map(|_| ga::clock::now());
-        if let (Some(hook), Some(tb), Some(te)) = (self.phase_hook, tb, te) {
-            hook(GaPhase::Breed, te.saturating_duration_since(tb));
+        let te = profiled.then(ga::clock::now);
+        if let (Some(tb), Some(te)) = (tb, te) {
+            obs.on_phase(GaPhase::Breed, te.saturating_duration_since(tb));
         }
         let costs = self.evaluator.cost_batch(&children);
-        if let (Some(hook), Some(te)) = (self.phase_hook, te) {
-            hook(GaPhase::Evaluate, ga::clock::elapsed_since(te));
+        if let Some(te) = te {
+            obs.on_phase(GaPhase::Evaluate, ga::clock::elapsed_since(te));
         }
         self.telemetry.evaluations += n as u64;
         self.telemetry.evals_per_generation.push(n as u64);
@@ -222,6 +217,7 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         }
         if self.best.cost < before {
             self.since_improvement = 0;
+            self.telemetry.improvements += 1;
         } else {
             self.since_improvement += 1;
         }
@@ -245,80 +241,25 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         });
     }
 
-    pub fn run(&mut self, generations: u64) -> Individual<G> {
-        for _ in 0..generations {
-            self.step();
-        }
-        self.best.clone()
-    }
-
-    /// Runs until a [`ga::termination::Termination`] criterion fires
-    /// (evaluated on the whole grid's progress).
-    pub fn run_until(&mut self, termination: &ga::termination::Termination) -> Individual<G> {
-        self.run_until_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run_until`](Self::run_until), but invokes `on_best` on the
-    /// initial best and on every subsequent improvement — the anytime
-    /// best-so-far hook used by portfolio racing.
-    pub fn run_until_observed(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_until_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_until_observed`](Self::run_until_observed), but also
-    /// emits one whole-grid [`GenerationSample`] per generation
+    /// The latest generation as one whole-grid [`GenerationSample`]
     /// (`island: None` — the torus is one panmictic sampling unit).
-    /// Sampling reads recorded state only, so a sampled run is
-    /// bit-identical to an unsampled one.
-    pub fn run_until_sampled(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        // Count strict improvements into the run telemetry (the
-        // baseline report of the starting best is not one).
-        let mut last = self.best.cost;
-        let mut seen = 0u64;
-        let best = ga::engine::run_anytime_sampled(
-            self,
-            termination,
-            &|m| ga::engine::AnytimeStatus {
-                generation: m.generation,
-                evaluations: m.telemetry.evaluations,
-                best_cost: m.best.cost,
-            },
-            &mut |m, emit| {
-                m.step();
-                if let Some(rec) = m.history.records.last() {
-                    emit(GenerationSample {
-                        island: None,
-                        generation: rec.generation,
-                        evaluations: m.telemetry.evaluations,
-                        best_cost: rec.best_cost,
-                        mean_cost: rec.mean_cost,
-                        diversity: rec.diversity,
-                        since_improvement: m.since_improvement,
-                        migration: false,
-                    });
-                }
-            },
-            &|m| m.best.clone(),
-            &mut |ind| {
-                if ind.cost < last {
-                    last = ind.cost;
-                    seen += 1;
-                }
-                on_best(ind);
-            },
-            on_sample,
-        );
-        self.telemetry.improvements += seen;
-        best
+    pub(crate) fn last_sample(&self) -> GenerationSample {
+        let rec = self.history.records.last().copied().unwrap_or(GenRecord {
+            generation: self.generation,
+            best_cost: self.best.cost,
+            mean_cost: self.best.cost,
+            diversity: 0.0,
+        });
+        GenerationSample {
+            island: None,
+            generation: rec.generation,
+            evaluations: self.telemetry.evaluations,
+            best_cost: rec.best_cost,
+            mean_cost: rec.mean_cost,
+            diversity: rec.diversity,
+            since_improvement: self.since_improvement,
+            migration: false,
+        }
     }
 
     pub fn best(&self) -> &Individual<G> {
@@ -346,11 +287,32 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
     }
 }
 
+impl<G: Clone + Send + Sync> Model<G> for CellularGa<'_, G> {
+    fn step(&mut self, obs: &mut dyn Observer<G>) {
+        self.evolve(&*obs);
+        obs.on_sample(self.last_sample());
+    }
+
+    fn status(&self) -> Status {
+        Status {
+            generation: self.generation,
+            evaluations: self.telemetry.evaluations,
+        }
+    }
+
+    fn best(&self) -> &Individual<G> {
+        &self.best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{PhaseTimes, Recorder};
     use ga::crossover::PermCrossover;
+    use ga::engine::run;
     use ga::mutate::SeqMutation;
+    use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
@@ -408,14 +370,14 @@ mod tests {
     #[test]
     fn improves_and_is_deterministic() {
         let eval = |g: &Vec<usize>| displacement(g);
-        let run = || {
+        let once = || {
             let mut cga = CellularGa::new(CellularConfig::new(4, 4, 17), toolkit(10), &eval);
             let start = cga.best().cost;
-            let end = cga.run(25).cost;
+            let end = run(&mut cga, &Termination::Generations(25), &mut ()).cost;
             (start, end)
         };
-        let (s1, e1) = run();
-        let (s2, e2) = run();
+        let (s1, e1) = once();
+        let (s2, e2) = once();
         assert_eq!((s1, e1), (s2, e2));
         assert!(e1 < s1);
     }
@@ -425,7 +387,7 @@ mod tests {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(3, 3, 2), toolkit(8), &eval);
         let before: Vec<f64> = cga.grid().iter().map(|i| i.cost).collect();
-        cga.step();
+        cga.step(&mut ());
         let after: Vec<f64> = cga.grid().iter().map(|i| i.cost).collect();
         for (b, a) in before.iter().zip(&after) {
             assert!(a <= b);
@@ -437,7 +399,7 @@ mod tests {
         // The cellular model's selling point: diversity declines gradually.
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(5, 5, 3), toolkit(12), &eval);
-        cga.run(10);
+        run(&mut cga, &Termination::Generations(10), &mut ());
         let h = cga.history();
         let d0 = h.records.first().unwrap().diversity;
         let dn = h.records.last().unwrap().diversity;
@@ -449,7 +411,7 @@ mod tests {
     fn telemetry_counts_messages() {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(3, 3, 4), toolkit(6), &eval);
-        cga.run(2);
+        run(&mut cga, &Termination::Generations(2), &mut ());
         // 9 cells x 4 neighbours x 2 generations.
         assert_eq!(cga.telemetry.messages, 72);
         assert_eq!(cga.telemetry.evaluations, 9 + 18);
@@ -459,11 +421,9 @@ mod tests {
     fn sampled_run_emits_whole_grid_samples() {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(4, 4, 6), toolkit(8), &eval);
-        let mut samples = Vec::new();
-        use ga::termination::Termination;
-        let best = cga.run_until_sampled(&Termination::Generations(10), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        let mut rec = Recorder::default();
+        let best = run(&mut cga, &Termination::Generations(10), &mut rec);
+        let samples = rec.samples;
         assert_eq!(samples.len(), 10);
         let mut prev_best = f64::INFINITY;
         for (k, s) in samples.iter().enumerate() {
@@ -490,33 +450,18 @@ mod tests {
 
     #[test]
     fn profiled_grid_run_is_bit_identical() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let eval = |g: &Vec<usize>| displacement(g);
+        let t = Termination::Generations(8);
         let mut bare = CellularGa::new(CellularConfig::new(4, 4, 7), toolkit(8), &eval);
-        bare.run(8);
-
-        let breed_ns = AtomicU64::new(0);
-        let evaluate_ns = AtomicU64::new(0);
-        let hook = |phase: GaPhase, d: std::time::Duration| {
-            let ns = d.as_nanos() as u64;
-            match phase {
-                GaPhase::Breed => {
-                    breed_ns.fetch_add(ns, Ordering::Relaxed);
-                }
-                GaPhase::Evaluate => {
-                    evaluate_ns.fetch_add(ns, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        };
+        run(&mut bare, &t, &mut ());
         let mut profiled = CellularGa::new(CellularConfig::new(4, 4, 7), toolkit(8), &eval);
-        profiled.set_phase_hook(&hook);
-        profiled.run(8);
+        let mut times = PhaseTimes::default();
+        run(&mut profiled, &t, &mut times);
 
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);
         assert_eq!(bare.history().records, profiled.history().records);
-        assert!(breed_ns.load(Ordering::Relaxed) > 0);
-        assert!(evaluate_ns.load(Ordering::Relaxed) > 0);
+        assert!(times.ns(GaPhase::Breed) > 0);
+        assert!(times.ns(GaPhase::Evaluate) > 0);
     }
 }

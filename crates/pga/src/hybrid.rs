@@ -14,8 +14,9 @@ use crate::island::{IslandConfig, IslandGa};
 use crate::migration::{MigrationConfig, MigrationPolicy};
 use crate::telemetry::RunTelemetry;
 use crate::topology::Topology;
-use ga::engine::{GaConfig, Individual, Toolkit};
+use ga::engine::{GaConfig, GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::{split_seed, stream_rng};
+use ga::stats::GenerationSample;
 use ga::Evaluator;
 use rand_chacha::ChaCha8Rng;
 
@@ -28,6 +29,8 @@ pub struct IslandsOfCellular<'a, G> {
     migrants_per_event: usize,
     generation: u64,
     mig_rng: ChaCha8Rng,
+    /// Best individual over all toruses (the first torus wins ties).
+    best: Individual<G>,
     pub telemetry: RunTelemetry,
 }
 
@@ -49,7 +52,9 @@ impl<'a, G: Clone + Send + Sync> IslandsOfCellular<'a, G> {
             })
             .collect();
         let workers: usize = grids.iter().map(|g| g.grid().len()).sum();
+        let evaluations = grids.iter().map(|g| g.telemetry.evaluations).sum();
         IslandsOfCellular {
+            best: best_of(&grids).clone(),
             grids,
             ring_interval: ring_interval.max(1),
             migrants_per_event,
@@ -57,55 +62,93 @@ impl<'a, G: Clone + Send + Sync> IslandsOfCellular<'a, G> {
             mig_rng: stream_rng(grid.seed, 0x48_59_42), // "HYB"
             telemetry: RunTelemetry {
                 workers,
+                evaluations,
                 ..Default::default()
             },
         }
     }
 
-    /// One global generation: every torus steps once; on ring epochs the
-    /// best individuals of each torus replace random cells of the next
-    /// torus on the ring.
-    pub fn step(&mut self) {
-        use rayon::prelude::*;
-        self.generation += 1;
-        self.grids.par_iter_mut().for_each(|g| g.step());
-        self.telemetry.generations += 1;
-        if self.generation.is_multiple_of(self.ring_interval) {
-            let n = self.grids.len();
-            if n > 1 {
-                let emigrants: Vec<Individual<G>> =
-                    self.grids.iter().map(|g| g.best().clone()).collect();
-                for (i, em) in emigrants.into_iter().enumerate() {
-                    let dest = (i + 1) % n;
-                    for _ in 0..self.migrants_per_event {
-                        use rand::Rng;
-                        let cell = self.mig_rng.gen_range(0..self.grids[dest].grid().len());
-                        self.grids[dest].replace(cell, em.clone());
-                        self.telemetry.migrants += 1;
-                    }
-                    self.telemetry.messages += 1;
-                }
-            }
-        }
-    }
-
-    pub fn run(&mut self, generations: u64) -> Individual<G> {
-        for _ in 0..generations {
-            self.step();
-        }
-        self.best()
-    }
-
-    pub fn best(&self) -> Individual<G> {
-        self.grids
-            .iter()
-            .map(|g| g.best().clone())
-            .min_by(|a, b| a.cost.total_cmp(&b.cost))
-            .expect("at least one torus")
+    pub fn best(&self) -> &Individual<G> {
+        &self.best
     }
 
     pub fn grids(&self) -> &[CellularGa<'a, G>] {
         &self.grids
+    }
+
+    fn grid_evaluations(&self) -> u64 {
+        self.grids.iter().map(|g| g.telemetry.evaluations).sum()
+    }
+}
+
+/// The best of the toruses' bests, the first torus winning ties.
+fn best_of<'g, G: Clone + Send + Sync>(grids: &'g [CellularGa<'_, G>]) -> &'g Individual<G> {
+    grids
+        .iter()
+        .map(|g| g.best())
+        .min_by(|a, b| a.cost.total_cmp(&b.cost))
+        .expect("at least one torus")
+}
+
+impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
+    /// One global generation: every torus steps once; on ring epochs the
+    /// best individuals of each torus replace random cells of the next
+    /// torus on the ring (timed as `Migrate`). Reports one sample per
+    /// torus, tagged with the torus index as its `island`, with
+    /// `migration: true` on ring epochs.
+    fn step(&mut self, obs: &mut dyn Observer<G>) {
+        use rayon::prelude::*;
+        self.generation += 1;
+        let best_before = self.best.cost;
+        let evals_before = self.grid_evaluations();
+        let shared: &dyn Observer<G> = &*obs;
+        self.grids.par_iter_mut().for_each(|g| g.evolve(shared));
+        let evals_this_gen = self.grid_evaluations() - evals_before;
+        self.telemetry.generations += 1;
+        self.telemetry.evals_per_generation.push(evals_this_gen);
+        self.telemetry.evaluations += evals_this_gen;
+        let tm = obs.wants_phases().then(ga::clock::now);
+        let n = self.grids.len();
+        let migrated = n > 1 && self.generation.is_multiple_of(self.ring_interval);
+        if migrated {
+            let emigrants: Vec<Individual<G>> =
+                self.grids.iter().map(|g| g.best().clone()).collect();
+            for (i, em) in emigrants.into_iter().enumerate() {
+                let dest = (i + 1) % n;
+                for _ in 0..self.migrants_per_event {
+                    use rand::Rng;
+                    let cell = self.mig_rng.gen_range(0..self.grids[dest].grid().len());
+                    self.grids[dest].replace(cell, em.clone());
+                    self.telemetry.migrants += 1;
+                }
+                self.telemetry.messages += 1;
+            }
+        }
+        if let Some(tm) = tm {
+            obs.on_phase(GaPhase::Migrate, ga::clock::elapsed_since(tm));
+        }
+        self.best = best_of(&self.grids).clone();
+        if self.best.cost < best_before {
+            self.telemetry.improvements += 1;
+        }
+        for (i, g) in self.grids.iter().enumerate() {
+            obs.on_sample(GenerationSample {
+                island: Some(i as u32),
+                migration: migrated,
+                ..g.last_sample()
+            });
+        }
+    }
+
+    fn status(&self) -> Status {
+        Status {
+            generation: self.generation,
+            evaluations: self.telemetry.evaluations,
+        }
+    }
+
+    fn best(&self) -> &Individual<G> {
+        &self.best
     }
 }
 
@@ -140,7 +183,9 @@ where
 mod tests {
     use super::*;
     use ga::crossover::PermCrossover;
+    use ga::engine::run;
     use ga::mutate::SeqMutation;
+    use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
@@ -175,7 +220,7 @@ mod tests {
             1,
         );
         let start = h.best().cost;
-        h.run(12);
+        run(&mut h, &Termination::Generations(12), &mut ());
         assert!(h.best().cost <= start);
         // 12 generations / interval 4 = 3 events x 3 islands.
         assert_eq!(h.telemetry.messages, 9);
@@ -184,7 +229,7 @@ mod tests {
     #[test]
     fn islands_of_cellular_deterministic() {
         let eval = |g: &Vec<usize>| displacement(g);
-        let run = || {
+        let once = || {
             let mut h = IslandsOfCellular::new(
                 2,
                 CellularConfig::new(3, 3, 9),
@@ -193,9 +238,36 @@ mod tests {
                 3,
                 1,
             );
-            h.run(9).cost
+            run(&mut h, &Termination::Generations(9), &mut ()).cost
         };
-        assert_eq!(run(), run());
+        assert_eq!(once(), once());
+    }
+
+    #[test]
+    fn islands_of_cellular_counts_evaluations() {
+        // Two 3x3 toruses: 18 evaluations at construction and 18 per
+        // generation, so an evaluation budget of 100 stops after 5 (the
+        // generation cap only turns a miscount into a failure, not a hang).
+        let eval = |g: &Vec<usize>| displacement(g);
+        let mut h = IslandsOfCellular::new(
+            2,
+            CellularConfig::new(3, 3, 4),
+            &|_| toolkit(6),
+            &eval,
+            3,
+            1,
+        );
+        assert_eq!(h.telemetry.evaluations, 18);
+        let budget = Termination::Any(vec![
+            Termination::Evaluations(100),
+            Termination::Generations(50),
+        ]);
+        run(&mut h, &budget, &mut ());
+        assert_eq!(h.telemetry.generations, 5);
+        assert_eq!(h.telemetry.evaluations, 18 + 5 * 18);
+        assert_eq!(h.telemetry.evals_per_generation, vec![18; 5]);
+        let grids: u64 = h.grids().iter().map(|g| g.telemetry.evaluations).sum();
+        assert_eq!(h.telemetry.evaluations, grids);
     }
 
     #[test]
@@ -208,7 +280,7 @@ mod tests {
         };
         let mut ig = cellular_style_islands(base, 2, 3, &|_| toolkit(7), &eval, 2, 1);
         let start = ig.best().cost;
-        ig.run(10);
+        run(&mut ig, &Termination::Generations(10), &mut ());
         assert!(ig.best().cost <= start);
         // Torus 2x3: every island has neighbours, so messages flowed.
         assert!(ig.telemetry.messages > 0);

@@ -15,7 +15,7 @@
 use crate::migration::{emigrant_indices, replacement_indices, MigrationConfig};
 use crate::telemetry::RunTelemetry;
 use crate::topology::Topology;
-use ga::engine::{Engine, GaConfig, GaPhase, Individual, PhaseHook, Toolkit};
+use ga::engine::{Engine, GaConfig, GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::{split_seed, stream_rng};
 use ga::stats::{stagnation_fraction, GenRecord, GenerationSample, History};
 use ga::Evaluator;
@@ -65,11 +65,6 @@ pub struct IslandGa<'a, G> {
     best_overall: Individual<G>,
     global_history: History,
     pub telemetry: RunTelemetry,
-    /// True when the latest [`step_generation`](Self::step_generation)
-    /// ran a migration or broadcast exchange — the discrete mark
-    /// stamped onto that generation's samples.
-    migrated_last_gen: bool,
-    phase_hook: Option<&'a PhaseHook<'a>>,
 }
 
 impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
@@ -113,24 +108,9 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
                 evaluations,
                 ..Default::default()
             },
-            migrated_last_gen: false,
-            phase_hook: None,
         };
         ig.record();
         ig
-    }
-
-    /// Enables the phase profiler on every island engine (their
-    /// `Select`/`Breed`/`Evaluate` timings) and on this model's own
-    /// migration machinery (`Migrate` covers migration, broadcast and
-    /// stagnation-merging). Island engines step in parallel, so `hook`
-    /// must tolerate concurrent invocation (accumulate into atomics).
-    /// Measurement-only: the search trajectory is unchanged.
-    pub fn set_phase_hook(&mut self, hook: &'a PhaseHook<'a>) {
-        self.phase_hook = Some(hook);
-        for e in &mut self.engines {
-            e.set_phase_hook(hook);
-        }
     }
 
     /// Homogeneous construction: `n` islands sharing one evaluator and one
@@ -185,55 +165,6 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
     /// Number of currently active islands.
     pub fn active_islands(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
-    }
-
-    /// Advances every active island one generation (in parallel), then
-    /// applies migration / broadcast / merging when due.
-    pub fn step_generation(&mut self) {
-        self.generation += 1;
-        self.engines
-            .par_iter_mut()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .for_each(|(e, _)| e.step());
-        self.telemetry.generations += 1;
-        let evals_this_gen: u64 = self
-            .engines
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(e, _)| e.population().len() as u64)
-            .sum();
-        self.telemetry.evals_per_generation.push(evals_this_gen);
-        self.telemetry.evaluations += evals_this_gen;
-
-        // Migration/broadcast/merging, timed as the `Migrate` phase
-        // when profiled (the clock is read only with a hook installed).
-        let tm = self.phase_hook.map(|_| ga::clock::now());
-        self.migrated_last_gen = false;
-        if self.config.migration.interval > 0
-            && self
-                .generation
-                .is_multiple_of(self.config.migration.interval)
-        {
-            let topo = self.config.migration.topology;
-            self.migrate_with(topo, self.config.migration.count);
-            self.migrated_last_gen = true;
-        }
-        if let Some(ln) = self.config.broadcast_interval {
-            if ln > 0 && self.generation.is_multiple_of(ln) {
-                self.migrate_with(Topology::FullyConnected, self.config.migration.count);
-                self.migrated_last_gen = true;
-            }
-        }
-        if let Some(rule) = self.config.merge_on_stagnation {
-            self.maybe_merge(rule);
-        }
-        if let (Some(hook), Some(tm)) = (self.phase_hook, tm) {
-            hook(GaPhase::Migrate, ga::clock::elapsed_since(tm));
-        }
-        self.refresh_best();
-        self.record();
     }
 
     /// One synchronous migration event over `topology`.
@@ -329,87 +260,6 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
         Some(e.population().iter().map(|i| view(&i.genome)).collect())
     }
 
-    /// Runs `generations` generations and returns the best individual.
-    pub fn run(&mut self, generations: u64) -> Individual<G> {
-        for _ in 0..generations {
-            self.step_generation();
-        }
-        self.best_overall.clone()
-    }
-
-    /// Runs until a [`ga::termination::Termination`] criterion fires
-    /// (evaluated on the island model's global progress).
-    pub fn run_until(&mut self, termination: &ga::termination::Termination) -> Individual<G> {
-        self.run_until_observed(termination, &mut |_| {})
-    }
-
-    /// Like [`run_until`](Self::run_until), but invokes `on_best` on the
-    /// initial global best and on every subsequent improvement — the
-    /// anytime best-so-far hook used by portfolio racing.
-    pub fn run_until_observed(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-    ) -> Individual<G> {
-        self.run_until_sampled(termination, on_best, &mut |_| {})
-    }
-
-    /// Like [`run_until_observed`](Self::run_until_observed), but also
-    /// emits one [`GenerationSample`] per *active island* per
-    /// generation, tagged with the island id (`island: Some(i)`) and
-    /// carrying that island's own best/mean/diversity and stagnation
-    /// age from its engine history. Generations on which a migration
-    /// or broadcast exchange fired have `migration: true` on every
-    /// sample of that generation — the discrete marks on an island
-    /// convergence plot. Sampling reads recorded state only and never
-    /// touches any RNG stream, so a sampled run is bit-identical to an
-    /// unsampled one.
-    pub fn run_until_sampled(
-        &mut self,
-        termination: &ga::termination::Termination,
-        on_best: &mut dyn FnMut(&Individual<G>),
-        on_sample: &mut dyn FnMut(GenerationSample),
-    ) -> Individual<G> {
-        // Count strict improvements into the run telemetry (the
-        // baseline report of the starting best is not one); `<`
-        // filters it out because its cost equals `last`.
-        let mut last = self.best_overall.cost;
-        let mut seen = 0u64;
-        let best = ga::engine::run_anytime_sampled(
-            self,
-            termination,
-            &|m| ga::engine::AnytimeStatus {
-                generation: m.generation,
-                evaluations: m.telemetry.evaluations,
-                best_cost: m.best_overall.cost,
-            },
-            &mut |m, emit| {
-                m.step_generation();
-                let migrated = m.migrated_last_gen;
-                for (i, e) in m.engines.iter().enumerate() {
-                    if !m.active[i] {
-                        continue;
-                    }
-                    let mut s = e.last_sample();
-                    s.island = Some(i as u32);
-                    s.migration = migrated;
-                    emit(s);
-                }
-            },
-            &|m| m.best_overall.clone(),
-            &mut |ind| {
-                if ind.cost < last {
-                    last = ind.cost;
-                    seen += 1;
-                }
-                on_best(ind);
-            },
-            on_sample,
-        );
-        self.telemetry.improvements += seen;
-        best
-    }
-
     /// Best individual found so far across all islands (including merged
     /// ones).
     pub fn best(&self) -> &Individual<G> {
@@ -435,14 +285,98 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
     pub fn generation(&self) -> u64 {
         self.generation
     }
+
+    fn engine_evaluations(&self) -> u64 {
+        self.engines.iter().map(Engine::evaluations).sum()
+    }
+}
+
+impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
+    /// Advances every active island one generation (in parallel), then
+    /// applies migration / broadcast / merging when due. Reports one
+    /// sample per still-active island, tagged with the island id and
+    /// carrying that island's own best/mean/diversity and stagnation
+    /// age; every sample of a generation that exchanged migrants has
+    /// `migration: true`. The engines share `obs` for their phase
+    /// timings only, so they emit no untagged samples of their own;
+    /// `Migrate` covers migration, broadcast and stagnation-merging.
+    fn step(&mut self, obs: &mut dyn Observer<G>) {
+        self.generation += 1;
+        let best_before = self.best_overall.cost;
+        let evals_before = self.engine_evaluations();
+        let shared: &dyn Observer<G> = &*obs;
+        self.engines
+            .par_iter_mut()
+            .zip(&self.active)
+            .filter(|(_, &a)| a)
+            .for_each(|(e, _)| e.evolve(shared));
+        // An engine generation evaluates only its non-elite children,
+        // so count what the engines actually evaluated.
+        let evals_this_gen = self.engine_evaluations() - evals_before;
+        self.telemetry.generations += 1;
+        self.telemetry.evals_per_generation.push(evals_this_gen);
+        self.telemetry.evaluations += evals_this_gen;
+
+        let tm = obs.wants_phases().then(ga::clock::now);
+        let mut migrated = false;
+        if self.config.migration.interval > 0
+            && self
+                .generation
+                .is_multiple_of(self.config.migration.interval)
+        {
+            let topo = self.config.migration.topology;
+            self.migrate_with(topo, self.config.migration.count);
+            migrated = true;
+        }
+        if let Some(ln) = self.config.broadcast_interval {
+            if ln > 0 && self.generation.is_multiple_of(ln) {
+                self.migrate_with(Topology::FullyConnected, self.config.migration.count);
+                migrated = true;
+            }
+        }
+        if let Some(rule) = self.config.merge_on_stagnation {
+            self.maybe_merge(rule);
+        }
+        if let Some(tm) = tm {
+            obs.on_phase(GaPhase::Migrate, ga::clock::elapsed_since(tm));
+        }
+        self.refresh_best();
+        self.record();
+        if self.best_overall.cost < best_before {
+            self.telemetry.improvements += 1;
+        }
+        for (i, e) in self.engines.iter().enumerate() {
+            if self.active[i] {
+                obs.on_sample(GenerationSample {
+                    island: Some(i as u32),
+                    migration: migrated,
+                    ..e.last_sample()
+                });
+            }
+        }
+    }
+
+    fn status(&self) -> Status {
+        Status {
+            generation: self.generation,
+            evaluations: self.telemetry.evaluations,
+        }
+    }
+
+    fn best(&self) -> &Individual<G> {
+        &self.best_overall
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::migration::MigrationPolicy;
+    use crate::tests::{PhaseTimes, Recorder};
     use ga::crossover::PermCrossover;
+    use ga::engine::run;
     use ga::mutate::SeqMutation;
+    use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
@@ -510,7 +444,7 @@ mod tests {
             IslandConfig::new(MigrationConfig::ring(5, 2)),
         );
         let start = ig.best().cost;
-        ig.run(40);
+        run(&mut ig, &Termination::Generations(40), &mut ());
         assert!(ig.best().cost < start);
         assert_eq!(ig.generation(), 40);
         assert!(ig.telemetry.messages > 0);
@@ -520,7 +454,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let eval = |g: &Vec<usize>| displacement(g);
-        let run = || {
+        let once = || {
             let mut ig = IslandGa::homogeneous(
                 base_cfg(9),
                 3,
@@ -528,9 +462,9 @@ mod tests {
                 &eval,
                 IslandConfig::new(MigrationConfig::ring(4, 1)),
             );
-            ig.run(20).cost
+            run(&mut ig, &Termination::Generations(20), &mut ()).cost
         };
-        assert_eq!(run(), run());
+        assert_eq!(once(), once());
     }
 
     #[test]
@@ -545,7 +479,7 @@ mod tests {
             &eval,
             IslandConfig::new(cfg),
         );
-        ig.run(10);
+        run(&mut ig, &Termination::Generations(10), &mut ());
         assert_eq!(ig.telemetry.messages, 0);
     }
 
@@ -570,7 +504,7 @@ mod tests {
         };
         // Safe: direct engine access is test-only.
         ig.engines[0].replace(0, ind);
-        ig.run(6);
+        run(&mut ig, &Termination::Generations(6), &mut ());
         for e in ig.engines() {
             assert_eq!(e.best().cost, 0.0);
         }
@@ -582,7 +516,7 @@ mod tests {
         let mut ic = IslandConfig::new(MigrationConfig::ring(2, 1));
         ic.broadcast_interval = Some(6);
         let mut ig = IslandGa::homogeneous(base_cfg(4), 4, &|_| toolkit(6), &eval, ic);
-        ig.run(12);
+        run(&mut ig, &Termination::Generations(12), &mut ());
         // Ring: 4 links/event x 6 events = 24; broadcast: 12 links x 2.
         assert_eq!(ig.telemetry.messages, 24 + 24);
     }
@@ -596,7 +530,7 @@ mod tests {
             majority: 0.5,
         });
         let mut ig = IslandGa::homogeneous(base_cfg(5), 4, &|_| toolkit(5), &eval, ic);
-        ig.run(3);
+        run(&mut ig, &Termination::Generations(3), &mut ());
         assert!(
             ig.active_islands() < 4,
             "stagnated islands should have merged"
@@ -605,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_on_target_and_stagnation() {
+    fn termination_stops_on_target_and_stagnation() {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut ig = IslandGa::homogeneous(
             base_cfg(12),
@@ -614,12 +548,12 @@ mod tests {
             &eval,
             IslandConfig::new(MigrationConfig::ring(3, 1)),
         );
-        use ga::termination::Termination;
-        ig.run_until(&Termination::Any(vec![
+        let t = Termination::Any(vec![
             Termination::TargetCost(0.0),
             Termination::Stagnation(30),
             Termination::Generations(500),
-        ]));
+        ]);
+        run(&mut ig, &t, &mut ());
         // Tiny instance: expect the optimum before the generation cap.
         assert!(ig.generation() < 500);
     }
@@ -657,7 +591,7 @@ mod tests {
             IslandConfig::new(MigrationConfig::ring(5, 1)),
         );
         let start = ig.best().cost;
-        ig.run(30);
+        run(&mut ig, &Termination::Generations(30), &mut ());
         assert!(ig.best().cost <= start);
     }
 
@@ -671,11 +605,9 @@ mod tests {
             &eval,
             IslandConfig::new(MigrationConfig::ring(4, 1)),
         );
-        let mut samples = Vec::new();
-        use ga::termination::Termination;
-        ig.run_until_sampled(&Termination::Generations(12), &mut |_| {}, &mut |s| {
-            samples.push(s)
-        });
+        let mut rec = Recorder::default();
+        run(&mut ig, &Termination::Generations(12), &mut rec);
+        let samples = rec.samples;
         // One sample per active island per generation.
         assert_eq!(samples.len(), 12 * 3);
         for (k, s) in samples.iter().enumerate() {
@@ -693,31 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_run_matches_observed_run_bit_for_bit() {
-        let eval = |g: &Vec<usize>| displacement(g);
-        let build = || {
-            IslandGa::homogeneous(
-                base_cfg(22),
-                3,
-                &|_| toolkit(8),
-                &eval,
-                IslandConfig::new(MigrationConfig::ring(3, 1)),
-            )
-        };
-        use ga::termination::Termination;
-        let t = Termination::Generations(15);
-        let mut plain = build();
-        let a = plain.run_until_observed(&t, &mut |_| {});
-        let mut sampled = build();
-        let b = sampled.run_until_sampled(&t, &mut |_| {}, &mut |_| {});
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.genome, b.genome);
-        assert_eq!(plain.history().records, sampled.history().records);
-    }
-
-    #[test]
     fn profiled_island_run_is_bit_identical_and_times_migration() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let eval = |g: &Vec<usize>| displacement(g);
         let build = || {
             IslandGa::homogeneous(
@@ -728,32 +636,45 @@ mod tests {
                 IslandConfig::new(MigrationConfig::ring(2, 1)),
             )
         };
+        let t = Termination::Generations(10);
         let mut bare = build();
-        bare.run(10);
-
-        let evaluate_ns = AtomicU64::new(0);
-        let migrate_ns = AtomicU64::new(0);
-        let hook = |phase: GaPhase, d: std::time::Duration| {
-            let ns = d.as_nanos() as u64;
-            match phase {
-                GaPhase::Evaluate => {
-                    evaluate_ns.fetch_add(ns, Ordering::Relaxed);
-                }
-                GaPhase::Migrate => {
-                    migrate_ns.fetch_add(ns, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        };
+        run(&mut bare, &t, &mut ());
         let mut profiled = build();
-        profiled.set_phase_hook(&hook);
-        profiled.run(10);
+        let mut times = PhaseTimes::default();
+        run(&mut profiled, &t, &mut times);
 
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);
-        assert!(evaluate_ns.load(Ordering::Relaxed) > 0);
+        assert!(times.ns(GaPhase::Evaluate) > 0);
         // Migration is timed every generation (the check itself is
         // part of the phase), so the counter must have ticked.
-        assert!(migrate_ns.load(Ordering::Relaxed) > 0);
+        assert!(times.ns(GaPhase::Migrate) > 0);
+    }
+
+    #[test]
+    fn telemetry_counts_the_evaluations_the_engines_ran() {
+        // With elites, an engine generation evaluates only its
+        // pop_size - elites children: the island telemetry must sum
+        // what the engines really evaluated, not their population sizes.
+        let eval = |g: &Vec<usize>| displacement(g);
+        let cfg = GaConfig {
+            elites: 2,
+            ..base_cfg(24)
+        };
+        let mut ig = IslandGa::homogeneous(
+            cfg,
+            3,
+            &|_| toolkit(8),
+            &eval,
+            IslandConfig::new(MigrationConfig::ring(3, 1)),
+        );
+        run(&mut ig, &Termination::Generations(9), &mut ());
+        let engines: u64 = ig.engines().iter().map(Engine::evaluations).sum();
+        assert_eq!(ig.telemetry.evaluations, engines);
+        assert!(ig
+            .telemetry
+            .evals_per_generation
+            .iter()
+            .all(|&n| n == 3 * 14));
     }
 }

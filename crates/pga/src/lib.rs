@@ -42,5 +42,126 @@ pub use hybrid::{cellular_style_islands, IslandsOfCellular};
 pub use island::{IslandConfig, IslandGa, MergeRule};
 pub use master_slave::{BatchedEvaluator, DistributedSlavesGa, RayonEvaluator};
 pub use migration::{MigrationConfig, MigrationPolicy};
-pub use telemetry::{RequestTelemetry, RunTelemetry};
+pub use telemetry::{Instrumented, RequestTelemetry, RunTelemetry};
 pub use topology::Topology;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use ga::crossover::PermCrossover;
+    use ga::engine::{run, Engine, GaConfig, GaPhase, Individual, Observer, Toolkit};
+    use ga::mutate::SeqMutation;
+    use ga::stats::GenerationSample;
+    use ga::termination::Termination;
+    use rand::seq::SliceRandom;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
+
+    /// Records the best-so-far reports and samples a run emits.
+    #[derive(Default)]
+    pub(crate) struct Recorder {
+        pub(crate) bests: Vec<f64>,
+        pub(crate) samples: Vec<GenerationSample>,
+    }
+
+    impl<G> Observer<G> for Recorder {
+        fn on_best(&mut self, best: &Individual<G>) {
+            self.bests.push(best.cost);
+        }
+
+        fn on_sample(&mut self, sample: GenerationSample) {
+            self.samples.push(sample);
+        }
+    }
+
+    /// Accumulates phase nanoseconds; safe under parallel island steps.
+    #[derive(Default)]
+    pub(crate) struct PhaseTimes([AtomicU64; 4]);
+
+    impl PhaseTimes {
+        pub(crate) fn ns(&self, phase: GaPhase) -> u64 {
+            self.0[phase as usize].load(Ordering::Relaxed)
+        }
+    }
+
+    impl<G> Observer<G> for PhaseTimes {
+        fn wants_phases(&self) -> bool {
+            true
+        }
+
+        fn on_phase(&self, phase: GaPhase, d: Duration) {
+            self.0[phase as usize].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    fn displacement(p: &[usize]) -> f64 {
+        p.iter()
+            .enumerate()
+            .map(|(i, &v)| (i as f64 - v as f64).abs())
+            .sum()
+    }
+
+    fn toolkit(_: usize) -> Toolkit<Vec<usize>> {
+        Toolkit {
+            init: Box::new(|rng| {
+                let mut p: Vec<usize> = (0..9).collect();
+                p.shuffle(rng);
+                p
+            }),
+            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
+            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
+            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+        }
+    }
+
+    /// Runs three fresh models from `build` — bare, recording samples,
+    /// and recording phase times — and checks that observation changed
+    /// nothing: same best cost and genome, same whole `RunTelemetry`.
+    fn observers_are_passive<M: Instrumented<Vec<usize>>>(name: &str, build: impl Fn() -> M) {
+        let t = Termination::Generations(12);
+        let mut bare = build();
+        let best = run(&mut bare, &t, &mut ());
+        let mut sampled = build();
+        let mut rec = Recorder::default();
+        let best_sampled = run(&mut sampled, &t, &mut rec);
+        let mut phased = build();
+        let times = &mut PhaseTimes::default();
+        let best_phased = run(&mut phased, &t, times);
+        for (other, mode) in [(&best_sampled, "sampled"), (&best_phased, "phased")] {
+            assert_eq!(best.cost, other.cost, "{name}: {mode} cost differs");
+            assert_eq!(best.genome, other.genome, "{name}: {mode} genome differs");
+        }
+        assert_eq!(bare.telemetry(), sampled.telemetry(), "{name}: sampled");
+        assert_eq!(bare.telemetry(), phased.telemetry(), "{name}: phased");
+        // Each run recorded what it was asked for.
+        assert!(rec.samples.len() >= 12, "{name}: samples");
+        assert_eq!(rec.bests.len() as u64, bare.telemetry().improvements + 1);
+        assert!(times.ns(GaPhase::Evaluate) > 0, "{name}: evaluate time");
+    }
+
+    #[test]
+    fn observers_never_change_any_model() {
+        let eval = |g: &Vec<usize>| displacement(g);
+        let cfg = GaConfig {
+            pop_size: 16,
+            seed: 22,
+            ..GaConfig::default()
+        };
+        observers_are_passive("engine", || Engine::new(cfg.clone(), toolkit(0), &eval));
+        observers_are_passive("island", || {
+            IslandGa::homogeneous(
+                cfg.clone(),
+                3,
+                &toolkit,
+                &eval,
+                IslandConfig::new(MigrationConfig::ring(3, 1)),
+            )
+        });
+        observers_are_passive("cellular", || {
+            CellularGa::new(CellularConfig::new(4, 4, 22), toolkit(0), &eval)
+        });
+        observers_are_passive("islands_of_cellular", || {
+            IslandsOfCellular::new(2, CellularConfig::new(3, 3, 22), &toolkit, &eval, 3, 1)
+        });
+    }
+}

@@ -16,7 +16,7 @@
 //! * [`DistributedSlavesGa`] — Mui et al. \[17\]: each slave runs the *full*
 //!   GA on its own stream and the master keeps the global optimum.
 
-use ga::engine::{Engine, GaConfig, Individual, Toolkit};
+use ga::engine::{run, Engine, GaConfig, Individual, Toolkit};
 use ga::rng::split_seed;
 use ga::termination::Termination;
 use ga::Evaluator;
@@ -137,7 +137,7 @@ impl<G: Clone + Send + Sync> DistributedSlavesGa<G> {
                 let mut cfg = base_config.clone();
                 cfg.seed = split_seed(base_config.seed, slave as u64);
                 let mut engine = Engine::new(cfg, toolkit_factory(), evaluator);
-                let best = engine.run(termination);
+                let best = run(&mut engine, termination, &mut ());
                 (best, engine.evaluations())
             })
             .collect();
@@ -221,8 +221,8 @@ mod tests {
         let mut a = Engine::new(cfg.clone(), toolkit(10), &sequential);
         let mut b = Engine::new(cfg, toolkit(10), &parallel);
         let term = Termination::Generations(20);
-        let best_a = a.run(&term);
-        let best_b = b.run(&term);
+        let best_a = run(&mut a, &term, &mut ());
+        let best_b = run(&mut b, &term, &mut ());
         assert_eq!(best_a.cost, best_b.cost);
         assert_eq!(best_a.genome, best_b.genome);
         // Entire history matches, not just the endpoint.

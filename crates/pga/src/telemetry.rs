@@ -6,6 +6,9 @@
 //! messages of what size — through a platform cost model. The parallel
 //! models in this crate record that structure here.
 
+use crate::{CellularGa, IslandGa, IslandsOfCellular};
+use ga::engine::{Engine, Model};
+
 /// Counters describing one run of any parallel GA model.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTelemetry {
@@ -23,11 +26,10 @@ pub struct RunTelemetry {
     pub migrants: u64,
     /// Number of parallel workers the model logically used.
     pub workers: usize,
-    /// Strict best-so-far improvements observed during the run (the
-    /// starting best is the baseline, not an improvement) — the points
-    /// on an anytime convergence curve. Accumulated by the observed
-    /// run entry points (`run_until_observed` and friends); zero for
-    /// runs driven without an observer.
+    /// Strict best-so-far improvements during the run (the starting
+    /// best is the baseline, not an improvement) — the points on an
+    /// anytime convergence curve. Each model counts them in its own
+    /// step, so bare and observed runs report the same number.
     pub improvements: u64,
     /// Incremental-decoder invocations behind this run's evaluations
     /// (zero when the evaluator is not decoder-backed or the caller
@@ -48,6 +50,44 @@ impl RunTelemetry {
         }
         self.evals_per_generation.iter().sum::<u64>() as f64
             / self.evals_per_generation.len() as f64
+    }
+}
+
+/// A [`Model`] that accounts its run structure in a [`RunTelemetry`].
+pub trait Instrumented<G>: Model<G> {
+    /// The structural counters of the run so far.
+    fn telemetry(&self) -> RunTelemetry;
+}
+
+/// The panmictic engine as the master-slave model: one logical master
+/// (the slave count is rayon's pool).
+impl<G: Clone> Instrumented<G> for Engine<'_, G> {
+    fn telemetry(&self) -> RunTelemetry {
+        RunTelemetry {
+            generations: self.generation(),
+            evaluations: self.evaluations(),
+            improvements: self.improvements(),
+            workers: 1,
+            ..Default::default()
+        }
+    }
+}
+
+impl<G: Clone + Send + Sync> Instrumented<G> for IslandGa<'_, G> {
+    fn telemetry(&self) -> RunTelemetry {
+        self.telemetry.clone()
+    }
+}
+
+impl<G: Clone + Send + Sync> Instrumented<G> for CellularGa<'_, G> {
+    fn telemetry(&self) -> RunTelemetry {
+        self.telemetry.clone()
+    }
+}
+
+impl<G: Clone + Send + Sync> Instrumented<G> for IslandsOfCellular<'_, G> {
+    fn telemetry(&self) -> RunTelemetry {
+        self.telemetry.clone()
     }
 }
 

@@ -90,7 +90,5 @@ pub use session::{
     EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionGauges, SessionRegistry,
     SessionState,
 };
-pub use solver::{
-    load_instance, solve, solve_hooked, solve_traced, LoadedInstance, SolveHooks, SolveOutcome,
-};
+pub use solver::{load_instance, solve, solve_hooked, LoadedInstance, SolveHooks, SolveOutcome};
 pub use wal::{RecoverOutcome, RecoveredSession, Wal, WalConfig};

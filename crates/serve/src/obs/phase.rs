@@ -1,5 +1,5 @@
-//! Race-level phase time accounting: a lock-free accumulator the
-//! portfolio threads a [`ga::engine::PhaseHook`] into, so one race's
+//! Race-level phase time accounting: a lock-free accumulator every
+//! race member's [`ga::engine::Observer`] feeds, so one race's
 //! select / breed / evaluate / migrate / decode nanoseconds land in a
 //! handful of relaxed atomics instead of per-event allocations.
 //!
@@ -7,9 +7,9 @@
 //! add into it concurrently); after the race the server folds the
 //! totals into the per-family `serve_phase_us` histograms and the
 //! cost-model drift accumulators. The hot path pays nothing when
-//! profiling is off (the engines skip their clock reads entirely when
-//! no hook is installed) and five relaxed `fetch_add`s per generation
-//! when it is on.
+//! profiling is off (the models skip their clock reads entirely unless
+//! the observer asks for phase timings) and five relaxed `fetch_add`s
+//! per generation when it is on.
 
 use ga::engine::GaPhase;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +17,7 @@ use std::time::Duration;
 
 /// The five phase families the profiler accounts for. `Decode` is
 /// serve-side (timed inside the evaluation closures around the SoA
-/// decoders); the other four come straight from the engine's
-/// [`GaPhase`] hook.
+/// decoders); the other four are the models' [`GaPhase`] reports.
 pub const PHASE_NAMES: [&str; 5] = ["select", "breed", "evaluate", "migrate", "decode"];
 
 /// Accumulated nanoseconds per search phase for one race. All methods
@@ -38,8 +37,9 @@ impl PhaseAcc {
         PhaseAcc::default()
     }
 
-    /// Adds one engine phase observation (the [`ga::engine::PhaseHook`]
-    /// contract: called with accumulated per-generation durations).
+    /// Adds one model phase observation (per the
+    /// [`ga::engine::Observer::on_phase`] contract, an accumulated
+    /// per-generation duration).
     pub fn add(&self, phase: GaPhase, d: Duration) {
         let ns = d.as_nanos() as u64;
         let cell = match phase {

@@ -29,7 +29,7 @@ use crate::json::Json;
 use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::{sample_json, MemberTrace};
 use crate::scheduler::{CancelToken, RacerPool, TaskRun};
-use ga::engine::{GaConfig, GaPhase, Individual, Toolkit};
+use ga::engine::{Engine, GaConfig, GaPhase, Individual, Observer, Toolkit};
 use ga::rng::split_seed;
 use ga::stats::GenerationSample;
 use ga::termination::Termination;
@@ -37,9 +37,11 @@ use ga::Evaluator;
 use hpc::model::{cellular_time, island_time, master_slave_time, RunShape};
 use hpc::Platform;
 use pga::telemetry::RunTelemetry;
-use pga::{CellularConfig, CellularGa, IslandConfig, IslandGa, MigrationConfig, RayonEvaluator};
+use pga::{
+    CellularConfig, CellularGa, Instrumented, IslandConfig, IslandGa, MigrationConfig,
+    RayonEvaluator,
+};
 use shop::gen::Family;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -249,35 +251,22 @@ pub struct StopRule {
     pub target: f64,
 }
 
-/// The hooks a race threads through to its members: improvement-
-/// timeline tracing, a live watch sink, and the phase-time
-/// accumulator. `Arc`-owned because pooled member tasks outlive the
-/// submitting stack frame.
+/// Observation hooks for one race (and the solve or session event
+/// around it): anytime-timeline tracing, live watch streaming, and
+/// phase profiling. All default off; none of them changes the search
+/// trajectory (same seeds, same stop rule, same winner — the
+/// bit-identity contract the server's watch tests pin). `Arc`-owned
+/// because pooled member tasks outlive the submitting stack frame.
 #[derive(Default, Clone)]
-pub(crate) struct RaceHooks {
+pub struct SolveHooks {
     /// Record per-member improvement timelines and retained
     /// convergence samples into `RaceResult::timelines`.
-    pub(crate) traced: bool,
-    /// Live frame sink (watched races).
-    pub(crate) watch: Option<Arc<dyn WatchSink>>,
-    /// Phase-time accumulator; when present every member installs the
-    /// engine phase hook (and the solver times decodes) into it.
-    pub(crate) phases: Option<Arc<PhaseAcc>>,
-}
-
-impl RaceHooks {
-    /// Trace-only hooks (the pre-watch surface of `race_core`).
-    pub(crate) fn bare(traced: bool) -> Self {
-        RaceHooks {
-            traced,
-            ..RaceHooks::default()
-        }
-    }
-
-    /// True when members must emit per-generation samples at all.
-    fn wants_samples(&self) -> bool {
-        self.traced || self.watch.is_some()
-    }
+    pub traced: bool,
+    /// Stream start/sample/best/finish frames live.
+    pub watch: Option<Arc<dyn WatchSink>>,
+    /// Accumulate per-phase search time (select / breed / evaluate /
+    /// migrate from the models, decode from the evaluation closures).
+    pub phases: Option<Arc<PhaseAcc>>,
 }
 
 /// This member's slice of a watched race: where frames go and how to
@@ -303,14 +292,14 @@ impl WatchCtx<'_> {
     }
 }
 
-/// What one race member reports through: the shared best-so-far cell,
-/// plus — when the race is traced — this member's improvement-timeline
-/// accumulator, plus — when watched — the live frame sink, plus — when
-/// profiled — the phase-time accumulator. [`MemberObs::report`] is the
-/// single funnel every model improvement passes on its way to the
-/// cooperative race state, and [`MemberObs::sample`] the funnel for
-/// per-generation convergence samples — which is what lets tracing,
-/// watching and profiling ride along without touching the GA layers.
+/// The [`Observer`] one race member runs under: the shared best-so-far
+/// cell, plus — when the race is traced — this member's
+/// improvement-timeline accumulator, plus — when watched — the live
+/// frame sink, plus — when profiled — the phase-time accumulator. Every
+/// model improvement passes through `on_best` on its way to the
+/// cooperative race state, and every per-generation sample through
+/// `on_sample` — which is what lets tracing, watching and profiling
+/// ride along without touching the GA layers.
 pub(crate) struct MemberObs<'a> {
     /// The race-wide monotone best cell (the anytime contract).
     pub(crate) best: &'a BestSoFar,
@@ -320,8 +309,8 @@ pub(crate) struct MemberObs<'a> {
     watch: Option<WatchCtx<'a>>,
     /// Best value already announced on the watch stream (models
     /// re-report their best every chunk; the stream keeps strict
-    /// improvements only). Single-threaded per member run.
-    watch_best: Cell<f64>,
+    /// improvements only).
+    watch_best: f64,
     /// Phase-time accumulator, when the race is profiled.
     pub(crate) phases: Option<&'a PhaseAcc>,
 }
@@ -365,14 +354,15 @@ impl MemberAcc {
     }
 }
 
-impl MemberObs<'_> {
+impl<G> Observer<G> for MemberObs<'_> {
     /// Reports a candidate cost into the shared cell, recording an
     /// improvement point when traced and announcing it on the watch
     /// stream when watched. Models re-report their current best at
     /// every cooperative chunk boundary, so both the timeline and the
     /// stream keep only *strict* improvements (plus the member's very
     /// first report, its starting best).
-    pub(crate) fn report(&self, cost: f64) {
+    fn on_best(&mut self, best: &Individual<G>) {
+        let cost = best.cost;
         self.best.report(cost);
         if let Some((t0, acc)) = &self.timeline {
             let mut acc = acc.lock().expect("member timeline poisoned");
@@ -382,8 +372,8 @@ impl MemberObs<'_> {
             }
         }
         if let Some(w) = &self.watch {
-            if cost < self.watch_best.get() {
-                self.watch_best.set(cost);
+            if cost < self.watch_best {
+                self.watch_best = cost;
                 w.emit(
                     "best",
                     vec![
@@ -398,11 +388,9 @@ impl MemberObs<'_> {
         }
     }
 
-    /// Funnels one per-generation convergence sample: streamed live
-    /// when watched, retained (decimated) next to the improvement
-    /// timeline when traced. No-op — and never called by the models,
-    /// which check [`MemberObs::wants_samples`] — on bare races.
-    pub(crate) fn sample(&self, s: GenerationSample) {
+    /// Streams the sample live when watched, and retains it
+    /// (decimated) next to the improvement timeline when traced.
+    fn on_sample(&mut self, s: GenerationSample) {
         if let Some(w) = &self.watch {
             let Json::Obj(fields) = sample_json(&s) else {
                 unreachable!("sample_json renders an object")
@@ -416,20 +404,22 @@ impl MemberObs<'_> {
         }
     }
 
-    /// True when [`MemberObs::sample`] has somewhere to put samples —
-    /// models skip the sampled run paths entirely otherwise, keeping
-    /// the bare hot path byte-for-byte the pre-observability one.
-    pub(crate) fn wants_samples(&self) -> bool {
-        self.watch.is_some() || self.timeline.is_some()
+    fn wants_phases(&self) -> bool {
+        self.phases.is_some()
+    }
+
+    fn on_phase(&self, phase: GaPhase, d: Duration) {
+        if let Some(acc) = self.phases {
+            acc.add(phase, d);
+        }
     }
 }
 
 /// The type-erased per-member work unit `race_core` schedules: run
 /// `ModelKind` with the given derived seed under the stop rule,
-/// reporting improvements through the member observer; return the
-/// member's best, its telemetry, and whether the deadline alone cut it
-/// short.
-pub(crate) type MemberRunner<G> = dyn Fn(ModelKind, u64, &StopRule, &MemberObs) -> (Individual<G>, RunTelemetry, bool)
+/// reporting through the member observer; return the member's best,
+/// its telemetry, and whether the deadline alone cut it short.
+pub(crate) type MemberRunner<G> = dyn Fn(ModelKind, u64, &StopRule, &mut MemberObs) -> (Individual<G>, RunTelemetry, bool)
     + Send
     + Sync;
 
@@ -469,7 +459,7 @@ struct RaceState<G> {
 }
 
 impl<G> RaceState<G> {
-    fn new(members: usize, hooks: &RaceHooks) -> Self {
+    fn new(members: usize, hooks: SolveHooks) -> Self {
         RaceState {
             best: BestSoFar::default(),
             results: Mutex::new((0..members).map(|_| None).collect()),
@@ -481,11 +471,10 @@ impl<G> RaceState<G> {
             pool_wait_us: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             t0: Instant::now(),
-            timelines: hooks
-                .wants_samples()
+            timelines: (hooks.traced || hooks.watch.is_some())
                 .then(|| (0..members).map(|_| Mutex::default()).collect()),
-            watch: hooks.watch.clone(),
-            phases: hooks.phases.clone(),
+            watch: hooks.watch,
+            phases: hooks.phases,
         }
     }
 
@@ -500,7 +489,7 @@ impl<G> RaceState<G> {
                 model,
                 t0: self.t0,
             }),
-            watch_best: Cell::new(f64::INFINITY),
+            watch_best: f64::INFINITY,
             phases: self.phases.as_deref(),
         }
     }
@@ -604,31 +593,6 @@ impl<G> RaceState<G> {
     }
 }
 
-/// The trace-only scheduling entry (kept for callers that predate the
-/// watch/profiler hooks): forwards to [`race_core_hooked`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn race_core<G: Send + 'static>(
-    pool: &RacerPool,
-    lineup: &[ModelKind],
-    runner: Arc<MemberRunner<G>>,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    target: f64,
-    traced: bool,
-) -> RaceResult<G> {
-    race_core_hooked(
-        pool,
-        lineup,
-        runner,
-        seed,
-        deadline,
-        gen_cap,
-        target,
-        RaceHooks::bare(traced),
-    )
-}
-
 /// The scheduling core shared by [`race`] and the solver glue: run
 /// `lineup[0]` inline on the calling thread and the rest as cancellable
 /// tasks on `pool`, then merge whatever completed. The hooks thread
@@ -638,7 +602,7 @@ pub(crate) fn race_core<G: Send + 'static>(
 /// (engine phase times into the accumulator) through every member;
 /// none of them changes any member's search trajectory.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn race_core_hooked<G: Send + 'static>(
+pub(crate) fn race_core<G: Send + 'static>(
     pool: &RacerPool,
     lineup: &[ModelKind],
     runner: Arc<MemberRunner<G>>,
@@ -646,7 +610,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
     deadline: Instant,
     gen_cap: u64,
     target: f64,
-    hooks: RaceHooks,
+    hooks: SolveHooks,
 ) -> RaceResult<G> {
     assert!(!lineup.is_empty(), "portfolio needs at least one member");
     let stop = StopRule {
@@ -654,7 +618,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
         gen_cap,
         target,
     };
-    let state: Arc<RaceState<G>> = Arc::new(RaceState::new(lineup.len(), &hooks));
+    let state: Arc<RaceState<G>> = Arc::new(RaceState::new(lineup.len(), hooks));
     let cancel = Arc::new(CancelToken::default());
 
     for (i, member) in lineup.iter().enumerate().skip(1) {
@@ -694,7 +658,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
                     member,
                     split_seed(seed, i as u64),
                     &stop,
-                    &state.obs(i, member.name()),
+                    &mut state.obs(i, member.name()),
                 );
                 state
                     .run_ns
@@ -716,7 +680,7 @@ pub(crate) fn race_core_hooked<G: Send + 'static>(
         lineup[0],
         split_seed(seed, 0),
         &stop,
-        &state.obs(0, lineup[0].name()),
+        &mut state.obs(0, lineup[0].name()),
     );
     state
         .run_ns
@@ -868,11 +832,12 @@ where
     E: Evaluator<G> + Send + Sync + 'static,
 {
     let runner: Arc<MemberRunner<G>> = Arc::new(
-        move |member: ModelKind, member_seed: u64, stop: &StopRule, obs: &MemberObs| {
+        move |member: ModelKind, member_seed: u64, stop: &StopRule, obs: &mut MemberObs| {
             run_member(member, member_seed, &toolkit_factory, &evaluator, stop, obs)
         },
     );
-    race_core(pool, lineup, runner, seed, deadline, gen_cap, target, false)
+    let bare = SolveHooks::default();
+    race_core(pool, lineup, runner, seed, deadline, gen_cap, target, bare)
 }
 
 /// Evaluator adapter forwarding to a borrowed evaluator (lets one
@@ -935,54 +900,27 @@ pub(crate) fn run_member<G, TF, E>(
     toolkit_factory: &TF,
     evaluator: &E,
     stop: &StopRule,
-    obs: &MemberObs,
+    obs: &mut MemberObs,
 ) -> (Individual<G>, RunTelemetry, bool)
 where
     G: Clone + Send + Sync,
     TF: Fn() -> Toolkit<G> + Sync,
     E: Evaluator<G> + Sync,
 {
-    let shared = obs.best;
-    let report = &mut |ind: &Individual<G>| obs.report(ind.cost);
-    let sampled = obs.wants_samples();
-    // The engines skip their phase clock reads entirely when no hook
-    // is installed, so this closure only exists for profiled races.
-    let phase_hook = obs
-        .phases
-        .map(|acc| move |phase: GaPhase, d: Duration| acc.add(phase, d));
-    match member {
+    // The master-slave member is priced by `master_slave_time`'s
+    // fan-out model, so its evaluation goes through RayonEvaluator:
+    // with the offline rayon shim this is sequential (bit-identical by
+    // the master-slave contract), with upstream rayon the batch
+    // genuinely fans out.
+    let fan_out = RayonEvaluator::new(ByRef(evaluator));
+    let mut model: Box<dyn Instrumented<G> + '_> = match member {
         ModelKind::MasterSlave { pop } => {
             let cfg = GaConfig {
                 pop_size: pop,
                 seed,
                 ..GaConfig::default()
             };
-            // The member is priced by `master_slave_time`'s fan-out
-            // model, so evaluation goes through RayonEvaluator: with
-            // the offline rayon shim this is sequential (bit-identical
-            // by the master-slave contract), with upstream rayon the
-            // batch genuinely fans out.
-            let fan_out = RayonEvaluator::new(ByRef(evaluator));
-            let mut engine = ga::engine::Engine::new(cfg, toolkit_factory(), &fan_out);
-            if let Some(hook) = &phase_hook {
-                engine.set_phase_hook(hook);
-            }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    engine.run_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    engine.run_observed(t, report)
-                };
-                (best, engine.generation())
-            });
-            let telemetry = RunTelemetry {
-                generations: engine.generation(),
-                evaluations: engine.evaluations(),
-                improvements: engine.improvements(),
-                workers: 1, // logical master; slave count is rayon's pool
-                ..Default::default()
-            };
-            (best, telemetry, timed_out)
+            Box::new(Engine::new(cfg, toolkit_factory(), &fan_out))
         }
         ModelKind::Island {
             islands,
@@ -993,45 +931,25 @@ where
                 seed,
                 ..GaConfig::default()
             };
-            let mut ig = IslandGa::homogeneous(
+            Box::new(IslandGa::homogeneous(
                 cfg,
                 islands,
                 &|_| toolkit_factory(),
                 evaluator,
                 IslandConfig::new(MigrationConfig::ring(5, 2)),
-            );
-            if let Some(hook) = &phase_hook {
-                ig.set_phase_hook(hook);
-            }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    ig.run_until_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    ig.run_until_observed(t, report)
-                };
-                (best, ig.generation())
-            });
-            let telemetry = ig.telemetry.clone();
-            (best, telemetry, timed_out)
+            ))
         }
         ModelKind::Cellular { rows, cols } => {
             let cfg = CellularConfig::new(rows, cols, seed);
-            let mut cga = CellularGa::new(cfg, toolkit_factory(), evaluator);
-            if let Some(hook) = &phase_hook {
-                cga.set_phase_hook(hook);
-            }
-            let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
-                let best = if sampled {
-                    cga.run_until_sampled(t, report, &mut |s| obs.sample(s))
-                } else {
-                    cga.run_until_observed(t, report)
-                };
-                (best, cga.generation())
-            });
-            let telemetry = cga.telemetry.clone();
-            (best, telemetry, timed_out)
+            Box::new(CellularGa::new(cfg, toolkit_factory(), evaluator))
         }
-    }
+    };
+    let shared = obs.best;
+    let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
+        let best = ga::engine::run(&mut *model, t, obs);
+        (best, model.status().generation)
+    });
+    (best, model.telemetry(), timed_out)
 }
 
 #[cfg(test)]

@@ -38,8 +38,7 @@
 use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::Trace;
 use crate::portfolio::{
-    plan_lineup, race_core_hooked, run_member, MemberObs, MemberRunner, RaceHooks, StopRule,
-    WatchSink,
+    plan_lineup, race_core, run_member, MemberObs, MemberRunner, SolveHooks, StopRule, WatchSink,
 };
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
@@ -424,34 +423,6 @@ pub fn handle_event(
     racers: usize,
     skip_resolve: bool,
 ) -> Result<EventOutcome, String> {
-    handle_event_traced(
-        pool,
-        state,
-        event,
-        deadline,
-        gen_cap,
-        racers,
-        skip_resolve,
-        None,
-    )
-}
-
-/// [`handle_event`] with request tracing. When `trace` is given, the
-/// right-shift repair and the GA re-solve are recorded as distinct
-/// `repair` / `resolve` spans, and each race member's strictly-improving
-/// anytime `(elapsed_us, best)` points ride on a `member/<model>` span.
-/// The event computation itself is unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn handle_event_traced(
-    pool: &RacerPool,
-    state: &mut SessionState,
-    event: &Event,
-    deadline: Instant,
-    gen_cap: u64,
-    racers: usize,
-    skip_resolve: bool,
-    trace: Option<&mut Trace>,
-) -> Result<EventOutcome, String> {
     handle_event_hooked(
         pool,
         state,
@@ -460,17 +431,21 @@ pub fn handle_event_traced(
         gen_cap,
         racers,
         skip_resolve,
-        trace,
+        None,
         None,
         None,
     )
 }
 
-/// [`handle_event_traced`] plus the live-observability hooks: a
-/// [`WatchSink`] streams the re-solve race's start/sample/best/finish
-/// frames as they happen, and a [`PhaseAcc`] accumulates the race's
-/// per-phase search time. Neither hook changes the race's trajectory —
-/// the event outcome is bit-identical with or without them.
+/// [`handle_event`] with the observability hooks. When `trace` is
+/// given, the right-shift repair and the GA re-solve are recorded as
+/// distinct `repair` / `resolve` spans, and each race member's
+/// strictly-improving anytime `(elapsed_us, best)` points ride on a
+/// `member/<model>` span. A [`WatchSink`] streams the re-solve race's
+/// start/sample/best/finish frames as they happen, and a [`PhaseAcc`]
+/// accumulates the race's per-phase search time. None of them changes
+/// the race's trajectory — the event outcome is bit-identical with or
+/// without them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_event_hooked(
     pool: &RacerPool,
@@ -542,7 +517,7 @@ pub(crate) fn handle_event_hooked(
             let frozen = Arc::clone(&shared_frozen);
             let suffix = Arc::clone(&shared_suffix);
             let windows = Arc::clone(&shared_windows);
-            Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
+            Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
                 // Per-member mutable decode state; the mutex satisfies
                 // the `Fn + Sync` evaluator bound and is uncontended
                 // (one evaluator per member run).
@@ -566,7 +541,7 @@ pub(crate) fn handle_event_hooked(
             })
         };
         let resolve_start = trace.as_deref().map(|tr| tr.elapsed_us());
-        let outcome = race_core_hooked(
+        let outcome = race_core(
             pool,
             &lineup,
             runner,
@@ -574,7 +549,7 @@ pub(crate) fn handle_event_hooked(
             deadline,
             gen_cap,
             0.0, // no cheap certificate for a frozen-prefix re-solve
-            RaceHooks {
+            SolveHooks {
                 traced: trace.is_some(),
                 watch,
                 phases,

@@ -15,12 +15,10 @@
 //! family's reference decoder and validated — the hot path never gets
 //! to answer unchecked.
 
-use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::MemberTrace;
-use crate::portfolio::{
-    plan_lineup, race_core_hooked, run_member, MemberObs, MemberRunner, ModelKind, WatchSink,
-};
-use crate::portfolio::{RaceHooks, RaceResult, StopRule};
+pub use crate::portfolio::SolveHooks;
+use crate::portfolio::{plan_lineup, race_core, run_member, MemberObs, MemberRunner, ModelKind};
+use crate::portfolio::{RaceResult, StopRule};
 use crate::protocol::{InstanceSpec, Objective, Solution};
 use crate::scheduler::RacerPool;
 use ga::dual::DualGenome;
@@ -123,60 +121,45 @@ pub struct SolveOutcome {
     pub total_ops: u64,
 }
 
-/// Observation hooks for one solve: anytime-timeline tracing, live
-/// watch streaming, and phase profiling. All default off; none of them
-/// changes the search trajectory (same seeds, same stop rule, same
-/// winner — the bit-identity contract the server's watch tests pin).
-#[derive(Default, Clone)]
-pub struct SolveHooks {
-    /// Record per-member improvement timelines and retained
-    /// convergence samples into [`SolveOutcome::timelines`].
-    pub traced: bool,
-    /// Stream start/sample/best/finish frames live.
-    pub watch: Option<Arc<dyn WatchSink>>,
-    /// Accumulate per-phase search time (select / breed / evaluate /
-    /// migrate from the engines, decode from the evaluation closures).
-    pub phases: Option<Arc<PhaseAcc>>,
-}
-
-impl SolveHooks {
-    /// Trace-only hooks (the [`solve_traced`] surface).
-    pub fn traced(traced: bool) -> Self {
-        SolveHooks {
-            traced,
-            ..SolveHooks::default()
-        }
-    }
-
-    fn race_hooks(&self) -> RaceHooks {
-        RaceHooks {
-            traced: self.traced,
-            watch: self.watch.clone(),
-            phases: self.phases.clone(),
-        }
-    }
-}
-
-/// Runs one member with a freshly constructed family toolkit/evaluator
-/// pair — the shared tail of the per-family [`MemberRunner`] closures
-/// below. Each of those closures owns an `Arc` of the instance (so the
-/// racer-pool task is `'static`), pins its family variant, builds the
-/// decoder **once for the member run** on its own stack, and lends the
-/// evaluator to this helper.
-fn run_member_with<G, TF, E>(
+/// Runs one member over its own incremental decoder `inc` (the shared
+/// tail of the per-family [`MemberRunner`] closures below, each of
+/// which owns an `Arc` of the instance so the racer-pool task is
+/// `'static`). `decode` costs one genome; when the race is profiled,
+/// every call is timed into the `decode` phase. The decoder's
+/// divergence counters are folded into the member's telemetry.
+fn run_decoding<G, D, TF>(
     member: ModelKind,
     member_seed: u64,
     stop: &StopRule,
-    obs: &MemberObs,
+    obs: &mut MemberObs,
     toolkit_factory: TF,
-    eval: E,
-) -> (Individual<G>, pga::telemetry::RunTelemetry, bool)
+    inc: D,
+    decode: impl Fn(&mut D, &G) -> f64 + Sync,
+    counters: impl Fn(&D) -> DecodeCounters,
+) -> (Individual<G>, RunTelemetry, bool)
 where
     G: Clone + Send + Sync,
+    D: Send,
     TF: Fn() -> Toolkit<G> + Sync,
-    E: ga::Evaluator<G> + Sync,
 {
-    run_member(member, member_seed, &toolkit_factory, &eval, stop, obs)
+    // The mutex satisfies the `Fn + Sync` evaluator bound and is
+    // uncontended: one evaluator per member run.
+    let inc = Mutex::new(inc);
+    let profile = obs.phases;
+    let eval = |g: &G| {
+        let mut inc = inc.lock().expect("member decoder poisoned");
+        let t0 = profile.map(|_| Instant::now());
+        let v = decode(&mut inc, g);
+        if let (Some(acc), Some(t0)) = (profile, t0) {
+            acc.add_decode(t0.elapsed());
+        }
+        v
+    };
+    let (best, mut tel, hit) = run_member(member, member_seed, &toolkit_factory, &eval, stop, obs);
+    let c = counters(&inc.lock().expect("member decoder poisoned"));
+    tel.decode_calls = c.decodes;
+    tel.retimed_positions = c.retimed_positions;
+    (best, tel, hit)
 }
 
 /// Races the portfolio on `inst` until `deadline` on `pool` and returns
@@ -194,43 +177,17 @@ pub fn solve(
     gen_cap: u64,
     threads: usize,
 ) -> SolveOutcome {
-    solve_traced(
-        pool, inst, objective, seed, deadline, gen_cap, threads, false,
-    )
-}
-
-/// [`solve`] with anytime-timeline recording. With `traced` set, every
-/// race member logs its strictly-improving `(elapsed_us, best)` points
-/// into [`SolveOutcome::timelines`] for the request trace; the search
-/// itself is unchanged (same seeds, same stop rule, same winner).
-#[allow(clippy::too_many_arguments)]
-pub fn solve_traced(
-    pool: &RacerPool,
-    inst: &Arc<LoadedInstance>,
-    objective: Objective,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    threads: usize,
-    traced: bool,
-) -> SolveOutcome {
+    let bare = SolveHooks::default();
     solve_hooked(
-        pool,
-        inst,
-        objective,
-        seed,
-        deadline,
-        gen_cap,
-        threads,
-        SolveHooks::traced(traced),
+        pool, inst, objective, seed, deadline, gen_cap, threads, bare,
     )
 }
 
 /// [`solve`] with the full observation surface (see [`SolveHooks`]):
 /// tracing, live watch streaming, and phase profiling, in any
-/// combination. The decode leg of the profile is timed here, inside
-/// the per-family evaluation closures around the incremental
-/// re-decoders; the other phases come from the engines' phase hooks.
+/// combination. The decode leg of the profile is timed here, around
+/// the incremental re-decoders; the other phases come from the models
+/// through each member's observer.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_hooked(
     pool: &RacerPool,
@@ -253,45 +210,27 @@ pub fn solve_hooked(
         LoadedInstance::Flow(flow) => {
             let n_jobs = flow.n_jobs();
             // One flat operation table per solve, shared by every race
-            // member — members used to rebuild their decoder per run.
+            // member; each member wraps it in its own incremental
+            // decoder.
             let table = Arc::new(OpTable::from_flow(flow));
             let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    // Each member owns its incremental decoder state
-                    // (the table behind it stays shared); the mutex
-                    // satisfies the `Fn + Sync` evaluator bound and is
-                    // uncontended — one evaluator per member run.
-                    let inc = Mutex::new(IncrementalFlow::new(Arc::clone(&table)));
-                    // Borrow (not move) the decoder: its divergence
-                    // counters are folded into the member's telemetry
-                    // after the run.
-                    let profile = obs.phases;
-                    let eval = |perm: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
+                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
+                    run_decoding(
+                        member,
+                        mseed,
+                        stop,
+                        obs,
+                        || perm_toolkit(n_jobs),
+                        IncrementalFlow::new(Arc::clone(&table)),
+                        |inc, perm: &Vec<usize>| match objective {
                             Objective::Makespan => inc.decode(perm) as f64,
                             Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let (best, tel, hit) =
-                        run_member_with(member, mseed, stop, obs, || perm_toolkit(n_jobs), eval);
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
+                        },
+                        IncrementalFlow::counters,
+                    )
                 });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
+            let outcome = race_core(
+                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
             );
             // The final answer goes through the reference decoder — the
             // materialised schedule cross-checks the hot path (validated
@@ -308,42 +247,23 @@ pub fn solve_hooked(
             let ops_per_job: Vec<usize> = (0..job.n_jobs()).map(|j| job.n_ops(j)).collect();
             let table = Arc::new(OpTable::from_job(job));
             let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalJob::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |seq: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(seq) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(seq) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let ops_per_job = ops_per_job.clone();
-                    let (best, tel, hit) = run_member_with(
+                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
+                    run_decoding(
                         member,
                         mseed,
                         stop,
                         obs,
-                        move || opseq_toolkit(ops_per_job.clone()),
-                        eval,
-                    );
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
+                        || opseq_toolkit(ops_per_job.clone()),
+                        IncrementalJob::new(Arc::clone(&table)),
+                        |inc, seq: &Vec<usize>| match objective {
+                            Objective::Makespan => inc.decode(seq) as f64,
+                            Objective::TotalCompletion => inc.decode_completion_sum(seq) as f64,
+                        },
+                        IncrementalJob::counters,
+                    )
                 });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
+            let outcome = race_core(
+                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
             );
             let decoder = JobDecoder::new(job);
             finish(
@@ -357,35 +277,23 @@ pub fn solve_hooked(
             let (n, m) = (open.n_jobs(), open.n_machines());
             let table = Arc::new(OpTable::from_open(open));
             let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalOpenOrder::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |perm: &Vec<usize>| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
+                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
+                    run_decoding(
+                        member,
+                        mseed,
+                        stop,
+                        obs,
+                        || perm_toolkit(n * m),
+                        IncrementalOpenOrder::new(Arc::clone(&table)),
+                        |inc, perm: &Vec<usize>| match objective {
                             Objective::Makespan => inc.decode(perm) as f64,
                             Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let (best, tel, hit) =
-                        run_member_with(member, mseed, stop, obs, || perm_toolkit(n * m), eval);
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
+                        },
+                        IncrementalOpenOrder::counters,
+                    )
                 });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
+            let outcome = race_core(
+                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
             );
             let decoder = OpenDecoder::new(open);
             let order: Vec<(usize, usize)> = outcome
@@ -406,59 +314,31 @@ pub fn solve_hooked(
             let n_jobs = flex.n_jobs();
             let table = Arc::new(FlexTable::from_flexible(flex));
             let runner: Arc<MemberRunner<DualGenome>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &MemberObs| {
-                    let inc = Mutex::new(IncrementalFlex::new(Arc::clone(&table)));
-                    let profile = obs.phases;
-                    let eval = |g: &DualGenome| {
-                        let mut inc = inc.lock().unwrap();
-                        let t0 = profile.map(|_| Instant::now());
-                        let v = match objective {
-                            Objective::Makespan => inc.decode(&g.assign, &g.seq) as f64,
-                            Objective::TotalCompletion => {
-                                inc.decode_completion_sum(&g.assign, &g.seq) as f64
-                            }
-                        };
-                        if let (Some(acc), Some(t0)) = (profile, t0) {
-                            acc.add_decode(t0.elapsed());
-                        }
-                        v
-                    };
-                    let ops_per_job = ops_per_job.clone();
-                    let (best, tel, hit) = run_member_with(
+                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
+                    run_decoding(
                         member,
                         mseed,
                         stop,
                         obs,
-                        move || dual_toolkit(ops_per_job.clone(), max_choices, n_jobs),
-                        eval,
-                    );
-                    let c = inc.lock().unwrap().counters();
-                    (best, with_decode_counters(tel, c), hit)
+                        || dual_toolkit(ops_per_job.clone(), max_choices, n_jobs),
+                        IncrementalFlex::new(Arc::clone(&table)),
+                        |inc, g: &DualGenome| match objective {
+                            Objective::Makespan => inc.decode(&g.assign, &g.seq) as f64,
+                            Objective::TotalCompletion => {
+                                inc.decode_completion_sum(&g.assign, &g.seq) as f64
+                            }
+                        },
+                        IncrementalFlex::counters,
+                    )
                 });
-            let outcome = race_core_hooked(
-                pool,
-                &lineup,
-                runner,
-                seed,
-                deadline,
-                gen_cap,
-                target,
-                hooks.race_hooks(),
+            let outcome = race_core(
+                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
             );
             let schedule = FlexDecoder::new(flex)
                 .decode(&outcome.best.genome.assign, &outcome.best.genome.seq);
             finish(inst, objective, schedule, outcome)
         }
     }
-}
-
-/// Folds an incremental decoder's divergence counters into a member's
-/// run telemetry (see [`shop::decoder::table::DecodeCounters`]): how
-/// many re-decodes ran and how many positions they actually re-timed.
-fn with_decode_counters(mut tel: RunTelemetry, c: DecodeCounters) -> RunTelemetry {
-    tel.decode_calls = c.decodes;
-    tel.retimed_positions = c.retimed_positions;
-    tel
 }
 
 fn finish<G>(

@@ -47,7 +47,7 @@ fn main() {
         ..Default::default()
     };
     let mut engine = Engine::new(cfg, toolkit, &eval);
-    let best = engine.run(&Termination::Generations(250));
+    let best = ga::run(&mut engine, &Termination::Generations(250), &mut ());
 
     let decoder = FlexDecoder::new(&inst).with_setups(&setups);
     let schedule = decoder.decode(&best.genome.assign, &best.genome.seq);

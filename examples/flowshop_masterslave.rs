@@ -42,12 +42,12 @@ fn main() {
 
     // Sequential evaluation.
     let mut seq_engine = Engine::new(cfg.clone(), toolkit(50), &eval);
-    let seq_best = seq_engine.run(&term);
+    let seq_best = ga::run(&mut seq_engine, &term, &mut ());
 
     // Master-slave: same algorithm, rayon-parallel fitness evaluation.
     let parallel = RayonEvaluator::new(eval);
     let mut ms_engine = Engine::new(cfg, toolkit(50), &parallel);
-    let ms_best = ms_engine.run(&term);
+    let ms_best = ga::run(&mut ms_engine, &term, &mut ());
 
     println!("sequential best:  {}", seq_best.cost);
     println!(

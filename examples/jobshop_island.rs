@@ -7,6 +7,7 @@
 use ga::crossover::RepCrossover;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
@@ -54,7 +55,7 @@ fn main() {
             &eval,
             IslandConfig::new(MigrationConfig::ring(10, 2)),
         );
-        let best = islands.run(300);
+        let best = ga::run(&mut islands, &Termination::Generations(300), &mut ());
 
         let schedule = JobDecoder::new(inst).semi_active(&best.genome);
         schedule

@@ -7,6 +7,7 @@
 use ga::crossover::rep::job_order;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
+use ga::termination::Termination;
 use pga::cellular::{CellularConfig, CellularGa, NeighborhoodShape};
 use shop::decoder::open::OpenDecoder;
 use shop::instance::generate::{open_shop_uniform, GenConfig};
@@ -31,7 +32,7 @@ fn main() {
     let mut cfg = CellularConfig::new(8, 8, 21);
     cfg.shape = NeighborhoodShape::Moore;
     let mut cga = CellularGa::new(cfg, toolkit, &eval);
-    let best = cga.run(120);
+    let best = ga::run(&mut cga, &Termination::Generations(120), &mut ());
 
     println!("cellular GA best open-shop makespan: {}", best.cost);
     println!("lower bound: {}", inst.makespan_lower_bound());

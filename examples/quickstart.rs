@@ -5,6 +5,7 @@
 use ga::crossover::PermCrossover;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::flow::FlowDecoder;
@@ -47,7 +48,7 @@ fn main() {
         IslandConfig::new(MigrationConfig::ring(10, 2)),
     );
 
-    let best = islands.run(200);
+    let best = ga::run(&mut islands, &Termination::Generations(200), &mut ());
     let neh = decoder.makespan(&decoder.neh());
     println!("island GA best makespan: {}", best.cost);
     println!("NEH heuristic reference: {neh}");

@@ -7,6 +7,7 @@
 use ga::crossover::RepCrossover;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
+use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::{MigrationConfig, MigrationPolicy};
 use pga::topology::Topology;
@@ -66,7 +67,7 @@ fn main() {
             topology: topo,
         };
         let mut ig = IslandGa::homogeneous(base, 8, &toolkit, &eval, IslandConfig::new(mig));
-        let best = ig.run(150);
+        let best = ga::run(&mut ig, &Termination::Generations(150), &mut ());
         println!(
             "{:<16} {:>9.0} {:>10} {:>10}",
             name, best.cost, ig.telemetry.messages, ig.telemetry.migrants

@@ -40,7 +40,7 @@ fn island_ga_is_deterministic_for_fixed_seed() {
             &eval,
             IslandConfig::new(MigrationConfig::ring(5, 2)),
         );
-        let best = ig.run(40);
+        let best = ga::run(&mut ig, &Termination::Generations(40), &mut ());
         (best.cost, best.genome)
     };
     let (c1, g1) = run(2024);
@@ -61,7 +61,7 @@ fn cellular_ga_is_deterministic_for_fixed_seed() {
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
     let run = |seed: u64| {
         let mut cga = CellularGa::new(CellularConfig::new(4, 4, seed), opseq_toolkit(inst), &eval);
-        let best = cga.run(40);
+        let best = ga::run(&mut cga, &Termination::Generations(40), &mut ());
         (best.cost, best.genome)
     };
     let (c1, g1) = run(7);
@@ -84,7 +84,7 @@ fn rayon_master_slave_is_deterministic_and_matches_sequential() {
     let run_parallel = || {
         let parallel_eval = RayonEvaluator::new(eval);
         let mut e = Engine::new(cfg(20, 31), opseq_toolkit(inst), &parallel_eval);
-        let best = e.run(&term);
+        let best = ga::run(&mut e, &term, &mut ());
         (best.cost, best.genome, e.history().records.clone())
     };
     let (c1, g1, h1) = run_parallel();
@@ -100,7 +100,7 @@ fn rayon_master_slave_is_deterministic_and_matches_sequential() {
     // (single-threaded reduction path) is bit-identical to sequential
     // evaluation with the same seed.
     let mut seq_engine = Engine::new(cfg(20, 31), opseq_toolkit(inst), &eval);
-    let seq_best = seq_engine.run(&term);
+    let seq_best = ga::run(&mut seq_engine, &term, &mut ());
     assert_eq!(seq_best.cost, c1);
     assert_eq!(seq_best.genome, g1);
     assert_eq!(seq_engine.history().records, h1);

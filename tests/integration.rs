@@ -34,7 +34,7 @@ fn island_ga_solves_ft06_close_to_optimum() {
         &eval,
         IslandConfig::new(MigrationConfig::ring(10, 2)),
     );
-    let best = islands.run(300);
+    let best = ga::run(&mut islands, &Termination::Generations(300), &mut ());
     // FT06's optimum is 55; a healthy GA lands within 10%.
     assert!(
         best.cost <= 1.10 * bench.best_known as f64,
@@ -62,11 +62,11 @@ fn master_slave_trajectory_equals_sequential_on_real_instance() {
     let term = Termination::Generations(30);
 
     let mut sequential = Engine::new(cfg.clone(), opseq_toolkit(inst), &eval);
-    sequential.run(&term);
+    ga::run(&mut sequential, &term, &mut ());
 
     let parallel_eval = RayonEvaluator::new(eval);
     let mut parallel = Engine::new(cfg, opseq_toolkit(inst), &parallel_eval);
-    parallel.run(&term);
+    ga::run(&mut parallel, &term, &mut ());
 
     assert_eq!(sequential.history().records, parallel.history().records);
     assert_eq!(sequential.best().genome, parallel.best().genome);
@@ -81,7 +81,7 @@ fn cellular_ga_produces_feasible_improving_schedules() {
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
     let mut cga = CellularGa::new(CellularConfig::new(5, 5, 3), opseq_toolkit(&inst), &eval);
     let start = cga.best().cost;
-    let best = cga.run(60);
+    let best = ga::run(&mut cga, &Termination::Generations(60), &mut ());
     assert!(best.cost <= start);
     let schedule = JobDecoder::new(&inst).semi_active(&best.genome);
     schedule.validate_job(&inst).unwrap();
@@ -110,7 +110,7 @@ fn cost_model_orders_platforms_consistently_with_telemetry() {
         &eval,
         IslandConfig::new(MigrationConfig::ring(5, 1)),
     );
-    ig.run(20);
+    ga::run(&mut ig, &Termination::Generations(20), &mut ());
     let shape = hpc::model::RunShape {
         generations: ig.telemetry.generations,
         evals_per_gen: ig.telemetry.mean_evals_per_gen() as u64,
