@@ -50,11 +50,19 @@ fn regime(name: &str, pop: usize, seed: u64) -> GaConfig {
     }
 }
 
+/// Generations per run in every cell.
+#[cfg(not(test))]
+const GENERATIONS: u64 = 200;
+
+/// The unit test only smoke-tests the pipeline, so it runs a short
+/// horizon; `run_all` and EXPERIMENTS.md keep the full one.
+#[cfg(test)]
+const GENERATIONS: u64 = 20;
+
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(15, 8, 0xA03));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
-    let generations = 200u64;
     let seeds = [1u64, 2, 3, 4];
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
@@ -75,7 +83,7 @@ pub fn run() -> Report {
                 opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
                 &eval,
             );
-            ga::run(&mut e, &Termination::Generations(generations), &mut ());
+            ga::run(&mut e, &Termination::Generations(GENERATIONS), &mut ());
             single.push(e.best().cost);
 
             let base = regime(name, 12, split_seed(0xA03, s));
@@ -89,7 +97,7 @@ pub fn run() -> Report {
                 &eval,
                 IslandConfig::new(mig),
             );
-            island.push(ga::run(&mut ig, &Termination::Generations(generations), &mut ()).cost);
+            island.push(ga::run(&mut ig, &Termination::Generations(GENERATIONS), &mut ()).cost);
         }
         let sm = mean(&single);
         let im = mean(&island);
@@ -114,9 +122,10 @@ pub fn run() -> Report {
         columns: vec!["regime", "single GA", "8-island GA", "island advantage"],
         rows,
         shape_holds: survey_adv >= tuned_adv && survey_adv > 0.0,
-        notes: "Equal total population (96) and 200 generations in every cell (8 islands x 12 on a hypercube); only the \
-                selection/fitness/mutation regime varies."
-            .into(),
+        notes: format!(
+            "Equal total population (96) and {GENERATIONS} generations in every cell (8 islands x 12 on a \
+             hypercube); only the selection/fitness/mutation regime varies."
+        ),
     }
 }
 

@@ -1,13 +1,16 @@
 //! O01 — observability: instrumentation-overhead lane. The serve tier
-//! can observe a race three ways — request tracing (per-member anytime
-//! `(elapsed_us, best)` points plus retained convergence samples),
-//! live `watch` streaming (per-generation frames emitted to a sink)
-//! and phase profiling (scoped select/breed/evaluate/migrate/decode
-//! timers feeding the cost-model drift gauge). The lane proves the
-//! whole stack rides along for free. Every race is cap-bound (small
-//! generation cap, generous wall clock), so the bare, traced and
-//! fully-observed runs do *identical* search work from identical
-//! seeds — any wall-clock gap is pure observation cost.
+//! can observe a race three ways — request tracing, live `watch`
+//! streaming and phase profiling (scoped
+//! select/breed/evaluate/migrate/decode timers feeding the cost-model
+//! drift gauge). Tracing and watching share one per-member frame
+//! stream (start / best / sample / finish): a traced race records it
+//! through a trace recorder into per-member anytime `(elapsed_us,
+//! best)` points plus retained convergence samples, and forwards it to
+//! the watch sink when there is one. The lane proves the whole stack
+//! rides along for free. Every race is cap-bound (small generation
+//! cap, generous wall clock), so the bare, traced and fully-observed
+//! runs do *identical* search work from identical seeds — any
+//! wall-clock gap is pure observation cost.
 //!
 //! Shape: (a) observation never changes the answer — same best value
 //! per instance across all three modes (the observers are passive);
@@ -15,12 +18,14 @@
 //! additionally emit watch frames and accumulate phase time, while
 //! bare runs record none of it; (c) summed over the sweep, the
 //! min-of-repeats wall clock of *both* instrumented modes stays
-//! within `MAX_OVERHEAD_PCT` of bare.
+//! within `MAX_OVERHEAD_PCT` of bare. The unit test checks (a) and (b)
+//! from one repeat; (c) is a wall-clock ratio, so only `run_all` and
+//! the `o01_trace_overhead` binary judge it.
 
 use crate::report::{fmt, Report};
 use serve::scheduler::RacerPool;
 use serve::solver::{solve_hooked, LoadedInstance, SolveHooks};
-use serve::{Json, Objective, PhaseAcc, WatchSink};
+use serve::{Frame, Objective, PhaseAcc, WatchSink};
 use shop::gen::{Family, GenSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,8 +85,8 @@ struct CountingSink {
 }
 
 impl WatchSink for CountingSink {
-    fn emit(&self, frame: &Json) {
-        let line = frame.encode();
+    fn emit(&self, frame: &Frame) {
+        let line = frame.to_json().encode();
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
     }
@@ -96,7 +101,13 @@ const LANE_RACERS: usize = 2;
 
 /// Alternating repeats per mode; min-of-repeats filters scheduler
 /// noise out of the wall-clock comparison.
+#[cfg(not(test))]
 const LANE_REPEATS: usize = 4;
+
+/// The unit test checks only the deterministic shape, which one
+/// repeat shows.
+#[cfg(test)]
+const LANE_REPEATS: usize = 1;
 
 /// The acceptance bound on aggregate overhead, per instrumented mode.
 pub const MAX_OVERHEAD_PCT: f64 = 5.0;
@@ -255,21 +266,17 @@ pub fn report_from(rows: &[OverheadRow]) -> Report {
 
 #[cfg(test)]
 mod tests {
-    /// Wall-clock overhead ratios are noisy when the whole workspace
-    /// test suite saturates the machine around this measurement, so a
-    /// failed bound is re-measured before the shape is declared
-    /// broken. The retry only absorbs scheduler noise: a determinism
-    /// violation (non-identical answers across modes) is seed-stable
-    /// and fails every attempt.
+    /// The deterministic half of the shape: identical values across
+    /// modes, timelines only on traced runs, frames on full runs (bare
+    /// runs recording nothing is asserted inside `measure`). The
+    /// wall-clock bound stays out of `cargo test`, where the whole
+    /// workspace suite shares the machine.
     #[test]
     fn shape_holds() {
-        let mut report = super::run();
-        for _ in 0..2 {
-            if report.shape_holds {
-                return;
-            }
-            report = super::run();
+        let rows = super::measure();
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(r.deterministic, "{r:?}");
         }
-        assert!(report.shape_holds, "{}", report.to_text());
     }
 }

@@ -77,8 +77,10 @@ pub use cache::{CacheKey, CachedSolve, ShardedCache, SolutionCache};
 pub use json::Json;
 pub use obs::metrics::{escape_label_value, Counter, Gauge, Histogram, Registry};
 pub use obs::phase::{PhaseAcc, PHASE_NAMES};
-pub use obs::trace::{GenerationSample, MemberTrace, Span, Trace, TraceRing};
-pub use portfolio::{plan_lineup, price_lineup, BestSoFar, ModelKind, WatchSink};
+pub use obs::trace::{
+    Frame, GenerationSample, MemberTrace, Payload, Span, Trace, TraceRing, WatchSink,
+};
+pub use portfolio::{plan_lineup, price_lineup, BestSoFar, ModelKind};
 pub use protocol::{
     encode_watch, BatchItem, BatchRequest, BatchSource, Family, GenerateRequest, InstanceSpec,
     Objective, Request, SessionEventRequest, SessionOpenRequest, SessionRef, Solution,

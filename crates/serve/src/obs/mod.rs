@@ -17,17 +17,17 @@
 //!   demand.
 //! - [`trace`]: *per-request* state. A [`trace::Trace`] is built by the
 //!   one worker thread handling the request (no synchronisation), race
-//!   members contribute improvement timelines and per-generation
-//!   convergence samples through the portfolio's member-observer, and
-//!   finished traces land in a bounded [`trace::TraceRing`] that
-//!   evicts oldest-first.
+//!   members emit one [`trace::Frame`] stream that a traced race
+//!   records into improvement timelines and per-generation convergence
+//!   samples, and finished traces land in a bounded
+//!   [`trace::TraceRing`] that evicts oldest-first.
 //! - [`phase`]: *per-race* time accounting. A [`phase::PhaseAcc`] is a
 //!   fixed set of relaxed atomics one race's members add
 //!   select/breed/evaluate/migrate/decode nanoseconds into via the
-//!   engine's phase hook; the server folds the totals into per-family
-//!   `serve_phase_us` histograms and the `serve_cost_model_drift_milli`
-//!   gauges that compare observed ns/op against the calibrated
-//!   `hpc::calibrate` constants.
+//!   member observer's `on_phase`; the server folds the totals into
+//!   per-family `serve_phase_us` histograms and the
+//!   `serve_cost_model_drift_milli` gauges that compare observed ns/op
+//!   against the calibrated `hpc::calibrate` constants.
 //!
 //! Overhead budget: an untraced request pays a handful of relaxed
 //! atomic increments and two `Instant::now` calls; tracing is opt-in

@@ -1,10 +1,10 @@
-//! Per-request tracing: timestamped spans, per-race-member anytime
-//! improvement timelines, and a bounded ring of recent traces.
+//! Per-request tracing: timestamped spans, the race members' frame
+//! stream and its trace recorder, and a bounded ring of recent traces.
 //!
 //! A [`Trace`] is owned by the worker thread handling one request —
-//! building it never synchronises. Race members contribute
-//! [`MemberTrace`]s (recorded inside the portfolio race under its own
-//! per-member accumulators) which the solver/session glue converts to
+//! building it never synchronises. Race members emit one stream of
+//! [`Frame`]s; a traced race records it through a `TraceRecorder`
+//! into [`MemberTrace`]s, which the solver/session glue converts to
 //! `member/<model>` spans. Finished traces are rendered to JSON once
 //! and pushed into the service's [`TraceRing`], where `trace_dump`
 //! reads them back newest-last; when the ring is full the *oldest*
@@ -20,7 +20,7 @@ use crate::json::Json;
 pub use ga::stats::GenerationSample;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One timed leg of a request.
@@ -54,7 +54,7 @@ impl Span {
 /// start) and its anytime improvement points `(elapsed_us,
 /// best_value)` — the first point is the member's initial best, each
 /// further point a strict improvement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemberTrace {
     /// The member's stable model label (`master_slave`, `island`, ...).
     pub member: String,
@@ -65,8 +65,7 @@ pub struct MemberTrace {
     /// `(elapsed_us since race start, best value)` improvement points.
     pub points: Vec<(u64, f64)>,
     /// Per-generation convergence samples retained for this member
-    /// (decimated to a bounded count by the portfolio's member
-    /// accumulator; empty on untraced runs).
+    /// (decimated to a bounded count by the `TraceRecorder`).
     pub samples: Vec<GenerationSample>,
 }
 
@@ -90,9 +89,14 @@ impl MemberTrace {
     }
 }
 
-/// Renders one [`GenerationSample`] as a JSON object (shared between
-/// trace retention and the live watch-stream frames).
+/// Renders one [`GenerationSample`] as a JSON object.
 pub fn sample_json(s: &GenerationSample) -> Json {
+    Json::Obj(sample_fields(s))
+}
+
+/// A sample's fields, shared by [`sample_json`] (trace retention) and
+/// the `sample` watch frame.
+fn sample_fields(s: &GenerationSample) -> Vec<(String, Json)> {
     let mut fields = vec![
         ("generation".to_string(), s.generation.into()),
         ("evaluations".to_string(), s.evaluations.into()),
@@ -107,7 +111,181 @@ pub fn sample_json(s: &GenerationSample) -> Json {
     if s.migration {
         fields.push(("migration".to_string(), Json::Bool(true)));
     }
-    Json::Obj(fields)
+    fields
+}
+
+/// Where a race's frames go. The server implements this over the
+/// subscribing connection (and the re-attach hub), and a traced race
+/// interposes a `TraceRecorder`; the portfolio only ever *emits*.
+/// Emission happens from racer threads concurrently, so
+/// implementations must serialise internally, and must never block
+/// the race on a slow consumer (drop or buffer — the race's trajectory
+/// must not depend on who is watching). A pooled member popped just
+/// before cancellation can still run to completion after the race core
+/// has returned at the deadline, so `emit` may be called *after* the
+/// submitting thread moved on: implementations that write a terminal
+/// record must disarm themselves first (the server's sink drops
+/// post-seal frames).
+pub trait WatchSink: Send + Sync {
+    /// Delivers one frame.
+    fn emit(&self, frame: &Frame);
+}
+
+/// One event of a race member's stream: what a `watch` subscriber
+/// receives and what a `TraceRecorder` records. Per member the order
+/// is `start`, then `best`/`sample` frames, then `finish`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frame {
+    /// The member's lineup index.
+    pub member: usize,
+    /// The member's stable model label (`master_slave`, `island`, ...).
+    pub model: &'static str,
+    /// What happened.
+    pub payload: Payload,
+}
+
+/// The event a [`Frame`] reports. `elapsed_us` is µs since the race
+/// began.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Payload {
+    /// The member started running (after any racer-pool queue wait).
+    Start {
+        /// When it started.
+        elapsed_us: u64,
+    },
+    /// The member's starting best, or a strict improvement on it.
+    Best {
+        /// The new best value.
+        value: f64,
+        /// When it was reported.
+        elapsed_us: u64,
+    },
+    /// One per-generation convergence sample (one per island on island
+    /// members). Untimed: samples read no clock.
+    Sample(GenerationSample),
+    /// The member stopped.
+    Finish {
+        /// When it stopped.
+        elapsed_us: u64,
+        /// The member's final best value.
+        best: f64,
+    },
+}
+
+impl Frame {
+    /// Renders the frame's wire object: `{"frame": kind, "member": i,
+    /// "model": name, ...payload fields}`. The only writer of the
+    /// watch-frame layout.
+    pub fn to_json(&self) -> Json {
+        let f = |k: &str, v: Json| (k.to_string(), v);
+        let (kind, payload) = match self.payload {
+            Payload::Start { elapsed_us } => ("start", vec![f("elapsed_us", elapsed_us.into())]),
+            Payload::Best { value, elapsed_us } => (
+                "best",
+                vec![f("value", value.into()), f("elapsed_us", elapsed_us.into())],
+            ),
+            Payload::Sample(s) => ("sample", sample_fields(&s)),
+            Payload::Finish { elapsed_us, best } => (
+                "finish",
+                vec![f("elapsed_us", elapsed_us.into()), f("best", best.into())],
+            ),
+        };
+        let mut fields = vec![
+            f("frame", kind.into()),
+            f("member", (self.member as u64).into()),
+            f("model", self.model.into()),
+        ];
+        fields.extend(payload);
+        Json::Obj(fields)
+    }
+}
+
+/// Retained convergence samples per member are capped at this count.
+const SAMPLE_CAP: usize = 256;
+
+/// One member's recording, built from its frames.
+#[derive(Debug, Default)]
+struct MemberLog {
+    trace: MemberTrace,
+    /// Samples are kept for generations that are multiples of 2^halvings.
+    halvings: u32,
+}
+
+impl MemberLog {
+    fn record(&mut self, frame: &Frame) {
+        let t = &mut self.trace;
+        match frame.payload {
+            Payload::Start { elapsed_us } => {
+                t.member = frame.model.to_string();
+                t.start_us = elapsed_us;
+            }
+            Payload::Best { value, elapsed_us } => t.points.push((elapsed_us, value)),
+            Payload::Sample(s) => self.retain(s),
+            Payload::Finish { elapsed_us, .. } => t.dur_us = elapsed_us.saturating_sub(t.start_us),
+        }
+    }
+
+    /// Keeps `s` when its generation is a multiple of the stride; at
+    /// the cap the stride doubles and the generations off it are
+    /// dropped, so a long run keeps a bounded, evenly thinned, fresh
+    /// history. Keyed on the generation, a kept generation keeps all
+    /// its islands (a stride over the sample count that divides the
+    /// island count would keep the same islands forever).
+    fn retain(&mut self, s: GenerationSample) {
+        let samples = &mut self.trace.samples;
+        if !s.generation.is_multiple_of(1 << self.halvings) {
+            return;
+        }
+        samples.push(s);
+        if samples.len() >= SAMPLE_CAP {
+            self.halvings += 1;
+            let stride = 1 << self.halvings;
+            samples.retain(|k| k.generation.is_multiple_of(stride));
+        }
+    }
+}
+
+/// The [`WatchSink`] of a traced race: records each member's
+/// [`MemberTrace`] from its frames (`start_us`/`dur_us` from `start`
+/// and `finish`, the timeline from `best`, decimated `sample`s) and
+/// forwards every frame to the inner sink, the subscriber's when the
+/// race is also watched — so a trace records exactly the watched stream.
+pub(crate) struct TraceRecorder {
+    members: Vec<Mutex<MemberLog>>,
+    inner: Option<Arc<dyn WatchSink>>,
+}
+
+impl TraceRecorder {
+    /// A recorder for a race of `members` members, forwarding to
+    /// `inner`.
+    pub(crate) fn new(members: usize, inner: Option<Arc<dyn WatchSink>>) -> Self {
+        TraceRecorder {
+            members: (0..members).map(|_| Mutex::default()).collect(),
+            inner,
+        }
+    }
+
+    /// The recordings of the members `ran` selects, in lineup order.
+    pub(crate) fn traces(&self, ran: impl Fn(usize) -> bool) -> Vec<MemberTrace> {
+        self.members
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| ran(i))
+            .map(|(_, log)| log.lock().expect("member trace poisoned").trace.clone())
+            .collect()
+    }
+}
+
+impl WatchSink for TraceRecorder {
+    fn emit(&self, frame: &Frame) {
+        self.members[frame.member]
+            .lock()
+            .expect("member trace poisoned")
+            .record(frame);
+        if let Some(inner) = &self.inner {
+            inner.emit(frame);
+        }
+    }
 }
 
 /// A request trace under construction: an id, a kind, a start instant
@@ -147,12 +325,7 @@ impl Trace {
     /// Records a span that started at offset `start_us` and ends now.
     pub fn span(&mut self, name: &str, start_us: u64, fields: Vec<(String, Json)>) {
         let dur_us = self.elapsed_us().saturating_sub(start_us);
-        self.spans.push(Span {
-            name: name.to_string(),
-            start_us,
-            dur_us,
-            fields,
-        });
+        self.span_at(name, start_us, dur_us, fields);
     }
 
     /// Records a span with an explicit duration (legs timed elsewhere,
@@ -381,6 +554,156 @@ mod tests {
             .map(|t| t.get("id").and_then(Json::as_u64).unwrap())
             .collect();
         assert_eq!(last_two, vec![3, 4]);
+    }
+
+    fn frame(member: usize, model: &'static str, payload: Payload) -> Frame {
+        Frame {
+            member,
+            model,
+            payload,
+        }
+    }
+
+    fn island_sample(island: u32, generation: u64) -> GenerationSample {
+        GenerationSample {
+            island: Some(island),
+            generation,
+            evaluations: generation * 12,
+            best_cost: 60.0,
+            mean_cost: 70.0,
+            diversity: 0.5,
+            since_improvement: 0,
+            migration: false,
+        }
+    }
+
+    /// Collects every frame it is handed.
+    #[derive(Default)]
+    struct Collect(Mutex<Vec<Frame>>);
+
+    impl WatchSink for Collect {
+        fn emit(&self, frame: &Frame) {
+            self.0.lock().unwrap().push(*frame);
+        }
+    }
+
+    #[test]
+    fn frames_render_the_wire_layout() {
+        let sample = GenerationSample {
+            island: None,
+            generation: 1,
+            evaluations: 72,
+            best_cost: 47.0,
+            mean_cost: 50.25,
+            diversity: 0.5,
+            since_improvement: 1,
+            migration: false,
+        };
+        let lines: Vec<String> = [
+            Payload::Start { elapsed_us: 5 },
+            Payload::Best {
+                value: 47.0,
+                elapsed_us: 83,
+            },
+            Payload::Sample(sample),
+            Payload::Finish {
+                elapsed_us: 284193,
+                best: 46.0,
+            },
+        ]
+        .into_iter()
+        .map(|p| frame(0, "cellular", p).to_json().encode())
+        .collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"frame":"start","member":0,"model":"cellular","elapsed_us":5}"#,
+                r#"{"frame":"best","member":0,"model":"cellular","value":47,"elapsed_us":83}"#,
+                r#"{"frame":"sample","member":0,"model":"cellular","generation":1,"evaluations":72,"best":47,"mean":50.25,"diversity":0.5,"since_improvement":1}"#,
+                r#"{"frame":"finish","member":0,"model":"cellular","elapsed_us":284193,"best":46}"#,
+            ]
+        );
+    }
+
+    /// The recorder forwards every frame, in order, and builds each
+    /// member's trace from them; members the caller leaves out (a
+    /// straggler with no result) are absent.
+    #[test]
+    fn recorder_records_the_stream_it_forwards() {
+        let inner = Arc::new(Collect::default());
+        let rec = TraceRecorder::new(2, Some(Arc::clone(&inner) as Arc<dyn WatchSink>));
+        let frames = [
+            frame(1, "island", Payload::Start { elapsed_us: 40 }),
+            frame(
+                1,
+                "island",
+                Payload::Best {
+                    value: 61.0,
+                    elapsed_us: 45,
+                },
+            ),
+            frame(1, "island", Payload::Sample(island_sample(0, 1))),
+            frame(
+                1,
+                "island",
+                Payload::Best {
+                    value: 55.0,
+                    elapsed_us: 90,
+                },
+            ),
+            frame(
+                1,
+                "island",
+                Payload::Finish {
+                    elapsed_us: 300,
+                    best: 55.0,
+                },
+            ),
+            frame(0, "cellular", Payload::Start { elapsed_us: 5 }),
+        ];
+        for f in &frames {
+            rec.emit(f);
+        }
+        assert_eq!(*inner.0.lock().unwrap(), frames);
+        let traces = rec.traces(|i| i == 1);
+        assert_eq!(traces.len(), 1);
+        let t = &traces[0];
+        assert_eq!(t.member, "island");
+        assert_eq!((t.start_us, t.dur_us), (40, 260));
+        assert_eq!(t.points, [(45, 61.0), (90, 55.0)]);
+        assert_eq!(t.samples, [island_sample(0, 1)]);
+    }
+
+    /// An island member emits its islands in order every generation. A
+    /// stride over the emitted-sample count that divides the island
+    /// count keeps the same islands forever; keyed on the generation,
+    /// every kept generation keeps all of its islands.
+    #[test]
+    fn recorder_keeps_every_island_of_the_generations_it_keeps() {
+        let rec = TraceRecorder::new(1, None);
+        rec.emit(&frame(0, "island", Payload::Start { elapsed_us: 0 }));
+        for generation in 1..=200 {
+            for island in 0..4 {
+                let s = island_sample(island, generation);
+                rec.emit(&frame(0, "island", Payload::Sample(s)));
+            }
+        }
+        let samples = &rec.traces(|_| true)[0].samples;
+        assert!(samples.len() <= SAMPLE_CAP, "{} held", samples.len());
+        let newest = samples.iter().map(|s| s.generation).max().unwrap();
+        let islands: Vec<u32> = samples
+            .iter()
+            .filter(|s| s.generation == newest)
+            .filter_map(|s| s.island)
+            .collect();
+        assert_eq!(islands, [0, 1, 2, 3], "newest kept generation {newest}");
+        for s in samples {
+            let n = samples
+                .iter()
+                .filter(|k| k.generation == s.generation)
+                .count();
+            assert_eq!(n, 4, "generation {} kept whole", s.generation);
+        }
     }
 
     #[test]

@@ -25,9 +25,8 @@
 //! holds the best solution (the winner label) can vary run to run even
 //! though the certified cost cannot.
 
-use crate::json::Json;
 use crate::obs::phase::PhaseAcc;
-use crate::obs::trace::{sample_json, MemberTrace};
+use crate::obs::trace::{Frame, MemberTrace, Payload, TraceRecorder, WatchSink};
 use crate::scheduler::{CancelToken, RacerPool, TaskRun};
 use ga::engine::{Engine, GaConfig, GaPhase, Individual, Observer, Toolkit};
 use ga::rng::split_seed;
@@ -45,22 +44,6 @@ use shop::gen::Family;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Where a watched race's live frames go. The server implements this
-/// over the subscribing connection (and the re-attach hub); the
-/// portfolio only ever *emits*. Emission happens from racer threads
-/// concurrently, so implementations must serialise internally, and
-/// must never block the race on a slow consumer (drop or buffer —
-/// the race's trajectory must not depend on who is watching). A
-/// pooled member popped just before cancellation can still run to
-/// completion after the race core has returned at the deadline, so
-/// `emit` may be called *after* the submitting thread moved on:
-/// implementations that write a terminal record must disarm
-/// themselves first (the server's sink drops post-seal frames).
-pub trait WatchSink: Send + Sync {
-    /// Delivers one frame (rendered line-delimited JSON downstream).
-    fn emit(&self, frame: &Json);
-}
 
 /// One portfolio member: a parallel model with its sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,8 +211,8 @@ pub struct RaceResult<G> {
     /// single-member lineups, which run entirely inline).
     pub pool_wait: Duration,
     /// Per-member anytime improvement timelines, in lineup order —
-    /// recorded only for traced (or watched) races, empty otherwise.
-    /// Members cancelled before getting a pool slot are absent.
+    /// recorded only for traced races, empty otherwise. Members
+    /// cancelled before getting a pool slot are absent.
     pub timelines: Vec<MemberTrace>,
     /// Summed wall-clock nanoseconds the members actually ran (always
     /// recorded — two `Instant` reads per member). Feeds the
@@ -269,139 +252,60 @@ pub struct SolveHooks {
     pub phases: Option<Arc<PhaseAcc>>,
 }
 
-/// This member's slice of a watched race: where frames go and how to
-/// label them.
-struct WatchCtx<'a> {
-    sink: &'a dyn WatchSink,
-    member: usize,
-    model: &'static str,
-    t0: Instant,
-}
-
-impl WatchCtx<'_> {
-    /// Renders and emits one frame: `{"frame": kind, "member": i,
-    /// "model": name, ...extra}`.
-    fn emit(&self, kind: &str, extra: Vec<(String, Json)>) {
-        let mut fields = vec![
-            ("frame".to_string(), Json::Str(kind.to_string())),
-            ("member".to_string(), (self.member as u64).into()),
-            ("model".to_string(), Json::Str(self.model.to_string())),
-        ];
-        fields.extend(extra);
-        self.sink.emit(&Json::Obj(fields));
-    }
-}
-
-/// The [`Observer`] one race member runs under: the shared best-so-far
-/// cell, plus — when the race is traced — this member's
-/// improvement-timeline accumulator, plus — when watched — the live
-/// frame sink, plus — when profiled — the phase-time accumulator. Every
-/// model improvement passes through `on_best` on its way to the
-/// cooperative race state, and every per-generation sample through
-/// `on_sample` — which is what lets tracing, watching and profiling
-/// ride along without touching the GA layers.
+/// The [`Observer`] one race member runs under. Improvements reach the
+/// shared best-so-far cell and, like per-generation samples, the
+/// member's one frame output; phase times reach the accumulator when
+/// profiled. That is what lets tracing, watching and profiling ride
+/// along without touching the GA layers.
 pub(crate) struct MemberObs<'a> {
     /// The race-wide monotone best cell (the anytime contract).
     pub(crate) best: &'a BestSoFar,
-    /// `(race start, this member's accumulator)` when traced.
-    timeline: Option<(Instant, &'a Mutex<MemberAcc>)>,
-    /// Live watch context, when the race has a subscriber.
-    watch: Option<WatchCtx<'a>>,
-    /// Best value already announced on the watch stream (models
-    /// re-report their best every chunk; the stream keeps strict
-    /// improvements only).
-    watch_best: f64,
+    /// Where this member's frames go: the subscriber's sink, a trace
+    /// recorder, or nothing for an unobserved race.
+    frames: Option<&'a dyn WatchSink>,
+    member: usize,
+    model: &'static str,
+    /// Race start — the zero point of every frame's `elapsed_us`.
+    t0: Instant,
+    /// Best value already announced (models re-report their best every
+    /// chunk; the stream keeps strict improvements only).
+    last_best: f64,
     /// Phase-time accumulator, when the race is profiled.
     pub(crate) phases: Option<&'a PhaseAcc>,
 }
 
-/// Retained convergence samples are capped per member; on overflow the
-/// retained set is halved and the stride doubled, so a long run keeps
-/// a bounded, evenly thinned history whose tail is always fresh.
-const SAMPLE_CAP: usize = 256;
-
-/// A traced member's in-flight accumulator (slot of
-/// `RaceState::timelines`).
-#[derive(Debug, Default)]
-pub(crate) struct MemberAcc {
-    start_us: u64,
-    dur_us: u64,
-    points: Vec<(u64, f64)>,
-    samples: Vec<GenerationSample>,
-    /// Keep every `sample_stride`-th emitted sample (doubles on cap).
-    sample_stride: u64,
-    /// Samples emitted so far (the decimation counter).
-    sample_seen: u64,
-}
-
-impl MemberAcc {
-    /// Retains `s` under the cap-and-double decimation scheme.
-    fn retain_sample(&mut self, s: GenerationSample) {
-        let stride = self.sample_stride.max(1);
-        self.sample_seen += 1;
-        if !self.sample_seen.is_multiple_of(stride) {
-            return;
-        }
-        self.samples.push(s);
-        if self.samples.len() >= SAMPLE_CAP {
-            let mut keep = false;
-            self.samples.retain(|_| {
-                keep = !keep;
-                keep
+impl MemberObs<'_> {
+    fn emit(&self, payload: Payload) {
+        if let Some(sink) = self.frames {
+            sink.emit(&Frame {
+                member: self.member,
+                model: self.model,
+                payload,
             });
-            self.sample_stride = stride * 2;
         }
     }
 }
 
 impl<G> Observer<G> for MemberObs<'_> {
-    /// Reports a candidate cost into the shared cell, recording an
-    /// improvement point when traced and announcing it on the watch
-    /// stream when watched. Models re-report their current best at
-    /// every cooperative chunk boundary, so both the timeline and the
-    /// stream keep only *strict* improvements (plus the member's very
-    /// first report, its starting best).
+    /// Reports a candidate cost into the shared cell and, on an
+    /// observed race, emits a `best` frame. Models re-report their
+    /// current best at every cooperative chunk boundary, so the stream
+    /// keeps only *strict* improvements (plus the member's very first
+    /// report, its starting best).
     fn on_best(&mut self, best: &Individual<G>) {
         let cost = best.cost;
         self.best.report(cost);
-        if let Some((t0, acc)) = &self.timeline {
-            let mut acc = acc.lock().expect("member timeline poisoned");
-            if acc.points.last().is_none_or(|&(_, v)| cost < v) {
-                let elapsed = t0.elapsed().as_micros() as u64;
-                acc.points.push((elapsed, cost));
-            }
-        }
-        if let Some(w) = &self.watch {
-            if cost < self.watch_best {
-                self.watch_best = cost;
-                w.emit(
-                    "best",
-                    vec![
-                        ("value".to_string(), cost.into()),
-                        (
-                            "elapsed_us".to_string(),
-                            (w.t0.elapsed().as_micros() as u64).into(),
-                        ),
-                    ],
-                );
-            }
+        if self.frames.is_some() && cost < self.last_best {
+            self.last_best = cost;
+            self.emit(Payload::Best {
+                value: cost,
+                elapsed_us: self.t0.elapsed().as_micros() as u64,
+            });
         }
     }
 
-    /// Streams the sample live when watched, and retains it
-    /// (decimated) next to the improvement timeline when traced.
     fn on_sample(&mut self, s: GenerationSample) {
-        if let Some(w) = &self.watch {
-            let Json::Obj(fields) = sample_json(&s) else {
-                unreachable!("sample_json renders an object")
-            };
-            w.emit("sample", fields);
-        }
-        if let Some((_, acc)) = &self.timeline {
-            acc.lock()
-                .expect("member timeline poisoned")
-                .retain_sample(s);
-        }
+        self.emit(Payload::Sample(s));
     }
 
     fn wants_phases(&self) -> bool {
@@ -439,6 +343,9 @@ struct Progress {
 /// return at the deadline without waiting for queued stragglers — they
 /// complete (as skips) against this state later and free their slots.
 struct RaceState<G> {
+    runner: Arc<MemberRunner<G>>,
+    seed: u64,
+    stop: StopRule,
     best: BestSoFar,
     results: Mutex<Vec<RacerSlot<G>>>,
     progress: Mutex<Progress>,
@@ -447,87 +354,42 @@ struct RaceState<G> {
     pool_wait_us: AtomicU64,
     /// Summed member run wall-clock, in ns (always recorded).
     run_ns: AtomicU64,
-    /// Race start — the zero point of every member timeline.
+    /// Race start — the zero point of every frame's `elapsed_us`.
     t0: Instant,
-    /// Per-member improvement accumulators; allocated only for traced
-    /// (or watched) races so untraced requests pay nothing.
-    timelines: Option<Vec<Mutex<MemberAcc>>>,
-    /// Live frame sink (watched races).
-    watch: Option<Arc<dyn WatchSink>>,
+    /// Frame output of every member (observed races only).
+    frames: Option<Arc<dyn WatchSink>>,
     /// Phase-time accumulator (profiled races).
     phases: Option<Arc<PhaseAcc>>,
 }
 
 impl<G> RaceState<G> {
-    fn new(members: usize, hooks: SolveHooks) -> Self {
-        RaceState {
-            best: BestSoFar::default(),
-            results: Mutex::new((0..members).map(|_| None).collect()),
-            progress: Mutex::new(Progress {
-                queued: members - 1,
-                running: 0,
-            }),
-            done: Condvar::new(),
-            pool_wait_us: AtomicU64::new(0),
-            run_ns: AtomicU64::new(0),
-            t0: Instant::now(),
-            timelines: (hooks.traced || hooks.watch.is_some())
-                .then(|| (0..members).map(|_| Mutex::default()).collect()),
-            watch: hooks.watch,
-            phases: hooks.phases,
-        }
-    }
-
-    /// The observer member `i` (model label `model`) reports through.
-    fn obs(&self, i: usize, model: &'static str) -> MemberObs<'_> {
-        MemberObs {
+    /// Runs lineup member `i` on the calling thread and files its
+    /// result. Its `start` and `finish` frames bracket the run; each
+    /// costs one clock read, shared with `run_ns`.
+    fn race_member(&self, i: usize, member: ModelKind) {
+        let mut obs = MemberObs {
             best: &self.best,
-            timeline: self.timelines.as_ref().map(|tls| (self.t0, &tls[i])),
-            watch: self.watch.as_deref().map(|sink| WatchCtx {
-                sink,
-                member: i,
-                model,
-                t0: self.t0,
-            }),
-            watch_best: f64::INFINITY,
+            frames: self.frames.as_deref(),
+            member: i,
+            model: member.name(),
+            t0: self.t0,
+            last_best: f64::INFINITY,
             phases: self.phases.as_deref(),
-        }
-    }
-
-    /// Announces member `i`'s run start/finish on the watch stream.
-    fn watch_lifecycle(&self, i: usize, model: &'static str, kind: &str, best: Option<f64>) {
-        if let Some(sink) = self.watch.as_deref() {
-            let ctx = WatchCtx {
-                sink,
-                member: i,
-                model,
-                t0: self.t0,
-            };
-            let mut extra = vec![(
-                "elapsed_us".to_string(),
-                (self.t0.elapsed().as_micros() as u64).into(),
-            )];
-            if let Some(v) = best {
-                extra.push(("best".to_string(), v.into()));
-            }
-            ctx.emit(kind, extra);
-        }
-    }
-
-    /// Stamps member `i`'s run start (µs after the race began).
-    fn mark_start(&self, i: usize) {
-        if let Some(tls) = &self.timelines {
-            tls[i].lock().expect("member timeline poisoned").start_us =
-                self.t0.elapsed().as_micros() as u64;
-        }
-    }
-
-    /// Stamps member `i`'s run end.
-    fn mark_end(&self, i: usize) {
-        if let Some(tls) = &self.timelines {
-            let mut acc = tls[i].lock().expect("member timeline poisoned");
-            acc.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(acc.start_us);
-        }
+        };
+        let start = self.t0.elapsed();
+        obs.emit(Payload::Start {
+            elapsed_us: start.as_micros() as u64,
+        });
+        let seed = split_seed(self.seed, i as u64);
+        let out = (self.runner)(member, seed, &self.stop, &mut obs);
+        let end = self.t0.elapsed();
+        let run_ns = end.saturating_sub(start).as_nanos() as u64;
+        self.run_ns.fetch_add(run_ns, Ordering::Relaxed);
+        obs.emit(Payload::Finish {
+            elapsed_us: end.as_micros() as u64,
+            best: out.0.cost,
+        });
+        self.results.lock().expect("results poisoned")[i] = Some(out);
     }
 
     fn begin_run(&self) {
@@ -595,12 +457,11 @@ impl<G> RaceState<G> {
 
 /// The scheduling core shared by [`race`] and the solver glue: run
 /// `lineup[0]` inline on the calling thread and the rest as cancellable
-/// tasks on `pool`, then merge whatever completed. The hooks thread
-/// tracing (per-member improvement timelines plus retained convergence
-/// samples into `RaceResult::timelines`), live watch streaming
-/// (start/sample/best/finish frames into the sink) and phase profiling
-/// (engine phase times into the accumulator) through every member;
-/// none of them changes any member's search trajectory.
+/// tasks on `pool`, then merge whatever completed. Every member emits
+/// one frame stream: to the watch sink, or through a [`TraceRecorder`]
+/// (forwarding to the watch sink, if any) whose recordings become
+/// `RaceResult::timelines` when traced. None of the hooks changes any
+/// member's search trajectory.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn race_core<G: Send + 'static>(
     pool: &RacerPool,
@@ -613,17 +474,38 @@ pub(crate) fn race_core<G: Send + 'static>(
     hooks: SolveHooks,
 ) -> RaceResult<G> {
     assert!(!lineup.is_empty(), "portfolio needs at least one member");
-    let stop = StopRule {
-        deadline,
-        gen_cap,
-        target,
-    };
-    let state: Arc<RaceState<G>> = Arc::new(RaceState::new(lineup.len(), hooks));
+    let members = lineup.len();
+    let recorder = hooks
+        .traced
+        .then(|| Arc::new(TraceRecorder::new(members, hooks.watch.clone())));
+    let state = Arc::new(RaceState {
+        runner,
+        seed,
+        stop: StopRule {
+            deadline,
+            gen_cap,
+            target,
+        },
+        best: BestSoFar::default(),
+        results: Mutex::new((0..members).map(|_| None).collect()),
+        progress: Mutex::new(Progress {
+            queued: members - 1,
+            running: 0,
+        }),
+        done: Condvar::new(),
+        pool_wait_us: AtomicU64::new(0),
+        run_ns: AtomicU64::new(0),
+        t0: Instant::now(),
+        frames: recorder
+            .clone()
+            .map(|r| r as Arc<dyn WatchSink>)
+            .or(hooks.watch),
+        phases: hooks.phases,
+    });
     let cancel = Arc::new(CancelToken::default());
 
     for (i, member) in lineup.iter().enumerate().skip(1) {
         let state = Arc::clone(&state);
-        let runner = Arc::clone(&runner);
         let member = *member;
         pool.submit(
             deadline,
@@ -651,21 +533,7 @@ pub(crate) fn race_core<G: Send + 'static>(
                     }
                 }
                 let _guard = FinishGuard(&state);
-                state.mark_start(i);
-                state.watch_lifecycle(i, member.name(), "start", None);
-                let run_t0 = Instant::now();
-                let out = runner(
-                    member,
-                    split_seed(seed, i as u64),
-                    &stop,
-                    &mut state.obs(i, member.name()),
-                );
-                state
-                    .run_ns
-                    .fetch_add(run_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                state.mark_end(i);
-                state.watch_lifecycle(i, member.name(), "finish", Some(out.0.cost));
-                state.results.lock().expect("results poisoned")[i] = Some(out);
+                state.race_member(i, member);
             }),
         );
     }
@@ -673,21 +541,7 @@ pub(crate) fn race_core<G: Send + 'static>(
     // The predicted-cheapest member races inline on this thread: even a
     // fully saturated pool cannot starve a race of progress, and total
     // racing threads stay bounded by pool size + serving workers.
-    state.mark_start(0);
-    state.watch_lifecycle(0, lineup[0].name(), "start", None);
-    let run_t0 = Instant::now();
-    let inline = runner(
-        lineup[0],
-        split_seed(seed, 0),
-        &stop,
-        &mut state.obs(0, lineup[0].name()),
-    );
-    state
-        .run_ns
-        .fetch_add(run_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    state.mark_end(0);
-    state.watch_lifecycle(0, lineup[0].name(), "finish", Some(inline.0.cost));
-    state.results.lock().expect("results poisoned")[0] = Some(inline);
+    state.race_member(0, lineup[0]);
     state.wait_for_members(deadline, target, &cancel);
     // Idempotent; covers the all-members-finished path too, where any
     // re-submitted key's stale queue entries no longer exist.
@@ -697,28 +551,10 @@ pub(crate) fn race_core<G: Send + 'static>(
         let mut slots = state.results.lock().expect("results poisoned");
         slots.iter_mut().map(Option::take).collect()
     };
-    // Snapshot the improvement timelines of every member that ran
-    // (cloned under each member's own short lock — a straggler that is
-    // still winding down can keep appending to its accumulator without
-    // blocking this read).
-    let timelines: Vec<MemberTrace> = match &state.timelines {
-        Some(tls) => tls
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| collected[i].is_some())
-            .map(|(i, acc)| {
-                let acc = acc.lock().expect("member timeline poisoned");
-                MemberTrace {
-                    member: lineup[i].name().to_string(),
-                    start_us: acc.start_us,
-                    dur_us: acc.dur_us,
-                    points: acc.points.clone(),
-                    samples: acc.samples.clone(),
-                }
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+    // A filled slot means that member's `finish` frame is recorded; a
+    // straggler still winding down is left out.
+    let timelines: Vec<MemberTrace> =
+        recorder.map_or_else(Vec::new, |r| r.traces(|i| collected[i].is_some()));
     let mut models = Vec::with_capacity(lineup.len());
     let mut winner: Option<(usize, Individual<G>)> = None;
     let mut any_timed_out = false;

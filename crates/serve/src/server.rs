@@ -26,8 +26,7 @@ use crate::cache::{CacheKey, CachedSolve, ShardedCache};
 use crate::json::{obj, Json};
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
-use crate::obs::trace::{Trace, TraceRing};
-use crate::portfolio::WatchSink;
+use crate::obs::trace::{Frame, Trace, TraceRing, WatchSink};
 use crate::protocol::{
     busy_json, encode_error, error_json, parse_request, solution_json, BatchItem, BatchRequest,
     BatchSource, GenerateRequest, Objective, Request, SessionEventRequest, SessionOpenRequest,
@@ -1087,8 +1086,8 @@ fn respond(
             writer.flush()?;
             Ok(!stop)
         }
-        LineOutcome::Watch(target) => {
-            handle_watch(writer, &target, wait, shared)?;
+        LineOutcome::Watch(target, parse_us) => {
+            handle_watch(writer, &target, wait, parse_us, shared)?;
             Ok(true)
         }
     }
@@ -1100,8 +1099,8 @@ fn respond(
 enum LineOutcome {
     /// The response line, and whether the service should stop.
     Reply(String, bool),
-    /// A parsed `watch` request; [`handle_watch`] takes over the socket.
-    Watch(Box<WatchTarget>),
+    /// A `watch` request and its parse µs; [`handle_watch`] streams it.
+    Watch(Box<WatchTarget>, u64),
 }
 
 /// The `serve_requests_by_type_total` label of a parse outcome.
@@ -1140,7 +1139,7 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
         Ok(Request::Watch(target)) => {
             // Streamed on the caller's socket; its latency is observed
             // by handle_watch when the final frame lands.
-            return LineOutcome::Watch(target);
+            return LineOutcome::Watch(target, parse_us);
         }
         Err(e) => {
             shared.stats.errors.inc();
@@ -1701,8 +1700,8 @@ struct SocketWatchSink {
 }
 
 impl WatchSink for SocketWatchSink {
-    fn emit(&self, frame: &Json) {
-        let line = frame.encode();
+    fn emit(&self, frame: &Frame) {
+        let line = frame.to_json().encode();
         // The channel push happens under the queue lock so concurrent
         // emitters land in the same order in the socket queue and in
         // the replay log — an attached follower sees the origin's
@@ -1820,13 +1819,16 @@ fn handle_watch(
     writer: &mut TcpStream,
     target: &WatchTarget,
     queue_wait: Duration,
+    parse_us: u64,
     shared: &Shared,
 ) -> std::io::Result<()> {
     let started = Instant::now();
     let result = match target {
         WatchTarget::Attach { request } => attach_watch(writer, request, shared),
-        WatchTarget::Solve(req) => watch_solve(writer, req, queue_wait, shared),
-        WatchTarget::SessionEvent(req) => watch_session_event(writer, req, shared),
+        WatchTarget::Solve(req) => watch_solve(writer, req, queue_wait, parse_us, shared),
+        WatchTarget::SessionEvent(req) => stream_race(writer, req.id.as_deref(), shared, |sink| {
+            session_event_body(req, parse_us, Some(sink), shared)
+        }),
     };
     shared
         .metrics
@@ -2030,6 +2032,7 @@ fn watch_solve(
     writer: &mut TcpStream,
     req: &SolveRequest,
     queue_wait: Duration,
+    parse_us: u64,
     shared: &Shared,
 ) -> std::io::Result<()> {
     let id = req.id.as_deref();
@@ -2041,42 +2044,34 @@ fn watch_solve(
             return writer.flush();
         }
     };
-    let Some(sink) = register_watch(writer, id, shared)? else {
-        return Ok(());
-    };
-    let guard = WatchGuard {
-        id,
-        sink: Arc::clone(&sink),
-        shared,
-        armed: true,
-    };
-    let mut trace = start_trace(req.trace, "watch", 0, shared);
-    let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    let body = solve_cached(
-        id,
-        &inst,
-        req.objective,
-        req.seed,
-        deadline,
-        deadline_ms,
-        queue_wait,
-        trace.as_mut(),
-        Some(Arc::clone(&sink) as Arc<dyn WatchSink>),
-        shared,
-    );
-    let body = attach_trace(body, trace, shared);
-    finish_watch(guard, body)
+    stream_race(writer, id, shared, |sink| {
+        let mut trace = start_trace(req.trace, "watch", parse_us, shared);
+        let deadline_ms = effective_deadline_ms(req.deadline_ms, &shared.config);
+        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+        let body = solve_cached(
+            id,
+            &inst,
+            req.objective,
+            req.seed,
+            deadline,
+            deadline_ms,
+            queue_wait,
+            trace.as_mut(),
+            Some(sink),
+            shared,
+        );
+        attach_trace(body, trace, shared)
+    })
 }
 
-/// `{"cmd":"watch","session":S,"event":E}` — a session disruption whose
-/// repair-vs-resolve race streams frames to this connection.
-fn watch_session_event(
+/// Streams one watched race to this connection: registers `id`, runs
+/// `race` with the sink, and sends its body as the answer frame.
+fn stream_race(
     writer: &mut TcpStream,
-    req: &SessionEventRequest,
+    id: Option<&str>,
     shared: &Shared,
+    race: impl FnOnce(Arc<dyn WatchSink>) -> Json,
 ) -> std::io::Result<()> {
-    let id = req.id.as_deref();
     let Some(sink) = register_watch(writer, id, shared)? else {
         return Ok(());
     };
@@ -2086,12 +2081,7 @@ fn watch_session_event(
         shared,
         armed: true,
     };
-    let body = session_event_body(
-        req,
-        0,
-        Some(Arc::clone(&sink) as Arc<dyn WatchSink>),
-        shared,
-    );
+    let body = race(sink);
     finish_watch(guard, body)
 }
 
@@ -2792,6 +2782,7 @@ fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Shared) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::trace::Payload;
     use crate::protocol::{encode_request, InstanceSpec, Objective};
 
     fn send_lines(addr: SocketAddr, lines: &[String]) -> Vec<String> {
@@ -4272,6 +4263,120 @@ mod tests {
         service.shutdown();
     }
 
+    /// The spans of the trace a streamed answer frame carries.
+    fn answer_spans(lines: &[String]) -> Vec<Json> {
+        let answer = crate::json::parse(lines.last().unwrap()).unwrap();
+        assert_eq!(answer.get("frame").unwrap().as_str(), Some("answer"));
+        let trace = answer.get("trace").expect("traced watch carries a trace");
+        trace.get("spans").unwrap().as_arr().unwrap().to_vec()
+    }
+
+    /// A traced and watched solve: each `member/<model>` span is the
+    /// recording of exactly that member's frames on the wire — its
+    /// timeline is the `best` frames, its duration runs from the
+    /// `start` to the `finish` frame, and its retained samples are
+    /// `sample` frames.
+    #[test]
+    fn watched_trace_is_the_recording_of_the_stream() {
+        // A pool slot per pooled member: none can be cancelled while
+        // queued, so every member runs and records a span.
+        let service = Service::bind(ServeConfig {
+            racer_pool: 2,
+            ..tiny_config()
+        })
+        .unwrap();
+        let lines = watch_lines(
+            service.local_addr(),
+            r#"{"cmd":"watch","instance":{"name":"ft06"},"seed":19,"deadline_ms":20000,"trace":true}"#,
+        );
+        let frames: Vec<Json> = lines[..lines.len() - 1]
+            .iter()
+            .map(|l| crate::json::parse(l).unwrap())
+            .collect();
+        let members: Vec<Json> = answer_spans(&lines)
+            .into_iter()
+            .filter(|s| {
+                s.get("name")
+                    .and_then(Json::as_str)
+                    .is_some_and(|n| n.starts_with("member/"))
+            })
+            .collect();
+        assert_eq!(members.len(), 3, "a cap-bound race records every member");
+        for span in &members {
+            let model = &span.get("name").unwrap().as_str().unwrap()["member/".len()..];
+            let of = |kind: &str| -> Vec<&Json> {
+                frames
+                    .iter()
+                    .filter(|f| {
+                        f.get("model").and_then(Json::as_str) == Some(model)
+                            && f.get("frame").and_then(Json::as_str) == Some(kind)
+                    })
+                    .collect()
+            };
+            let us = |f: &Json| f.get("elapsed_us").unwrap().as_u64().unwrap();
+            let bests: Vec<Json> = of("best")
+                .into_iter()
+                .map(|f| Json::Arr(vec![us(f).into(), f.get("value").unwrap().clone()]))
+                .collect();
+            assert!(!bests.is_empty(), "{model} streamed its starting best");
+            assert_eq!(span.get("timeline").unwrap().as_arr().unwrap(), &bests[..]);
+            let (start, finish) = (of("start"), of("finish"));
+            assert_eq!((start.len(), finish.len()), (1, 1), "{model}");
+            assert_eq!(
+                span.get("dur_us").unwrap().as_u64().unwrap(),
+                us(finish[0]) - us(start[0]),
+                "{model}"
+            );
+            let streamed: Vec<Json> = of("sample")
+                .into_iter()
+                .map(|f| match f {
+                    // A sample frame is the sample object behind the
+                    // frame/member/model header.
+                    Json::Obj(fields) => Json::Obj(fields[3..].to_vec()),
+                    other => panic!("frame is not an object: {other:?}"),
+                })
+                .collect();
+            let retained = span.get("samples").unwrap().as_arr().unwrap();
+            assert!(!retained.is_empty(), "{model} retained samples");
+            for s in retained {
+                assert!(streamed.contains(s), "{model} retained {s:?}");
+            }
+        }
+        service.shutdown();
+    }
+
+    /// A traced watch reports the time spent parsing its request line,
+    /// like any other traced request.
+    #[test]
+    fn traced_watch_reports_its_parse_time() {
+        let family = shop::gen::Family::Flow;
+        let inst = shop::gen::GenSpec::new(family, 200, 50, 3)
+            .build()
+            .unwrap()
+            .instance;
+        let req = crate::protocol::encode_watch(&WatchTarget::Solve(SolveRequest {
+            id: None,
+            instance: InstanceSpec::Inline {
+                family,
+                text: inst.text(),
+            },
+            objective: Objective::Makespan,
+            seed: 1,
+            deadline_ms: 200,
+            trace: true,
+        }));
+        assert!(req.len() > 20_000, "{} request bytes", req.len());
+        let service = Service::bind(tiny_config()).unwrap();
+        let lines = watch_lines(service.local_addr(), &req);
+        let spans = answer_spans(&lines);
+        let parse = spans
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some("parse"))
+            .expect("parse span");
+        assert!(parse.get("dur_us").unwrap().as_u64().unwrap() > 0);
+        service.shutdown();
+    }
+
     /// A second connection can attach to an in-flight watched race by
     /// request id: it replays every frame streamed so far, follows the
     /// rest live, and sees the same terminal answer. Once the race
@@ -4389,12 +4494,26 @@ mod tests {
     #[test]
     fn watch_sink_drops_frames_for_a_stalled_subscriber_without_blocking() {
         let (sink, server_side, client) = test_sink(false);
-        // ~32 MB of frames at a client that reads nothing — far beyond
-        // any kernel send+receive buffer plus the 4096-frame queue, so
-        // the pre-fix blocking sink would wedge this loop forever.
-        let pad: String = "x".repeat(1024);
-        let frame = obj([("frame", "sample".into()), ("pad", pad.into())]);
-        for _ in 0..32_000 {
+        // ~30 MB of sample frames at a client that reads nothing — far
+        // beyond any kernel send+receive buffer plus the 4096-frame
+        // queue, so the pre-fix blocking sink would wedge this loop
+        // forever.
+        let sample = ga::stats::GenerationSample {
+            island: Some(3),
+            generation: 1_000,
+            evaluations: 48_000,
+            best_cost: 1_234.0,
+            mean_cost: 1_400.5,
+            diversity: 0.123_456_789,
+            since_improvement: 17,
+            migration: true,
+        };
+        let frame = Frame {
+            member: 1,
+            model: "island",
+            payload: Payload::Sample(sample),
+        };
+        for _ in 0..160_000 {
             sink.emit(&frame);
         }
         assert!(
@@ -4409,7 +4528,7 @@ mod tests {
         drop(sink);
         drop(server_side);
         let lines = reader.join().unwrap();
-        assert!(lines.len() < 32_001, "some frames were shed");
+        assert!(lines.len() < 160_001, "some frames were shed");
         assert_eq!(
             lines.last().map(String::as_str),
             Some(r#"{"frame":"answer"}"#)
@@ -4425,12 +4544,20 @@ mod tests {
     #[test]
     fn watch_sink_silences_straggler_emits_after_close() {
         let (sink, server_side, client) = test_sink(true);
-        sink.emit(&obj([("frame", "sample".into())]));
+        let frame = |payload| Frame {
+            member: 1,
+            model: "island",
+            payload,
+        };
+        sink.emit(&frame(Payload::Start { elapsed_us: 3 }));
         let reader = read_all_lines(client);
         let (dropped, io) = sink.close(r#"{"frame":"answer"}"#.to_string());
         assert_eq!(dropped, 0);
         io.unwrap();
-        sink.emit(&obj([("frame", "finish".into())]));
+        sink.emit(&frame(Payload::Finish {
+            elapsed_us: 9,
+            best: 55.0,
+        }));
         let log = sink.channel.as_ref().unwrap().state.lock().unwrap();
         assert!(log.done, "replay channel closed with the answer");
         let kinds: Vec<&str> = log

@@ -36,9 +36,9 @@
 //! events on one session serialise in arrival order.
 
 use crate::obs::phase::PhaseAcc;
-use crate::obs::trace::Trace;
+use crate::obs::trace::{Trace, WatchSink};
 use crate::portfolio::{
-    plan_lineup, race_core, run_member, MemberObs, MemberRunner, SolveHooks, StopRule, WatchSink,
+    plan_lineup, race_core, run_member, MemberObs, MemberRunner, SolveHooks, StopRule,
 };
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
@@ -437,15 +437,12 @@ pub fn handle_event(
     )
 }
 
-/// [`handle_event`] with the observability hooks. When `trace` is
-/// given, the right-shift repair and the GA re-solve are recorded as
-/// distinct `repair` / `resolve` spans, and each race member's
-/// strictly-improving anytime `(elapsed_us, best)` points ride on a
-/// `member/<model>` span. A [`WatchSink`] streams the re-solve race's
-/// start/sample/best/finish frames as they happen, and a [`PhaseAcc`]
-/// accumulates the race's per-phase search time. None of them changes
-/// the race's trajectory — the event outcome is bit-identical with or
-/// without them.
+/// [`handle_event`] with the observability hooks (see [`SolveHooks`]):
+/// a `trace` records the right-shift repair and the GA re-solve as
+/// distinct `repair` / `resolve` spans plus the re-solve race's
+/// `member/<model>` spans, a [`WatchSink`] streams its frames, and a
+/// [`PhaseAcc`] accumulates its per-phase search time. None of them changes the race's trajectory — the event outcome is
+/// bit-identical with or without them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_event_hooked(
     pool: &RacerPool,

@@ -107,8 +107,7 @@ pub struct SolveOutcome {
     /// slot (see `portfolio::RaceResult::pool_wait`).
     pub pool_wait: std::time::Duration,
     /// Per-member anytime timelines (with retained convergence
-    /// samples), recorded only by traced or watched solves; empty
-    /// otherwise.
+    /// samples), recorded only by traced solves; empty otherwise.
     pub timelines: Vec<MemberTrace>,
     /// Summed wall-clock nanoseconds the race members actually ran
     /// (always recorded — see `portfolio::RaceResult::run_ns`).
@@ -516,6 +515,40 @@ mod tests {
         assert_eq!(a.solution.model, b.solution.model);
         assert_eq!(a.solution.makespan, b.solution.makespan);
         assert!(!a.deadline_bound, "cap-bound solve is budget-independent");
+    }
+
+    /// Watching alone records no trace: the frames reach the sink and
+    /// nothing else keeps them.
+    #[test]
+    fn watched_untraced_solve_returns_no_timelines() {
+        use crate::obs::trace::{Frame, WatchSink};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        #[derive(Default)]
+        struct Count(AtomicU64);
+        impl WatchSink for Count {
+            fn emit(&self, _: &Frame) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let pool = RacerPool::new(2);
+        let inst = Arc::new(load_instance(&InstanceSpec::Named("ft06".into())).unwrap());
+        let sink = Arc::new(Count::default());
+        let out = solve_hooked(
+            &pool,
+            &inst,
+            Objective::Makespan,
+            5,
+            deadline(),
+            30,
+            2,
+            SolveHooks {
+                traced: false,
+                watch: Some(Arc::clone(&sink) as Arc<dyn WatchSink>),
+                phases: None,
+            },
+        );
+        assert!(sink.0.load(Ordering::Relaxed) > 0, "frames were emitted");
+        assert!(out.timelines.is_empty());
     }
 
     #[test]
