@@ -11,6 +11,7 @@ use crate::toolkits::{opseq_toolkit, run_shape};
 use ga::crossover::RepCrossover;
 use ga::engine::{Engine, GaConfig};
 use ga::mutate::SeqMutation;
+use ga::stats::History;
 use ga::termination::Termination;
 use hpc::model::{cellular_time, sequential_time, speedup};
 use hpc::Platform;
@@ -33,16 +34,26 @@ pub fn run() -> Report {
     };
     let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
     let mut pan = Engine::new(cfg, tk, &eval);
-    ga::run(&mut pan, &Termination::Generations(generations), &mut ());
+    let mut pan_history = History::default();
+    ga::run(
+        &mut pan,
+        &Termination::Generations(generations),
+        &mut pan_history,
+    );
 
     // 6x6 cellular grid.
     let tk2 = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
     let mut cell = CellularGa::new(CellularConfig::new(6, 6, 0xE05), tk2, &eval);
-    ga::run(&mut cell, &Termination::Generations(generations), &mut ());
+    let mut cell_history = History::default();
+    ga::run(
+        &mut cell,
+        &Termination::Generations(generations),
+        &mut cell_history,
+    );
 
-    let div_at = |h: &ga::stats::History, g: usize| h.records[g.min(h.records.len() - 1)].diversity;
-    let pan_div = div_at(pan.history(), generations as usize);
-    let cell_div = div_at(cell.history(), generations as usize);
+    let final_diversity = |h: &History| h.samples.last().map_or(0.0, |s| s.diversity);
+    let pan_div = final_diversity(&pan_history);
+    let cell_div = final_diversity(&cell_history);
 
     // Predicted times on a 16-Transputer array. Compute speeds are
     // emulated at the period's scale: a 1992 25 MHz T800 evaluates a

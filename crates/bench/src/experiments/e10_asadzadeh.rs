@@ -12,6 +12,7 @@ use ga::crossover::RepCrossover;
 use ga::engine::Engine;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
+use ga::stats::History;
 use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::{MigrationConfig, MigrationPolicy};
@@ -36,9 +37,10 @@ pub fn run() -> Report {
         let cfg = crate::toolkits::survey_config(96, split_seed(0xE10, s));
         let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
         let mut e = Engine::new(cfg, tk, &eval);
-        ga::run(&mut e, &Termination::Generations(generations), &mut ());
+        let mut history = History::default();
+        ga::run(&mut e, &Termination::Generations(generations), &mut history);
         serial_best.push(e.best().cost);
-        serial_auc.push(e.history().convergence_auc());
+        serial_auc.push(history.convergence_auc());
 
         // Eight processor agents on the virtual cube.
         let base = crate::toolkits::survey_config(12, split_seed(0xE10, s));
@@ -52,9 +54,14 @@ pub fn run() -> Report {
             &eval,
             IslandConfig::new(mig),
         );
-        ga::run(&mut ig, &Termination::Generations(generations), &mut ());
+        let mut history = History::default();
+        ga::run(
+            &mut ig,
+            &Termination::Generations(generations),
+            &mut history,
+        );
         cube_best.push(ig.best().cost);
-        cube_auc.push(ig.history().convergence_auc());
+        cube_auc.push(history.convergence_auc());
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let sb = mean(&serial_best);

@@ -12,7 +12,9 @@ use ga::crossover::RepCrossover;
 use ga::engine::{Engine, GaConfig};
 use ga::mutate::SeqMutation;
 use ga::quantum::QuantumGa;
+use ga::stats::History;
 use ga::termination::Termination;
+use ga::Model;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
 use shop::stochastic::StochasticJobShop;
 use shop::Problem;
@@ -60,19 +62,25 @@ pub fn run() -> Report {
         };
         let tk = opseq_toolkit(&crisp, RepCrossover::JobOrder, SeqMutation::Swap);
         let mut conventional = Engine::new(cfg, tk, &eval);
+        let mut history = History::default();
         ga::run(
             &mut conventional,
             &Termination::Generations(generations),
-            &mut (),
+            &mut history,
         );
         conv_v.push(conventional.best().cost);
-        conv_auc_v.push(conventional.history().convergence_auc());
+        conv_auc_v.push(history.convergence_auc());
 
         // Serial quantum GA.
         let mut serial_q = QuantumGa::new(24, n_ops, 5, seed, &qcost).with_rates(0.06, 0.01);
-        serial_q.run(generations);
-        sq_v.push(serial_q.best_cost);
-        sq_auc_v.push(serial_q.history.convergence_auc());
+        let mut history = History::default();
+        ga::run(
+            &mut serial_q,
+            &Termination::Generations(generations),
+            &mut history,
+        );
+        sq_v.push(serial_q.best().cost);
+        sq_auc_v.push(history.convergence_auc());
 
         // Parallel quantum GA: 4 islands in a star; every 5 generations
         // the hub collects the globally best observation and the leaves
@@ -84,12 +92,16 @@ pub fn run() -> Report {
             .collect();
         let mut best_cost = f64::INFINITY;
         let mut best_bits: Vec<bool> = Vec::new();
-        let mut auc = 0.0;
+        // The AUC sums generations 0..=N, like the two runs above.
+        let mut auc = islands
+            .iter()
+            .map(|isl| isl.best().cost)
+            .fold(f64::INFINITY, f64::min);
         for gen in 0..generations {
             for isl in islands.iter_mut() {
-                isl.step();
-                if isl.best_cost < best_cost {
-                    best_cost = isl.best_cost;
+                isl.step(&mut ());
+                if isl.best().cost < best_cost {
+                    best_cost = isl.best().cost;
                     best_bits = isl.best_bits.clone();
                 }
             }

@@ -11,6 +11,7 @@ use crate::report::{fmt, Report};
 use crate::toolkits::run_shape;
 use ga::engine::{GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
+use ga::stats::History;
 use ga::termination::Termination;
 use hpc::model::{island_time, sequential_time, speedup};
 use hpc::Platform;
@@ -55,14 +56,19 @@ pub fn run() -> Report {
     let mut ic = IslandConfig::new(mig);
     ic.broadcast_interval = Some(20);
     let mut ig = IslandGa::homogeneous(base, 5, &|_| rep_toolkit(20, 8), &eval, ic);
-    ga::run(&mut ig, &Termination::Generations(generations), &mut ());
+    let mut history = History::default();
+    ga::run(
+        &mut ig,
+        &Termination::Generations(generations),
+        &mut history,
+    );
 
     // Convergence-then-saturation: most of the improvement should land in
     // the first half of the run.
-    let h = ig.history();
-    let c0 = h.records.first().unwrap().best_cost;
-    let chalf = h.records[h.records.len() / 2].best_cost;
-    let cend = h.records.last().unwrap().best_cost;
+    let curve = history.best_per_generation();
+    let c0 = curve[0];
+    let chalf = curve[curve.len() / 2];
+    let cend = curve[curve.len() - 1];
     let early_gain = c0 - chalf;
     let late_gain = chalf - cend;
     let saturates = early_gain >= late_gain && early_gain > 0.0;

@@ -12,6 +12,7 @@ use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
 use ga::engine::Engine;
 use ga::rng::split_seed;
+use ga::stats::History;
 use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
 use pga::migration::{MigrationConfig, MigrationPolicy};
@@ -40,7 +41,12 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
     for &s in &seeds {
         let cfg = crate::toolkits::pressure_config(48, split_seed(seed, s));
         let mut e = Engine::new(cfg.clone(), dual_toolkit(&inst), &eval);
-        ga::run(&mut e, &Termination::Generations(generations), &mut ());
+        let mut single_history = History::default();
+        ga::run(
+            &mut e,
+            &Termination::Generations(generations),
+            &mut single_history,
+        );
         single_best.push(e.best().cost);
 
         let base = crate::toolkits::pressure_config(12, split_seed(seed, s));
@@ -59,16 +65,21 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
             &eval,
             IslandConfig::new(mig),
         );
-        ga::run(&mut ig, &Termination::Generations(generations), &mut ());
+        let mut island_history = History::default();
+        ga::run(
+            &mut ig,
+            &Termination::Generations(generations),
+            &mut island_history,
+        );
         island_best.push(ig.best().cost);
 
         // "Converges within the allowable time": reaching within 5% of
         // the better of the two finals counts as a hit.
         let target = 1.05 * e.best().cost.min(ig.best().cost);
-        if e.history().generations_to_target(target).is_some() {
+        if single_history.generations_to_target(target).is_some() {
             single_hit += 1;
         }
-        if ig.history().generations_to_target(target).is_some() {
+        if island_history.generations_to_target(target).is_some() {
             island_hit += 1;
         }
     }

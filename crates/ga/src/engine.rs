@@ -18,7 +18,7 @@
 use crate::fitness::FitnessTransform;
 use crate::rng::root_rng;
 use crate::select::Selection;
-use crate::stats::{GenRecord, GenerationSample, History};
+use crate::stats::GenerationSample;
 use crate::termination::{Progress, Termination};
 use crate::Evaluator;
 use rand::Rng;
@@ -205,12 +205,14 @@ pub struct Status {
     pub evaluations: u64,
 }
 
-/// A generational search model: one Table II loop body. [`Engine`] and
-/// every `pga` model implement it, and [`run`] drives any of them.
+/// A generational search model: one Table II loop body. [`Engine`],
+/// [`QuantumGa`](crate::quantum::QuantumGa) and every `pga` model
+/// implement it, and [`run`] drives any of them.
 pub trait Model<G> {
-    /// Runs one generation, reporting its convergence samples (and,
-    /// when [`Observer::wants_phases`] asks, its phase timings) to
-    /// `obs`.
+    /// Runs one generation, reporting its convergence samples when
+    /// [`Observer::wants_samples`] asks and its phase timings when
+    /// [`Observer::wants_phases`] asks. A model keeps no per-generation
+    /// record of its own.
     fn step(&mut self, obs: &mut dyn Observer<G>);
     /// Counters the termination criteria are checked against.
     fn status(&self) -> Status;
@@ -229,8 +231,16 @@ pub trait Observer<G>: Sync {
     /// improvement.
     fn on_best(&mut self, _best: &Individual<G>) {}
     /// One per-generation convergence sample (one per island for
-    /// island models).
+    /// island models); only called when
+    /// [`wants_samples`](Self::wants_samples) says so.
     fn on_sample(&mut self, _sample: GenerationSample) {}
+    /// True when models should build samples for
+    /// [`on_sample`](Self::on_sample). A sample costs a pass over the
+    /// population (and, for diversity, a `seq_view` of every genome),
+    /// so models build one only when this says so.
+    fn wants_samples(&self) -> bool {
+        false
+    }
     /// True when models should time their phases for
     /// [`on_phase`](Self::on_phase). Models read [`crate::clock`] for
     /// phase timing only when this says so.
@@ -297,7 +307,6 @@ pub struct Engine<'a, G> {
     best: Individual<G>,
     gens_since_improvement: u64,
     improvements: u64,
-    history: History,
 }
 
 impl<'a, G: Clone> Engine<'a, G> {
@@ -338,7 +347,7 @@ impl<'a, G: Clone> Engine<'a, G> {
             .expect("non-empty population")
             .clone();
         let evaluations = population.len() as u64;
-        let mut engine = Engine {
+        Engine {
             config,
             toolkit,
             evaluator,
@@ -349,10 +358,7 @@ impl<'a, G: Clone> Engine<'a, G> {
             best,
             gens_since_improvement: 0,
             improvements: 0,
-            history: History::default(),
-        };
-        engine.record();
-        engine
+        }
     }
 
     /// Seeds some individuals (e.g. NEH or heuristic solutions) into the
@@ -384,25 +390,6 @@ impl<'a, G: Clone> Engine<'a, G> {
                 self.improvements += 1;
             }
         }
-    }
-
-    fn record(&mut self) {
-        let mean =
-            self.population.iter().map(|i| i.cost).sum::<f64>() / self.population.len() as f64;
-        let diversity = match &self.toolkit.seq_view {
-            Some(view) => {
-                let seqs: Vec<Vec<usize>> =
-                    self.population.iter().map(|i| view(&i.genome)).collect();
-                crate::stats::mean_hamming(&seqs)
-            }
-            None => 0.0,
-        };
-        self.history.push(GenRecord {
-            generation: self.generation,
-            best_cost: self.best.cost,
-            mean_cost: mean,
-            diversity,
-        });
     }
 
     /// Runs one generation — Selection, Crossover, Mutation, Evaluation
@@ -494,26 +481,28 @@ impl<'a, G: Clone> Engine<'a, G> {
 
         self.gens_since_improvement += 1;
         self.refresh_best();
-        self.record();
     }
 
-    /// The engine's latest generation as a [`GenerationSample`]
-    /// (`island: None`, `migration: false` — the island model tags its
-    /// engines' samples itself).
-    pub fn last_sample(&self) -> GenerationSample {
-        let rec = self.history.records.last().copied().unwrap_or(GenRecord {
-            generation: self.generation,
-            best_cost: self.best.cost,
-            mean_cost: self.best.cost,
-            diversity: 0.0,
+    /// The engine's current state as a [`GenerationSample`] (`island:
+    /// None`, `migration: false` — the island model tags its engines'
+    /// samples itself). Diversity is the [`mean_hamming`] of the
+    /// population's sequence views, `0.0` without a `seq_view`.
+    ///
+    /// [`mean_hamming`]: crate::stats::mean_hamming
+    pub fn sample(&self) -> GenerationSample {
+        let mean =
+            self.population.iter().map(|i| i.cost).sum::<f64>() / self.population.len() as f64;
+        let diversity = self.toolkit.seq_view.as_ref().map_or(0.0, |view| {
+            let seqs: Vec<Vec<usize>> = self.population.iter().map(|i| view(&i.genome)).collect();
+            crate::stats::mean_hamming(&seqs)
         });
         GenerationSample {
             island: None,
-            generation: rec.generation,
+            generation: self.generation,
             evaluations: self.evaluations,
-            best_cost: rec.best_cost,
-            mean_cost: rec.mean_cost,
-            diversity: rec.diversity,
+            best_cost: self.best.cost,
+            mean_cost: mean,
+            diversity,
             since_improvement: self.gens_since_improvement,
             migration: false,
         }
@@ -533,10 +522,6 @@ impl<'a, G: Clone> Engine<'a, G> {
         self.refresh_best();
     }
 
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -545,18 +530,18 @@ impl<'a, G: Clone> Engine<'a, G> {
         self.evaluations
     }
 
+    /// Generations since the best-so-far last improved, counting an
+    /// improvement a migrant brought in through [`replace`](Self::replace).
+    pub fn since_improvement(&self) -> u64 {
+        self.gens_since_improvement
+    }
+
     /// Strict improvements of the best-so-far since construction (the
     /// initial population's best is the baseline, not an improvement),
     /// including those a migrant brought in through
     /// [`replace`](Self::replace).
     pub fn improvements(&self) -> u64 {
         self.improvements
-    }
-
-    /// Mutable access to the engine RNG (migration policies draw from the
-    /// same deterministic stream).
-    pub fn rng_mut(&mut self) -> &mut ChaCha8Rng {
-        &mut self.rng
     }
 
     /// The toolkit's optional integer-sequence view (diversity telemetry
@@ -569,7 +554,9 @@ impl<'a, G: Clone> Engine<'a, G> {
 impl<G: Clone> Model<G> for Engine<'_, G> {
     fn step(&mut self, obs: &mut dyn Observer<G>) {
         self.evolve(&*obs);
-        obs.on_sample(self.last_sample());
+        if obs.wants_samples() {
+            obs.on_sample(self.sample());
+        }
     }
 
     fn status(&self) -> Status {
@@ -589,6 +576,7 @@ mod tests {
     use super::*;
     use crate::crossover::PermCrossover;
     use crate::mutate::SeqMutation;
+    use crate::stats::History;
     use rand::seq::SliceRandom;
 
     /// Minimise total displacement of a permutation from identity.
@@ -622,10 +610,11 @@ mod tests {
         };
         let mut engine = Engine::new(cfg, perm_toolkit(12), &eval);
         let initial = engine.best().cost;
-        run(&mut engine, &Termination::Generations(60), &mut ());
+        let mut history = History::default();
+        run(&mut engine, &Termination::Generations(60), &mut history);
         assert!(engine.best().cost < initial, "no improvement");
         assert_eq!(engine.generation(), 60);
-        assert_eq!(engine.history().records.len(), 61);
+        assert_eq!(history.best_per_generation().len(), 61);
     }
 
     #[test]
@@ -655,8 +644,9 @@ mod tests {
                 ..GaConfig::default()
             };
             let mut e = Engine::new(cfg, perm_toolkit(10), &eval);
-            run(&mut e, &Termination::Generations(3), &mut ());
-            e.history().records.iter().map(|r| r.mean_cost).sum::<f64>()
+            let mut history = History::default();
+            run(&mut e, &Termination::Generations(3), &mut history);
+            history.samples.iter().map(|s| s.mean_cost).sum::<f64>()
         };
         assert_ne!(once(1), once(2));
     }
@@ -718,23 +708,6 @@ mod tests {
         assert!(e.generation() < 500);
     }
 
-    /// Records the best-so-far reports and samples a run emits.
-    #[derive(Default)]
-    struct Recorder {
-        bests: Vec<f64>,
-        samples: Vec<GenerationSample>,
-    }
-
-    impl<G> Observer<G> for Recorder {
-        fn on_best(&mut self, best: &Individual<G>) {
-            self.bests.push(best.cost);
-        }
-
-        fn on_sample(&mut self, sample: GenerationSample) {
-            self.samples.push(sample);
-        }
-    }
-
     #[test]
     fn observer_sees_every_improvement() {
         let eval = |g: &Vec<usize>| displacement(g);
@@ -744,7 +717,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg, perm_toolkit(12), &eval);
-        let mut rec = Recorder::default();
+        let mut rec = History::default();
         let best = run(&mut e, &Termination::Generations(60), &mut rec);
         let seen = rec.bests;
         // First report is the initial best, last is the final best, and
@@ -895,7 +868,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut e = Engine::new(cfg, perm_toolkit(10), &eval);
-        let mut rec = Recorder::default();
+        let mut rec = History::default();
         let best = run(&mut e, &Termination::Generations(25), &mut rec);
         let samples = rec.samples;
         assert_eq!(samples.len(), 25);
@@ -951,7 +924,10 @@ mod tests {
         // The profiler is measurement-only: same seed, same trajectory.
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);
-        assert_eq!(bare.history().records, profiled.history().records);
+        let costs = |e: &Engine<Vec<usize>>| -> Vec<f64> {
+            e.population().iter().map(|i| i.cost).collect()
+        };
+        assert_eq!(costs(&bare), costs(&profiled));
         // Evaluation work was actually attributed (select/breed can be
         // sub-nanosecond-rounding small, but 20 generations of batch
         // evaluation cannot be zero), and an engine never migrates.

@@ -6,8 +6,9 @@
 //! lives here.
 
 use crate::crossover::keys::keys_to_permutation;
+use crate::engine::{Individual, Model, Observer, Status};
 use crate::rng::root_rng;
-use crate::stats::{GenRecord, History};
+use crate::stats::GenerationSample;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -116,21 +117,23 @@ impl QGenome {
     }
 }
 
-/// A compact quantum-inspired evolutionary loop over permutations: each
+/// A compact quantum-inspired evolutionary model over permutations: each
 /// individual is a [`QGenome`]; observation produces keys whose sort order
 /// is the candidate permutation; rotation pulls towards the best
-/// observation so far. `cost` maps a permutation to the objective.
+/// observation so far. `cost` maps a permutation to the objective. Drive
+/// it with [`crate::run`] like any other [`Model`].
 pub struct QuantumGa<'a> {
     pub population: Vec<QGenome>,
     cost: &'a (dyn Fn(&[usize]) -> f64 + Sync),
     rng: ChaCha8Rng,
+    /// The observation behind the incumbent (the rotation target).
     pub best_bits: Vec<bool>,
-    pub best_cost: f64,
-    pub best_perm: Vec<usize>,
-    pub history: History,
+    /// The incumbent permutation and its cost.
+    best: Individual<Vec<usize>>,
     rotation_delta: f64,
     not_rate: f64,
     generation: u64,
+    since_improvement: u64,
 }
 
 impl<'a> QuantumGa<'a> {
@@ -153,12 +156,14 @@ impl<'a> QuantumGa<'a> {
             cost,
             rng,
             best_bits: bits,
-            best_cost,
-            best_perm: perm,
-            history: History::default(),
+            best: Individual {
+                genome: perm,
+                cost: best_cost,
+            },
             rotation_delta: 0.05,
             not_rate: 0.01,
             generation: 0,
+            since_improvement: 0,
         }
     }
 
@@ -168,43 +173,63 @@ impl<'a> QuantumGa<'a> {
         self.not_rate = not_rate;
         self
     }
+}
 
-    /// One generation: observe, evaluate, update incumbent, rotate, mutate.
-    pub fn step(&mut self) {
+impl Model<Vec<usize>> for QuantumGa<'_> {
+    /// One generation: observe, evaluate, update incumbent, rotate,
+    /// mutate. The sample's diversity is `0.0` (Q-bit genomes have no
+    /// sequence view).
+    fn step(&mut self, obs: &mut dyn Observer<Vec<usize>>) {
         self.generation += 1;
-        let mut gen_costs = Vec::with_capacity(self.population.len());
-        let mut observations = Vec::with_capacity(self.population.len());
+        let before = self.best.cost;
+        let mut cost_sum = 0.0;
         for g in &self.population {
             let bits = g.observe_bits(&mut self.rng);
             let keys = g.bits_to_keys(&bits);
             let perm = keys_to_permutation(&keys);
             let c = (self.cost)(&perm);
-            gen_costs.push(c);
-            if c < self.best_cost {
-                self.best_cost = c;
-                self.best_bits = bits.clone();
-                self.best_perm = perm;
+            cost_sum += c;
+            if c < self.best.cost {
+                self.best = Individual {
+                    genome: perm,
+                    cost: c,
+                };
+                self.best_bits = bits;
             }
-            observations.push(bits);
         }
         for g in self.population.iter_mut() {
             g.rotate_toward(&self.best_bits, self.rotation_delta);
             g.not_mutation(self.not_rate, &mut self.rng);
         }
-        let mean = gen_costs.iter().sum::<f64>() / gen_costs.len().max(1) as f64;
-        self.history.push(GenRecord {
-            generation: self.generation,
-            best_cost: self.best_cost,
-            mean_cost: mean,
-            diversity: 0.0,
-        });
+        if self.best.cost < before {
+            self.since_improvement = 0;
+        } else {
+            self.since_improvement += 1;
+        }
+        if obs.wants_samples() {
+            obs.on_sample(GenerationSample {
+                island: None,
+                generation: self.generation,
+                evaluations: self.status().evaluations,
+                best_cost: self.best.cost,
+                mean_cost: cost_sum / self.population.len().max(1) as f64,
+                diversity: 0.0,
+                since_improvement: self.since_improvement,
+                migration: false,
+            });
+        }
     }
 
-    pub fn run(&mut self, generations: u64) -> f64 {
-        for _ in 0..generations {
-            self.step();
+    fn status(&self) -> Status {
+        // One evaluation seeds the incumbent, then one per individual.
+        Status {
+            generation: self.generation,
+            evaluations: 1 + self.generation * self.population.len() as u64,
         }
-        self.best_cost
+    }
+
+    fn best(&self) -> &Individual<Vec<usize>> {
+        &self.best
     }
 }
 
@@ -212,6 +237,8 @@ impl<'a> QuantumGa<'a> {
 mod tests {
     use super::*;
     use crate::rng::root_rng;
+    use crate::stats::History;
+    use crate::termination::Termination;
 
     #[test]
     fn qbit_normalisation_preserved_by_rotation() {
@@ -255,10 +282,13 @@ mod tests {
                 .sum()
         };
         let mut qga = QuantumGa::new(20, 8, 6, 77, &cost);
-        let first = qga.best_cost;
-        let last = qga.run(80);
+        let first = qga.best().cost;
+        let mut history = History::default();
+        let last = crate::run(&mut qga, &Termination::Generations(80), &mut history).cost;
         assert!(last <= first);
-        assert!(qga.history.records.len() == 80);
+        assert_eq!(history.samples.len(), 80);
+        assert_eq!(history.best_final(), Some(last));
+        assert_eq!(qga.status().evaluations, 1 + 80 * 20);
     }
 
     #[test]
@@ -271,8 +301,11 @@ mod tests {
                 .map(|(i, v)| i as f64 * v)
                 .sum()
         };
-        let mut a = QuantumGa::new(10, 6, 4, 9, &cost);
-        let mut b = QuantumGa::new(10, 6, 4, 9, &cost);
-        assert_eq!(a.run(20), b.run(20));
+        let once = || {
+            let mut q = QuantumGa::new(10, 6, 4, 9, &cost);
+            crate::run(&mut q, &Termination::Generations(20), &mut ())
+        };
+        let (a, b) = (once(), once());
+        assert_eq!((a.cost, a.genome), (b.cost, b.genome));
     }
 }

@@ -2,12 +2,16 @@
 //!
 //! Diversity is the quantity the fine-grained model of Tamaki \[20\] is
 //! designed to preserve and the stagnation trigger of Spanos et al. \[29\]
-//! is defined over (Hamming distance of the majority of individuals), so
-//! the experiment harnesses track it every generation.
+//! is defined over (Hamming distance of the majority of individuals).
+//! Models compute it only for an observer that asks for samples, and
+//! [`History`] is the observer the experiment harnesses record with.
+
+use crate::engine::{Individual, Observer};
 
 /// Mean pairwise Hamming distance of a population of sequences,
-/// normalised to `[0, 1]` by the sequence length. For populations larger
-/// than `max_pairs` pairs, a deterministic stride sample is used.
+/// normalised to `[0, 1]` by the sequence length. Populations of more
+/// than 64 individuals are stride-sampled: only every `n / 64`-th
+/// individual takes part, pairing with the sampled ones after it.
 pub fn mean_hamming(population: &[Vec<usize>]) -> f64 {
     let n = population.len();
     if n < 2 {
@@ -16,7 +20,6 @@ pub fn mean_hamming(population: &[Vec<usize>]) -> f64 {
     let len = population[0].len().max(1);
     let mut total = 0usize;
     let mut pairs = 0usize;
-    // O(n^2) is fine at survey population sizes; stride-sample above 64.
     let stride = if n > 64 { n / 64 } else { 1 };
     let mut i = 0;
     while i < n {
@@ -94,22 +97,13 @@ pub fn positional_entropy(population: &[Vec<usize>], n_values: usize) -> f64 {
     total / len.max(1) as f64
 }
 
-/// One generation's telemetry record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenRecord {
-    pub generation: u64,
-    pub best_cost: f64,
-    pub mean_cost: f64,
-    pub diversity: f64,
-}
-
-/// One generation's convergence telemetry, as every model's
-/// `Model::step` reports it to `Observer::on_sample`: a [`GenRecord`]
-/// plus the anytime counters an
-/// external observer needs to judge progress without access to the
-/// model — evaluation count, stagnation age, and (for island models)
-/// which island produced the sample and whether migration fired on
-/// this generation.
+/// One generation's convergence telemetry, as a model's `Model::step`
+/// reports it to `Observer::on_sample` when the observer
+/// [wants samples](Observer::wants_samples): best, mean and diversity
+/// plus the anytime counters an external observer needs to judge
+/// progress without access to the model — evaluation count, stagnation
+/// age, and (for island models) which island produced the sample and
+/// whether migration fired on this generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationSample {
     /// Island that produced this sample (`None` for panmictic models:
@@ -135,33 +129,58 @@ pub struct GenerationSample {
     pub migration: bool,
 }
 
-/// Best/mean/diversity per generation over a run.
-#[derive(Debug, Clone, Default)]
+/// The per-generation record of a run: an [`Observer`] that keeps every
+/// best-so-far report and every sample (models keep no record of their
+/// own). The queries read one best cost per generation: generation 0 is
+/// the run's first `on_best`, generation `g ≥ 1` the minimum
+/// `best_cost` over generation `g`'s samples (one per island, if any).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
-    pub records: Vec<GenRecord>,
+    /// Every `on_best` cost, in report order.
+    pub bests: Vec<f64>,
+    /// Every sample, in emission order.
+    pub samples: Vec<GenerationSample>,
 }
 
 impl History {
-    pub fn push(&mut self, rec: GenRecord) {
-        self.records.push(rec);
+    /// Best cost per generation, indexed by generation.
+    pub fn best_per_generation(&self) -> Vec<f64> {
+        let gens = self.samples.chunk_by(|a, b| a.generation == b.generation);
+        let per_gen = gens.map(|g| g.iter().fold(f64::INFINITY, |m, s| m.min(s.best_cost)));
+        let start = self.bests.first().copied();
+        start.into_iter().chain(per_gen).collect()
     }
 
     pub fn best_final(&self) -> Option<f64> {
-        self.records.last().map(|r| r.best_cost)
+        self.best_per_generation().last().copied()
     }
 
     /// First generation whose best cost reached `target` (time-to-target).
     pub fn generations_to_target(&self, target: f64) -> Option<u64> {
-        self.records
+        self.best_per_generation()
             .iter()
-            .find(|r| r.best_cost <= target)
-            .map(|r| r.generation)
+            .position(|&c| c <= target)
+            .map(|g| g as u64)
     }
 
     /// Area-under-curve of best cost (lower = faster convergence), summed
-    /// over recorded generations.
+    /// over generations `0..=N`.
     pub fn convergence_auc(&self) -> f64 {
-        self.records.iter().map(|r| r.best_cost).sum()
+        self.best_per_generation().iter().sum()
+    }
+}
+
+impl<G> Observer<G> for History {
+    fn on_best(&mut self, best: &Individual<G>) {
+        self.bests.push(best.cost);
+    }
+
+    fn on_sample(&mut self, sample: GenerationSample) {
+        self.samples.push(sample);
+    }
+
+    fn wants_samples(&self) -> bool {
+        true
     }
 }
 
@@ -187,15 +206,27 @@ mod tests {
 
     #[test]
     fn history_queries() {
-        let mut h = History::default();
-        for (g, c) in [(0u64, 100.0), (1, 60.0), (2, 50.0)] {
-            h.push(GenRecord {
-                generation: g,
-                best_cost: c,
-                mean_cost: c + 10.0,
-                diversity: 0.5,
-            });
+        let sample = |island, generation, best_cost| GenerationSample {
+            island,
+            generation,
+            evaluations: 0,
+            best_cost,
+            mean_cost: best_cost + 10.0,
+            diversity: 0.5,
+            since_improvement: 0,
+            migration: false,
+        };
+        let mut h = History {
+            bests: vec![100.0, 60.0, 50.0],
+            ..History::default()
+        };
+        // Two islands per generation: each generation's best is the
+        // better island's.
+        for (g, c) in [(1u64, 60.0), (2, 50.0)] {
+            h.samples.push(sample(Some(0), g, c + 5.0));
+            h.samples.push(sample(Some(1), g, c));
         }
+        assert_eq!(h.best_per_generation(), vec![100.0, 60.0, 50.0]);
         assert_eq!(h.best_final(), Some(50.0));
         assert_eq!(h.generations_to_target(60.0), Some(1));
         assert_eq!(h.generations_to_target(10.0), None);

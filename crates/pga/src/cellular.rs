@@ -12,7 +12,7 @@
 use crate::telemetry::RunTelemetry;
 use ga::engine::{GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::stream_rng;
-use ga::stats::{mean_hamming, GenRecord, GenerationSample, History};
+use ga::stats::{mean_hamming, GenerationSample};
 use ga::Evaluator;
 use rayon::prelude::*;
 
@@ -79,7 +79,6 @@ pub struct CellularGa<'a, G> {
     grid: Vec<Individual<G>>,
     generation: u64,
     best: Individual<G>,
-    history: History,
     pub telemetry: RunTelemetry,
     since_improvement: u64,
 }
@@ -110,7 +109,7 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             .min_by(|a, b| a.cost.total_cmp(&b.cost))
             .expect("non-empty grid")
             .clone();
-        let mut cga = CellularGa {
+        CellularGa {
             telemetry: RunTelemetry {
                 workers: n,
                 evaluations: n as u64,
@@ -122,11 +121,8 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             grid,
             generation: 0,
             best,
-            history: History::default(),
             since_improvement: 0,
-        };
-        cga.record();
-        cga
+        }
     }
 
     fn neighbour_indices(&self, idx: usize) -> Vec<usize> {
@@ -221,42 +217,25 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         } else {
             self.since_improvement += 1;
         }
-        self.record();
     }
 
-    fn record(&mut self) {
-        let mean = self.grid.iter().map(|i| i.cost).sum::<f64>() / self.grid.len() as f64;
-        let diversity = match &self.toolkit.seq_view {
-            Some(view) => {
-                let seqs: Vec<Vec<usize>> = self.grid.iter().map(|i| view(&i.genome)).collect();
-                mean_hamming(&seqs)
-            }
-            None => 0.0,
-        };
-        self.history.push(GenRecord {
-            generation: self.generation,
-            best_cost: self.best.cost,
-            mean_cost: mean,
-            diversity,
-        });
-    }
-
-    /// The latest generation as one whole-grid [`GenerationSample`]
+    /// The grid's current state as one whole-grid [`GenerationSample`]
     /// (`island: None` — the torus is one panmictic sampling unit).
-    pub(crate) fn last_sample(&self) -> GenerationSample {
-        let rec = self.history.records.last().copied().unwrap_or(GenRecord {
-            generation: self.generation,
-            best_cost: self.best.cost,
-            mean_cost: self.best.cost,
-            diversity: 0.0,
+    /// Diversity is the [`mean_hamming`] of the cells' sequence views,
+    /// `0.0` without a `seq_view`.
+    pub(crate) fn sample(&self) -> GenerationSample {
+        let mean = self.grid.iter().map(|i| i.cost).sum::<f64>() / self.grid.len() as f64;
+        let diversity = self.toolkit.seq_view.as_ref().map_or(0.0, |view| {
+            let seqs: Vec<Vec<usize>> = self.grid.iter().map(|i| view(&i.genome)).collect();
+            mean_hamming(&seqs)
         });
         GenerationSample {
             island: None,
-            generation: rec.generation,
+            generation: self.generation,
             evaluations: self.telemetry.evaluations,
-            best_cost: rec.best_cost,
-            mean_cost: rec.mean_cost,
-            diversity: rec.diversity,
+            best_cost: self.best.cost,
+            mean_cost: mean,
+            diversity,
             since_improvement: self.since_improvement,
             migration: false,
         }
@@ -270,10 +249,6 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         &self.grid
     }
 
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
     /// Replaces the individual at `cell` (hybrid-model migration hook).
     pub fn replace(&mut self, cell: usize, ind: Individual<G>) {
         if ind.cost < self.best.cost {
@@ -281,16 +256,14 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         }
         self.grid[cell] = ind;
     }
-
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 impl<G: Clone + Send + Sync> Model<G> for CellularGa<'_, G> {
     fn step(&mut self, obs: &mut dyn Observer<G>) {
         self.evolve(&*obs);
-        obs.on_sample(self.last_sample());
+        if obs.wants_samples() {
+            obs.on_sample(self.sample());
+        }
     }
 
     fn status(&self) -> Status {
@@ -308,10 +281,11 @@ impl<G: Clone + Send + Sync> Model<G> for CellularGa<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{PhaseTimes, Recorder};
+    use crate::tests::PhaseTimes;
     use ga::crossover::PermCrossover;
     use ga::engine::run;
     use ga::mutate::SeqMutation;
+    use ga::stats::History;
     use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
@@ -399,10 +373,10 @@ mod tests {
         // The cellular model's selling point: diversity declines gradually.
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(5, 5, 3), toolkit(12), &eval);
-        run(&mut cga, &Termination::Generations(10), &mut ());
-        let h = cga.history();
-        let d0 = h.records.first().unwrap().diversity;
-        let dn = h.records.last().unwrap().diversity;
+        let d0 = cga.sample().diversity;
+        let mut h = History::default();
+        run(&mut cga, &Termination::Generations(10), &mut h);
+        let dn = h.samples.last().unwrap().diversity;
         assert!(d0 > 0.5, "random start should be diverse");
         assert!(dn > 0.0, "cellular grid should retain some diversity");
     }
@@ -421,7 +395,7 @@ mod tests {
     fn sampled_run_emits_whole_grid_samples() {
         let eval = |g: &Vec<usize>| displacement(g);
         let mut cga = CellularGa::new(CellularConfig::new(4, 4, 6), toolkit(8), &eval);
-        let mut rec = Recorder::default();
+        let mut rec = History::default();
         let best = run(&mut cga, &Termination::Generations(10), &mut rec);
         let samples = rec.samples;
         assert_eq!(samples.len(), 10);
@@ -460,7 +434,7 @@ mod tests {
 
         assert_eq!(bare.best().cost, profiled.best().cost);
         assert_eq!(bare.best().genome, profiled.best().genome);
-        assert_eq!(bare.history().records, profiled.history().records);
+        assert_eq!(bare.sample(), profiled.sample());
         assert!(times.ns(GaPhase::Breed) > 0);
         assert!(times.ns(GaPhase::Evaluate) > 0);
     }

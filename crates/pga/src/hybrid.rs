@@ -93,9 +93,10 @@ fn best_of<'g, G: Clone + Send + Sync>(grids: &'g [CellularGa<'_, G>]) -> &'g In
 impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
     /// One global generation: every torus steps once; on ring epochs the
     /// best individuals of each torus replace random cells of the next
-    /// torus on the ring (timed as `Migrate`). Reports one sample per
-    /// torus, tagged with the torus index as its `island`, with
-    /// `migration: true` on ring epochs.
+    /// torus on the ring (timed as `Migrate`). When the observer wants
+    /// samples, reports one per torus as its own generation left it
+    /// (before migration), tagged with the torus index as its `island`,
+    /// with `migration: true` on ring epochs.
     fn step(&mut self, obs: &mut dyn Observer<G>) {
         use rayon::prelude::*;
         self.generation += 1;
@@ -103,13 +104,24 @@ impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
         let evals_before = self.grid_evaluations();
         let shared: &dyn Observer<G> = &*obs;
         self.grids.par_iter_mut().for_each(|g| g.evolve(shared));
+        let n = self.grids.len();
+        let migrated = n > 1 && self.generation.is_multiple_of(self.ring_interval);
+        // Migrants change neither a torus's evaluations nor its
+        // stagnation age, so its sample can go out before migration.
+        if obs.wants_samples() {
+            for (i, g) in self.grids.iter().enumerate() {
+                obs.on_sample(GenerationSample {
+                    island: Some(i as u32),
+                    migration: migrated,
+                    ..g.sample()
+                });
+            }
+        }
         let evals_this_gen = self.grid_evaluations() - evals_before;
         self.telemetry.generations += 1;
         self.telemetry.evals_per_generation.push(evals_this_gen);
         self.telemetry.evaluations += evals_this_gen;
         let tm = obs.wants_phases().then(ga::clock::now);
-        let n = self.grids.len();
-        let migrated = n > 1 && self.generation.is_multiple_of(self.ring_interval);
         if migrated {
             let emigrants: Vec<Individual<G>> =
                 self.grids.iter().map(|g| g.best().clone()).collect();
@@ -130,13 +142,6 @@ impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
         self.best = best_of(&self.grids).clone();
         if self.best.cost < best_before {
             self.telemetry.improvements += 1;
-        }
-        for (i, g) in self.grids.iter().enumerate() {
-            obs.on_sample(GenerationSample {
-                island: Some(i as u32),
-                migration: migrated,
-                ..g.last_sample()
-            });
         }
     }
 

@@ -17,7 +17,7 @@ use crate::telemetry::RunTelemetry;
 use crate::topology::Topology;
 use ga::engine::{Engine, GaConfig, GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::{split_seed, stream_rng};
-use ga::stats::{stagnation_fraction, GenRecord, GenerationSample, History};
+use ga::stats::{stagnation_fraction, GenerationSample};
 use ga::Evaluator;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -63,7 +63,6 @@ pub struct IslandGa<'a, G> {
     generation: u64,
     mig_rng: ChaCha8Rng,
     best_overall: Individual<G>,
-    global_history: History,
     pub telemetry: RunTelemetry,
 }
 
@@ -95,22 +94,19 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
             .clone();
         let workers = engines.len();
         let evaluations = engines.iter().map(|e| e.evaluations()).sum();
-        let mut ig = IslandGa {
+        IslandGa {
             engines,
             active: vec![true; n],
             config: island_config,
             generation: 0,
             mig_rng: stream_rng(seed, 0x004D_3147), // "M1G" stream tag
             best_overall,
-            global_history: History::default(),
             telemetry: RunTelemetry {
                 workers,
                 evaluations,
                 ..Default::default()
             },
-        };
-        ig.record();
-        ig
+        }
     }
 
     /// Homogeneous construction: `n` islands sharing one evaluator and one
@@ -135,23 +131,6 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
             .map(|_| evaluator as &dyn Evaluator<G>)
             .collect();
         Self::new(configs, toolkits, evaluators, island_config)
-    }
-
-    fn record(&mut self) {
-        let active_costs: Vec<f64> = self
-            .engines
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(e, _)| e.best().cost)
-            .collect();
-        let mean = active_costs.iter().sum::<f64>() / active_costs.len().max(1) as f64;
-        self.global_history.push(GenRecord {
-            generation: self.generation,
-            best_cost: self.best_overall.cost,
-            mean_cost: mean,
-            diversity: 0.0,
-        });
     }
 
     fn refresh_best(&mut self) {
@@ -272,18 +251,9 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
         self.engines.iter().map(|e| e.best().clone()).collect()
     }
 
-    /// Global best-cost history (one record per generation).
-    pub fn history(&self) -> &History {
-        &self.global_history
-    }
-
     /// Read access to the underlying engines.
     pub fn engines(&self) -> &[Engine<'a, G>] {
         &self.engines
-    }
-
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn engine_evaluations(&self) -> u64 {
@@ -293,13 +263,16 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
 
 impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
     /// Advances every active island one generation (in parallel), then
-    /// applies migration / broadcast / merging when due. Reports one
-    /// sample per still-active island, tagged with the island id and
-    /// carrying that island's own best/mean/diversity and stagnation
-    /// age; every sample of a generation that exchanged migrants has
-    /// `migration: true`. The engines share `obs` for their phase
-    /// timings only, so they emit no untagged samples of their own;
-    /// `Migrate` covers migration, broadcast and stagnation-merging.
+    /// applies migration / broadcast / merging when due. When the
+    /// observer wants samples, reports one per still-active island,
+    /// tagged with the island id: best/mean/diversity as the island's
+    /// own generation left them (before migration), evaluations and
+    /// stagnation age as of the report (after migration, so a migrant
+    /// that improved the island resets its age); every sample of a
+    /// generation that exchanged migrants has `migration: true`. The
+    /// engines share `obs` for their phase timings only, so they emit no
+    /// untagged samples of their own; `Migrate` covers migration,
+    /// broadcast and stagnation-merging.
     fn step(&mut self, obs: &mut dyn Observer<G>) {
         self.generation += 1;
         let best_before = self.best_overall.cost;
@@ -310,6 +283,12 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
             .zip(&self.active)
             .filter(|(_, &a)| a)
             .for_each(|(e, _)| e.evolve(shared));
+        let evolved = obs.wants_samples().then(|| {
+            let islands = self.engines.iter().zip(&self.active);
+            islands
+                .map(|(e, &a)| a.then(|| e.sample()))
+                .collect::<Vec<_>>()
+        });
         // An engine generation evaluates only its non-elite children,
         // so count what the engines actually evaluated.
         let evals_this_gen = self.engine_evaluations() - evals_before;
@@ -341,16 +320,19 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
             obs.on_phase(GaPhase::Migrate, ga::clock::elapsed_since(tm));
         }
         self.refresh_best();
-        self.record();
         if self.best_overall.cost < best_before {
             self.telemetry.improvements += 1;
         }
-        for (i, e) in self.engines.iter().enumerate() {
-            if self.active[i] {
+        for (i, s) in evolved.into_iter().flatten().enumerate() {
+            // An island merged away this generation reports no sample.
+            if let Some(s) = s.filter(|_| self.active[i]) {
+                let e = &self.engines[i];
                 obs.on_sample(GenerationSample {
                     island: Some(i as u32),
+                    evaluations: e.evaluations(),
+                    since_improvement: e.since_improvement(),
                     migration: migrated,
-                    ..e.last_sample()
+                    ..s
                 });
             }
         }
@@ -372,10 +354,11 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
 mod tests {
     use super::*;
     use crate::migration::MigrationPolicy;
-    use crate::tests::{PhaseTimes, Recorder};
+    use crate::tests::PhaseTimes;
     use ga::crossover::PermCrossover;
     use ga::engine::run;
     use ga::mutate::SeqMutation;
+    use ga::stats::History;
     use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
@@ -446,7 +429,7 @@ mod tests {
         let start = ig.best().cost;
         run(&mut ig, &Termination::Generations(40), &mut ());
         assert!(ig.best().cost < start);
-        assert_eq!(ig.generation(), 40);
+        assert_eq!(ig.status().generation, 40);
         assert!(ig.telemetry.messages > 0);
         assert!(ig.telemetry.migrants >= ig.telemetry.messages);
     }
@@ -555,7 +538,7 @@ mod tests {
         ]);
         run(&mut ig, &t, &mut ());
         // Tiny instance: expect the optimum before the generation cap.
-        assert!(ig.generation() < 500);
+        assert!(ig.status().generation < 500);
     }
 
     #[test]
@@ -605,7 +588,7 @@ mod tests {
             &eval,
             IslandConfig::new(MigrationConfig::ring(4, 1)),
         );
-        let mut rec = Recorder::default();
+        let mut rec = History::default();
         run(&mut ig, &Termination::Generations(12), &mut rec);
         let samples = rec.samples;
         // One sample per active island per generation.
@@ -619,8 +602,8 @@ mod tests {
             // Ring interval 4: migration marks exactly on gens 4, 8, 12.
             assert_eq!(s.migration, s.generation % 4 == 0);
         }
-        // The engine's own histories feed the samples, so per-island
-        // diversity is real (random permutations start diverse).
+        // Each island samples its own engine, so per-island diversity is
+        // real (random permutations start diverse).
         assert!(samples[0].diversity > 0.0);
     }
 

@@ -49,30 +49,13 @@ pub use topology::Topology;
 pub(crate) mod tests {
     use super::*;
     use ga::crossover::PermCrossover;
-    use ga::engine::{run, Engine, GaConfig, GaPhase, Individual, Observer, Toolkit};
+    use ga::engine::{run, Engine, GaConfig, GaPhase, Observer, Toolkit};
     use ga::mutate::SeqMutation;
-    use ga::stats::GenerationSample;
+    use ga::stats::History;
     use ga::termination::Termination;
     use rand::seq::SliceRandom;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
-
-    /// Records the best-so-far reports and samples a run emits.
-    #[derive(Default)]
-    pub(crate) struct Recorder {
-        pub(crate) bests: Vec<f64>,
-        pub(crate) samples: Vec<GenerationSample>,
-    }
-
-    impl<G> Observer<G> for Recorder {
-        fn on_best(&mut self, best: &Individual<G>) {
-            self.bests.push(best.cost);
-        }
-
-        fn on_sample(&mut self, sample: GenerationSample) {
-            self.samples.push(sample);
-        }
-    }
 
     /// Accumulates phase nanoseconds; safe under parallel island steps.
     #[derive(Default)]
@@ -122,7 +105,7 @@ pub(crate) mod tests {
         let mut bare = build();
         let best = run(&mut bare, &t, &mut ());
         let mut sampled = build();
-        let mut rec = Recorder::default();
+        let mut rec = History::default();
         let best_sampled = run(&mut sampled, &t, &mut rec);
         let mut phased = build();
         let times = &mut PhaseTimes::default();

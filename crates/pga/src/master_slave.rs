@@ -167,6 +167,7 @@ mod tests {
     use super::*;
     use ga::crossover::PermCrossover;
     use ga::mutate::SeqMutation;
+    use ga::stats::History;
     use ga::termination::Termination;
     use rand::seq::SliceRandom;
 
@@ -221,12 +222,13 @@ mod tests {
         let mut a = Engine::new(cfg.clone(), toolkit(10), &sequential);
         let mut b = Engine::new(cfg, toolkit(10), &parallel);
         let term = Termination::Generations(20);
-        let best_a = run(&mut a, &term, &mut ());
-        let best_b = run(&mut b, &term, &mut ());
+        let (mut history_a, mut history_b) = (History::default(), History::default());
+        let best_a = run(&mut a, &term, &mut history_a);
+        let best_b = run(&mut b, &term, &mut history_b);
         assert_eq!(best_a.cost, best_b.cost);
         assert_eq!(best_a.genome, best_b.genome);
         // Entire history matches, not just the endpoint.
-        assert_eq!(a.history().records, b.history().records);
+        assert_eq!(history_a, history_b);
     }
 
     #[test]

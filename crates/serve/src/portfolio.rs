@@ -254,9 +254,10 @@ pub struct SolveHooks {
 
 /// The [`Observer`] one race member runs under. Improvements reach the
 /// shared best-so-far cell and, like per-generation samples, the
-/// member's one frame output; phase times reach the accumulator when
-/// profiled. That is what lets tracing, watching and profiling ride
-/// along without touching the GA layers.
+/// member's one frame output (models build samples only when there is
+/// one); phase times reach the accumulator when profiled. That is what
+/// lets tracing, watching and profiling ride along without touching the
+/// GA layers.
 pub(crate) struct MemberObs<'a> {
     /// The race-wide monotone best cell (the anytime contract).
     pub(crate) best: &'a BestSoFar,
@@ -306,6 +307,10 @@ impl<G> Observer<G> for MemberObs<'_> {
 
     fn on_sample(&mut self, s: GenerationSample) {
         self.emit(Payload::Sample(s));
+    }
+
+    fn wants_samples(&self) -> bool {
+        self.frames.is_some()
     }
 
     fn wants_phases(&self) -> bool {

@@ -7,6 +7,7 @@
 use ga::crossover::rep::job_order;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
+use ga::stats::History;
 use ga::termination::Termination;
 use pga::cellular::{CellularConfig, CellularGa, NeighborhoodShape};
 use shop::decoder::open::OpenDecoder;
@@ -32,15 +33,16 @@ fn main() {
     let mut cfg = CellularConfig::new(8, 8, 21);
     cfg.shape = NeighborhoodShape::Moore;
     let mut cga = CellularGa::new(cfg, toolkit, &eval);
-    let best = ga::run(&mut cga, &Termination::Generations(120), &mut ());
+    let mut history = History::default();
+    let best = ga::run(&mut cga, &Termination::Generations(120), &mut history);
 
     println!("cellular GA best open-shop makespan: {}", best.cost);
     println!("lower bound: {}", inst.makespan_lower_bound());
     println!("\ngen   best   mean   diversity");
-    for rec in cga.history().records.iter().step_by(20) {
+    for s in history.samples.iter().filter(|s| s.generation % 20 == 0) {
         println!(
             "{:>3}  {:>5.0}  {:>5.0}  {:.3}",
-            rec.generation, rec.best_cost, rec.mean_cost, rec.diversity
+            s.generation, s.best_cost, s.mean_cost, s.diversity
         );
     }
 }

@@ -7,6 +7,7 @@
 //! master-slave evaluator reduces on the single-threaded path.
 
 use ga::engine::{Engine, GaConfig};
+use ga::stats::History;
 use ga::termination::Termination;
 use pga::cellular::{CellularConfig, CellularGa};
 use pga::island::{IslandConfig, IslandGa};
@@ -84,8 +85,9 @@ fn rayon_master_slave_is_deterministic_and_matches_sequential() {
     let run_parallel = || {
         let parallel_eval = RayonEvaluator::new(eval);
         let mut e = Engine::new(cfg(20, 31), opseq_toolkit(inst), &parallel_eval);
-        let best = ga::run(&mut e, &term, &mut ());
-        (best.cost, best.genome, e.history().records.clone())
+        let mut history = History::default();
+        let best = ga::run(&mut e, &term, &mut history);
+        (best.cost, best.genome, history)
     };
     let (c1, g1, h1) = run_parallel();
     let (c2, g2, h2) = run_parallel();
@@ -100,8 +102,9 @@ fn rayon_master_slave_is_deterministic_and_matches_sequential() {
     // (single-threaded reduction path) is bit-identical to sequential
     // evaluation with the same seed.
     let mut seq_engine = Engine::new(cfg(20, 31), opseq_toolkit(inst), &eval);
-    let seq_best = ga::run(&mut seq_engine, &term, &mut ());
+    let mut seq_history = History::default();
+    let seq_best = ga::run(&mut seq_engine, &term, &mut seq_history);
     assert_eq!(seq_best.cost, c1);
     assert_eq!(seq_best.genome, g1);
-    assert_eq!(seq_engine.history().records, h1);
+    assert_eq!(seq_history, h1);
 }

@@ -3,6 +3,7 @@
 //! from `hpc` working together through the public API.
 
 use ga::engine::{Engine, GaConfig};
+use ga::stats::History;
 use ga::termination::Termination;
 use pga::cellular::{CellularConfig, CellularGa};
 use pga::island::{IslandConfig, IslandGa};
@@ -62,13 +63,15 @@ fn master_slave_trajectory_equals_sequential_on_real_instance() {
     let term = Termination::Generations(30);
 
     let mut sequential = Engine::new(cfg.clone(), opseq_toolkit(inst), &eval);
-    ga::run(&mut sequential, &term, &mut ());
+    let mut sequential_history = History::default();
+    ga::run(&mut sequential, &term, &mut sequential_history);
 
     let parallel_eval = RayonEvaluator::new(eval);
     let mut parallel = Engine::new(cfg, opseq_toolkit(inst), &parallel_eval);
-    ga::run(&mut parallel, &term, &mut ());
+    let mut parallel_history = History::default();
+    ga::run(&mut parallel, &term, &mut parallel_history);
 
-    assert_eq!(sequential.history().records, parallel.history().records);
+    assert_eq!(sequential_history, parallel_history);
     assert_eq!(sequential.best().genome, parallel.best().genome);
 }
 
