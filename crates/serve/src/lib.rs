@@ -72,6 +72,7 @@ pub mod server;
 pub mod session;
 pub mod solver;
 pub mod wal;
+mod watch;
 
 pub use cache::{CacheKey, CachedSolve, ShardedCache, SolutionCache};
 pub use json::Json;

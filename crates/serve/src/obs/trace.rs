@@ -114,9 +114,10 @@ fn sample_fields(s: &GenerationSample) -> Vec<(String, Json)> {
     fields
 }
 
-/// Where a race's frames go. The server implements this over the
-/// subscribing connection (and the re-attach hub), and a traced race
-/// interposes a `TraceRecorder`; the portfolio only ever *emits*.
+/// Where a race's frames go. The server implements this as one frame
+/// log per watched race, followed by the subscribing connection and
+/// any attachers, and a traced race interposes a `TraceRecorder`; the
+/// portfolio only ever *emits*.
 /// Emission happens from racer threads concurrently, so
 /// implementations must serialise internally, and must never block
 /// the race on a slow consumer (drop or buffer — the race's trajectory
@@ -124,7 +125,7 @@ fn sample_fields(s: &GenerationSample) -> Vec<(String, Json)> {
 /// before cancellation can still run to completion after the race core
 /// has returned at the deadline, so `emit` may be called *after* the
 /// submitting thread moved on: implementations that write a terminal
-/// record must disarm themselves first (the server's sink drops
+/// record must disarm themselves first (the server's watch log drops
 /// post-seal frames).
 pub trait WatchSink: Send + Sync {
     /// Delivers one frame.

@@ -18,15 +18,18 @@
 //! compute threads are bounded by `workers + racer_pool` regardless of
 //! in-flight requests, and a saturated pool triggers an explicit
 //! `busy` wire error instead of unbounded queueing. Reads use a 100 ms
-//! timeout so idle keep-alive connections observe shutdown promptly.
-//! Shutdown is graceful: the acceptor stops accepting, workers finish
-//! the connection they hold and drain the queue, then exit.
+//! timeout so idle keep-alive connections observe shutdown promptly,
+//! and writes time out after the idle timeout so a client that stops
+//! reading cannot pin a worker. `watch` streams follow a per-race frame
+//! log (the crate-private `watch` module). Shutdown is graceful: the
+//! acceptor stops accepting, workers finish the connection they hold
+//! and drain the queue, then exit.
 
 use crate::cache::{CacheKey, CachedSolve, ShardedCache};
 use crate::json::{obj, Json};
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
-use crate::obs::trace::{Frame, Trace, TraceRing, WatchSink};
+use crate::obs::trace::{Trace, TraceRing, WatchSink};
 use crate::protocol::{
     busy_json, encode_error, error_json, parse_request, solution_json, BatchItem, BatchRequest,
     BatchSource, GenerateRequest, Objective, Request, SessionEventRequest, SessionOpenRequest,
@@ -35,10 +38,11 @@ use crate::protocol::{
 use crate::scheduler::RacerPool;
 use crate::session::{SessionConfig, SessionGauges, SessionRegistry, SessionState};
 use crate::solver::{load_instance, solve_hooked, LoadedInstance, SolveHooks};
+use crate::watch::WatchHub;
 use pga::telemetry::RequestTelemetry;
 use shop::schedule::Schedule;
 use shop::Problem;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -632,10 +636,8 @@ struct Shared {
     /// Recently finished request traces, served by `trace_dump`.
     traces: TraceRing,
     /// In-flight watched races keyed by request id, for re-attach
-    /// (`{"cmd":"watch","request":ID}`). Entries live exactly as long
-    /// as the race: registered when a watched request carrying an id
-    /// starts, removed after its terminal answer frame.
-    watches: Mutex<HashMap<String, Arc<WatchChannel>>>,
+    /// (`{"cmd":"watch","request":ID}`); see [`crate::watch`].
+    watches: WatchHub,
     /// Bind instant — the base of `uptime_ms`.
     started: Instant,
 }
@@ -714,7 +716,7 @@ impl Service {
                 max_sessions: config.max_sessions.max(1),
             }),
             traces: TraceRing::new(config.trace_ring),
-            watches: Mutex::new(HashMap::new()),
+            watches: WatchHub::default(),
             wal,
             config,
             queue: Mutex::new(VecDeque::new()),
@@ -957,9 +959,10 @@ fn worker_loop(shared: &Shared) {
 /// Generous enough for multi-megabyte inline instances.
 const MAX_REQUEST_BYTES: usize = 8 * 1024 * 1024;
 
-/// A connection that completes no request for this long is closed, so
-/// idle keep-alive clients cannot pin workers (and thereby starve the
-/// queue) indefinitely.
+/// A connection that completes no request for this long is closed, and
+/// a write to it blocked this long fails, so neither idle keep-alive
+/// clients nor clients that stop reading can pin workers (and thereby
+/// starve the queue) indefinitely.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Outcome of one bounded line read.
@@ -1012,6 +1015,11 @@ fn read_bounded_line(
 
 fn handle_connection(stream: TcpStream, queue_wait: Duration, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    // A client that stops reading must not pin this worker (and with
+    // it `Service::shutdown`) on a full socket: a write blocked this
+    // long fails. Clones share the socket, so a watch writer thread
+    // inherits the timeout.
+    let _ = stream.set_write_timeout(Some(IDLE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -1572,244 +1580,6 @@ fn attach_trace(body: Json, trace: Option<Trace>, shared: &Shared) -> Json {
     }
 }
 
-/// A watched race's replayable frame log. The origin connection's sink
-/// appends every frame here (besides writing it to its own socket);
-/// re-attaching connections replay from the start, then follow live
-/// via the condvar until the terminal frame closes the log.
-struct WatchChannel {
-    state: Mutex<WatchLog>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct WatchLog {
-    /// Every frame emitted so far, already rendered to wire lines.
-    frames: Vec<String>,
-    /// Set once the terminal answer frame has been appended.
-    done: bool,
-}
-
-impl WatchChannel {
-    fn new() -> WatchChannel {
-        WatchChannel {
-            state: Mutex::new(WatchLog::default()),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Appends one rendered frame and wakes every attached follower.
-    fn push(&self, line: String) {
-        // panic-safe: watch-log poisoning means an emitter already panicked;
-        // taking followers down with it is the intended failure mode.
-        let mut s = self.state.lock().expect("watch log poisoned");
-        s.frames.push(line);
-        drop(s);
-        self.cond.notify_all();
-    }
-
-    /// Closes the log (the terminal frame is already in) and wakes
-    /// followers one last time. Poison-tolerant: this also runs on the
-    /// unwind path of a panicking watch handler, where followers must
-    /// still be released rather than left waiting forever.
-    fn finish(&self) {
-        let mut s = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        s.done = true;
-        drop(s);
-        self.cond.notify_all();
-    }
-
-    /// Streams the log to `writer` from the first frame: replays what
-    /// is already there, then blocks for live frames until the log is
-    /// closed and drained.
-    fn stream_to(&self, writer: &mut TcpStream) -> std::io::Result<()> {
-        let mut from = 0usize;
-        loop {
-            // panic-safe: as in push.
-            let mut s = self.state.lock().expect("watch log poisoned");
-            while s.frames.len() == from && !s.done {
-                // panic-safe: as in push.
-                s = self.cond.wait(s).expect("watch log poisoned");
-            }
-            // panic-safe: `from` only advances by lengths of batches taken
-            // from `frames`, which never shrinks, so from <= frames.len().
-            let batch: Vec<String> = s.frames[from..].to_vec();
-            let done = s.done;
-            drop(s);
-            if batch.is_empty() && done {
-                return Ok(());
-            }
-            from += batch.len();
-            for line in &batch {
-                writeln!(writer, "{line}")?;
-            }
-            writer.flush()?;
-        }
-    }
-}
-
-/// Frames buffered for a watcher's socket before new ones are dropped.
-/// The cap bounds both memory and the damage a stalled watcher can do:
-/// racer threads only ever enqueue (or drop) and move on.
-const WATCH_QUEUE_CAP: usize = 4096;
-
-/// State shared between frame emitters, the watch writer thread and
-/// [`SocketWatchSink::close`]: the pending socket frames plus the
-/// flags that sequence teardown.
-#[derive(Default)]
-struct WatchQueueState {
-    /// Rendered lines awaiting the writer thread, oldest first.
-    frames: VecDeque<String>,
-    /// Sealed by [`SocketWatchSink::close`] (terminal answer frame
-    /// already enqueued) or by the unwind guard: emits arriving later
-    /// are no-ops, so no race straggler can trail the answer frame on
-    /// the socket or in the replay channel.
-    closed: bool,
-    /// The writer thread hit a socket error; pending frames were
-    /// discarded and nothing further will be written.
-    dead: bool,
-    /// Frames dropped because the queue was full (slow watcher).
-    dropped: u64,
-}
-
-/// The bounded hand-off between emitters and the writer thread.
-#[derive(Default)]
-struct WatchQueue {
-    state: Mutex<WatchQueueState>,
-    cond: Condvar,
-}
-
-/// The origin connection's [`WatchSink`]. `emit` never touches the
-/// socket: it appends to a bounded in-memory queue drained by a
-/// dedicated writer thread (and mirrors the frame into the re-attach
-/// channel when the request carried an id). A watcher that stops
-/// reading therefore loses frames once the queue fills — never the
-/// race: per the [`WatchSink`] contract, racer threads (including the
-/// shared pool's) must not block on a slow consumer, or one idle
-/// client could stall every request's race and change deadline-bound
-/// answers. The replay channel still receives every frame, so an
-/// attached follower's view stays complete even when the origin's
-/// socket lagged.
-struct SocketWatchSink {
-    q: Arc<WatchQueue>,
-    channel: Option<Arc<WatchChannel>>,
-    /// The writer thread, joined by [`SocketWatchSink::close`].
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl WatchSink for SocketWatchSink {
-    fn emit(&self, frame: &Frame) {
-        let line = frame.to_json().encode();
-        // The channel push happens under the queue lock so concurrent
-        // emitters land in the same order in the socket queue and in
-        // the replay log — an attached follower sees the origin's
-        // exact stream. Lock order is queue → channel only; stream_to
-        // takes the channel lock alone.
-        // panic-safe: queue poisoning means another emitter panicked;
-        // dropping this frame too is the right degradation.
-        let mut s = self.q.state.lock().expect("watch queue poisoned");
-        if s.closed {
-            // The terminal answer frame is already in: this emitter is
-            // a race straggler winding down after the submitter
-            // returned. Dropping the frame everywhere keeps the answer
-            // the last line of both the stream and the replay log.
-            return;
-        }
-        if let Some(ch) = &self.channel {
-            ch.push(line.clone());
-        }
-        if s.dead {
-            return;
-        }
-        if s.frames.len() >= WATCH_QUEUE_CAP {
-            s.dropped += 1;
-            return;
-        }
-        s.frames.push_back(line);
-        drop(s);
-        self.q.cond.notify_one();
-    }
-}
-
-impl SocketWatchSink {
-    /// Appends the terminal line (bypassing the overflow cap — the
-    /// answer frame is never dropped), seals the queue against further
-    /// emits, closes the replay channel and joins the writer thread,
-    /// so the socket is quiescent when the connection loop resumes.
-    /// Returns the overflow-drop count, plus an error when the
-    /// watcher's socket broke mid-stream — the connection may hold a
-    /// half-written frame and must be closed, not reused.
-    fn close(&self, terminal: String) -> (u64, std::io::Result<()>) {
-        {
-            // panic-safe: as in emit.
-            let mut s = self.q.state.lock().expect("watch queue poisoned");
-            if let Some(ch) = &self.channel {
-                ch.push(terminal.clone());
-            }
-            if !s.dead {
-                s.frames.push_back(terminal);
-            }
-            s.closed = true;
-        }
-        self.q.cond.notify_all();
-        if let Some(ch) = &self.channel {
-            ch.finish();
-        }
-        // panic-safe: as in emit.
-        let handle = self.writer.lock().expect("watch writer poisoned").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        // panic-safe: as in emit.
-        let s = self.q.state.lock().expect("watch queue poisoned");
-        let result = if s.dead {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "watch subscriber hung up mid-stream",
-            ))
-        } else {
-            Ok(())
-        };
-        (s.dropped, result)
-    }
-
-    /// The writer thread body: drains queued frames to the
-    /// subscriber's socket until the queue is closed and empty. A
-    /// write error marks the queue dead and discards what was pending
-    /// — the race keeps running, merely unwatched. Blocking here (a
-    /// watcher that reads slowly but steadily) pins only this thread,
-    /// never a racer.
-    fn drain_to(q: &WatchQueue, sock: &mut TcpStream) {
-        loop {
-            // panic-safe: as in emit.
-            let mut s = q.state.lock().expect("watch queue poisoned");
-            while s.frames.is_empty() && !s.closed {
-                // panic-safe: as in emit.
-                s = q.cond.wait(s).expect("watch queue poisoned");
-            }
-            if s.frames.is_empty() {
-                return; // closed and fully drained
-            }
-            let batch: Vec<String> = s.frames.drain(..).collect();
-            drop(s);
-            let mut write_batch = || -> std::io::Result<()> {
-                for line in &batch {
-                    writeln!(sock, "{line}")?;
-                }
-                sock.flush()
-            };
-            if write_batch().is_err() {
-                // panic-safe: as in emit.
-                let mut s = q.state.lock().expect("watch queue poisoned");
-                s.dead = true;
-                s.frames.clear();
-            }
-        }
-    }
-}
-
 /// Serves one `watch` subscription on the subscriber's own socket:
 /// runs (or attaches to) a race, pushing line-delimited JSON frames as
 /// the race produces them; the final line is a `{"frame":"answer",...}`
@@ -1824,7 +1594,17 @@ fn handle_watch(
 ) -> std::io::Result<()> {
     let started = Instant::now();
     let result = match target {
-        WatchTarget::Attach { request } => attach_watch(writer, request, shared),
+        // Only races still running are attachable; a finished (or
+        // never-watched) id answers with an error line.
+        WatchTarget::Attach { request } => match shared.watches.attach(request) {
+            Some(log) => log.follow(writer),
+            None => watch_error(
+                writer,
+                None,
+                &format!("no in-flight watched race with request id {request:?}"),
+                shared,
+            ),
+        },
         WatchTarget::Solve(req) => watch_solve(writer, req, queue_wait, parse_us, shared),
         WatchTarget::SessionEvent(req) => stream_race(writer, req.id.as_deref(), shared, |sink| {
             session_event_body(req, parse_us, Some(sink), shared)
@@ -1835,195 +1615,6 @@ fn handle_watch(
         .request_us
         .observe(started.elapsed().as_micros() as u64);
     result
-}
-
-/// Builds the origin sink for a watched race — a bounded frame queue
-/// with a dedicated writer thread draining it to the subscriber's
-/// socket — and, when the request carries an id, registers the
-/// re-attach channel under it. An id another watched race already
-/// holds is rejected with an error line (`Ok(None)`: the error is
-/// already written): attach must be unambiguous, and two races
-/// sharing an id could otherwise deregister each other mid-flight.
-fn register_watch(
-    writer: &mut TcpStream,
-    id: Option<&str>,
-    shared: &Shared,
-) -> std::io::Result<Option<Arc<SocketWatchSink>>> {
-    let channel = match id {
-        Some(rid) => {
-            let ch = Arc::new(WatchChannel::new());
-            // panic-safe: watch-hub poisoning means a watch handler
-            // already panicked while registering or attaching; failing
-            // this request too is the intended failure mode.
-            let mut hub = shared.watches.lock().expect("watch hub poisoned");
-            match hub.entry(rid.to_string()) {
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    drop(hub);
-                    shared.stats.errors.inc();
-                    writeln!(
-                        writer,
-                        "{}",
-                        encode_error(
-                            Some(rid),
-                            &format!(
-                                "a watched race with request id {rid:?} is already in \
-                                 flight; attach to it or pick a fresh id"
-                            ),
-                        )
-                    )?;
-                    writer.flush()?;
-                    return Ok(None);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Arc::clone(&ch));
-                }
-            }
-            Some(ch)
-        }
-        None => None,
-    };
-    let q = Arc::new(WatchQueue::default());
-    let spawned = writer.try_clone().and_then(|mut sock| {
-        std::thread::Builder::new()
-            .name("serve-watch-writer".into())
-            .spawn({
-                let q = Arc::clone(&q);
-                move || SocketWatchSink::drain_to(&q, &mut sock)
-            })
-    });
-    let handle = match spawned {
-        Ok(handle) => handle,
-        Err(e) => {
-            // Roll the registration back — an entry without a running
-            // race would make its followers wait forever.
-            if let (Some(rid), Some(ch)) = (id, &channel) {
-                // panic-safe: as in the registration above.
-                shared
-                    .watches
-                    .lock()
-                    .expect("watch hub poisoned") // panic-safe: as above
-                    .remove(rid);
-                ch.finish();
-            }
-            return Err(e);
-        }
-    };
-    Ok(Some(Arc::new(SocketWatchSink {
-        q,
-        channel,
-        writer: Mutex::new(Some(handle)),
-    })))
-}
-
-/// Drops the re-attach registration for `id` — but only when the hub
-/// still maps it to *this* race's channel (`Arc::ptr_eq`), so a finish
-/// (or unwind) can never deregister some other in-flight race that
-/// re-registered the id after ours left the map.
-fn deregister_watch(id: Option<&str>, sink: &SocketWatchSink, shared: &Shared) {
-    let (Some(rid), Some(ch)) = (id, &sink.channel) else {
-        return;
-    };
-    // Poison-tolerant: this also runs on the unwind path, where a
-    // second panic would abort the process.
-    let mut hub = match shared.watches.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if hub.get(rid).is_some_and(|c| Arc::ptr_eq(c, ch)) {
-        hub.remove(rid);
-    }
-}
-
-/// Unwind insurance for an in-flight watched race: if the handler
-/// panics before [`finish_watch`] runs (a panicking inline member
-/// unwinds through the watch functions), the drop deregisters the
-/// re-attach id, closes the replay channel — otherwise attached
-/// followers would wait forever on its condvar, pinning their
-/// connection threads, and the hub entry would leak — and seals the
-/// frame queue so the writer thread drains out and exits.
-/// [`finish_watch`] disarms it on the ordinary path.
-struct WatchGuard<'a> {
-    id: Option<&'a str>,
-    sink: Arc<SocketWatchSink>,
-    shared: &'a Shared,
-    armed: bool,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        deregister_watch(self.id, &self.sink, self.shared);
-        // Poison-tolerant throughout: drop may run during a panic.
-        let mut s = match self.sink.q.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        s.closed = true;
-        drop(s);
-        self.sink.q.cond.notify_all();
-        if let Some(ch) = &self.sink.channel {
-            ch.finish();
-        }
-        // The writer thread exits on its own once the sealed queue is
-        // drained; no join here — this thread is unwinding.
-    }
-}
-
-/// Emits the terminal `{"frame":"answer",...}` line, seals the stream
-/// (late race stragglers are silenced, so nothing trails the answer)
-/// and tears the subscription down: deregisters the re-attach id,
-/// closes the replay channel and joins the writer thread. Propagates
-/// an error when the watcher hung up mid-stream — the connection may
-/// hold a half-written frame, so it must be closed, not reused.
-fn finish_watch(mut guard: WatchGuard<'_>, body: Json) -> std::io::Result<()> {
-    guard.armed = false;
-    let frame = match body {
-        Json::Obj(mut fields) => {
-            fields.insert(0, ("frame".into(), "answer".into()));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
-    // Deregister BEFORE the terminal frame goes out: a client that
-    // has seen the answer must deterministically find the id gone,
-    // so removal cannot trail the emit. An attacher that cloned the
-    // channel just before removal still streams to the terminal
-    // frame — `stream_to` drains until the close below.
-    deregister_watch(guard.id, &guard.sink, guard.shared);
-    let (dropped, result) = guard.sink.close(frame.encode());
-    if dropped > 0 {
-        guard.shared.metrics.watch_drops.add(dropped);
-    }
-    result
-}
-
-/// `{"cmd":"watch","request":ID}` — re-attach to an in-flight watched
-/// race: replay every frame streamed so far, then follow live until
-/// the terminal answer frame. Only races still running are attachable;
-/// a finished (or never-watched) id answers with an error line.
-fn attach_watch(writer: &mut TcpStream, request: &str, shared: &Shared) -> std::io::Result<()> {
-    // panic-safe: as in register_watch.
-    let channel = shared
-        .watches
-        .lock()
-        .expect("watch hub poisoned") // panic-safe: as in register_watch
-        .get(request)
-        .cloned();
-    let Some(channel) = channel else {
-        shared.stats.errors.inc();
-        writeln!(
-            writer,
-            "{}",
-            encode_error(
-                None,
-                &format!("no in-flight watched race with request id {request:?}"),
-            )
-        )?;
-        return writer.flush();
-    };
-    channel.stream_to(writer)
 }
 
 /// `{"cmd":"watch", ...solve fields...}` — a solve whose race streams
@@ -2038,11 +1629,7 @@ fn watch_solve(
     let id = req.id.as_deref();
     let inst = match load_instance(&req.instance) {
         Ok(inst) => Arc::new(inst),
-        Err(e) => {
-            shared.stats.errors.inc();
-            writeln!(writer, "{}", encode_error(id, &e.to_string()))?;
-            return writer.flush();
-        }
+        Err(e) => return watch_error(writer, id, &e.to_string(), shared),
     };
     stream_race(writer, id, shared, |sink| {
         let mut trace = start_trace(req.trace, "watch", parse_us, shared);
@@ -2064,25 +1651,40 @@ fn watch_solve(
     })
 }
 
-/// Streams one watched race to this connection: registers `id`, runs
-/// `race` with the sink, and sends its body as the answer frame.
+/// Streams one watched race to this connection: subscribes `id` in
+/// the watch hub (see [`crate::watch`]), runs `race` with the log as
+/// its sink, and sends its body as the answer frame. An id another
+/// in-flight watched race holds is rejected with an error line.
 fn stream_race(
     writer: &mut TcpStream,
     id: Option<&str>,
     shared: &Shared,
     race: impl FnOnce(Arc<dyn WatchSink>) -> Json,
 ) -> std::io::Result<()> {
-    let Some(sink) = register_watch(writer, id, shared)? else {
-        return Ok(());
+    let Some(sub) = shared.watches.subscribe(id, writer)? else {
+        let msg = format!(
+            "a watched race with request id {:?} is already in flight; attach to it or pick a \
+             fresh id",
+            id.unwrap_or_default()
+        );
+        return watch_error(writer, id, &msg, shared);
     };
-    let guard = WatchGuard {
-        id,
-        sink: Arc::clone(&sink),
-        shared,
-        armed: true,
-    };
-    let body = race(sink);
-    finish_watch(guard, body)
+    let body = race(sub.sink());
+    let (dropped, result) = sub.finish(body);
+    shared.metrics.watch_drops.add(dropped);
+    result
+}
+
+/// Answers a watch request with a single error line instead of a stream.
+fn watch_error(
+    writer: &mut TcpStream,
+    id: Option<&str>,
+    msg: &str,
+    shared: &Shared,
+) -> std::io::Result<()> {
+    shared.stats.errors.inc();
+    writeln!(writer, "{}", encode_error(id, msg))?;
+    writer.flush()
 }
 
 /// The `status:"error"` body for a session id that is not (or no
@@ -2782,7 +2384,6 @@ fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Shared) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::trace::Payload;
     use crate::protocol::{encode_request, InstanceSpec, Objective};
 
     fn send_lines(addr: SocketAddr, lines: &[String]) -> Vec<String> {
@@ -4450,136 +4051,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// Builds a [`SocketWatchSink`] (queue, writer thread, optional
-    /// replay channel) over one end of a fresh localhost socket pair.
-    /// Returns the sink, the server-side stream it writes to and the
-    /// client-side stream a test can read (or stall) at will.
-    fn test_sink(with_channel: bool) -> (SocketWatchSink, TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let q = Arc::new(WatchQueue::default());
-        let handle = {
-            let q = Arc::clone(&q);
-            let mut sock = server_side.try_clone().unwrap();
-            std::thread::spawn(move || SocketWatchSink::drain_to(&q, &mut sock))
-        };
-        let sink = SocketWatchSink {
-            q,
-            channel: with_channel.then(|| Arc::new(WatchChannel::new())),
-            writer: Mutex::new(Some(handle)),
-        };
-        (sink, server_side, client)
-    }
-
-    /// Reads every line from `client` until EOF.
-    fn read_all_lines(client: TcpStream) -> std::thread::JoinHandle<Vec<String>> {
-        std::thread::spawn(move || {
-            let mut lines = Vec::new();
-            let mut reader = BufReader::new(client);
-            loop {
-                let mut l = String::new();
-                if reader.read_line(&mut l).unwrap_or(0) == 0 {
-                    return lines;
-                }
-                lines.push(l.trim().to_string());
-            }
-        })
-    }
-
-    /// A watcher that stops reading must cost the race nothing: once
-    /// the kernel buffers and the bounded queue are full, emits drop
-    /// the frame (counted) and return instead of blocking the racer
-    /// thread on the socket. The answer frame still arrives, last.
-    #[test]
-    fn watch_sink_drops_frames_for_a_stalled_subscriber_without_blocking() {
-        let (sink, server_side, client) = test_sink(false);
-        // ~30 MB of sample frames at a client that reads nothing — far
-        // beyond any kernel send+receive buffer plus the 4096-frame
-        // queue, so the pre-fix blocking sink would wedge this loop
-        // forever.
-        let sample = ga::stats::GenerationSample {
-            island: Some(3),
-            generation: 1_000,
-            evaluations: 48_000,
-            best_cost: 1_234.0,
-            mean_cost: 1_400.5,
-            diversity: 0.123_456_789,
-            since_improvement: 17,
-            migration: true,
-        };
-        let frame = Frame {
-            member: 1,
-            model: "island",
-            payload: Payload::Sample(sample),
-        };
-        for _ in 0..160_000 {
-            sink.emit(&frame);
-        }
-        assert!(
-            sink.q.state.lock().unwrap().dropped > 0,
-            "overflow beyond the queue cap is dropped, not buffered"
-        );
-        // Now drain the client so close() can flush the pending tail.
-        let reader = read_all_lines(client);
-        let (dropped, io) = sink.close(r#"{"frame":"answer"}"#.to_string());
-        assert!(dropped > 0);
-        io.unwrap();
-        drop(sink);
-        drop(server_side);
-        let lines = reader.join().unwrap();
-        assert!(lines.len() < 160_001, "some frames were shed");
-        assert_eq!(
-            lines.last().map(String::as_str),
-            Some(r#"{"frame":"answer"}"#)
-        );
-    }
-
-    /// Emits after the sink is sealed — the straggler case: a pooled
-    /// member popped just before cancellation can finish after
-    /// `race_core` returned at the deadline — are dropped everywhere,
-    /// so the answer frame stays the last line on the socket (framing
-    /// of later requests on the connection survives) and in the
-    /// replay channel (attach replays match the origin stream).
-    #[test]
-    fn watch_sink_silences_straggler_emits_after_close() {
-        let (sink, server_side, client) = test_sink(true);
-        let frame = |payload| Frame {
-            member: 1,
-            model: "island",
-            payload,
-        };
-        sink.emit(&frame(Payload::Start { elapsed_us: 3 }));
-        let reader = read_all_lines(client);
-        let (dropped, io) = sink.close(r#"{"frame":"answer"}"#.to_string());
-        assert_eq!(dropped, 0);
-        io.unwrap();
-        sink.emit(&frame(Payload::Finish {
-            elapsed_us: 9,
-            best: 55.0,
-        }));
-        let log = sink.channel.as_ref().unwrap().state.lock().unwrap();
-        assert!(log.done, "replay channel closed with the answer");
-        let kinds: Vec<&str> = log
-            .frames
-            .iter()
-            .map(|l| {
-                if l.contains("answer") {
-                    "answer"
-                } else {
-                    "other"
-                }
-            })
-            .collect();
-        assert_eq!(kinds, ["other", "answer"], "nothing trails the answer");
-        drop(log);
-        drop(sink);
-        drop(server_side);
-        let lines = reader.join().unwrap();
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert_eq!(lines[1], r#"{"frame":"answer"}"#);
-    }
-
     /// A watch id already carried by an in-flight race is rejected
     /// with an error line: re-attach must be unambiguous, and the
     /// rejection must leave the running race's registration (and its
@@ -4619,44 +4090,34 @@ mod tests {
             "the original race streamed to its answer untouched"
         );
         // The id is free again after the race finished.
-        assert!(!service.shared.watches.lock().unwrap().contains_key("dup"));
+        assert!(service.shared.watches.attach("dup").is_none());
         service.shutdown();
     }
 
-    /// A watch handler that unwinds before `finish_watch` (a panicking
-    /// inline member is an expected failure mode) must not leak its
-    /// hub registration or strand attached followers on the channel
-    /// condvar. Dropping an armed [`WatchGuard`] is exactly what the
-    /// unwind does.
+    /// A watch handler that unwinds before `finish` (a panicking inline
+    /// member is an expected failure mode) must not leak its hub
+    /// registration or strand attached followers on the log's condvar.
+    /// Dropping the subscription unfinished is exactly what the unwind
+    /// does.
     #[test]
     fn watch_guard_unregisters_and_releases_followers_on_unwind() {
         let service = Service::bind(tiny_config()).unwrap();
-        let shared = &service.shared;
+        let hub = &service.shared.watches;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
-        let sink = register_watch(&mut server_side, Some("leak-1"), shared)
+        let sub = hub
+            .subscribe(Some("leak-1"), &server_side)
             .unwrap()
             .expect("fresh id registers");
-        assert!(shared.watches.lock().unwrap().contains_key("leak-1"));
-        let channel = Arc::clone(sink.channel.as_ref().unwrap());
-        let guard = WatchGuard {
-            id: Some("leak-1"),
-            sink: Arc::clone(&sink),
-            shared,
-            armed: true,
-        };
-        drop(guard);
+        let log = hub.attach("leak-1").expect("registered while in flight");
+        drop(sub);
         assert!(
-            !shared.watches.lock().unwrap().contains_key("leak-1"),
+            hub.attach("leak-1").is_none(),
             "unwind removes the hub entry"
         );
-        assert!(
-            channel.state.lock().unwrap().done,
-            "unwind closes the channel"
-        );
-        // A follower's stream_to terminates instead of waiting forever.
-        channel.stream_to(&mut server_side).unwrap();
+        // A follower's follow terminates instead of waiting forever.
+        log.follow(&mut server_side).unwrap();
         service.shutdown();
     }
 
