@@ -11,7 +11,7 @@
 //!
 //! [[allow]]                  # audited allowlist entries
 //! rule = "panic_path"
-//! path = "crates/serve/src/server.rs"
+//! path = "crates/serve/src/server/"
 //! function = "run_workers"   # optional: omit to cover the whole file
 //! reason = "why this is sound — required, this is an audit record"
 //! ```

@@ -70,6 +70,19 @@ impl Finding {
     }
 }
 
+/// A `paths` entry of a path-scoped rule that matches no scanned file:
+/// code that moved without its gate following it.
+#[derive(Debug, Clone)]
+pub struct StalePath {
+    /// The rule whose `paths` list holds the entry.
+    pub rule: &'static str,
+    /// The entry as written in the config.
+    pub path: String,
+}
+
+/// Rules whose `[section]` scopes them with a `paths` list.
+const PATH_SCOPED: [&str; 2] = ["panic_path", "durability"];
+
 /// The outcome of one analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -81,13 +94,16 @@ pub struct Report {
     /// Allowlist entries that matched nothing — stale exceptions are
     /// reported so the allowlist can only shrink over time.
     pub unused_allows: Vec<config::Allow>,
+    /// `paths` entries that match no scanned file — reported like stale
+    /// allows, so a rule cannot silently stop covering moved code.
+    pub stale_paths: Vec<StalePath>,
 }
 
 impl Report {
     /// Gate verdict: true when nothing unsuppressed was found and no
-    /// allowlist entry is stale.
+    /// allowlist entry or `paths` entry is stale.
     pub fn clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_allows.is_empty()
+        self.findings.is_empty() && self.unused_allows.is_empty() && self.stale_paths.is_empty()
     }
 }
 
@@ -125,6 +141,16 @@ pub fn run(ws: &Workspace, cfg: &Config) -> Report {
     for (i, a) in cfg.allows.iter().enumerate() {
         if !used[i] {
             report.unused_allows.push(a.clone());
+        }
+    }
+    for rule in PATH_SCOPED {
+        if !cfg.has_section(rule) {
+            continue;
+        }
+        for path in cfg.list(rule, "paths") {
+            if !ws.files.iter().any(|f| f.rel.starts_with(path.as_str())) {
+                report.stale_paths.push(StalePath { rule, path });
+            }
         }
     }
     report

@@ -7,7 +7,8 @@
 //! * `--root DIR`    workspace root (default: current directory)
 //! * `--config FILE` config + allowlist (default: `<root>/analyze.toml`)
 //! * `--json`        machine-readable output
-//! * `--deny`        exit 1 on any finding or stale allowlist entry
+//! * `--deny`        exit 1 on any finding, stale allowlist entry or
+//!   stale `paths` entry
 //! * `--list`        also print suppressed findings (audit view)
 //!
 //! Exit codes: 0 clean (or findings without `--deny`), 1 findings under
@@ -97,12 +98,21 @@ fn main() -> ExitCode {
                     .unwrap_or_default()
             );
         }
+        for p in &report.stale_paths {
+            println!(
+                "stale-path: analyze.toml [{}] paths entry {:?} matches no scanned file — \
+                 point it at the moved code or remove it",
+                p.rule, p.path
+            );
+        }
         eprintln!(
-            "pga-shop-analyze: {} file(s), {} finding(s), {} allowed, {} stale allow(s)",
+            "pga-shop-analyze: {} file(s), {} finding(s), {} allowed, {} stale allow(s), \
+             {} stale path(s)",
             ws.files.len(),
             report.findings.len(),
             report.suppressed.len(),
-            report.unused_allows.len()
+            report.unused_allows.len(),
+            report.stale_paths.len()
         );
     }
     if deny && !report.clean() {
@@ -141,6 +151,17 @@ fn to_json(report: &analyze::Report, list: bool) -> String {
             esc(&mut s, f);
         }
         s.push_str(&format!(",\"config_line\":{}", a.line));
+        s.push('}');
+    }
+    s.push_str("],\"stale_paths\":[");
+    for (i, p) in report.stale_paths.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str("{\"rule\":");
+        esc(&mut s, p.rule);
+        s.push_str(",\"path\":");
+        esc(&mut s, &p.path);
         s.push('}');
     }
     s.push_str(&format!(

@@ -3,8 +3,8 @@
 //! Sits directly on the token stream from [`crate::lexer`]: finds
 //! function items by brace matching (no parser), assigns each a module
 //! path derived from the file location plus inline `mod` nesting, and
-//! marks test code (`#[test]` functions and `#[cfg(test)]` modules) so
-//! rules can skip it. Known approximations are documented on
+//! marks test code (`#[test]` functions, `#[cfg(test)]` modules and
+//! files under `#![cfg(test)]`) so rules can skip it. Known approximations are documented on
 //! [`FnItem`]; they are the price of a zero-dependency scanner and are
 //! acceptable because the rules run with an audited allowlist on top.
 
@@ -27,7 +27,7 @@ pub struct FnItem {
     /// inclusive.
     pub body: (usize, usize),
     /// True for `#[test]` functions and anything inside a
-    /// `#[cfg(test)]` module.
+    /// `#[cfg(test)]` module or after a `#![cfg(test)]` attribute.
     pub is_test: bool,
 }
 
@@ -209,7 +209,7 @@ fn module_of(_rel: &str, tree: &Path, _root: &Path, module_base: &str, path: &Pa
 }
 
 /// Scans the token stream for function items, tracking `#[cfg(test)]`
-/// module regions and `#[test]` attributes.
+/// module regions, `#![cfg(test)]` files and `#[test]` attributes.
 fn scan_fns(tokens: &[Token]) -> Vec<FnItem> {
     let mut fns = Vec::new();
     let mut i = 0usize;
@@ -230,6 +230,18 @@ fn scan_fns(tokens: &[Token]) -> Vec<FnItem> {
                     test_regions.pop();
                 }
                 i += 1;
+            }
+            // Inner `#![cfg(test)]`: everything to the end of the
+            // enclosing module (or file) is test code.
+            Tok::Punct('#')
+                if matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('!')))
+                    && matches!(tokens.get(i + 2).map(|t| &t.tok), Some(Tok::Punct('['))) =>
+            {
+                let (text, j) = attr_text(tokens, i + 3);
+                if text.contains("cfg(test)") {
+                    test_regions.push(depth - 1);
+                }
+                i = j;
             }
             Tok::Punct('#')
                 if matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('['))) =>

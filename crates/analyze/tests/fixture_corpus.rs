@@ -91,3 +91,42 @@ reason = \"matches nothing — must be reported stale\"
     assert_eq!(report.unused_allows[0].path, "nonexistent.rs");
     assert!(!report.clean(), "a stale allow entry must fail the gate");
 }
+
+#[test]
+fn paths_entries_matching_no_file_are_reported() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let ws = Workspace::load_dir(&dir).expect("fixture corpus readable");
+    let toml = "\
+[panic_path]
+paths = [\"panic_bad.rs\", \"moved_away/\"]
+macros = [\"panic\"]
+
+[durability]
+paths = [\"dur_ok.rs\", \"gone.rs\"]
+append = [\"append\"]
+fsync = [\"sync_all\"]
+answer = [\"encode\"]
+write = [\"write_all\"]
+";
+    let cfg = Config::parse(toml).expect("config parses");
+    let report = analyze::run(&ws, &cfg);
+    let stale: Vec<(&str, &str)> = report
+        .stale_paths
+        .iter()
+        .map(|p| (p.rule, p.path.as_str()))
+        .collect();
+    assert_eq!(
+        stale,
+        vec![("panic_path", "moved_away/"), ("durability", "gone.rs")]
+    );
+    assert!(!report.clean(), "a stale paths entry must fail the gate");
+}
+
+#[test]
+fn inner_cfg_test_marks_the_whole_file_as_test_code() {
+    let src =
+        "//! tests\n#![cfg(test)]\nfn helper() { x.unwrap(); }\n#[test]\nfn t() { y.unwrap(); }\n";
+    let file = analyze::scan::SourceFile::parse("t.rs", "t", "t", src);
+    assert_eq!(file.fns.len(), 2);
+    assert!(file.fns.iter().all(|f| f.is_test));
+}

@@ -9,35 +9,38 @@
 use crate::engine::{Individual, Observer};
 
 /// Mean pairwise Hamming distance of a population of sequences,
-/// normalised to `[0, 1]` by the sequence length. Populations of more
-/// than 64 individuals are stride-sampled: only every `n / 64`-th
-/// individual takes part, pairing with the sampled ones after it.
+/// normalised to `[0, 1]` by the sequence length. Exact, in O(n·L):
+/// at each locus the differing pairs are all pairs minus the pairs that
+/// share a value, so the distance is Σ_loci (C(n,2) − Σ_v C(c_v,2)) /
+/// (C(n,2)·L) with c_v the count of gene value v at that locus
+/// (Morrison & De Jong, "Measurement of population diversity", LNCS
+/// 2310, 2002). One count buffer, indexed by gene value (sequence
+/// views hold job or operation indices), is reused across loci.
+/// Sequences of unequal length compare over their common prefix.
 pub fn mean_hamming(population: &[Vec<usize>]) -> f64 {
     let n = population.len();
     if n < 2 {
         return 0.0;
     }
     let len = population[0].len().max(1);
+    let loci = population.iter().map(Vec::len).max().unwrap_or(0);
+    let top = population.iter().flatten().max().copied().unwrap_or(0);
+    let mut counts = vec![0usize; top + 1];
     let mut total = 0usize;
-    let mut pairs = 0usize;
-    let stride = if n > 64 { n / 64 } else { 1 };
-    let mut i = 0;
-    while i < n {
-        let mut j = i + stride;
-        while j < n {
-            total += population[i]
-                .iter()
-                .zip(&population[j])
-                .filter(|(a, b)| a != b)
-                .count();
-            pairs += 1;
-            j += stride;
+    for locus in 0..loci {
+        let (mut present, mut same) = (0usize, 0usize);
+        for &v in population.iter().filter_map(|seq| seq.get(locus)) {
+            // Each occurrence pairs with every earlier one of its value.
+            same += counts[v];
+            counts[v] += 1;
+            present += 1;
         }
-        i += stride;
+        total += present * present.saturating_sub(1) / 2 - same;
+        for &v in population.iter().filter_map(|seq| seq.get(locus)) {
+            counts[v] = 0;
+        }
     }
-    if pairs == 0 {
-        return 0.0;
-    }
+    let pairs = n * (n - 1) / 2;
     total as f64 / (pairs as f64 * len as f64)
 }
 
@@ -231,6 +234,33 @@ mod tests {
         assert_eq!(h.generations_to_target(60.0), Some(1));
         assert_eq!(h.generations_to_target(10.0), None);
         assert_eq!(h.convergence_auc(), 210.0);
+    }
+
+    #[test]
+    fn diversity_is_the_exact_all_pairs_mean() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        for n in [2, 5, 63, 64, 65, 127, 128, 129, 200] {
+            let pop: Vec<Vec<usize>> = (0..n).map(|_| (0..12).map(|_| next(5)).collect()).collect();
+            let mut diff = 0usize;
+            for i in 0..n {
+                for j in i + 1..n {
+                    diff += pop[i].iter().zip(&pop[j]).filter(|(a, b)| a != b).count();
+                }
+            }
+            let pairs = n * (n - 1) / 2;
+            let exact = diff as f64 / (pairs as f64 * 12.0);
+            assert_eq!(mean_hamming(&pop), exact, "n = {n}");
+        }
+        // Unequal lengths compare over the common prefix, as pairwise
+        // zipping does.
+        let ragged = vec![vec![0, 1, 2], vec![0, 2], vec![1]];
+        assert_eq!(mean_hamming(&ragged), 3.0 / (3.0 * 3.0));
     }
 
     #[test]

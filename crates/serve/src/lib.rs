@@ -90,8 +90,8 @@ pub use protocol::{
 pub use scheduler::{CancelToken, RacerPool};
 pub use server::{ServeConfig, Service, StatsSnapshot};
 pub use session::{
-    EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionGauges, SessionRegistry,
-    SessionState,
+    EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionEntry, SessionGauges,
+    SessionRegistry, SessionState,
 };
 pub use solver::{load_instance, solve, solve_hooked, LoadedInstance, SolveHooks, SolveOutcome};
-pub use wal::{RecoverOutcome, RecoveredSession, Wal, WalConfig};
+pub use wal::{RecoverOutcome, RecoveredSession, SessionStore, Wal, WalConfig};

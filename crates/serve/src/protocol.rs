@@ -600,50 +600,43 @@ fn parse_session_ref(v: &Json) -> Result<SessionRef, ProtocolError> {
 
 /// Encodes a `session_open` request (client side).
 pub fn encode_session_open(req: &SessionOpenRequest) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &req.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("cmd".into(), "session_open".into()));
-    fields.push(("instance".into(), instance_spec_to_json(&req.instance)));
-    fields.push(("objective".into(), req.objective.name().into()));
-    fields.push(("seed".into(), req.seed.into()));
-    fields.push(("deadline_ms".into(), req.deadline_ms.into()));
-    if req.ttl_ms != 0 {
-        fields.push(("ttl_ms".into(), req.ttl_ms.into()));
-    }
-    if req.trace {
-        fields.push(("trace".into(), true.into()));
-    }
-    Json::Obj(fields).encode()
+    let fields = [
+        ("cmd", "session_open".into()),
+        ("instance", instance_spec_to_json(&req.instance)),
+        ("objective", req.objective.name().into()),
+        ("seed", req.seed.into()),
+        ("deadline_ms", req.deadline_ms.into()),
+    ];
+    let ttl = (req.ttl_ms != 0).then(|| ("ttl_ms", req.ttl_ms.into()));
+    let rest = ttl.into_iter().chain(trace_flag(req.trace));
+    with_id(req.id.as_deref(), fields.into_iter().chain(rest)).encode()
 }
 
 /// Encodes a `session_event` request (client side).
 pub fn encode_session_event(req: &SessionEventRequest) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &req.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("cmd".into(), "session_event".into()));
-    fields.push(("session".into(), req.session.as_str().into()));
-    fields.push(("event".into(), event_to_json(&req.event)));
-    fields.push(("deadline_ms".into(), req.deadline_ms.into()));
-    if req.trace {
-        fields.push(("trace".into(), true.into()));
-    }
-    Json::Obj(fields).encode()
+    let fields = [
+        ("cmd", "session_event".into()),
+        ("session", req.session.as_str().into()),
+        ("event", event_to_json(&req.event)),
+        ("deadline_ms", req.deadline_ms.into()),
+    ];
+    with_id(
+        req.id.as_deref(),
+        fields.into_iter().chain(trace_flag(req.trace)),
+    )
+    .encode()
 }
 
 /// Encodes a `session_get`, `session_events` or `session_close`
 /// request (client side); `cmd` must be one of those three strings.
 pub fn encode_session_ref(cmd: &str, r: &SessionRef) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &r.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("cmd".into(), cmd.into()));
-    fields.push(("session".into(), r.session.as_str().into()));
-    Json::Obj(fields).encode()
+    let fields = [("cmd", cmd.into()), ("session", r.session.as_str().into())];
+    with_id(r.id.as_deref(), fields).encode()
+}
+
+/// The `"trace":true` opt-in field, present only when set.
+fn trace_flag(on: bool) -> Option<(&'static str, Json)> {
+    on.then(|| ("trace", true.into()))
 }
 
 fn parse_generate(v: &Json) -> Result<Request, ProtocolError> {
@@ -651,10 +644,7 @@ fn parse_generate(v: &Json) -> Result<Request, ProtocolError> {
         .get("spec")
         .ok_or_else(|| bad("generate needs a spec object"))?;
     let spec = gen_spec_from_json(spec_v)?;
-    let solve = match v.get("solve") {
-        None => false,
-        Some(s) => s.as_bool().ok_or_else(|| bad("solve must be a bool"))?,
-    };
+    let solve = bool_field(v, "solve")?;
     Ok(Request::Generate(Box::new(GenerateRequest {
         id: id_field(v),
         spec,
@@ -765,9 +755,9 @@ pub fn encode_watch(target: &WatchTarget) -> String {
             let line = encode_session_event(req);
             line.replace(r#""cmd":"session_event""#, r#""cmd":"watch""#)
         }
-        WatchTarget::Attach { request } => Json::Obj(vec![
-            ("cmd".into(), "watch".into()),
-            ("request".into(), request.as_str().into()),
+        WatchTarget::Attach { request } => obj([
+            ("cmd", "watch".into()),
+            ("request", request.as_str().into()),
         ])
         .encode(),
     }
@@ -812,72 +802,66 @@ fn instance_spec_to_json(spec: &InstanceSpec) -> Json {
 
 /// Encodes a solve request (client side).
 pub fn encode_request(req: &SolveRequest) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &req.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("instance".into(), instance_spec_to_json(&req.instance)));
-    fields.push(("objective".into(), req.objective.name().into()));
-    fields.push(("seed".into(), req.seed.into()));
-    fields.push(("deadline_ms".into(), req.deadline_ms.into()));
-    if req.trace {
-        fields.push(("trace".into(), true.into()));
-    }
-    Json::Obj(fields).encode()
+    let fields = [
+        ("instance", instance_spec_to_json(&req.instance)),
+        ("objective", req.objective.name().into()),
+        ("seed", req.seed.into()),
+        ("deadline_ms", req.deadline_ms.into()),
+    ];
+    with_id(
+        req.id.as_deref(),
+        fields.into_iter().chain(trace_flag(req.trace)),
+    )
+    .encode()
 }
 
 /// Encodes a generate request (client side).
 pub fn encode_generate_request(req: &GenerateRequest) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &req.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("cmd".into(), "generate".into()));
-    fields.push(("spec".into(), gen_spec_to_json(&req.spec)));
-    if req.solve {
-        fields.push(("solve".into(), true.into()));
-        fields.push(("objective".into(), req.objective.name().into()));
-        fields.push(("seed".into(), req.seed.into()));
-        fields.push(("deadline_ms".into(), req.deadline_ms.into()));
-    }
-    Json::Obj(fields).encode()
+    let fields = [
+        ("cmd", "generate".into()),
+        ("spec", gen_spec_to_json(&req.spec)),
+    ];
+    let solve = req.solve.then(|| {
+        [
+            ("solve", true.into()),
+            ("objective", req.objective.name().into()),
+            ("seed", req.seed.into()),
+            ("deadline_ms", req.deadline_ms.into()),
+        ]
+    });
+    with_id(
+        req.id.as_deref(),
+        fields.into_iter().chain(solve.into_iter().flatten()),
+    )
+    .encode()
 }
 
 /// Encodes a batch request (client side).
 pub fn encode_batch_request(req: &BatchRequest) -> String {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = &req.id {
-        fields.push(("id".into(), id.as_str().into()));
-    }
-    fields.push(("cmd".into(), "batch".into()));
     let items: Vec<Json> = req
         .items
         .iter()
         .map(|item| {
-            let mut f: Vec<(String, Json)> = Vec::new();
-            if let Some(id) = &item.id {
-                f.push(("id".into(), id.as_str().into()));
-            }
-            match &item.source {
-                BatchSource::Instance(spec) => {
-                    f.push(("instance".into(), instance_spec_to_json(spec)))
-                }
-                BatchSource::Generate(spec) => f.push(("generate".into(), gen_spec_to_json(spec))),
-            }
-            if let Some(seed) = item.seed {
-                f.push(("seed".into(), seed.into()));
-            }
-            if let Some(objective) = item.objective {
-                f.push(("objective".into(), objective.name().into()));
-            }
-            Json::Obj(f)
+            let source = match &item.source {
+                BatchSource::Instance(spec) => ("instance", instance_spec_to_json(spec)),
+                BatchSource::Generate(spec) => ("generate", gen_spec_to_json(spec)),
+            };
+            let seed = item.seed.map(|seed| ("seed", seed.into()));
+            let objective = item.objective.map(|o| ("objective", o.name().into()));
+            with_id(
+                item.id.as_deref(),
+                [source].into_iter().chain(seed).chain(objective),
+            )
         })
         .collect();
-    fields.push(("items".into(), Json::Arr(items)));
-    fields.push(("objective".into(), req.objective.name().into()));
-    fields.push(("seed".into(), req.seed.into()));
-    fields.push(("deadline_ms".into(), req.deadline_ms.into()));
-    Json::Obj(fields).encode()
+    let fields = [
+        ("cmd", "batch".into()),
+        ("items", Json::Arr(items)),
+        ("objective", req.objective.name().into()),
+        ("seed", req.seed.into()),
+        ("deadline_ms", req.deadline_ms.into()),
+    ];
+    with_id(req.id.as_deref(), fields).encode()
 }
 
 /// The solution part of a solve response (what the cache stores).
@@ -954,6 +938,37 @@ fn telemetry_to_json(t: &RequestTelemetry) -> Json {
     ])
 }
 
+/// An object led by the echoed request `id` (when there is one), then
+/// `fields` in order — the preamble every request and response shares.
+pub(crate) fn with_id<'a>(
+    id: Option<&str>,
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+) -> Json {
+    let head = id.map(|id| ("id", Json::from(id)));
+    extended(Json::Obj(Vec::new()), head.into_iter().chain(fields))
+}
+
+/// A response body: `id` (when the request carried one), `status`, then
+/// `fields` in order.
+pub(crate) fn reply<'a>(
+    id: Option<&str>,
+    status: &str,
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+) -> Json {
+    with_id(id, std::iter::once(("status", status.into())).chain(fields))
+}
+
+/// Appends `fields` to an object body (any other value passes through).
+pub(crate) fn extended<'a>(body: Json, fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    match body {
+        Json::Obj(mut out) => {
+            out.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+            Json::Obj(out)
+        }
+        other => other,
+    }
+}
+
 /// Builds a successful solve response body (also used verbatim as a
 /// batch item entry and a generate response's `solution` field).
 pub fn solution_json(
@@ -962,19 +977,19 @@ pub fn solution_json(
     cached: bool,
     telemetry: &RequestTelemetry,
 ) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "ok".into()));
-    fields.push(("objective".into(), sol.objective.name().into()));
-    fields.push(("value".into(), sol.value.into()));
-    fields.push(("makespan".into(), sol.makespan.into()));
-    fields.push(("model".into(), sol.model.as_str().into()));
-    fields.push(("cached".into(), cached.into()));
-    fields.push(("schedule".into(), schedule_to_json(&sol.schedule)));
-    fields.push(("telemetry".into(), telemetry_to_json(telemetry)));
-    Json::Obj(fields)
+    reply(
+        id,
+        "ok",
+        [
+            ("objective", sol.objective.name().into()),
+            ("value", sol.value.into()),
+            ("makespan", sol.makespan.into()),
+            ("model", sol.model.as_str().into()),
+            ("cached", cached.into()),
+            ("schedule", schedule_to_json(&sol.schedule)),
+            ("telemetry", telemetry_to_json(telemetry)),
+        ],
+    )
 }
 
 /// Encodes a successful solve response line.
@@ -989,13 +1004,7 @@ pub fn encode_solution(
 
 /// Builds an error response body (also used as a batch item entry).
 pub fn error_json(id: Option<&str>, message: &str) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "error".into()));
-    fields.push(("error".into(), message.into()));
-    Json::Obj(fields)
+    reply(id, "error", [("error", message.into())])
 }
 
 /// Builds the `busy` backpressure response: the racer-pool queue is
@@ -1007,18 +1016,19 @@ pub fn error_json(id: Option<&str>, message: &str) -> Json {
 /// retrying an identical request after another client's solve lands
 /// can succeed without racing at all.
 pub fn busy_json(id: Option<&str>, queue_depth: u64, limit: u64) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".into(), id.into()));
-    }
-    fields.push(("status".into(), "error".into()));
-    fields.push(("code".into(), "busy".into()));
-    fields.push((
-        "error".into(),
-        format!("server busy: {queue_depth} race tasks queued (admission limit {limit})").into(),
-    ));
-    fields.push(("queue_depth".into(), queue_depth.into()));
-    Json::Obj(fields)
+    reply(
+        id,
+        "error",
+        [
+            ("code", "busy".into()),
+            (
+                "error",
+                format!("server busy: {queue_depth} race tasks queued (admission limit {limit})")
+                    .into(),
+            ),
+            ("queue_depth", queue_depth.into()),
+        ],
+    )
 }
 
 /// Encodes an error response line.

@@ -30,7 +30,8 @@
 //! is answered within its deadline no matter what.
 //!
 //! Sessions live in a [`SessionRegistry`] with idle-TTL expiry and LRU
-//! capacity eviction; `stats` exposes the gauges. Registry lookups take
+//! capacity eviction, owned together with the write-ahead log by
+//! [`crate::wal::SessionStore`]; `stats` exposes the gauges. Registry lookups take
 //! one short registry lock; event processing locks only the addressed
 //! session, so events on different sessions race concurrently while
 //! events on one session serialise in arrival order.
@@ -125,6 +126,12 @@ pub struct JournalEntry {
     pub deadline_bound: bool,
 }
 
+/// A registry entry: the session state behind its own mutex. `None`
+/// once the session is closed — close takes the state out under this
+/// lock, so a request that looked the entry up before the close finds
+/// it gone instead of acting on (or logging for) a forgotten session.
+pub type SessionEntry = Arc<Mutex<Option<SessionState>>>;
+
 /// One registry slot: the shared session entry plus recency metadata
 /// (kept outside the entry mutex so touching never waits on a running
 /// event).
@@ -132,7 +139,7 @@ struct Slot {
     stamp: u64,
     last_touch: Instant,
     ttl: Duration,
-    entry: Arc<Mutex<SessionState>>,
+    entry: SessionEntry,
 }
 
 /// Monotonic session counters (exposed through the service's `stats`).
@@ -204,11 +211,6 @@ impl SessionRegistry {
         }
     }
 
-    /// The registry policy in force.
-    pub fn config(&self) -> SessionConfig {
-        self.config
-    }
-
     /// Sessions currently registered (after sweeping expired ones).
     pub fn len(&self) -> usize {
         let mut slots = self.slots.lock().expect("session registry poisoned");
@@ -244,40 +246,23 @@ impl SessionRegistry {
         }
     }
 
-    /// Registers a fresh session and returns its id (`sess-<n>`).
-    /// `ttl_ms` 0 means the registry default; the configured maximum
-    /// clamps it either way. At capacity the least-recently-used
-    /// session is evicted.
-    pub fn open(&self, state: SessionState, ttl_ms: u64) -> String {
-        let ttl = match ttl_ms {
-            0 => self.config.default_ttl,
-            ms => Duration::from_millis(ms).min(self.config.max_ttl),
-        };
+    /// Registers a fresh session under a newly minted id (`sess-<n>`)
+    /// and returns the id. `before_publish` runs with the id and state
+    /// before the session becomes reachable — the write-ahead log
+    /// writes the open record there, so no lookup, eviction or sweep
+    /// can see a session whose log does not exist yet. `ttl_ms` 0
+    /// means the registry default; the configured maximum clamps it
+    /// either way. At capacity the least-recently-used session is
+    /// evicted.
+    pub fn open(
+        &self,
+        state: SessionState,
+        ttl_ms: u64,
+        before_publish: impl FnOnce(&str, &SessionState),
+    ) -> String {
         let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut slots = self.slots.lock().expect("session registry poisoned");
-        self.sweep(&mut slots);
-        while slots.len() >= self.config.max_sessions {
-            let Some(lru) = slots
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            slots.remove(&lru);
-            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        slots.insert(
-            id.clone(),
-            Slot {
-                stamp,
-                last_touch: Instant::now(),
-                ttl,
-                entry: Arc::new(Mutex::new(state)),
-            },
-        );
-        self.counters.opened.fetch_add(1, Ordering::Relaxed);
+        before_publish(&id, &state);
+        self.insert(&id, state, ttl_ms, &self.counters.opened);
         id
     }
 
@@ -291,15 +276,23 @@ impl SessionRegistry {
     ///
     /// The id minter is bumped past any recovered `sess-<n>` so a
     /// post-restart `session_open` can never re-issue a recovered id.
-    pub fn restore(
+    pub fn restore(&self, id: &str, state: SessionState, ttl_ms: u64) -> (SessionEntry, bool) {
+        if let Some(n) = id.strip_prefix("sess-").and_then(|n| n.parse::<u64>().ok()) {
+            self.next_id.fetch_max(n, Ordering::Relaxed);
+        }
+        self.insert(id, state, ttl_ms, &self.counters.recovered)
+    }
+
+    /// Inserts `state` under `id` unless the id is already live,
+    /// evicting least-recently-used sessions down to capacity, and
+    /// bumps `counter` when it inserted.
+    fn insert(
         &self,
         id: &str,
         state: SessionState,
         ttl_ms: u64,
-    ) -> (Arc<Mutex<SessionState>>, bool) {
-        if let Some(n) = id.strip_prefix("sess-").and_then(|n| n.parse::<u64>().ok()) {
-            self.next_id.fetch_max(n, Ordering::Relaxed);
-        }
+        counter: &AtomicU64,
+    ) -> (SessionEntry, bool) {
         let ttl = match ttl_ms {
             0 => self.config.default_ttl,
             ms => Duration::from_millis(ms).min(self.config.max_ttl),
@@ -321,7 +314,7 @@ impl SessionRegistry {
             slots.remove(&lru);
             self.counters.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        let entry = Arc::new(Mutex::new(state));
+        let entry = Arc::new(Mutex::new(Some(state)));
         slots.insert(
             id.to_string(),
             Slot {
@@ -331,13 +324,13 @@ impl SessionRegistry {
                 entry: Arc::clone(&entry),
             },
         );
-        self.counters.recovered.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
         (entry, true)
     }
 
     /// Looks up (and touches) a session. `None` when unknown or
     /// expired.
-    pub fn get(&self, id: &str) -> Option<Arc<Mutex<SessionState>>> {
+    pub fn get(&self, id: &str) -> Option<SessionEntry> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut slots = self.slots.lock().expect("session registry poisoned");
         self.sweep(&mut slots);
@@ -349,7 +342,7 @@ impl SessionRegistry {
     }
 
     /// Removes a session; returns its entry for a final summary.
-    pub fn close(&self, id: &str) -> Option<Arc<Mutex<SessionState>>> {
+    pub fn close(&self, id: &str) -> Option<SessionEntry> {
         let mut slots = self.slots.lock().expect("session registry poisoned");
         self.sweep(&mut slots);
         let slot = slots.remove(id)?;
@@ -742,7 +735,7 @@ mod tests {
     fn registry_opens_touches_and_closes() {
         let reg = SessionRegistry::new(cfg());
         assert!(reg.is_empty());
-        let id = reg.open(open_state(1), 0);
+        let id = reg.open(open_state(1), 0, |_, _| {});
         assert_eq!(id, "sess-1");
         assert_eq!(reg.len(), 1);
         assert!(reg.get(&id).is_some());
@@ -751,6 +744,21 @@ mod tests {
         assert!(reg.close(&id).is_none());
         let g = reg.gauges();
         assert_eq!((g.open, g.opened, g.closed), (0, 1, 1));
+    }
+
+    #[test]
+    fn open_publishes_the_session_only_after_its_hook_ran() {
+        let reg = SessionRegistry::new(cfg());
+        let mut seen = None;
+        let id = reg.open(open_state(1), 0, |id, state| {
+            // The write-ahead log's open record goes here: nothing can
+            // reach, evict or sweep the session yet.
+            assert!(reg.get(id).is_none());
+            assert_eq!(reg.len(), 0);
+            seen = Some((id.to_string(), state.seed));
+        });
+        assert_eq!(seen, Some((id.clone(), 1)));
+        assert!(reg.get(&id).is_some());
     }
 
     #[test]
@@ -768,7 +776,7 @@ mod tests {
         assert!(Arc::ptr_eq(&entry, &same));
         assert_eq!(reg.gauges().recovered, 1);
         // The minter was bumped past the recovered id.
-        let fresh = reg.open(open_state(3), 0);
+        let fresh = reg.open(open_state(3), 0, |_, _| {});
         assert_eq!(fresh, "sess-8");
     }
 
@@ -781,9 +789,9 @@ mod tests {
         // Solve both incumbents *before* opening: the portfolio race
         // takes longer than the tiny TTL under test.
         let (a, b) = (open_state(1), open_state(2));
-        let id = reg.open(a, 0);
+        let id = reg.open(a, 0, |_, _| {});
         // A generous per-request TTL is clamped to max_ttl, not default.
-        let long = reg.open(b, 3_600_000);
+        let long = reg.open(b, 3_600_000, |_, _| {});
         assert_eq!(reg.len(), 2);
         std::thread::sleep(Duration::from_millis(150));
         assert!(reg.get(&id).is_none(), "idle session must expire");
@@ -799,11 +807,11 @@ mod tests {
             max_sessions: 2,
             ..cfg()
         });
-        let a = reg.open(open_state(1), 0);
-        let b = reg.open(open_state(2), 0);
+        let a = reg.open(open_state(1), 0, |_, _| {});
+        let b = reg.open(open_state(2), 0, |_, _| {});
         // Touch a so b becomes the LRU.
         assert!(reg.get(&a).is_some());
-        let c = reg.open(open_state(3), 0);
+        let c = reg.open(open_state(3), 0, |_, _| {});
         assert_eq!(reg.len(), 2);
         assert!(reg.get(&b).is_none(), "LRU session must be evicted");
         assert!(reg.get(&a).is_some());

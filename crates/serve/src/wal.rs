@@ -39,10 +39,14 @@
 //! bit flips through this contract.
 
 use crate::json::{obj, Json};
+use crate::obs::metrics::{Counter, Histogram};
 use crate::protocol::{
     event_from_json, event_to_json, schedule_from_json, schedule_to_json, Objective, Solution,
 };
-use crate::session::{JournalEntry, SessionState};
+use crate::server::{ServeConfig, ServiceStats};
+use crate::session::{
+    JournalEntry, SessionConfig, SessionEntry, SessionGauges, SessionRegistry, SessionState,
+};
 use shop::dynamic::{apply_event, DownWindow, Event};
 use shop::instance::hash::Fnv1a;
 use shop::instance::parse::{parse_job_shop_ragged, write_job_shop_ragged};
@@ -51,7 +55,8 @@ use shop::schedule::Schedule;
 use shop::{Problem, Time};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Frame header size: u32 payload length + u64 FNV-1a checksum.
 const FRAME_HEADER: usize = 12;
@@ -182,7 +187,9 @@ fn meta_from_json(v: &Json) -> Result<JobMeta, String> {
     Ok(meta)
 }
 
-fn windows_to_json(windows: &[DownWindow]) -> Json {
+/// Down-windows as `[machine, from, until]` rows — the log's and the
+/// wire's shape.
+pub(crate) fn windows_to_json(windows: &[DownWindow]) -> Json {
     Json::Arr(
         windows
             .iter()
@@ -217,7 +224,9 @@ fn windows_from_json(v: &Json) -> Result<Vec<DownWindow>, String> {
         .map_err(str::to_string)
 }
 
-fn journal_entry_to_json(e: &JournalEntry) -> Json {
+/// One journal row — the log's snapshot shape and the `session_events`
+/// wire row.
+pub(crate) fn journal_entry_to_json(e: &JournalEntry) -> Json {
     obj([
         ("seq", e.seq.into()),
         ("event", event_to_json(&e.event)),
@@ -265,19 +274,25 @@ fn incumbent_fields(fields: &mut Vec<(String, Json)>, sol: &Solution, deadline_b
     fields.push(("schedule".into(), schedule_to_json(&sol.schedule)));
 }
 
-/// Builds the `session_open` header record: everything needed to
-/// reconstruct the session's birth state (instance text, objective,
-/// seed, TTL request, initial incumbent).
-pub fn open_record(session: &str, state: &SessionState) -> String {
-    let mut fields: Vec<(String, Json)> = vec![
-        ("kind".into(), "open".into()),
+/// The leading fields of a base record (`open` or `snapshot`): what a
+/// session was opened with, and its instance as of `state`.
+fn base_fields(kind: &str, session: &str, state: &SessionState) -> Vec<(String, Json)> {
+    vec![
+        ("kind".into(), kind.into()),
         ("session".into(), session.into()),
         ("objective".into(), state.objective.name().into()),
         ("seed".into(), state.seed.into()),
         ("ttl_ms".into(), state.ttl_ms.into()),
         ("instance".into(), write_job_shop_ragged(&state.inst).into()),
         ("meta".into(), meta_to_json(&state.inst.meta)),
-    ];
+    ]
+}
+
+/// Builds the `session_open` header record: everything needed to
+/// reconstruct the session's birth state (instance text, objective,
+/// seed, TTL request, initial incumbent).
+pub fn open_record(session: &str, state: &SessionState) -> String {
+    let mut fields = base_fields("open", session, state);
     incumbent_fields(&mut fields, &state.incumbent, state.deadline_bound);
     Json::Obj(fields).encode()
 }
@@ -301,14 +316,8 @@ pub fn event_record(seq: u64, event: &Event, outcome: &crate::session::EventOutc
 /// incumbent, and the event journal so `session_events` survives
 /// compaction). Replaces the whole log during compaction.
 pub fn snapshot_record(session: &str, state: &SessionState) -> String {
-    let mut fields: Vec<(String, Json)> = vec![
-        ("kind".into(), "snapshot".into()),
-        ("session".into(), session.into()),
-        ("objective".into(), state.objective.name().into()),
-        ("seed".into(), state.seed.into()),
-        ("ttl_ms".into(), state.ttl_ms.into()),
-        ("instance".into(), write_job_shop_ragged(&state.inst).into()),
-        ("meta".into(), meta_to_json(&state.inst.meta)),
+    let mut fields = base_fields("snapshot", session, state);
+    fields.extend([
         ("windows".into(), windows_to_json(&state.windows)),
         ("now".into(), state.now.into()),
         ("events".into(), state.events.into()),
@@ -316,7 +325,7 @@ pub fn snapshot_record(session: &str, state: &SessionState) -> String {
             "journal".into(),
             Json::Arr(state.journal.iter().map(journal_entry_to_json).collect()),
         ),
-    ];
+    ]);
     incumbent_fields(&mut fields, &state.incumbent, state.deadline_bound);
     Json::Obj(fields).encode()
 }
@@ -650,13 +659,11 @@ impl Wal {
 
     /// Appends one record to a session's log (fsync'd per
     /// [`WalConfig::fsync`]). The caller answers the wire only after
-    /// this returns.
+    /// this returns. Only an existing log is extended: a log removed by
+    /// close fails with `NotFound` instead of coming back headerless.
     pub fn append(&self, session: &str, record: &str) -> std::io::Result<()> {
         let path = self.require(session)?;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path)?;
         file.write_all(&frame(record))?;
         self.sync(&file)
     }
@@ -783,6 +790,205 @@ impl Wal {
             }
         }
         Ok(out)
+    }
+}
+
+/// Durable sessions: the TTL/LRU [`SessionRegistry`] and the optional
+/// per-session [`Wal`] behind one policy.
+///
+/// * **Log before answering.** [`SessionStore::register`] writes the
+///   open record before the id is reachable, and
+///   [`SessionStore::record_event`] appends under the session lock
+///   before the caller answers.
+/// * **Fall back to memory on I/O failure.** A failed write is counted
+///   in `errors` and the answer still ships: losing the answer would
+///   be worse than losing durability.
+/// * **Recover on first touch.** A session the registry no longer holds
+///   (restart, TTL expiry, LRU eviction) is replayed from its log by
+///   [`SessionStore::entry`]; durability beats expiry.
+/// * **Forget on close.** [`SessionStore::close`] takes the state out
+///   under the session lock, then deletes the log, so an event ordered
+///   after the close answers `unknown_session` and writes nothing.
+///
+/// Without a WAL directory the store is the registry alone.
+pub struct SessionStore {
+    registry: SessionRegistry,
+    wal: Option<Wal>,
+    /// Serialises log recovery against close, so a closing session is
+    /// never revived from the log it is deleting. Taken only on a
+    /// registry miss and on close.
+    recovery: Mutex<()>,
+    /// The service's `wal_appends`, `wal_replays` and `errors` counters.
+    appends: Arc<Counter>,
+    replays: Arc<Counter>,
+    errors: Arc<Counter>,
+    /// Per-record write latency (frame + write + fsync, plus the
+    /// snapshot rewrite when one triggers), µs.
+    append_us: Arc<Histogram>,
+}
+
+impl SessionStore {
+    /// Builds the store from a resolved service configuration, counting
+    /// into the service's `stats` and timing writes into `append_us`.
+    /// With a `wal_dir` it rebuilds the registry from every log on disk
+    /// before returning, so a client that reconnects right after a
+    /// crash sees its session. A corrupt or unreadable log is
+    /// quarantined, never fatal; only an unusable WAL directory is.
+    pub fn new(
+        config: &ServeConfig,
+        stats: &ServiceStats,
+        append_us: Arc<Histogram>,
+    ) -> std::io::Result<SessionStore> {
+        let ttl = Duration::from_millis(config.session_ttl_ms.max(1));
+        let registry = SessionRegistry::new(SessionConfig {
+            default_ttl: ttl,
+            max_ttl: ttl.saturating_mul(10),
+            max_sessions: config.max_sessions.max(1),
+        });
+        let wal = config
+            .wal_dir
+            .as_ref()
+            .map(|dir| {
+                Wal::new(WalConfig {
+                    dir: PathBuf::from(dir),
+                    snapshot_every: config.wal_snapshot_every,
+                    fsync: config.wal_fsync,
+                })
+            })
+            .transpose()?;
+        let store = SessionStore {
+            registry,
+            wal,
+            recovery: Mutex::new(()),
+            appends: Arc::clone(&stats.wal_appends),
+            replays: Arc::clone(&stats.wal_replays),
+            errors: Arc::clone(&stats.errors),
+            append_us,
+        };
+        match store.wal.as_ref().map(Wal::recover_all).transpose() {
+            Ok(recovered) => recovered.into_iter().flatten().for_each(|rec| {
+                store.adopt(rec);
+            }),
+            Err(e) => eprintln!("[serve::wal] recovery scan failed: {e}"),
+        }
+        Ok(store)
+    }
+
+    /// Registry gauges (open / opened / closed / expired / evicted /
+    /// recovered).
+    pub fn gauges(&self) -> SessionGauges {
+        self.registry.gauges()
+    }
+
+    /// Registers a fresh session and returns its id. With a WAL the open
+    /// record is written under the minted id before the session becomes
+    /// reachable, so even a session evicted before its opener answers
+    /// can be recovered.
+    pub fn register(&self, state: SessionState, ttl_ms: u64) -> String {
+        self.registry.open(state, ttl_ms, |id, state| {
+            self.write(id, "open append", |wal| {
+                wal.begin(id, &open_record(id, state))
+            });
+        })
+    }
+
+    /// Looks up a session, replaying its log when the registry no longer
+    /// holds it. `None` when the session is unknown, closed, or its log
+    /// is unusable (quarantined and counted in `errors`). A `Some` entry
+    /// still holds `None` when a close won the entry lock first.
+    pub fn entry(&self, id: &str) -> Option<SessionEntry> {
+        if let Some(entry) = self.registry.get(id) {
+            return Some(entry);
+        }
+        let wal = self.wal.as_ref()?;
+        // panic-safe: poisoned = a recovery already panicked; never replay on top of it.
+        let _recovering = self.recovery.lock().expect("recovery lock poisoned");
+        // A request that waited here may find the session recovered.
+        if let Some(entry) = self.registry.get(id) {
+            return Some(entry);
+        }
+        let failure = match wal.recover_one(id) {
+            Ok(RecoverOutcome::Recovered(rec)) => return Some(self.adopt(*rec)),
+            Ok(RecoverOutcome::Missing) => return None,
+            Ok(RecoverOutcome::Quarantined { path, error }) => {
+                format!("quarantined {} ({error})", path.display())
+            }
+            Err(e) => format!("recovery failed: {e}"),
+        };
+        eprintln!("[serve::wal] {id}: {failure}");
+        self.errors.inc();
+        None
+    }
+
+    /// Logs one accepted event, and compacts the log into a snapshot
+    /// when the cadence triggers. Call under the session's entry lock
+    /// and before answering: appends stay ordered per session and an
+    /// answered event is a durable event.
+    pub fn record_event(
+        &self,
+        id: &str,
+        state: &SessionState,
+        event: &Event,
+        out: &crate::session::EventOutcome,
+    ) {
+        self.write(id, "append", |wal| {
+            wal.append(id, &event_record(state.events, event, out))?;
+            let every = wal.config().snapshot_every;
+            if every > 0 && state.events.is_multiple_of(every) {
+                wal.rewrite(id, &snapshot_record(id, state))?;
+            }
+            Ok(())
+        });
+    }
+
+    /// Closes a session (recovering it first if only its log is left)
+    /// and returns its final state; `None` when unknown or already
+    /// closed. The state is taken out under the entry lock, so close is
+    /// ordered after any in-flight event on the session and before any
+    /// later one; the log is deleted before the id leaves the registry,
+    /// so nothing can replay it back.
+    pub fn close(&self, id: &str) -> Option<SessionState> {
+        let entry = self.entry(id)?;
+        let mut slot = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
+        let state = slot.take()?;
+        // panic-safe: as in `entry`.
+        let _recovering = self.recovery.lock().expect("recovery lock poisoned");
+        if let Some(wal) = &self.wal {
+            if let Err(e) = wal.remove(id) {
+                eprintln!("[serve::wal] {id}: remove failed: {e}");
+                self.errors.inc();
+            }
+        }
+        self.registry.close(id);
+        Some(state)
+    }
+
+    /// Registers a session rebuilt from its log and counts its replayed
+    /// records.
+    fn adopt(&self, rec: RecoveredSession) -> SessionEntry {
+        if let Some(salvaged) = &rec.salvaged {
+            eprintln!("[serve::wal] {}: {salvaged}", rec.session);
+        }
+        self.replays.add(rec.records);
+        self.registry.restore(&rec.session, rec.state, rec.ttl_ms).0
+    }
+
+    /// Runs one log write, timing it and counting the outcome; a failure
+    /// degrades to memory-only service for this record.
+    fn write(&self, id: &str, what: &str, op: impl FnOnce(&Wal) -> std::io::Result<()>) {
+        let Some(wal) = &self.wal else {
+            return;
+        };
+        let started = Instant::now();
+        let result = op(wal);
+        self.append_us.observe(started.elapsed().as_micros() as u64);
+        match result {
+            Ok(()) => self.appends.inc(),
+            Err(e) => {
+                eprintln!("[serve::wal] {id}: {what} failed: {e} (continuing without durability)");
+                self.errors.inc();
+            }
+        }
     }
 }
 
