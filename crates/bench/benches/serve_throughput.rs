@@ -5,18 +5,15 @@
 //! connections of cold traffic against the persistent racer pool —
 //! the provisioning experiment behind the scheduler: racer threads
 //! stay bounded by the pool size while throughput tracks the
-//! hardware). Besides the criterion lines, the measurements are
-//! written to `BENCH_serve.json` in the working directory so the
-//! serving path has a tracked performance record (the file is
-//! gitignored; numbers are machine-local).
+//! hardware). Besides the criterion lines, it prints the throughput
+//! and sweep rows.
 //!
 //! A second group measures **session-event throughput vs. WAL mode**
 //! (no WAL / WAL+fsync / WAL without fsync) under concurrent
-//! sessions, appending rows to `BENCH_session.json` — the measured
-//! price of the fsync-before-answer durability guarantee.
+//! sessions and prints one row per mode — the measured price of the
+//! fsync-before-answer durability guarantee.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use serve::json::obj;
 use serve::protocol::{encode_request, InstanceSpec, Objective, SolveRequest};
 use serve::{ServeConfig, Service};
 use std::io::{BufRead, BufReader, Write};
@@ -164,12 +161,10 @@ fn session_events_sweep(addr: std::net::SocketAddr, sessions: usize, window: Dur
     done.load(std::sync::atomic::Ordering::Relaxed) as f64 / started.elapsed().as_secs_f64()
 }
 
-/// Session-event throughput with and without the WAL (ISSUE 8): the
-/// same concurrent event storm against a memory-only service, a
-/// durable one (fsync before every answer), and a durable one with
-/// fsync off — isolating framing+write cost from the fsync itself.
-/// Rows are *appended* to `BENCH_session.json` next to the
-/// x03_session_storm trajectory.
+/// Session-event throughput with and without the WAL: the same
+/// concurrent event storm against a memory-only service, a durable one
+/// (fsync before every answer), and a durable one with fsync off —
+/// isolating framing+write cost from the fsync itself.
 fn bench_session_wal(c: &mut Criterion) {
     const SESSIONS: usize = 4;
     let wal_root = std::env::temp_dir().join(format!("pga-wal-bench-{}", std::process::id()));
@@ -184,7 +179,6 @@ fn bench_session_wal(c: &mut Criterion) {
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
-    let mut rows: Vec<serve::Json> = Vec::new();
     for (mode, wal, fsync) in modes {
         let config = ServeConfig {
             gen_cap: 10,
@@ -214,37 +208,15 @@ fn bench_session_wal(c: &mut Criterion) {
         });
 
         let events_per_sec = session_events_sweep(addr, SESSIONS, Duration::from_millis(800));
-        rows.push(obj([
-            ("bench", "serve_session_wal".into()),
-            ("mode", mode.into()),
-            ("sessions", (SESSIONS as u64).into()),
-            ("events_per_sec", events_per_sec.into()),
-            ("gen_cap", 10u64.into()),
-        ]));
+        println!(
+            "serve_session_wal: mode {mode}, {SESSIONS} sessions, gen_cap 10: \
+             {events_per_sec:.1} events/s"
+        );
 
         drop(client);
         service.shutdown();
     }
     g.finish();
-
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_session.json");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_session.json");
-    for row in &mut rows {
-        if let serve::Json::Obj(fields) = row {
-            fields.insert(1, ("run_epoch_s".into(), stamp.into()));
-        }
-        use std::io::Write as _;
-        writeln!(file, "{}", row.encode()).expect("append row");
-        println!("BENCH_session.json: {}", row.encode());
-    }
     let _ = std::fs::remove_dir_all(&wal_root);
 }
 
@@ -284,50 +256,36 @@ fn bench_serve(c: &mut Criterion) {
     });
     g.finish();
 
-    // Throughput record for BENCH_serve.json.
+    // Single-client throughput rows.
     let cached_rps = throughput(&mut client, Duration::from_millis(800), || solve_line(42));
     let mut seed = 10_000u64;
     let cold_rps = throughput(&mut client, Duration::from_millis(800), || {
         seed += 1;
         solve_line(seed)
     });
+    println!(
+        "serve_throughput: ft06, deadline 200 ms, racer pool {}, max queue depth {}: \
+         cached {cached_rps:.1} req/s, cold {cold_rps:.1} req/s ({:.1}x)",
+        service.racer_pool_size(),
+        max_queue_depth,
+        cached_rps / cold_rps
+    );
     // Concurrent-client saturation sweep: cold traffic from 1/2/4/8
-    // connections against the fixed racer pool. Before the persistent
-    // scheduler this fanned out `connections x racers` fresh threads;
-    // now racer threads are pinned at pool size and the sweep shows
-    // how aggregate cold throughput scales with offered load.
-    let sweep: Vec<serve::Json> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&clients| {
-            let (rps, busy) = concurrent_cold_sweep(
-                addr,
-                clients,
-                Duration::from_millis(1_500),
-                100_000 * (clients as u64 + 1),
-            );
-            obj([
-                ("clients", (clients as u64).into()),
-                ("cold_requests_per_sec", rps.into()),
-                ("busy_responses", busy.into()),
-            ])
-        })
-        .collect();
-    let report = obj([
-        ("bench", "serve_throughput".into()),
-        ("instance", "ft06".into()),
-        ("deadline_ms", 200u64.into()),
-        ("cached_requests_per_sec", cached_rps.into()),
-        ("cold_requests_per_sec", cold_rps.into()),
-        ("speedup_cached_over_cold", (cached_rps / cold_rps).into()),
-        ("racer_pool", (service.racer_pool_size() as u64).into()),
-        ("max_queue_depth", (max_queue_depth as u64).into()),
-        ("concurrent_cold_sweep", serve::Json::Arr(sweep)),
-    ]);
-    // Workspace root, so the record sits next to the other top-level
-    // reports regardless of where cargo runs the bench from.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, format!("{}\n", report.encode())).expect("write report");
-    println!("BENCH_serve.json: {}", report.encode());
+    // connections against the fixed racer pool. Racer threads are
+    // pinned at pool size, and the sweep shows how aggregate cold
+    // throughput scales with offered load.
+    for clients in [1usize, 2, 4, 8] {
+        let (rps, busy) = concurrent_cold_sweep(
+            addr,
+            clients,
+            Duration::from_millis(1_500),
+            100_000 * (clients as u64 + 1),
+        );
+        println!(
+            "serve_throughput: concurrent cold sweep, {clients} clients: \
+             {rps:.1} req/s, {busy} busy responses"
+        );
+    }
 
     drop(client);
     service.shutdown();

@@ -1,42 +1,7 @@
-//! D01 — decoder hot-path lane runner: prints the report and *appends*
-//! the raw measurements to `BENCH_decoder.json` at the workspace root
-//! (one JSON object per line, one line per family, stamped with the
-//! run's epoch seconds), building a throughput trajectory across runs
-//! rather than overwriting the previous record.
+//! D01 — decoder hot-path lane runner: prints the report.
 //!
 //! Usage: `cargo run -p bench --release --bin d01_decoder_lane`
 
-use bench::experiments::d01_decoder;
-use serve::json::obj;
-use std::io::Write;
-
 fn main() {
-    let rows = d01_decoder::measure();
-    println!("{}", d01_decoder::report_from(&rows).to_text());
-
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decoder.json");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_decoder.json");
-    for row in &rows {
-        let line = obj([
-            ("bench", "d01_decoder_lane".into()),
-            ("run_epoch_s", stamp.into()),
-            ("family", row.family.into()),
-            ("total_ops", (row.total_ops as u64).into()),
-            ("ref_per_s", row.ref_per_s.into()),
-            ("full_per_s", row.full_per_s.into()),
-            ("incr_per_s", row.incr_per_s.into()),
-            ("full_x", row.full_x().into()),
-            ("incr_x", row.incr_x().into()),
-        ]);
-        writeln!(file, "{}", line.encode()).expect("append row");
-    }
-    println!("appended {} rows to BENCH_decoder.json", rows.len());
+    println!("{}", bench::experiments::d01_decoder::run().to_text());
 }

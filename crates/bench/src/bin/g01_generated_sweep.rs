@@ -1,42 +1,7 @@
-//! G01 — generated-instance sweep runner: prints the report and
-//! *appends* the raw measurements to `BENCH_generated.json` at the
-//! workspace root (one JSON object per line, one line per measurement,
-//! stamped with the run's epoch seconds), building a trajectory across
-//! runs rather than overwriting the previous record.
+//! G01 — generated-instance sweep runner: prints the report.
 //!
 //! Usage: `cargo run -p bench --release --bin g01_generated_sweep`
 
-use bench::experiments::g01_generated;
-use serve::json::obj;
-use std::io::Write;
-
 fn main() {
-    let rows = g01_generated::measure();
-    println!("{}", g01_generated::report_from(&rows).to_text());
-
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_generated.json");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_generated.json");
-    for row in &rows {
-        let line = obj([
-            ("bench", "g01_generated_sweep".into()),
-            ("run_epoch_s", stamp.into()),
-            ("instance", row.name.as_str().into()),
-            ("family", row.family.into()),
-            ("total_ops", (row.total_ops as u64).into()),
-            ("predicted_s", row.predicted_s.into()),
-            ("observed_ms", row.observed_ms.into()),
-            ("obs_over_pred", row.ratio.into()),
-            ("makespan", row.makespan.into()),
-        ]);
-        writeln!(file, "{}", line.encode()).expect("append row");
-    }
-    println!("appended {} rows to BENCH_generated.json", rows.len());
+    println!("{}", bench::experiments::g01_generated::run().to_text());
 }

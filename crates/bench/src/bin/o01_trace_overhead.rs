@@ -1,48 +1,11 @@
-//! O01 — observability-overhead lane runner: prints the report and *appends*
-//! the raw measurements to `BENCH_obs.json` at the workspace root (one
-//! JSON object per line, one line per instance, stamped with the run's
-//! epoch seconds), building an overhead trajectory across runs rather
-//! than overwriting the previous record.
+//! O01 — observability-overhead lane runner: prints the report and
+//! exits non-zero when the overhead shape does not hold.
 //!
 //! Usage: `cargo run -p bench --release --bin o01_trace_overhead`
 
-use bench::experiments::o01_overhead;
-use serve::json::obj;
-use std::io::Write;
-
 fn main() {
-    let rows = o01_overhead::measure();
-    let report = o01_overhead::report_from(&rows);
+    let report = bench::experiments::o01_overhead::run();
     println!("{}", report.to_text());
-
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_obs.json");
-    for row in &rows {
-        let line = obj([
-            ("bench", "o01_trace_overhead".into()),
-            ("run_epoch_s", stamp.into()),
-            ("instance", row.name.as_str().into()),
-            ("untraced_ms", row.untraced_ms.into()),
-            ("traced_ms", row.traced_ms.into()),
-            ("watched_ms", row.watched_ms.into()),
-            ("overhead_pct", row.overhead_pct().into()),
-            ("watched_overhead_pct", row.watched_overhead_pct().into()),
-            ("value", row.value.into()),
-            ("timeline_points", (row.points as u64).into()),
-            ("watch_frames", (row.frames as u64).into()),
-            ("deterministic", row.deterministic.into()),
-        ]);
-        writeln!(file, "{}", line.encode()).expect("append row");
-    }
-    println!("appended {} rows to BENCH_obs.json", rows.len());
     if !report.shape_holds {
         std::process::exit(1);
     }

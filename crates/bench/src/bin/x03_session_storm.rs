@@ -1,44 +1,7 @@
-//! X03 — event-storm session sweep runner: prints the report and
-//! *appends* the raw measurements to `BENCH_session.json` at the
-//! workspace root (one JSON object per line, one line per event,
-//! stamped with the run's epoch seconds), building a
-//! warm-vs-cold-quality trajectory across runs rather than overwriting
-//! the previous record.
+//! X03 — event-storm session sweep runner: prints the report.
 //!
 //! Usage: `cargo run -p bench --release --bin x03_session_storm`
 
-use bench::experiments::x03_session;
-use serve::json::obj;
-use std::io::Write;
-
 fn main() {
-    let rows = x03_session::measure();
-    println!("{}", x03_session::report_from(&rows).to_text());
-
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_session.json");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_session.json");
-    for row in &rows {
-        let line = obj([
-            ("bench", "x03_session_storm".into()),
-            ("run_epoch_s", stamp.into()),
-            ("instance", row.name.as_str().into()),
-            ("event_idx", (row.event_idx as u64).into()),
-            ("kind", row.kind.into()),
-            ("suffix_len", (row.suffix_len as u64).into()),
-            ("repair_makespan", row.repair.into()),
-            ("warm_makespan", row.warm.into()),
-            ("cold_makespan", row.cold.into()),
-            ("warm_ms", row.warm_ms.into()),
-        ]);
-        writeln!(file, "{}", line.encode()).expect("append row");
-    }
-    println!("appended {} rows to BENCH_session.json", rows.len());
+    println!("{}", bench::experiments::x03_session::run().to_text());
 }

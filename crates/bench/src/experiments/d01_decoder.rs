@@ -37,7 +37,7 @@ use shop::instance::generate::{
 use shop::Problem;
 use std::sync::Arc;
 
-/// One measured family (also the BENCH_decoder.json row shape).
+/// One measured family.
 #[derive(Debug, Clone)]
 pub struct DecodeRow {
     /// Family tag.
@@ -239,7 +239,7 @@ pub fn run() -> Report {
 
 /// Builds the report for already-measured rows (lets the runner binary
 /// measure once and both print and persist the same rows).
-pub fn report_from(rows: &[DecodeRow]) -> Report {
+fn report_from(rows: &[DecodeRow]) -> Report {
     // Shape: (a) the flat table at least doubles the materialising
     // reference on flexible and open (the families whose reference
     // decode allocates per operation); (b) in every family the
@@ -282,8 +282,7 @@ pub fn report_from(rows: &[DecodeRow]) -> Report {
                 (hpc::calibrate::measure_adaptive_s) in interleaved rounds, min \
                 per path; open reference includes the per-eval genome-to-order \
                 mapping the solver raced pre-table; incremental path decodes a \
-                fresh single-swap mutant per call. d01_decoder_lane appends rows \
-                to BENCH_decoder.json."
+                fresh single-swap mutant per call."
             .to_string(),
     }
 }

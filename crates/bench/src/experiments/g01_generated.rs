@@ -21,7 +21,7 @@ use shop::gen::{Family, GenSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One sweep measurement (also the BENCH_generated.json row shape).
+/// One sweep measurement.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Canonical generated-instance name (`gen-...`).
@@ -110,7 +110,7 @@ pub fn run() -> Report {
 
 /// Builds the report for an already-measured sweep (lets the runner
 /// binary measure once and both print and persist the same rows).
-pub fn report_from(rows: &[SweepRow]) -> Report {
+fn report_from(rows: &[SweepRow]) -> Report {
     // Shape: within each family, the largest instance must be both
     // predicted and observed slower than the smallest (monotone ends;
     // the middle point is reported but not asserted, timing noise on
@@ -161,8 +161,7 @@ pub fn report_from(rows: &[SweepRow]) -> Report {
             "seeded gen-* instances (shop::gen), gen_cap {SWEEP_GEN_CAP}, \
              {SWEEP_RACERS} racers; per-family decode costs from \
              hpc::calibrate, predictions scaled to the gen cap. Largest \
-             instance per family must land within 2x observed-vs-predicted. \
-             g01_generated_sweep appends rows to BENCH_generated.json."
+             instance per family must land within 2x observed-vs-predicted."
         ),
     }
 }

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One per-instance measurement (also the BENCH_obs.json row shape).
+/// One per-instance measurement.
 #[derive(Debug, Clone)]
 pub struct OverheadRow {
     /// Canonical generated-instance name (`gen-job-...`).
@@ -209,7 +209,7 @@ pub fn run() -> Report {
 
 /// Builds the report for an already-measured lane (lets the runner
 /// binary measure once and both print and persist the same rows).
-pub fn report_from(rows: &[OverheadRow]) -> Report {
+fn report_from(rows: &[OverheadRow]) -> Report {
     let bare_total: f64 = rows.iter().map(|r| r.untraced_ms).sum();
     let traced_total: f64 = rows.iter().map(|r| r.traced_ms).sum();
     let watched_total: f64 = rows.iter().map(|r| r.watched_ms).sum();
@@ -258,8 +258,7 @@ pub fn report_from(rows: &[OverheadRow]) -> Report {
              racers, min of {LANE_REPEATS} alternating repeats per mode after a warm-up; \
              aggregate overhead traced {traced_pct:.2}%, traced+watched+profiled \
              {watched_pct:.2}% (bound {MAX_OVERHEAD_PCT}% each). The full-obs mode \
-             renders every watch frame to its wire line into a counting sink. \
-             o01_trace_overhead appends rows to BENCH_obs.json."
+             renders every watch frame to its wire line into a counting sink."
         ),
     }
 }

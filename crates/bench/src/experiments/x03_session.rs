@@ -26,7 +26,7 @@ use shop::schedule::Schedule;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One storm measurement (also the BENCH_session.json row shape).
+/// One storm measurement.
 #[derive(Debug, Clone)]
 pub struct StormRow {
     /// Canonical generated-instance name (`gen-job-...`).
@@ -247,7 +247,7 @@ pub fn run() -> Report {
 
 /// Builds the report for an already-measured sweep (lets the runner
 /// binary measure once and both print and persist the same rows).
-pub fn report_from(rows: &[StormRow]) -> Report {
+fn report_from(rows: &[StormRow]) -> Report {
     // Shape: (a) warm never loses to right-shift repair, per event —
     // the warm-start guarantee; (b) summed over the storm, warm never
     // loses to cold at equal budget — the reason sessions warm-start.
@@ -286,8 +286,7 @@ pub fn report_from(rows: &[StormRow]) -> Report {
         notes: format!(
             "3 generated job shops (gen-job-*-s42), 4-event storms (2 breakdowns incl. an \
              overlapping pair, 2 arrivals), gen_cap {STORM_GEN_CAP}, {STORM_RACERS} racers, \
-             cap-bound so deterministic; warm total {warm_total} vs cold total {cold_total}. \
-             x03_session_storm appends rows to BENCH_session.json."
+             cap-bound so deterministic; warm total {warm_total} vs cold total {cold_total}."
         ),
     }
 }

@@ -89,9 +89,6 @@ pub use protocol::{
 };
 pub use scheduler::{CancelToken, RacerPool};
 pub use server::{ServeConfig, Service, StatsSnapshot};
-pub use session::{
-    EventOutcome, JournalEntry, ResolveSkip, SessionConfig, SessionEntry, SessionGauges,
-    SessionRegistry, SessionState,
-};
+pub use session::{EventOutcome, JournalEntry, ResolveSkip, SessionEntry, SessionState};
 pub use solver::{load_instance, solve, solve_hooked, LoadedInstance, SolveHooks, SolveOutcome};
-pub use wal::{RecoverOutcome, RecoveredSession, SessionStore, Wal, WalConfig};
+pub use wal::{RecoverOutcome, RecoveredSession, SessionGauges, SessionStore, Wal, WalConfig};

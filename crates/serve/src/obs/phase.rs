@@ -3,8 +3,8 @@
 //! select / breed / evaluate / migrate / decode nanoseconds land in a
 //! handful of relaxed atomics instead of per-event allocations.
 //!
-//! One [`PhaseAcc`] lives for the duration of one race (all members
-//! add into it concurrently); after the race the server folds the
+//! One [`PhaseAcc`] lives for the duration of one cold solve race (all
+//! members add into it concurrently); after the race the server folds the
 //! totals into the per-family `serve_phase_us` histograms and the
 //! cost-model drift accumulators. The hot path pays nothing when
 //! profiling is off (the models skip their clock reads entirely unless

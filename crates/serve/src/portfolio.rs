@@ -36,10 +36,7 @@ use ga::Evaluator;
 use hpc::model::{cellular_time, island_time, master_slave_time, RunShape};
 use hpc::Platform;
 use pga::telemetry::RunTelemetry;
-use pga::{
-    CellularConfig, CellularGa, Instrumented, IslandConfig, IslandGa, MigrationConfig,
-    RayonEvaluator,
-};
+use pga::{CellularConfig, CellularGa, Instrumented, IslandConfig, IslandGa, MigrationConfig};
 use shop::gen::Family;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -681,20 +678,6 @@ where
     race_core(pool, lineup, runner, seed, deadline, gen_cap, target, bare)
 }
 
-/// Evaluator adapter forwarding to a borrowed evaluator (lets one
-/// evaluator back several racers while a wrapper owns its `E`).
-struct ByRef<'a, E>(&'a E);
-
-impl<G, E: Evaluator<G>> Evaluator<G> for ByRef<'_, E> {
-    fn cost(&self, genome: &G) -> f64 {
-        self.0.cost(genome)
-    }
-
-    fn cost_batch(&self, genomes: &[G]) -> Vec<f64> {
-        self.0.cost_batch(genomes)
-    }
-}
-
 /// Generations per chunk between cooperative checks of the shared
 /// best-so-far cell — small enough that a racer notices within
 /// milliseconds when a rival has already proven the target.
@@ -748,12 +731,6 @@ where
     TF: Fn() -> Toolkit<G> + Sync,
     E: Evaluator<G> + Sync,
 {
-    // The master-slave member is priced by `master_slave_time`'s
-    // fan-out model, so its evaluation goes through RayonEvaluator:
-    // with the offline rayon shim this is sequential (bit-identical by
-    // the master-slave contract), with upstream rayon the batch
-    // genuinely fans out.
-    let fan_out = RayonEvaluator::new(ByRef(evaluator));
     let mut model: Box<dyn Instrumented<G> + '_> = match member {
         ModelKind::MasterSlave { pop } => {
             let cfg = GaConfig {
@@ -761,7 +738,7 @@ where
                 seed,
                 ..GaConfig::default()
             };
-            Box::new(Engine::new(cfg, toolkit_factory(), &fan_out))
+            Box::new(Engine::new(cfg, toolkit_factory(), evaluator))
         }
         ModelKind::Island {
             islands,

@@ -105,7 +105,7 @@ impl ServiceStats {
     /// and returns the view. The mapping is 1:1 — the
     /// snapshot-equivalence test in this module walks it field by
     /// field.
-    pub(super) fn new(registry: &Registry) -> ServiceStats {
+    pub(crate) fn new(registry: &Registry) -> ServiceStats {
         ServiceStats {
             requests: registry.counter(
                 "serve_requests_total",
@@ -232,8 +232,9 @@ pub(super) struct ServeMetrics {
     pub(super) by_family: Vec<(&'static str, Arc<Counter>)>,
     /// `serve_race_wins_total{member=...}` per [`MEMBERS`].
     pub(super) race_wins: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_phase_us{family=...,phase=...}` — per-race search-phase
-    /// time histograms, one per ([`FAMILIES`] × [`PHASE_NAMES`]) pair.
+    /// `serve_phase_us{family=...,phase=...}` — per-cold-race
+    /// search-phase time histograms, one per ([`FAMILIES`] ×
+    /// [`PHASE_NAMES`]) pair.
     phase_us: Vec<((&'static str, &'static str), Arc<Histogram>)>,
     /// `serve_cost_model_drift_milli{family=...}` — cumulative observed
     /// decode ns/op over the calibrated `hpc::calibrate` constant, in
@@ -498,7 +499,7 @@ pub(super) fn metrics_summary_loop(shared: &Shared) {
 
 impl Shared {
     /// Refreshes the point-in-time gauges from their sources (cache,
-    /// pool, session registry, clock). Called at exposition and by the
+    /// pool, session store, clock). Called at exposition and by the
     /// periodic summary — gauges mirror live state, they are not
     /// updated on the hot path.
     pub(super) fn refresh_gauges(&self) {

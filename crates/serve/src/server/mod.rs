@@ -30,7 +30,7 @@
 //! and `trace_dump` bodies); `solve` the cache-aware solve core and the
 //! solve, generate, batch and watch handlers; `sessions` the session
 //! handlers over [`crate::wal::SessionStore`], which owns the session
-//! registry and its durability; `metrics` the counters, histograms and
+//! lifecycle and its durability; `metrics` the counters, histograms and
 //! the periodic stderr summary.
 
 use crate::cache::ShardedCache;
@@ -39,8 +39,7 @@ use crate::obs::metrics::Registry;
 use crate::obs::trace::{Trace, TraceRing};
 use crate::protocol::{encode_error, extended, parse_request, Request, WatchTarget};
 use crate::scheduler::RacerPool;
-use crate::session::SessionGauges;
-use crate::wal::SessionStore;
+use crate::wal::{SessionGauges, SessionStore};
 use crate::watch::WatchHub;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -132,7 +131,7 @@ pub struct ServeConfig {
     /// Write-ahead-log directory for durable sessions (`None`, the
     /// default, keeps sessions memory-only). With a directory set,
     /// every session's open + events are logged and fsync'd before the
-    /// wire answer, and the registry is rebuilt from the logs at bind
+    /// wire answer, and the sessions are rebuilt from the logs at bind
     /// — see `crate::wal`.
     pub wal_dir: Option<String>,
     /// Compact a session's log into a single snapshot record every

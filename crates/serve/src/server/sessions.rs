@@ -5,7 +5,6 @@
 use super::solve::{fail_json, solve_core, SolveJob};
 use super::{attach_trace, start_trace, Shared};
 use crate::json::{obj, Json};
-use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::WatchSink;
 use crate::protocol::{
     encode_error, error_json, extended, reply, schedule_to_json, solution_json,
@@ -95,7 +94,7 @@ pub(super) fn handle_session_open(
     };
     // Durability: the open record is on disk (and fsync'd) before the
     // session is reachable, let alone answered.
-    let session = shared.sessions.register(state, req.ttl_ms);
+    let session = shared.sessions.open(state, req.ttl_ms);
     if let Some(tr) = trace.as_mut() {
         tr.session = Some(session.clone());
     }
@@ -141,7 +140,6 @@ pub(super) fn session_event_body(
     // the GA leg — repair needs no pool and always answers.
     let skip_resolve = shared.pool.queue_depth() >= shared.config.max_queue_depth;
     let started = Instant::now();
-    let phases = Arc::new(PhaseAcc::new());
     let mut slot = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
                                                             // A close that won the lock while this event waited: the session
                                                             // is gone, and nothing may be logged for it.
@@ -158,15 +156,11 @@ pub(super) fn session_event_body(
         skip_resolve,
         trace.as_mut(),
         watch,
-        Some(Arc::clone(&phases)),
     );
     shared
         .metrics
         .session_event_us
         .observe(started.elapsed().as_micros() as u64);
-    // Sessions are job-shop only; their suffix decodes are not timed
-    // per-op, so only the engine phases land (drift stays untouched).
-    shared.metrics.observe_race_profile("job", &phases, 0, 0);
     let out = match outcome {
         Ok(out) => out,
         Err(msg) => {

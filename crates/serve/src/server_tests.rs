@@ -1451,6 +1451,50 @@ fn traced_session_event_shows_repair_and_resolve_legs() {
     service.shutdown();
 }
 
+/// The `serve_phase_us_count{family="job",...}` lines of a metrics
+/// render, as (series, count) pairs.
+fn job_phase_counts(addr: SocketAddr) -> Vec<(String, u64)> {
+    let metrics =
+        crate::json::parse(&send_lines(addr, &[r#"{"cmd":"metrics"}"#.to_string()])[0]).unwrap();
+    let text = metrics.get("text").unwrap().as_str().unwrap();
+    text.lines()
+        .filter(|l| l.starts_with(r#"serve_phase_us_count{family="job","#))
+        .map(|l| {
+            let (series, count) = l.rsplit_once(' ').unwrap();
+            (series.to_string(), count.parse().unwrap())
+        })
+        .collect()
+}
+
+/// `serve_phase_us` profiles cold races only: a session event's
+/// frozen-prefix re-solve is a suffix race and must not land in the
+/// cold job-solve series.
+#[test]
+fn session_resolve_leaves_the_cold_job_phase_histograms_alone() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let sid = open_session(addr, 11);
+    let before = job_phase_counts(addr);
+    assert!(
+        before.iter().any(|(_, count)| *count >= 1),
+        "the open's cold race is profiled: {before:?}"
+    );
+    let responses = send_lines(
+        addr,
+        &[format!(
+            r#"{{"cmd":"session_event","session":"{sid}","event":{{"type":"breakdown","machine":1,"from":5,"duration":10}},"deadline_ms":1200}}"#
+        )],
+    );
+    let event = crate::json::parse(&responses[0]).unwrap();
+    assert_eq!(event.get("status").unwrap().as_str(), Some("ok"));
+    assert!(
+        event.get("resolve_value").unwrap().as_f64().is_some(),
+        "the re-solve leg ran: {event:?}"
+    );
+    assert_eq!(job_phase_counts(addr), before);
+    service.shutdown();
+}
+
 /// Sends one request and reads streamed lines until a terminal one:
 /// a `{"frame":"answer",...}` object or a frame-less line (error
 /// bodies). Returns every line read, terminal included.

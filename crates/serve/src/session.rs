@@ -29,14 +29,13 @@
 //! server skips the resolve and degrades to repair, so an event burst
 //! is answered within its deadline no matter what.
 //!
-//! Sessions live in a [`SessionRegistry`] with idle-TTL expiry and LRU
-//! capacity eviction, owned together with the write-ahead log by
-//! [`crate::wal::SessionStore`]; `stats` exposes the gauges. Registry lookups take
-//! one short registry lock; event processing locks only the addressed
-//! session, so events on different sessions race concurrently while
-//! events on one session serialise in arrival order.
+//! Sessions live in [`crate::wal::SessionStore`], which owns their whole
+//! lifecycle: idle-TTL expiry, LRU capacity eviction and the write-ahead
+//! log; `stats` exposes the gauges. Lookups take one short map lock;
+//! event processing locks only the addressed session, so events on
+//! different sessions race concurrently while events on one session
+//! serialise in arrival order.
 
-use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::{Trace, WatchSink};
 use crate::portfolio::{
     plan_lineup, race_core, run_member, MemberObs, MemberRunner, SolveHooks, StopRule,
@@ -52,23 +51,8 @@ use shop::gen::Family;
 use shop::instance::JobShopInstance;
 use shop::schedule::Schedule;
 use shop::{Problem, Time};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Registry policy knobs (resolved from `ServeConfig`).
-#[derive(Debug, Clone, Copy)]
-pub struct SessionConfig {
-    /// Idle time-to-live: a session untouched for this long is expired
-    /// on the next registry access.
-    pub default_ttl: Duration,
-    /// Hard cap on `ttl_ms` a client may request.
-    pub max_ttl: Duration,
-    /// Capacity: opening past it evicts the least-recently-used
-    /// session.
-    pub max_sessions: usize,
-}
+use std::time::Instant;
 
 /// Everything one session knows. Guarded by its entry's mutex: events
 /// on one session serialise, sessions stay independent.
@@ -126,230 +110,11 @@ pub struct JournalEntry {
     pub deadline_bound: bool,
 }
 
-/// A registry entry: the session state behind its own mutex. `None`
+/// A session entry: the session state behind its own mutex. `None`
 /// once the session is closed — close takes the state out under this
 /// lock, so a request that looked the entry up before the close finds
 /// it gone instead of acting on (or logging for) a forgotten session.
 pub type SessionEntry = Arc<Mutex<Option<SessionState>>>;
-
-/// One registry slot: the shared session entry plus recency metadata
-/// (kept outside the entry mutex so touching never waits on a running
-/// event).
-struct Slot {
-    stamp: u64,
-    last_touch: Instant,
-    ttl: Duration,
-    entry: SessionEntry,
-}
-
-/// Monotonic session counters (exposed through the service's `stats`).
-#[derive(Debug, Default)]
-pub struct SessionCounters {
-    /// Sessions ever opened.
-    pub opened: AtomicU64,
-    /// Sessions closed by request.
-    pub closed: AtomicU64,
-    /// Sessions expired by idle TTL.
-    pub expired: AtomicU64,
-    /// Sessions evicted by the LRU capacity cap.
-    pub evicted: AtomicU64,
-    /// Sessions rebuilt from the write-ahead log (at restart or
-    /// lazily on first touch after expiry).
-    pub recovered: AtomicU64,
-}
-
-/// Point-in-time copy of [`SessionCounters`] plus the open gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionGauges {
-    /// Sessions currently registered.
-    pub open: u64,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions closed by request.
-    pub closed: u64,
-    /// Sessions expired by idle TTL.
-    pub expired: u64,
-    /// Sessions evicted by the LRU capacity cap.
-    pub evicted: u64,
-    /// Sessions rebuilt from the write-ahead log.
-    pub recovered: u64,
-}
-
-/// The TTL/LRU session registry. One short mutex guards the map;
-/// session state sits behind per-session `Arc<Mutex<_>>` entries, so
-/// the registry lock is never held across a solve.
-pub struct SessionRegistry {
-    config: SessionConfig,
-    slots: Mutex<HashMap<String, Slot>>,
-    clock: AtomicU64,
-    next_id: AtomicU64,
-    counters: SessionCounters,
-}
-
-impl std::fmt::Debug for SessionRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionRegistry")
-            .field("open", &self.len())
-            .field("max_sessions", &self.config.max_sessions)
-            .finish()
-    }
-}
-
-impl SessionRegistry {
-    /// An empty registry with the given policy.
-    pub fn new(config: SessionConfig) -> Self {
-        assert!(
-            config.max_sessions >= 1,
-            "need room for at least one session"
-        );
-        SessionRegistry {
-            config,
-            slots: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
-            counters: SessionCounters::default(),
-        }
-    }
-
-    /// Sessions currently registered (after sweeping expired ones).
-    pub fn len(&self) -> usize {
-        let mut slots = self.slots.lock().expect("session registry poisoned");
-        self.sweep(&mut slots);
-        slots.len()
-    }
-
-    /// Whether no session is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Counter snapshot plus the open gauge.
-    pub fn gauges(&self) -> SessionGauges {
-        SessionGauges {
-            open: self.len() as u64,
-            opened: self.counters.opened.load(Ordering::Relaxed),
-            closed: self.counters.closed.load(Ordering::Relaxed),
-            expired: self.counters.expired.load(Ordering::Relaxed),
-            evicted: self.counters.evicted.load(Ordering::Relaxed),
-            recovered: self.counters.recovered.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every session idle past its TTL. Called with the map lock
-    /// held, on every registry access.
-    fn sweep(&self, slots: &mut HashMap<String, Slot>) {
-        let before = slots.len();
-        slots.retain(|_, s| s.last_touch.elapsed() <= s.ttl);
-        let dropped = (before - slots.len()) as u64;
-        if dropped > 0 {
-            self.counters.expired.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-
-    /// Registers a fresh session under a newly minted id (`sess-<n>`)
-    /// and returns the id. `before_publish` runs with the id and state
-    /// before the session becomes reachable — the write-ahead log
-    /// writes the open record there, so no lookup, eviction or sweep
-    /// can see a session whose log does not exist yet. `ttl_ms` 0
-    /// means the registry default; the configured maximum clamps it
-    /// either way. At capacity the least-recently-used session is
-    /// evicted.
-    pub fn open(
-        &self,
-        state: SessionState,
-        ttl_ms: u64,
-        before_publish: impl FnOnce(&str, &SessionState),
-    ) -> String {
-        let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        before_publish(&id, &state);
-        self.insert(&id, state, ttl_ms, &self.counters.opened);
-        id
-    }
-
-    /// Re-registers a session rebuilt from its write-ahead log under
-    /// its *original* id — restart recovery and lazy recovery after an
-    /// idle-TTL expiry both land here. Keep-existing semantics: when
-    /// the id is already live (two requests racing the same recovery)
-    /// the state on hand is dropped and the live entry returned, so a
-    /// session never forks. Returns the entry plus whether this call
-    /// actually inserted (and counted) the recovery.
-    ///
-    /// The id minter is bumped past any recovered `sess-<n>` so a
-    /// post-restart `session_open` can never re-issue a recovered id.
-    pub fn restore(&self, id: &str, state: SessionState, ttl_ms: u64) -> (SessionEntry, bool) {
-        if let Some(n) = id.strip_prefix("sess-").and_then(|n| n.parse::<u64>().ok()) {
-            self.next_id.fetch_max(n, Ordering::Relaxed);
-        }
-        self.insert(id, state, ttl_ms, &self.counters.recovered)
-    }
-
-    /// Inserts `state` under `id` unless the id is already live,
-    /// evicting least-recently-used sessions down to capacity, and
-    /// bumps `counter` when it inserted.
-    fn insert(
-        &self,
-        id: &str,
-        state: SessionState,
-        ttl_ms: u64,
-        counter: &AtomicU64,
-    ) -> (SessionEntry, bool) {
-        let ttl = match ttl_ms {
-            0 => self.config.default_ttl,
-            ms => Duration::from_millis(ms).min(self.config.max_ttl),
-        };
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut slots = self.slots.lock().expect("session registry poisoned");
-        self.sweep(&mut slots);
-        if let Some(live) = slots.get(id) {
-            return (Arc::clone(&live.entry), false);
-        }
-        while slots.len() >= self.config.max_sessions {
-            let Some(lru) = slots
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            slots.remove(&lru);
-            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry = Arc::new(Mutex::new(Some(state)));
-        slots.insert(
-            id.to_string(),
-            Slot {
-                stamp,
-                last_touch: Instant::now(),
-                ttl,
-                entry: Arc::clone(&entry),
-            },
-        );
-        counter.fetch_add(1, Ordering::Relaxed);
-        (entry, true)
-    }
-
-    /// Looks up (and touches) a session. `None` when unknown or
-    /// expired.
-    pub fn get(&self, id: &str) -> Option<SessionEntry> {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut slots = self.slots.lock().expect("session registry poisoned");
-        self.sweep(&mut slots);
-        slots.get_mut(id).map(|s| {
-            s.stamp = stamp;
-            s.last_touch = Instant::now();
-            Arc::clone(&s.entry)
-        })
-    }
-
-    /// Removes a session; returns its entry for a final summary.
-    pub fn close(&self, id: &str) -> Option<SessionEntry> {
-        let mut slots = self.slots.lock().expect("session registry poisoned");
-        self.sweep(&mut slots);
-        let slot = slots.remove(id)?;
-        self.counters.closed.fetch_add(1, Ordering::Relaxed);
-        Some(slot.entry)
-    }
-}
 
 /// Why the resolve leg of an event was skipped (repair answered alone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,15 +191,14 @@ pub fn handle_event(
         skip_resolve,
         None,
         None,
-        None,
     )
 }
 
 /// [`handle_event`] with the observability hooks (see [`SolveHooks`]):
 /// a `trace` records the right-shift repair and the GA re-solve as
 /// distinct `repair` / `resolve` spans plus the re-solve race's
-/// `member/<model>` spans, a [`WatchSink`] streams its frames, and a
-/// [`PhaseAcc`] accumulates its per-phase search time. None of them changes the race's trajectory — the event outcome is
+/// `member/<model>` spans, and a [`WatchSink`] streams its frames.
+/// Neither changes the race's trajectory — the event outcome is
 /// bit-identical with or without them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_event_hooked(
@@ -447,7 +211,6 @@ pub(crate) fn handle_event_hooked(
     skip_resolve: bool,
     mut trace: Option<&mut Trace>,
     watch: Option<Arc<dyn WatchSink>>,
-    phases: Option<Arc<PhaseAcc>>,
 ) -> Result<EventOutcome, String> {
     let t = event.at();
     if t < state.now {
@@ -542,7 +305,7 @@ pub(crate) fn handle_event_hooked(
             SolveHooks {
                 traced: trace.is_some(),
                 watch,
-                phases,
+                phases: None,
             },
         );
         // The winner is materialised and validated by the reference
@@ -693,8 +456,14 @@ fn suffix_toolkit(k: usize) -> Toolkit<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::metrics::{Histogram, Registry};
+    use crate::server::{ServeConfig, ServiceStats};
+    use crate::wal::tests::seed_state;
+    use crate::wal::{read_frames, RecoverOutcome, SessionStore};
     use shop::instance::classic;
     use shop::instance::Op;
+    use std::path::PathBuf;
+    use std::time::Duration;
 
     fn open_state(seed: u64) -> SessionState {
         let inst = classic::ft06().instance;
@@ -723,100 +492,236 @@ mod tests {
         }
     }
 
-    fn cfg() -> SessionConfig {
-        SessionConfig {
-            default_ttl: Duration::from_secs(60),
-            max_ttl: Duration::from_secs(600),
+    // The session lifecycle (open, touch, expiry, eviction, restore,
+    // close) is owned by `crate::wal::SessionStore`; its tests sit here
+    // beside the event tests.
+
+    fn cfg() -> ServeConfig {
+        ServeConfig {
+            session_ttl_ms: 60_000,
             max_sessions: 4,
+            wal_fsync: false,
+            ..ServeConfig::default()
         }
+    }
+
+    /// `config` with a fresh WAL directory named after the test.
+    fn durable(name: &str, config: ServeConfig) -> (ServeConfig, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pga-session-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_dir = Some(dir.display().to_string());
+        (ServeConfig { wal_dir, ..config }, dir)
+    }
+
+    fn store(config: &ServeConfig) -> SessionStore {
+        let stats = ServiceStats::new(&Registry::new());
+        SessionStore::new(config, &stats, Arc::new(Histogram::default())).unwrap()
+    }
+
+    /// Every opened session is accounted for exactly once.
+    fn assert_accounted(store: &SessionStore) {
+        let g = store.gauges();
+        assert_eq!(g.opened, g.open + g.closed + g.expired + g.evicted, "{g:?}");
     }
 
     #[test]
     fn registry_opens_touches_and_closes() {
-        let reg = SessionRegistry::new(cfg());
-        assert!(reg.is_empty());
-        let id = reg.open(open_state(1), 0, |_, _| {});
+        let store = store(&cfg());
+        assert_eq!(store.gauges().open, 0);
+        let id = store.open(seed_state(), 0);
         assert_eq!(id, "sess-1");
-        assert_eq!(reg.len(), 1);
-        assert!(reg.get(&id).is_some());
-        assert!(reg.get("sess-999").is_none());
-        assert!(reg.close(&id).is_some());
-        assert!(reg.close(&id).is_none());
-        let g = reg.gauges();
+        assert_eq!(store.gauges().open, 1);
+        assert!(store.entry(&id).is_some());
+        assert!(store.entry("sess-999").is_none());
+        assert!(store.close(&id).is_some());
+        assert!(store.close(&id).is_none());
+        let g = store.gauges();
         assert_eq!((g.open, g.opened, g.closed), (0, 1, 1));
     }
 
     #[test]
-    fn open_publishes_the_session_only_after_its_hook_ran() {
-        let reg = SessionRegistry::new(cfg());
-        let mut seen = None;
-        let id = reg.open(open_state(1), 0, |id, state| {
-            // The write-ahead log's open record goes here: nothing can
-            // reach, evict or sweep the session yet.
-            assert!(reg.get(id).is_none());
-            assert_eq!(reg.len(), 0);
-            seen = Some((id.to_string(), state.seed));
+    fn open_publishes_the_session_only_after_its_log_exists() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::Ordering::Relaxed;
+        let (config, dir) = durable("publish", cfg());
+        let store = store(&config);
+        // The open record is on disk in full, not merely created.
+        let log = dir.join("sess-1.wal");
+        let logged = || std::fs::read(&log).is_ok_and(|b| read_frames(&b).0.len() == 1);
+        let ready = std::sync::Barrier::new(3);
+        let opened = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Looks the id up the way a request would: a miss takes the
+            // recovery path.
+            let watcher = scope.spawn(|| {
+                ready.wait();
+                loop {
+                    if let Some(entry) = store.entry("sess-1") {
+                        assert!(logged(), "session reachable before its log exists");
+                        return entry;
+                    }
+                }
+            });
+            // Polls the map alone, never waiting on recovery.
+            let prober = scope.spawn(|| {
+                ready.wait();
+                while !opened.load(Relaxed) {
+                    if store.gauges().open > 0 {
+                        assert!(logged(), "session published before its log exists");
+                    }
+                }
+            });
+            ready.wait();
+            let id = store.open(seed_state(), 0);
+            opened.store(true, Relaxed);
+            let seen = watcher.join().unwrap();
+            prober.join().unwrap();
+            assert!(Arc::ptr_eq(&seen, &store.entry(&id).unwrap()));
         });
-        assert_eq!(seen, Some((id.clone(), 1)));
-        assert!(reg.get(&id).is_some());
+        // The watcher never replayed a copy from the fresh log.
+        let g = store.gauges();
+        assert_eq!((g.opened, g.recovered), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_reuses_ids_and_never_forks_a_live_session() {
-        let reg = SessionRegistry::new(cfg());
-        let (a, b) = (open_state(1), open_state(2));
-        let (_, inserted) = reg.restore("sess-7", a, 0);
-        assert!(inserted);
-        assert_eq!(reg.gauges().recovered, 1);
-        // A live id is never forked: the second restore returns the
+        let (config, dir) = durable("restore", cfg());
+        let wal = crate::wal::Wal::new(crate::wal::WalConfig {
+            dir: dir.clone(),
+            snapshot_every: 64,
+            fsync: false,
+        })
+        .unwrap();
+        wal.begin("sess-7", &crate::wal::open_record("sess-7", &seed_state()))
+            .unwrap();
+        let store = store(&config);
+        assert_eq!(store.gauges().recovered, 1);
+        // A live id is never forked: restoring it again returns the
         // existing entry and counts nothing.
-        let entry = reg.get("sess-7").unwrap();
-        let (same, inserted) = reg.restore("sess-7", b, 0);
-        assert!(!inserted);
-        assert!(Arc::ptr_eq(&entry, &same));
-        assert_eq!(reg.gauges().recovered, 1);
+        let entry = store.entry("sess-7").unwrap();
+        let RecoverOutcome::Recovered(rec) = wal.recover_one("sess-7").unwrap() else {
+            panic!("the log must replay");
+        };
+        assert!(Arc::ptr_eq(&entry, &store.restore(*rec)));
+        assert_eq!(store.gauges().recovered, 1);
         // The minter was bumped past the recovered id.
-        let fresh = reg.open(open_state(3), 0, |_, _| {});
-        assert_eq!(fresh, "sess-8");
+        assert_eq!(store.open(seed_state(), 0), "sess-8");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn registry_expires_idle_sessions_by_ttl() {
-        let reg = SessionRegistry::new(SessionConfig {
-            default_ttl: Duration::from_millis(60),
+        let store = store(&ServeConfig {
+            session_ttl_ms: 100,
             ..cfg()
         });
-        // Solve both incumbents *before* opening: the portfolio race
-        // takes longer than the tiny TTL under test.
-        let (a, b) = (open_state(1), open_state(2));
-        let id = reg.open(a, 0, |_, _| {});
-        // A generous per-request TTL is clamped to max_ttl, not default.
-        let long = reg.open(b, 3_600_000, |_, _| {});
-        assert_eq!(reg.len(), 2);
-        std::thread::sleep(Duration::from_millis(150));
-        assert!(reg.get(&id).is_none(), "idle session must expire");
-        assert!(reg.get(&long).is_some(), "per-request TTL still alive");
-        let g = reg.gauges();
-        assert_eq!(g.expired, 1);
-        assert_eq!(g.open, 1);
+        let id = store.open(seed_state(), 0);
+        // A generous per-request TTL is clamped to ten times the default.
+        let long = store.open(seed_state(), 3_600_000);
+        assert_eq!(store.gauges().open, 2);
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(store.entry(&id).is_none(), "idle session must expire");
+        assert!(store.entry(&long).is_some(), "per-request TTL still alive");
+        let g = store.gauges();
+        assert_eq!((g.open, g.expired), (1, 1));
+        std::thread::sleep(Duration::from_millis(1_100));
+        assert!(store.entry(&long).is_none(), "clamped TTL must expire");
+        assert_eq!(store.gauges().expired, 2);
     }
 
     #[test]
     fn registry_evicts_lru_at_capacity() {
-        let reg = SessionRegistry::new(SessionConfig {
+        let store = store(&ServeConfig {
             max_sessions: 2,
             ..cfg()
         });
-        let a = reg.open(open_state(1), 0, |_, _| {});
-        let b = reg.open(open_state(2), 0, |_, _| {});
+        let a = store.open(seed_state(), 0);
+        let b = store.open(seed_state(), 0);
         // Touch a so b becomes the LRU.
-        assert!(reg.get(&a).is_some());
-        let c = reg.open(open_state(3), 0, |_, _| {});
-        assert_eq!(reg.len(), 2);
-        assert!(reg.get(&b).is_none(), "LRU session must be evicted");
-        assert!(reg.get(&a).is_some());
-        assert!(reg.get(&c).is_some());
-        assert_eq!(reg.gauges().evicted, 1);
+        assert!(store.entry(&a).is_some());
+        let c = store.open(seed_state(), 0);
+        assert_eq!(store.gauges().open, 2);
+        assert!(store.entry(&b).is_none(), "LRU session must be evicted");
+        assert!(store.entry(&a).is_some());
+        assert!(store.entry(&c).is_some());
+        assert_eq!(store.gauges().evicted, 1);
+    }
+
+    #[test]
+    fn eviction_skips_a_session_a_request_holds() {
+        let (config, dir) = durable(
+            "evict-held",
+            ServeConfig {
+                max_sessions: 1,
+                ..cfg()
+            },
+        );
+        let store = store(&config);
+        let a = store.open(seed_state(), 0);
+        assert_accounted(&store);
+        // A request holds a's entry and lock (an event mid-race)
+        // across an open that finds the store at capacity.
+        let held = store.entry(&a).unwrap();
+        let guard = held.lock().unwrap();
+        store.open(seed_state(), 0);
+        assert_accounted(&store);
+        assert_eq!(store.gauges().open, 2, "an open past a held cap exceeds it");
+        let again = store.entry(&a).unwrap();
+        assert!(
+            Arc::ptr_eq(&held, &again),
+            "a replayed copy beside the held one"
+        );
+        let g = store.gauges();
+        assert_eq!((g.evicted, g.recovered), (0, 0));
+        assert_accounted(&store);
+        // Released, both sessions are evictable again.
+        drop(guard);
+        drop((held, again));
+        store.open(seed_state(), 0);
+        let g = store.gauges();
+        assert_eq!((g.open, g.evicted, g.recovered), (1, 2, 0));
+        assert_accounted(&store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ttl_expiry_skips_a_session_a_request_holds() {
+        let (config, dir) = durable(
+            "expire-held",
+            ServeConfig {
+                session_ttl_ms: 300,
+                max_sessions: 1,
+                ..cfg()
+            },
+        );
+        let store = store(&config);
+        let a = store.open(seed_state(), 0);
+        assert_accounted(&store);
+        let held = store.entry(&a).unwrap();
+        let guard = held.lock().unwrap();
+        std::thread::sleep(Duration::from_millis(500));
+        // a is idle past its TTL but held: neither the open's sweep
+        // nor its capacity check may drop it.
+        store.open(seed_state(), 0);
+        assert_accounted(&store);
+        let again = store.entry(&a).unwrap();
+        assert!(
+            Arc::ptr_eq(&held, &again),
+            "a replayed copy beside the held one"
+        );
+        let g = store.gauges();
+        assert_eq!((g.open, g.expired, g.evicted, g.recovered), (2, 0, 0, 0));
+        assert_accounted(&store);
+        // Released and idle again, both expire on the next sweep.
+        drop(guard);
+        drop((held, again));
+        std::thread::sleep(Duration::from_millis(500));
+        store.open(seed_state(), 0);
+        let g = store.gauges();
+        assert_eq!((g.open, g.expired, g.evicted, g.recovered), (1, 2, 0, 0));
+        assert_accounted(&store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -44,17 +44,17 @@ use crate::protocol::{
     event_from_json, event_to_json, schedule_from_json, schedule_to_json, Objective, Solution,
 };
 use crate::server::{ServeConfig, ServiceStats};
-use crate::session::{
-    JournalEntry, SessionConfig, SessionEntry, SessionGauges, SessionRegistry, SessionState,
-};
+use crate::session::{JournalEntry, SessionEntry, SessionState};
 use shop::dynamic::{apply_event, DownWindow, Event};
 use shop::instance::hash::Fnv1a;
 use shop::instance::parse::{parse_job_shop_ragged, write_job_shop_ragged};
 use shop::instance::JobMeta;
 use shop::schedule::Schedule;
 use shop::{Problem, Time};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -793,31 +793,86 @@ impl Wal {
     }
 }
 
-/// Durable sessions: the TTL/LRU [`SessionRegistry`] and the optional
-/// per-session [`Wal`] behind one policy.
+/// Point-in-time copy of the session counters plus the open gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionGauges {
+    /// Sessions currently held in memory.
+    pub open: u64,
+    /// Sessions ever opened.
+    pub opened: u64,
+    /// Sessions closed by request.
+    pub closed: u64,
+    /// Sessions expired by idle TTL.
+    pub expired: u64,
+    /// Sessions evicted by the LRU capacity cap.
+    pub evicted: u64,
+    /// Sessions rebuilt from the write-ahead log.
+    pub recovered: u64,
+}
+
+/// One slot of the id map: the shared session entry plus recency
+/// metadata, kept outside the entry mutex so touching never waits on a
+/// running event.
+struct Slot {
+    stamp: u64,
+    last_touch: Instant,
+    ttl: Duration,
+    entry: SessionEntry,
+}
+
+impl Slot {
+    /// Whether a request still holds the entry (the map's own clone is
+    /// one reference). A held slot is never expired or evicted: a
+    /// request on the session is the last to leave it, so a later miss
+    /// can never replay a second copy beside it.
+    fn held(&self) -> bool {
+        Arc::strong_count(&self.entry) > 1
+    }
+}
+
+/// The whole session lifecycle: the id map with idle-TTL expiry and
+/// LRU capacity eviction, plus the optional per-session [`Wal`].
 ///
-/// * **Log before answering.** [`SessionStore::register`] writes the
-///   open record before the id is reachable, and
+/// * **Log before publishing.** [`SessionStore::open`] mints the id and
+///   writes the open record before the id is reachable, and
 ///   [`SessionStore::record_event`] appends under the session lock
 ///   before the caller answers.
 /// * **Fall back to memory on I/O failure.** A failed write is counted
 ///   in `errors` and the answer still ships: losing the answer would
 ///   be worse than losing durability.
-/// * **Recover on first touch.** A session the registry no longer holds
-///   (restart, TTL expiry, LRU eviction) is replayed from its log by
+/// * **Never drop a held session.** Expiry and eviction skip a slot
+///   whose entry a request still holds; when every slot is held at
+///   capacity an open still succeeds and the map briefly exceeds
+///   `max_sessions`.
+/// * **Recover on a miss.** A session the map no longer holds (restart,
+///   TTL expiry, LRU eviction) is replayed from its log by
 ///   [`SessionStore::entry`]; durability beats expiry.
 /// * **Forget on close.** [`SessionStore::close`] takes the state out
-///   under the session lock, then deletes the log, so an event ordered
-///   after the close answers `unknown_session` and writes nothing.
+///   under the session lock, deletes the log, then drops the id, so an
+///   event ordered after the close answers `unknown_session` and
+///   writes nothing.
 ///
-/// Without a WAL directory the store is the registry alone.
+/// Without a WAL directory the store keeps sessions in memory only.
+/// The map lock is short and never held across a solve; session state
+/// sits behind the per-session entry mutex.
 pub struct SessionStore {
-    registry: SessionRegistry,
     wal: Option<Wal>,
-    /// Serialises log recovery against close, so a closing session is
-    /// never revived from the log it is deleting. Taken only on a
-    /// registry miss and on close.
+    /// Default idle TTL; a requested `ttl_ms` is clamped to ten times it.
+    ttl: Duration,
+    max_sessions: usize,
+    slots: Mutex<HashMap<String, Slot>>,
+    /// Recency stamps for LRU order.
+    clock: AtomicU64,
+    next_id: AtomicU64,
+    /// Orders every log-file transition against the map: an open's
+    /// write-then-publish, a miss's replay, and a close's delete. Never
+    /// taken on a hit.
     recovery: Mutex<()>,
+    opened: Counter,
+    closed: Counter,
+    expired: Counter,
+    evicted: Counter,
+    recovered: Counter,
     /// The service's `wal_appends`, `wal_replays` and `errors` counters.
     appends: Arc<Counter>,
     replays: Arc<Counter>,
@@ -830,21 +885,15 @@ pub struct SessionStore {
 impl SessionStore {
     /// Builds the store from a resolved service configuration, counting
     /// into the service's `stats` and timing writes into `append_us`.
-    /// With a `wal_dir` it rebuilds the registry from every log on disk
-    /// before returning, so a client that reconnects right after a
-    /// crash sees its session. A corrupt or unreadable log is
-    /// quarantined, never fatal; only an unusable WAL directory is.
+    /// With a `wal_dir` it restores every log on disk before returning,
+    /// so a client that reconnects right after a crash sees its
+    /// session. A corrupt or unreadable log is quarantined, never
+    /// fatal; only an unusable WAL directory is.
     pub fn new(
         config: &ServeConfig,
         stats: &ServiceStats,
         append_us: Arc<Histogram>,
     ) -> std::io::Result<SessionStore> {
-        let ttl = Duration::from_millis(config.session_ttl_ms.max(1));
-        let registry = SessionRegistry::new(SessionConfig {
-            default_ttl: ttl,
-            max_ttl: ttl.saturating_mul(10),
-            max_sessions: config.max_sessions.max(1),
-        });
         let wal = config
             .wal_dir
             .as_ref()
@@ -857,9 +906,18 @@ impl SessionStore {
             })
             .transpose()?;
         let store = SessionStore {
-            registry,
             wal,
+            ttl: Duration::from_millis(config.session_ttl_ms.max(1)),
+            max_sessions: config.max_sessions.max(1),
+            slots: Mutex::new(HashMap::new()),
+            clock: AtomicU64::new(0),
+            next_id: AtomicU64::new(0),
             recovery: Mutex::new(()),
+            opened: Counter::default(),
+            closed: Counter::default(),
+            expired: Counter::default(),
+            evicted: Counter::default(),
+            recovered: Counter::default(),
             appends: Arc::clone(&stats.wal_appends),
             replays: Arc::clone(&stats.wal_replays),
             errors: Arc::clone(&stats.errors),
@@ -867,48 +925,64 @@ impl SessionStore {
         };
         match store.wal.as_ref().map(Wal::recover_all).transpose() {
             Ok(recovered) => recovered.into_iter().flatten().for_each(|rec| {
-                store.adopt(rec);
+                store.restore(rec);
             }),
             Err(e) => eprintln!("[serve::wal] recovery scan failed: {e}"),
         }
         Ok(store)
     }
 
-    /// Registry gauges (open / opened / closed / expired / evicted /
-    /// recovered).
+    /// Counter snapshot plus the open gauge (after sweeping expired
+    /// sessions).
     pub fn gauges(&self) -> SessionGauges {
-        self.registry.gauges()
+        let open = {
+            let mut slots = self.lock_slots();
+            self.sweep(&mut slots);
+            slots.len() as u64
+        };
+        SessionGauges {
+            open,
+            opened: self.opened.get(),
+            closed: self.closed.get(),
+            expired: self.expired.get(),
+            evicted: self.evicted.get(),
+            recovered: self.recovered.get(),
+        }
     }
 
-    /// Registers a fresh session and returns its id. With a WAL the open
-    /// record is written under the minted id before the session becomes
-    /// reachable, so even a session evicted before its opener answers
-    /// can be recovered.
-    pub fn register(&self, state: SessionState, ttl_ms: u64) -> String {
-        self.registry.open(state, ttl_ms, |id, state| {
-            self.write(id, "open append", |wal| {
-                wal.begin(id, &open_record(id, state))
-            });
-        })
+    /// Opens a fresh session under a newly minted id (`sess-<n>`) and
+    /// returns the id. With a WAL the open record is written before the
+    /// id is reachable, so even a session evicted before its opener
+    /// answers can be recovered. `ttl_ms` 0 means the default TTL.
+    pub fn open(&self, state: SessionState, ttl_ms: u64) -> String {
+        let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
+        // panic-safe: poisoned = a recovery already panicked; never replay on top of it.
+        let _recovering = self.recovery.lock().expect("recovery lock poisoned");
+        self.write(&id, "open append", |wal| {
+            wal.begin(&id, &open_record(&id, &state))
+        });
+        self.insert(&id, state, ttl_ms, &self.opened);
+        id
     }
 
-    /// Looks up a session, replaying its log when the registry no longer
-    /// holds it. `None` when the session is unknown, closed, or its log
-    /// is unusable (quarantined and counted in `errors`). A `Some` entry
-    /// still holds `None` when a close won the entry lock first.
+    /// Looks up (and touches) a session, replaying its log when the map
+    /// no longer holds it. `None` when the session is unknown, closed,
+    /// or its log is unusable (quarantined and counted in `errors`). A
+    /// `Some` entry still holds `None` when a close won the entry lock
+    /// first.
     pub fn entry(&self, id: &str) -> Option<SessionEntry> {
-        if let Some(entry) = self.registry.get(id) {
+        if let Some(entry) = self.touch(id) {
             return Some(entry);
         }
         let wal = self.wal.as_ref()?;
-        // panic-safe: poisoned = a recovery already panicked; never replay on top of it.
+        // panic-safe: as in `open`.
         let _recovering = self.recovery.lock().expect("recovery lock poisoned");
         // A request that waited here may find the session recovered.
-        if let Some(entry) = self.registry.get(id) {
+        if let Some(entry) = self.touch(id) {
             return Some(entry);
         }
         let failure = match wal.recover_one(id) {
-            Ok(RecoverOutcome::Recovered(rec)) => return Some(self.adopt(*rec)),
+            Ok(RecoverOutcome::Recovered(rec)) => return Some(self.restore(*rec)),
             Ok(RecoverOutcome::Missing) => return None,
             Ok(RecoverOutcome::Quarantined { path, error }) => {
                 format!("quarantined {} ({error})", path.display())
@@ -945,13 +1019,13 @@ impl SessionStore {
     /// and returns its final state; `None` when unknown or already
     /// closed. The state is taken out under the entry lock, so close is
     /// ordered after any in-flight event on the session and before any
-    /// later one; the log is deleted before the id leaves the registry,
-    /// so nothing can replay it back.
+    /// later one; the log is deleted before the id is dropped, so
+    /// nothing can replay it back.
     pub fn close(&self, id: &str) -> Option<SessionState> {
         let entry = self.entry(id)?;
         let mut slot = entry.lock().expect("session poisoned"); // panic-safe: poisoned = a handler already panicked; never serve corrupt state
         let state = slot.take()?;
-        // panic-safe: as in `entry`.
+        // panic-safe: as in `open`.
         let _recovering = self.recovery.lock().expect("recovery lock poisoned");
         if let Some(wal) = &self.wal {
             if let Err(e) = wal.remove(id) {
@@ -959,18 +1033,102 @@ impl SessionStore {
                 self.errors.inc();
             }
         }
-        self.registry.close(id);
+        // This close holds the entry, so no sweep or eviction removed it.
+        self.lock_slots().remove(id);
+        self.closed.inc();
         Some(state)
     }
 
-    /// Registers a session rebuilt from its log and counts its replayed
-    /// records.
-    fn adopt(&self, rec: RecoveredSession) -> SessionEntry {
+    /// Puts a session rebuilt from its log back under its *original*
+    /// id and counts its replayed records. Keep-existing: when the id
+    /// is already live the rebuilt state is dropped and the live entry
+    /// returned, so a session never forks. The id minter is bumped past
+    /// a recovered `sess-<n>`, so a later open never re-issues it.
+    pub(crate) fn restore(&self, rec: RecoveredSession) -> SessionEntry {
         if let Some(salvaged) = &rec.salvaged {
             eprintln!("[serve::wal] {}: {salvaged}", rec.session);
         }
         self.replays.add(rec.records);
-        self.registry.restore(&rec.session, rec.state, rec.ttl_ms).0
+        let minted = rec
+            .session
+            .strip_prefix("sess-")
+            .and_then(|n| n.parse().ok());
+        if let Some(n) = minted {
+            self.next_id.fetch_max(n, Ordering::Relaxed);
+        }
+        self.insert(&rec.session, rec.state, rec.ttl_ms, &self.recovered)
+    }
+
+    /// Inserts `state` under `id` unless the id is already live,
+    /// evicting least-recently-used unheld sessions down to capacity,
+    /// and bumps `counter` when it inserted.
+    fn insert(
+        &self,
+        id: &str,
+        state: SessionState,
+        ttl_ms: u64,
+        counter: &Counter,
+    ) -> SessionEntry {
+        let ttl = match ttl_ms {
+            0 => self.ttl,
+            ms => Duration::from_millis(ms).min(self.ttl.saturating_mul(10)),
+        };
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut slots = self.lock_slots();
+        self.sweep(&mut slots);
+        if let Some(live) = slots.get(id) {
+            return Arc::clone(&live.entry);
+        }
+        while slots.len() >= self.max_sessions {
+            let lru = slots
+                .iter()
+                .filter(|(_, s)| !s.held())
+                .min_by_key(|(_, s)| s.stamp)
+                .map(|(k, _)| k.clone());
+            let Some(lru) = lru else {
+                break;
+            };
+            slots.remove(&lru);
+            self.evicted.inc();
+        }
+        let entry = Arc::new(Mutex::new(Some(state)));
+        slots.insert(
+            id.to_string(),
+            Slot {
+                stamp,
+                last_touch: Instant::now(),
+                ttl,
+                entry: Arc::clone(&entry),
+            },
+        );
+        counter.inc();
+        entry
+    }
+
+    /// The live entry for `id`, touched; `None` when the map does not
+    /// hold it.
+    fn touch(&self, id: &str) -> Option<SessionEntry> {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut slots = self.lock_slots();
+        self.sweep(&mut slots);
+        slots.get_mut(id).map(|s| {
+            s.stamp = stamp;
+            s.last_touch = Instant::now();
+            Arc::clone(&s.entry)
+        })
+    }
+
+    /// Drops every unheld session idle past its TTL. Runs under the map
+    /// lock on every map access.
+    fn sweep(&self, slots: &mut HashMap<String, Slot>) {
+        let before = slots.len();
+        slots.retain(|_, s| s.held() || s.last_touch.elapsed() <= s.ttl);
+        self.expired.add((before - slots.len()) as u64);
+    }
+
+    fn lock_slots(&self) -> std::sync::MutexGuard<'_, HashMap<String, Slot>> {
+        // panic-safe: the map lock guards plain inserts and removes; poisoned = a panic mid-update, never serve a torn map.
+        self.slots.lock().expect("session map poisoned")
     }
 
     /// Runs one log write, timing it and counting the outcome; a failure
@@ -993,7 +1151,7 @@ impl SessionStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use shop::dynamic::{fold_events, reschedule_suffix_with_windows};
     use shop::instance::classic;
@@ -1002,7 +1160,7 @@ mod tests {
 
     /// A deterministic session state with a cheaply built (greedy
     /// job-major dispatch) incumbent — no GA involved.
-    fn seed_state() -> SessionState {
+    pub(crate) fn seed_state() -> SessionState {
         let inst = classic::ft06().instance;
         let order: Vec<(usize, usize)> = (0..inst.n_jobs())
             .flat_map(|j| (0..inst.n_ops(j)).map(move |s| (j, s)))

@@ -615,6 +615,8 @@ pub struct IncrementalFlow {
     rows: Vec<Time>,
     /// Per-job completion of the job at each position.
     span_completion: Vec<Time>,
+    /// DP frontier scratch, reused across decodes.
+    frontier: Vec<Time>,
     makespan: Time,
     completion_sum: Time,
     divergence: usize,
@@ -629,6 +631,7 @@ impl IncrementalFlow {
             perm: Vec::new(),
             rows: Vec::new(),
             span_completion: Vec::new(),
+            frontier: Vec::new(),
             makespan: 0,
             completion_sum: 0,
             divergence: 0,
@@ -664,9 +667,11 @@ impl IncrementalFlow {
         self.counters.retimed_positions += (n - d) as u64;
         self.rows.resize(n * m, 0);
         self.span_completion.resize(n, 0);
-        let mut frontier = vec![0; m];
-        if d > 0 {
-            frontier.copy_from_slice(&self.rows[(d - 1) * m..d * m]);
+        let frontier = &mut self.frontier;
+        frontier.clear();
+        match d {
+            0 => frontier.resize(m, 0),
+            _ => frontier.extend_from_slice(&self.rows[(d - 1) * m..d * m]),
         }
         for (p, &j) in perm.iter().enumerate().skip(d) {
             let row = &table.duration[table.offsets[j]..table.offsets[j] + m];
@@ -676,7 +681,7 @@ impl IncrementalFlow {
                 prev = prev.max(frontier[k]) + row[k];
                 frontier[k] = prev;
             }
-            self.rows[p * m..(p + 1) * m].copy_from_slice(&frontier);
+            self.rows[p * m..(p + 1) * m].copy_from_slice(frontier);
             self.span_completion[p] = prev;
         }
         self.perm.clear();
@@ -844,11 +849,9 @@ pub struct IncrementalFlex {
     scratch: DecodeScratch,
     assign: Vec<usize>,
     seq: Vec<usize>,
-    /// Dense op id dispatched at each position of the last decode.
-    span_id: Vec<usize>,
-    /// Position that dispatched each dense op id (inverse of
-    /// `span_id`; locates the earliest position an assignment-gene
-    /// mutation can affect without a per-position indirection scan).
+    /// Position that dispatched each dense op id (locates the earliest
+    /// position an assignment-gene mutation can affect without a
+    /// per-position indirection scan).
     span_pos: Vec<usize>,
     /// Resolved machine of each position of the last decode (so the
     /// prefix replay never re-runs the choice-modulo resolution).
@@ -868,7 +871,6 @@ impl IncrementalFlex {
             scratch: DecodeScratch::new(),
             assign: Vec::new(),
             seq: Vec::new(),
-            span_id: Vec::new(),
             span_pos: Vec::new(),
             span_machine: Vec::new(),
             span_end: Vec::new(),
@@ -929,7 +931,6 @@ impl IncrementalFlex {
         let table = Arc::clone(&self.table);
         self.scratch
             .reset_dims(table.n_jobs, table.n_machines, &table.release);
-        self.span_id.resize(n, 0);
         self.span_pos.resize(n, 0);
         self.span_machine.resize(n, 0);
         self.span_end.resize(n, 0);
@@ -957,7 +958,6 @@ impl IncrementalFlex {
             self.scratch.job_free[j] = end;
             self.scratch.machine_free[m] = end;
             self.scratch.next_op[j] = s + 1;
-            self.span_id[i] = id;
             self.span_pos[id] = i;
             self.span_machine[i] = m;
             self.span_end[i] = end;
