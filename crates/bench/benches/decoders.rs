@@ -6,15 +6,11 @@ use shop::decoder::flexible::FlexDecoder;
 use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::decoder::open::OpenDecoder;
-use shop::decoder::table::{
-    DecodeScratch, FlexTable, IncrementalFlex, IncrementalFlow, IncrementalJob,
-    IncrementalOpenOrder, OpTable,
-};
+use shop::decoder::table::{DecodeScratch, FlexTable, OpTable};
 use shop::graph::{machine_orders_from_sequence, DisjunctiveGraph};
 use shop::instance::generate::{
     flexible_job_shop, flow_shop_taillard, job_shop_uniform, open_shop_uniform, GenConfig,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
@@ -103,14 +99,14 @@ fn bench_open_flexible(c: &mut Criterion) {
     g.finish();
 }
 
-/// The struct-of-arrays hot path per family: full table decode vs the
-/// incremental re-decode fed one swap mutation per iteration (the
-/// decodes/s figures behind the serve lineup's per-family pricing).
+/// The struct-of-arrays hot path per family: the full table decode a
+/// race member evaluates through (the decodes/s figures behind the
+/// serve lineup's per-family pricing).
 fn bench_table_paths(c: &mut Criterion) {
     let mut g = quick(c);
 
     let flow = flow_shop_taillard(&GenConfig::new(50, 10, 1));
-    let flow_table = Arc::new(OpTable::from_flow(&flow));
+    let flow_table = OpTable::from_flow(&flow);
     let mut scratch = DecodeScratch::new();
     let perm: Vec<usize> = (0..50).collect();
     g.bench_with_input(
@@ -118,52 +114,25 @@ fn bench_table_paths(c: &mut Criterion) {
         &perm,
         |b, p| b.iter(|| flow_table.flow_makespan(std::hint::black_box(p), &mut scratch)),
     );
-    let mut inc_flow = IncrementalFlow::new(Arc::clone(&flow_table));
-    let mut mutant = perm.clone();
-    inc_flow.decode(&mutant);
-    g.bench_function("flow_table_incremental_swap/50x10", |b| {
-        b.iter(|| {
-            mutant.swap(47, 48);
-            std::hint::black_box(inc_flow.decode(&mutant))
-        })
-    });
 
     let job = job_shop_uniform(&GenConfig::new(30, 10, 2));
-    let job_table = Arc::new(OpTable::from_job(&job));
+    let job_table = OpTable::from_job(&job);
     let seq: Vec<usize> = (0..300).map(|v| v % 30).collect();
     g.bench_with_input(BenchmarkId::new("job_table_full", "30x10"), &seq, |b, s| {
         b.iter(|| job_table.job_makespan(std::hint::black_box(s), &mut scratch))
     });
-    let mut inc_job = IncrementalJob::new(Arc::clone(&job_table));
-    let mut mutant = seq.clone();
-    inc_job.decode(&mutant);
-    g.bench_function("job_table_incremental_swap/30x10", |b| {
-        b.iter(|| {
-            mutant.swap(296, 297);
-            std::hint::black_box(inc_job.decode(&mutant))
-        })
-    });
 
     let open = open_shop_uniform(&GenConfig::new(10, 8, 3));
-    let open_table = Arc::new(OpTable::from_open(&open));
+    let open_table = OpTable::from_open(&open);
     let order: Vec<usize> = (0..80).collect();
     g.bench_with_input(
         BenchmarkId::new("open_table_full", "10x8"),
         &order,
         |b, p| b.iter(|| open_table.open_order_makespan(std::hint::black_box(p), &mut scratch)),
     );
-    let mut inc_open = IncrementalOpenOrder::new(Arc::clone(&open_table));
-    let mut mutant = order.clone();
-    inc_open.decode(&mutant);
-    g.bench_function("open_table_incremental_swap/10x8", |b| {
-        b.iter(|| {
-            mutant.swap(76, 77);
-            std::hint::black_box(inc_open.decode(&mutant))
-        })
-    });
 
     let flex = flexible_job_shop(&GenConfig::new(10, 6, 4), 5, 3);
-    let flex_table = Arc::new(FlexTable::from_flexible(&flex));
+    let flex_table = FlexTable::from_flexible(&flex);
     let total = flex_table.total_ops();
     let assign: Vec<usize> = (0..total).map(|i| i.wrapping_mul(13)).collect();
     let fseq: Vec<usize> = (0..total).map(|v| v % 10).collect();
@@ -174,15 +143,6 @@ fn bench_table_paths(c: &mut Criterion) {
                 std::hint::black_box(&fseq),
                 &mut scratch,
             )
-        })
-    });
-    let mut inc_flex = IncrementalFlex::new(Arc::clone(&flex_table));
-    let mut mutant = fseq.clone();
-    inc_flex.decode(&assign, &mutant);
-    g.bench_function("flexible_table_incremental_swap/10x5ops", |b| {
-        b.iter(|| {
-            mutant.swap(total - 4, total - 3);
-            std::hint::black_box(inc_flex.decode(&assign, &mutant))
         })
     });
     g.finish();

@@ -1,25 +1,20 @@
 //! D01 — decoder hot path: throughput of the struct-of-arrays decode
 //! kernels (`shop::decoder::table`) against the materialising
-//! reference decoders, plus the incremental re-decode on
-//! mutation-local genome traffic, for all four shop families.
+//! reference decoders, for all four shop families.
 //!
-//! Three paths are timed per family on one decode-dominated instance:
+//! Two paths are timed per family on one decode-dominated instance:
 //!
 //! * **reference** — the materialising decoder (build a `Schedule`,
 //!   take its makespan): the evaluation the solver raced before the
 //!   flat tables existed, and still the path that validates every
 //!   final answer.
 //! * **soa full** — the flat-table full decode with reused scratch
-//!   (no per-op allocation).
-//! * **incremental** — the cached re-decode fed a single-swap
-//!   mutation per call, the traffic a warm-started GA population
-//!   actually generates.
+//!   (no per-op allocation): the path every race member evaluates
+//!   through.
 //!
 //! The reproduced shape: the flat table at least doubles reference
 //! throughput on the flexible and open families (where the reference
-//! allocates per op), and the incremental path beats the full
-//! struct-of-arrays decode on single-position mutations in every
-//! family.
+//! allocates per op).
 
 use crate::report::Report;
 use hpc::calibrate::measure_adaptive_s;
@@ -27,15 +22,11 @@ use shop::decoder::flexible::FlexDecoder;
 use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::decoder::open::OpenDecoder;
-use shop::decoder::table::{
-    DecodeScratch, FlexTable, IncrementalFlex, IncrementalFlow, IncrementalJob,
-    IncrementalOpenOrder, OpTable,
-};
+use shop::decoder::table::{DecodeScratch, FlexTable, OpTable};
 use shop::instance::generate::{
     flexible_job_shop, flow_shop_taillard, job_shop_uniform, open_shop_uniform, GenConfig,
 };
 use shop::Problem;
-use std::sync::Arc;
 
 /// One measured family.
 #[derive(Debug, Clone)]
@@ -48,19 +39,12 @@ pub struct DecodeRow {
     pub ref_per_s: f64,
     /// Struct-of-arrays full decodes per second.
     pub full_per_s: f64,
-    /// Incremental single-swap re-decodes per second.
-    pub incr_per_s: f64,
 }
 
 impl DecodeRow {
     /// soa-full speedup over the materialising reference.
     pub fn full_x(&self) -> f64 {
         self.full_per_s / self.ref_per_s
-    }
-
-    /// Incremental speedup over the soa full decode.
-    pub fn incr_x(&self) -> f64 {
-        self.incr_per_s / self.full_per_s
     }
 }
 
@@ -86,24 +70,11 @@ fn shuffled_seq(n: usize, m: usize, salt: u64) -> Vec<usize> {
     shuffled(n * m, salt).into_iter().map(|v| v % n).collect()
 }
 
-/// Timing rounds per path. The three paths of a family are measured
-/// in interleaved rounds (ref, full, incr, ref, full, incr, ...) and
+/// Timing rounds per path. The two paths of a family are measured
+/// in interleaved rounds (ref, full, ref, full, ...) and
 /// each keeps its per-round minimum, so a transient slow period on a
 /// shared host penalises every path instead of skewing one ratio.
 const ROUNDS: usize = 2;
-
-/// Times one mutation-per-call incremental loop: each call swaps two
-/// late genome positions (alternating between two genomes one swap
-/// apart — the population traffic a mutated clone produces) and
-/// re-decodes.
-fn time_incremental(genome: &mut [usize], mut decode: impl FnMut(&[usize]) -> u64) -> f64 {
-    let a = genome.len() - 2;
-    decode(genome); // prime the cache
-    measure_adaptive_s(MIN_S, || {
-        genome.swap(a, a + 1);
-        std::hint::black_box(decode(genome));
-    })
-}
 
 /// Runs the four family measurements and returns the raw rows.
 pub fn measure() -> Vec<DecodeRow> {
@@ -113,12 +84,10 @@ pub fn measure() -> Vec<DecodeRow> {
     {
         let inst = flow_shop_taillard(&GenConfig::new(50, 10, 1));
         let d = FlowDecoder::new(&inst);
-        let table = Arc::new(OpTable::from_flow(&inst));
+        let table = OpTable::from_flow(&inst);
         let mut scratch = DecodeScratch::new();
         let perm = shuffled(50, 11);
-        let mut inc = IncrementalFlow::new(Arc::clone(&table));
-        let mut g = perm.clone();
-        let (mut ref_s, mut full_s, mut incr_s) = (f64::MAX, f64::MAX, f64::MAX);
+        let (mut ref_s, mut full_s) = (f64::MAX, f64::MAX);
         for _ in 0..ROUNDS {
             ref_s = ref_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(d.schedule(&perm).makespan());
@@ -126,14 +95,12 @@ pub fn measure() -> Vec<DecodeRow> {
             full_s = full_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(table.flow_makespan(&perm, &mut scratch));
             }));
-            incr_s = incr_s.min(time_incremental(&mut g, |p| inc.decode(p)));
         }
         rows.push(DecodeRow {
             family: "flow",
             total_ops: inst.total_ops(),
             ref_per_s: ref_s.recip(),
             full_per_s: full_s.recip(),
-            incr_per_s: incr_s.recip(),
         });
     }
 
@@ -141,12 +108,10 @@ pub fn measure() -> Vec<DecodeRow> {
     {
         let inst = job_shop_uniform(&GenConfig::new(20, 10, 2));
         let d = JobDecoder::new(&inst);
-        let table = Arc::new(OpTable::from_job(&inst));
+        let table = OpTable::from_job(&inst);
         let mut scratch = DecodeScratch::new();
         let seq = shuffled_seq(20, 10, 13);
-        let mut inc = IncrementalJob::new(Arc::clone(&table));
-        let mut g = seq.clone();
-        let (mut ref_s, mut full_s, mut incr_s) = (f64::MAX, f64::MAX, f64::MAX);
+        let (mut ref_s, mut full_s) = (f64::MAX, f64::MAX);
         for _ in 0..ROUNDS {
             ref_s = ref_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(d.semi_active(&seq).makespan());
@@ -154,14 +119,12 @@ pub fn measure() -> Vec<DecodeRow> {
             full_s = full_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(table.job_makespan(&seq, &mut scratch));
             }));
-            incr_s = incr_s.min(time_incremental(&mut g, |p| inc.decode(p)));
         }
         rows.push(DecodeRow {
             family: "job",
             total_ops: inst.total_ops(),
             ref_per_s: ref_s.recip(),
             full_per_s: full_s.recip(),
-            incr_per_s: incr_s.recip(),
         });
     }
 
@@ -170,12 +133,10 @@ pub fn measure() -> Vec<DecodeRow> {
         let inst = open_shop_uniform(&GenConfig::new(16, 10, 3));
         let d = OpenDecoder::new(&inst);
         let m = inst.n_machines();
-        let table = Arc::new(OpTable::from_open(&inst));
+        let table = OpTable::from_open(&inst);
         let mut scratch = DecodeScratch::new();
         let perm = shuffled(16 * 10, 17);
-        let mut inc = IncrementalOpenOrder::new(Arc::clone(&table));
-        let mut g = perm.clone();
-        let (mut ref_s, mut full_s, mut incr_s) = (f64::MAX, f64::MAX, f64::MAX);
+        let (mut ref_s, mut full_s) = (f64::MAX, f64::MAX);
         for _ in 0..ROUNDS {
             // The genome-to-order mapping is part of the pre-table
             // open decode: the solver raced
@@ -188,14 +149,12 @@ pub fn measure() -> Vec<DecodeRow> {
             full_s = full_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(table.open_order_makespan(&perm, &mut scratch));
             }));
-            incr_s = incr_s.min(time_incremental(&mut g, |p| inc.decode(p)));
         }
         rows.push(DecodeRow {
             family: "open",
             total_ops: inst.total_ops(),
             ref_per_s: ref_s.recip(),
             full_per_s: full_s.recip(),
-            incr_per_s: incr_s.recip(),
         });
     }
 
@@ -203,14 +162,12 @@ pub fn measure() -> Vec<DecodeRow> {
     {
         let inst = flexible_job_shop(&GenConfig::new(20, 10, 4), 8, 4);
         let d = FlexDecoder::new(&inst);
-        let table = Arc::new(FlexTable::from_flexible(&inst));
+        let table = FlexTable::from_flexible(&inst);
         let mut scratch = DecodeScratch::new();
         let total = table.total_ops();
         let assign: Vec<usize> = (0..total).map(|i| i.wrapping_mul(13)).collect();
         let seq = shuffled_seq(20, 8, 19);
-        let mut inc = IncrementalFlex::new(Arc::clone(&table));
-        let mut g = seq.clone();
-        let (mut ref_s, mut full_s, mut incr_s) = (f64::MAX, f64::MAX, f64::MAX);
+        let (mut ref_s, mut full_s) = (f64::MAX, f64::MAX);
         for _ in 0..ROUNDS {
             ref_s = ref_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(d.decode(&assign, &seq).makespan());
@@ -218,14 +175,12 @@ pub fn measure() -> Vec<DecodeRow> {
             full_s = full_s.min(measure_adaptive_s(MIN_S, || {
                 std::hint::black_box(table.makespan(&assign, &seq, &mut scratch));
             }));
-            incr_s = incr_s.min(time_incremental(&mut g, |p| inc.decode(&assign, p)));
         }
         rows.push(DecodeRow {
             family: "flexible",
             total_ops: total,
             ref_per_s: ref_s.recip(),
             full_per_s: full_s.recip(),
-            incr_per_s: incr_s.recip(),
         });
     }
 
@@ -240,28 +195,23 @@ pub fn run() -> Report {
 /// Builds the report for already-measured rows (lets the runner binary
 /// measure once and both print and persist the same rows).
 fn report_from(rows: &[DecodeRow]) -> Report {
-    // Shape: (a) the flat table at least doubles the materialising
+    // Shape: the flat table at least doubles the materialising
     // reference on flexible and open (the families whose reference
-    // decode allocates per operation); (b) in every family the
-    // incremental path beats the full struct-of-arrays decode on
-    // single-swap mutation traffic.
+    // decode allocates per operation).
     let mut shape_holds = !rows.is_empty();
     for r in rows {
-        shape_holds &= r.ref_per_s > 0.0 && r.full_per_s > 0.0 && r.incr_per_s > 0.0;
-        shape_holds &= r.incr_per_s > r.full_per_s;
+        shape_holds &= r.ref_per_s > 0.0 && r.full_per_s > 0.0;
         if r.family == "flexible" || r.family == "open" {
             shape_holds &= r.full_x() >= 2.0;
         }
     }
     Report {
         id: "D01",
-        title: "decoder hot path: struct-of-arrays + incremental vs reference",
+        title: "decoder hot path: struct-of-arrays vs reference",
         paper_claim: "fitness evaluation dominates GA wall time; a data-oriented \
-                      decode layout and mutation-local re-decode raise decodes/s \
-                      without changing any decoded value",
-        columns: vec![
-            "family", "ops", "ref/s", "soa/s", "incr/s", "soa x", "incr x",
-        ],
+                      decode layout raises decodes/s without changing any \
+                      decoded value",
+        columns: vec!["family", "ops", "ref/s", "soa/s", "soa x"],
         rows: rows
             .iter()
             .map(|r| {
@@ -270,9 +220,7 @@ fn report_from(rows: &[DecodeRow]) -> Report {
                     r.total_ops.to_string(),
                     format!("{:.0}", r.ref_per_s),
                     format!("{:.0}", r.full_per_s),
-                    format!("{:.0}", r.incr_per_s),
                     format!("{:.1}", r.full_x()),
-                    format!("{:.1}", r.incr_x()),
                 ]
             })
             .collect(),
@@ -281,8 +229,7 @@ fn report_from(rows: &[DecodeRow]) -> Report {
                 open 16x10, flexible 20x8x4); min-of-3 adaptive timing \
                 (hpc::calibrate::measure_adaptive_s) in interleaved rounds, min \
                 per path; open reference includes the per-eval genome-to-order \
-                mapping the solver raced pre-table; incremental path decodes a \
-                fresh single-swap mutant per call."
+                mapping the solver raced pre-table."
             .to_string(),
     }
 }
@@ -299,10 +246,8 @@ mod tests {
             total_ops: 500,
             ref_per_s: 1e5,
             full_per_s: 4e5,
-            incr_per_s: 1.2e6,
         };
         assert!((r.full_x() - 4.0).abs() < 1e-12);
-        assert!((r.incr_x() - 3.0).abs() < 1e-12);
     }
 
     #[test]

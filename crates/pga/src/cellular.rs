@@ -71,12 +71,33 @@ impl CellularConfig {
     }
 }
 
+/// Every cell's torus neighbours, cell by cell, each in
+/// [`NeighborhoodShape::offsets`] order (see `CellularGa::neighbours`).
+fn torus_neighbours(config: &CellularConfig) -> Vec<usize> {
+    let (rows, cols) = (config.rows as isize, config.cols as isize);
+    (0..rows * cols)
+        .flat_map(|idx| {
+            let (r, c) = (idx / cols, idx % cols);
+            config.shape.offsets().iter().map(move |&(dr, dc)| {
+                let nr = (r + dr).rem_euclid(rows);
+                let nc = (c + dc).rem_euclid(cols);
+                (nr * cols + nc) as usize
+            })
+        })
+        .collect()
+}
+
 /// The cellular GA: a `rows x cols` torus of individuals.
 pub struct CellularGa<'a, G> {
     config: CellularConfig,
     toolkit: Toolkit<G>,
     evaluator: &'a dyn Evaluator<G>,
     grid: Vec<Individual<G>>,
+    /// Flat torus neighbour table: cell `i`'s neighbours, in
+    /// [`NeighborhoodShape::offsets`] order, are the `k` entries from
+    /// `i * k` (`k` = offsets per cell). Fixed by `rows`, `cols` and
+    /// `shape`, so it is built once in [`CellularGa::new`].
+    neighbours: Vec<usize>,
     generation: u64,
     best: Individual<G>,
     pub telemetry: RunTelemetry,
@@ -109,6 +130,7 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             .min_by(|a, b| a.cost.total_cmp(&b.cost))
             .expect("non-empty grid")
             .clone();
+        let neighbours = torus_neighbours(&config);
         CellularGa {
             telemetry: RunTelemetry {
                 workers: n,
@@ -119,26 +141,16 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             toolkit,
             evaluator: evaluator as &dyn Evaluator<G>,
             grid,
+            neighbours,
             generation: 0,
             best,
             since_improvement: 0,
         }
     }
 
-    fn neighbour_indices(&self, idx: usize) -> Vec<usize> {
-        let (rows, cols) = (self.config.rows as isize, self.config.cols as isize);
-        let r = (idx / self.config.cols) as isize;
-        let c = (idx % self.config.cols) as isize;
-        self.config
-            .shape
-            .offsets()
-            .iter()
-            .map(|&(dr, dc)| {
-                let nr = (r + dr).rem_euclid(rows);
-                let nc = (c + dc).rem_euclid(cols);
-                (nr * cols + nc) as usize
-            })
-            .collect()
+    fn neighbour_indices(&self, idx: usize) -> &[usize] {
+        let k = self.config.shape.offsets().len();
+        &self.neighbours[idx * k..(idx + 1) * k]
     }
 
     /// One synchronous generation: every cell picks its best neighbour,
@@ -154,7 +166,6 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         let seed = self.config.seed;
         let mutation_rate = self.config.mutation_rate;
         let n = self.grid.len();
-        let neighbours: Vec<Vec<usize>> = (0..n).map(|i| self.neighbour_indices(i)).collect();
 
         // Phase 1 (parallel, read-only grid): breed one child per cell.
         // Phase timing reads the clock only when the observer asks.
@@ -166,7 +177,8 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             .into_par_iter()
             .map(|i| {
                 let mut rng = stream_rng(seed, gen.wrapping_mul(0x1000_0000) + i as u64);
-                let mate = *neighbours[i]
+                let mate = *self
+                    .neighbour_indices(i)
                     .iter()
                     .min_by(|&&a, &&b| grid[a].cost.total_cmp(&grid[b].cost))
                     .expect("non-empty neighbourhood");

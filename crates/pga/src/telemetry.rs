@@ -31,14 +31,12 @@ pub struct RunTelemetry {
     /// anytime convergence curve. Each model counts them in its own
     /// step, so bare and observed runs report the same number.
     pub improvements: u64,
-    /// Incremental-decoder invocations behind this run's evaluations
-    /// (zero when the evaluator is not decoder-backed or the caller
-    /// did not wire the counters through).
+    /// Table-decoder invocations behind this run's evaluations (zero
+    /// when the evaluator is not decoder-backed or the caller did not
+    /// wire the counters through).
     pub decode_calls: u64,
-    /// Schedule positions actually re-timed by those decodes — the
-    /// work left after the divergence cut skipped the unchanged
-    /// prefix. `retimed_positions / decode_calls` against the genome
-    /// length is the incremental path's observed saving.
+    /// Genome positions timed by those decodes. Every decode is a full
+    /// decode, so this is `decode_calls` times the genome length.
     pub retimed_positions: u64,
 }
 

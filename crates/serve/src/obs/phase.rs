@@ -51,9 +51,9 @@ impl PhaseAcc {
         cell.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Adds serve-side decode time (timed around the incremental
-    /// decoder call inside the evaluation closure; a subset of the
-    /// engine's `Evaluate` phase).
+    /// Adds serve-side decode time (timed around the member's table
+    /// decode inside the evaluation closure; a subset of the engine's
+    /// `Evaluate` phase).
     pub fn add_decode(&self, d: Duration) {
         self.decode_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);

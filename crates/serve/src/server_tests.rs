@@ -1078,6 +1078,99 @@ fn evicted_durable_session_is_recovered_from_its_log() {
     assert_eq!(stats.get("errors").unwrap().as_u64(), Some(0));
 }
 
+/// One breakdown `session_event` line for `sid` at time `from`.
+fn breakdown_line(sid: &str, from: u64) -> String {
+    format!(
+        r#"{{"cmd":"session_event","session":"{sid}","event":{{"type":"breakdown","machine":2,"from":{from},"duration":12}},"deadline_ms":1000}}"#
+    )
+}
+
+/// One `stats` counter, read over the wire.
+fn stat(addr: SocketAddr, name: &str) -> u64 {
+    let stats =
+        crate::json::parse(&send_lines(addr, &[r#"{"cmd":"stats"}"#.to_string()])[0]).unwrap();
+    stats.get(name).unwrap().as_u64().unwrap()
+}
+
+// A session whose log went missing heals at its next event: the failed
+// append falls back to a full snapshot, the log replays to the live
+// state, and nothing counts as an error.
+#[test]
+fn missing_session_log_is_rewritten_at_the_next_event() {
+    let tmp = TmpWalDir::new("heal");
+    let service = Service::bind(ServeConfig {
+        wal_dir: Some(tmp.path()),
+        ..tiny_config()
+    })
+    .unwrap();
+    let addr = service.local_addr();
+    let sid = open_session(addr, 6);
+    let log = tmp.0.join(format!("{sid}.wal"));
+    std::fs::remove_file(&log).unwrap();
+    let errors = stat(addr, "errors");
+    let event = crate::json::parse(&send_lines(addr, &[breakdown_line(&sid, 10)])[0]).unwrap();
+    assert_eq!(event.get("status").unwrap().as_str(), Some("ok"));
+    assert!(log.exists(), "the event must rewrite the missing log");
+    assert_eq!(stat(addr, "errors"), errors);
+
+    let wal = crate::wal::Wal::new(crate::wal::WalConfig {
+        dir: tmp.0.clone(),
+        snapshot_every: 64,
+        fsync: false,
+    })
+    .unwrap();
+    let crate::wal::RecoverOutcome::Recovered(rec) = wal.recover_one(&sid).unwrap() else {
+        panic!("the healed log must replay");
+    };
+    let entry = service.shared.sessions.entry(&sid).unwrap();
+    let live = entry.lock().unwrap();
+    let live = live.as_ref().unwrap();
+    assert_eq!(rec.state.events, 1);
+    assert_eq!(rec.state.events, live.events);
+    assert_eq!(rec.state.now, live.now);
+    assert_eq!(rec.state.incumbent.value, live.incumbent.value);
+    assert_eq!(rec.state.incumbent.schedule, live.incumbent.schedule);
+    let journal = |s: &crate::session::SessionState| -> Vec<String> {
+        s.journal
+            .iter()
+            .map(|e| crate::wal::journal_entry_to_json(e).encode())
+            .collect()
+    };
+    assert_eq!(journal(&rec.state), journal(live));
+}
+
+// With the WAL directory gone (a regular file in its place), every
+// append and rewrite fails with ENOTDIR: events still answer ok and
+// advance the in-memory session, each counts one error, and no write
+// is counted as a WAL append.
+#[test]
+fn unwritable_wal_degrades_to_memory_and_counts_each_event() {
+    let tmp = TmpWalDir::new("degrade");
+    let service = Service::bind(ServeConfig {
+        wal_dir: Some(tmp.path()),
+        ..tiny_config()
+    })
+    .unwrap();
+    let addr = service.local_addr();
+    let sid = open_session(addr, 7);
+    std::fs::remove_dir_all(&tmp.0).unwrap();
+    std::fs::write(&tmp.0, b"not a directory").unwrap();
+    let (errors, appends) = (stat(addr, "errors"), stat(addr, "wal_appends"));
+    for (n, from) in [(1, 10), (2, 20)] {
+        let event =
+            crate::json::parse(&send_lines(addr, &[breakdown_line(&sid, from)])[0]).unwrap();
+        assert_eq!(event.get("status").unwrap().as_str(), Some("ok"));
+        assert_eq!(event.get("events").unwrap().as_u64(), Some(n));
+        assert_eq!(stat(addr, "errors"), errors + n);
+        assert_eq!(stat(addr, "wal_appends"), appends);
+    }
+    let get = format!(r#"{{"cmd":"session_get","session":"{sid}"}}"#);
+    let got = crate::json::parse(&send_lines(addr, &[get])[0]).unwrap();
+    assert_eq!(got.get("events").unwrap().as_u64(), Some(2));
+    assert_eq!(got.get("now").unwrap().as_u64(), Some(20));
+    std::fs::remove_file(&tmp.0).unwrap();
+}
+
 #[test]
 fn session_events_returns_the_ordered_log() {
     let service = Service::bind(tiny_config()).unwrap();

@@ -9,11 +9,10 @@
 //! run as tasks on a persistent pool (see [`crate::scheduler`]), all
 //! race members share one `Arc`-cached flat operation table
 //! ([`shop::decoder::table`]) built once per solve; each member run
-//! wraps it in its own incremental re-decoder, so consecutive
-//! evaluations of near-identical genomes (mutation traffic) re-time
-//! only the changed suffix. The final winning genome is decoded by the
-//! family's reference decoder and validated — the hot path never gets
-//! to answer unchecked.
+//! wraps it in its own member decoder (one reusable scratch plus
+//! decode counters) and decodes every genome in full. The final
+//! winning genome is decoded by the family's reference decoder and
+//! validated — the hot path never gets to answer unchecked.
 
 use crate::obs::trace::MemberTrace;
 pub use crate::portfolio::SolveHooks;
@@ -120,12 +119,12 @@ pub struct SolveOutcome {
     pub total_ops: u64,
 }
 
-/// Runs one member over its own incremental decoder `inc` (the shared
+/// Runs one member over its own table decoder `inc` (the shared
 /// tail of the per-family [`MemberRunner`] closures below, each of
 /// which owns an `Arc` of the instance so the racer-pool task is
 /// `'static`). `decode` costs one genome; when the race is profiled,
-/// every call is timed into the `decode` phase. The decoder's
-/// divergence counters are folded into the member's telemetry.
+/// every call is timed into the `decode` phase. The decoder's work
+/// counters are folded into the member's telemetry.
 fn run_decoding<G, D, TF>(
     member: ModelKind,
     member_seed: u64,
@@ -185,7 +184,7 @@ pub fn solve(
 /// [`solve`] with the full observation surface (see [`SolveHooks`]):
 /// tracing, live watch streaming, and phase profiling, in any
 /// combination. The decode leg of the profile is timed here, around
-/// the incremental re-decoders; the other phases come from the models
+/// the member table decoders; the other phases come from the models
 /// through each member's observer.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_hooked(
@@ -209,8 +208,7 @@ pub fn solve_hooked(
         LoadedInstance::Flow(flow) => {
             let n_jobs = flow.n_jobs();
             // One flat operation table per solve, shared by every race
-            // member; each member wraps it in its own incremental
-            // decoder.
+            // member; each member wraps it in its own decoder.
             let table = Arc::new(OpTable::from_flow(flow));
             let runner: Arc<MemberRunner<Vec<usize>>> =
                 Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {

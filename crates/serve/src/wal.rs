@@ -837,9 +837,11 @@ impl Slot {
 ///   writes the open record before the id is reachable, and
 ///   [`SessionStore::record_event`] appends under the session lock
 ///   before the caller answers.
-/// * **Fall back to memory on I/O failure.** A failed write is counted
-///   in `errors` and the answer still ships: losing the answer would
-///   be worse than losing durability.
+/// * **Fall back to memory on I/O failure, and heal.** A failed write
+///   is counted in `errors` and the answer still ships: losing the
+///   answer would be worse than losing durability. A failed event
+///   append falls back to a full snapshot rewrite, so a log that went
+///   missing comes back at the session's next event.
 /// * **Never drop a held session.** Expiry and eviction skip a slot
 ///   whose entry a request still holds; when every slot is held at
 ///   capacity an open still succeeds and the map briefly exceeds
@@ -959,7 +961,11 @@ impl SessionStore {
         // panic-safe: poisoned = a recovery already panicked; never replay on top of it.
         let _recovering = self.recovery.lock().expect("recovery lock poisoned");
         self.write(&id, "open append", |wal| {
-            wal.begin(&id, &open_record(&id, &state))
+            // A torn header must not be extended by later appends: drop
+            // it, and the session's first event rewrites a full snapshot.
+            wal.begin(&id, &open_record(&id, &state)).inspect_err(|_| {
+                let _ = wal.remove(&id);
+            })
         });
         self.insert(&id, state, ttl_ms, &self.opened);
         id
@@ -994,10 +1000,16 @@ impl SessionStore {
         None
     }
 
-    /// Logs one accepted event, and compacts the log into a snapshot
-    /// when the cadence triggers. Call under the session's entry lock
-    /// and before answering: appends stay ordered per session and an
-    /// answered event is a durable event.
+    /// Logs one accepted event, and writes the full state as a snapshot
+    /// when the cadence triggers or the append failed. Call under the
+    /// session's entry lock and before answering: appends stay ordered
+    /// per session and an answered event is a durable event.
+    ///
+    /// The snapshot fallback heals a log that is gone (a failed open
+    /// record, or a file deleted under the service): the session is
+    /// durable again from this event on, and only a failed rewrite
+    /// counts an error. It cannot revive a closed session: close takes
+    /// the state out under the same entry lock this runs under.
     pub fn record_event(
         &self,
         id: &str,
@@ -1006,9 +1018,12 @@ impl SessionStore {
         out: &crate::session::EventOutcome,
     ) {
         self.write(id, "append", |wal| {
-            wal.append(id, &event_record(state.events, event, out))?;
+            let appended = wal.append(id, &event_record(state.events, event, out));
+            if let Err(e) = &appended {
+                eprintln!("[serve::wal] {id}: append failed: {e} (rewriting a snapshot)");
+            }
             let every = wal.config().snapshot_every;
-            if every > 0 && state.events.is_multiple_of(every) {
+            if appended.is_err() || (every > 0 && state.events.is_multiple_of(every)) {
                 wal.rewrite(id, &snapshot_record(id, state))?;
             }
             Ok(())
