@@ -1,16 +1,26 @@
 //! The sample stream is a model's only per-generation record. These
 //! tests pin it exactly (every field's bits, hashed) for the four
-//! `Individual`-based models, and check that a run whose observer does
-//! not ask for samples never builds one — no sequence view, no
-//! diversity pass.
+//! `Individual`-based models under each of the serve path's three
+//! genome toolkits (job-order over operation sequences, OX over
+//! permutations, dual assignment+sequence genomes), and check that a
+//! run whose observer does not ask for samples never builds one — no
+//! sequence view, no diversity pass.
 
+use ga::crossover::PermCrossover;
+use ga::dual::DualGenome;
 use ga::engine::{Engine, GaConfig, Model, Toolkit};
+use ga::mutate::SeqMutation;
 use ga::stats::{GenerationSample, History};
 use ga::termination::Termination;
 use ga::Evaluator;
 use pga::{CellularConfig, CellularGa, IslandConfig, IslandGa, IslandsOfCellular, MigrationConfig};
+use shop::decoder::flexible::FlexDecoder;
+use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::instance::classic;
+use shop::instance::generate::{flexible_job_shop, flow_shop_taillard, GenConfig};
+use shop::instance::FlexibleInstance;
+use shop::Problem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -35,11 +45,11 @@ const KINDS: [Kind; 4] = [
 /// One small model of `kind`, every population built by `toolkit`. The
 /// island model migrates (best-replace-worst on a ring) every third
 /// generation, so migrants regularly improve an island.
-fn model<'a, E: Evaluator<Vec<usize>>>(
+fn model<'a, G: Clone + Send + Sync + 'static, E: Evaluator<G>>(
     kind: Kind,
-    toolkit: &dyn Fn() -> Toolkit<Vec<usize>>,
+    toolkit: &dyn Fn() -> Toolkit<G>,
     eval: &'a E,
-) -> Box<dyn Model<Vec<usize>> + 'a> {
+) -> Box<dyn Model<G> + 'a> {
     let cfg = |pop_size, seed| GaConfig {
         pop_size,
         seed,
@@ -100,20 +110,15 @@ fn fnv(samples: &[GenerationSample]) -> u64 {
     h
 }
 
-#[test]
-fn sample_streams_match_the_goldens() {
-    let bench = classic::ft06();
-    let inst = &bench.instance;
-    let decoder = JobDecoder::new(inst);
-    let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
-    let goldens: [(Kind, usize, u64); 4] = [
-        (Kind::MasterSlave, 15, 0x2e32_7cb8_622d_6b88),
-        (Kind::Cellular, 15, 0x21dc_fa23_dc99_38ae),
-        (Kind::Island, 60, 0x8399_e5da_6583_fb9a),
-        (Kind::IslandsOfCellular, 36, 0x8d5e_e272_c454_03f4),
-    ];
+/// Runs every kind under `toolkit` with a `History` observer and checks
+/// each sample stream's length and hash against `goldens`.
+fn assert_goldens<G: Clone + Send + Sync + 'static, E: Evaluator<G>>(
+    toolkit: &dyn Fn() -> Toolkit<G>,
+    eval: &E,
+    goldens: [(Kind, usize, u64); 4],
+) {
     for (kind, len, hash) in goldens {
-        let mut m = model(kind, &|| opseq_toolkit(inst), &eval);
+        let mut m = model(kind, toolkit, eval);
         let mut history = History::default();
         ga::run(
             &mut *m,
@@ -131,6 +136,78 @@ fn sample_streams_match_the_goldens() {
             assert_migrant_resets_an_island(&history.samples);
         }
     }
+}
+
+#[test]
+fn sample_streams_match_the_goldens() {
+    let bench = classic::ft06();
+    let inst = &bench.instance;
+    let decoder = JobDecoder::new(inst);
+    let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
+    let goldens: [(Kind, usize, u64); 4] = [
+        (Kind::MasterSlave, 15, 0x2e32_7cb8_622d_6b88),
+        (Kind::Cellular, 15, 0x21dc_fa23_dc99_38ae),
+        (Kind::Island, 60, 0x8399_e5da_6583_fb9a),
+        (Kind::IslandsOfCellular, 36, 0x8d5e_e272_c454_03f4),
+    ];
+    assert_goldens(&|| opseq_toolkit(inst), &eval, goldens);
+}
+
+/// The serve path's flow/open-shop bundle: shuffled permutation init,
+/// order crossover (OX), swap mutation.
+fn ox_toolkit(n: usize) -> Toolkit<Vec<usize>> {
+    Toolkit {
+        init: Box::new(move |rng| {
+            use rand::seq::SliceRandom;
+            let mut p: Vec<usize> = (0..n).collect();
+            p.shuffle(rng);
+            p
+        }),
+        crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
+        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
+        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+    }
+}
+
+#[test]
+fn ox_sample_streams_match_the_goldens() {
+    let inst = flow_shop_taillard(&GenConfig::new(12, 5, 7));
+    let decoder = FlowDecoder::new(&inst);
+    let eval = move |perm: &Vec<usize>| decoder.makespan(perm) as f64;
+    let goldens: [(Kind, usize, u64); 4] = [
+        (Kind::MasterSlave, 15, 0xaad6_4830_f7c8_ddcb),
+        (Kind::Cellular, 15, 0xd70c_ae1d_7e1a_1a88),
+        (Kind::Island, 60, 0x60e1_06a3_225a_44e2),
+        (Kind::IslandsOfCellular, 36, 0x01cc_770e_0265_2d5f),
+    ];
+    assert_goldens(&|| ox_toolkit(inst.n_jobs()), &eval, goldens);
+}
+
+/// The serve path's flexible-shop bundle: random dual genomes, uniform
+/// assignment exchange + job-order sequence crossover, dual mutation.
+fn dual_toolkit(inst: &FlexibleInstance, max_choices: usize) -> Toolkit<DualGenome> {
+    let n_jobs = inst.n_jobs();
+    let ops_per_job: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
+    Toolkit {
+        init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
+        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
+        mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
+        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
+    }
+}
+
+#[test]
+fn dual_sample_streams_match_the_goldens() {
+    let inst = flexible_job_shop(&GenConfig::new(6, 4, 9), 4, 3);
+    let decoder = FlexDecoder::new(&inst);
+    let eval = move |g: &DualGenome| decoder.makespan(&g.assign, &g.seq) as f64;
+    let goldens: [(Kind, usize, u64); 4] = [
+        (Kind::MasterSlave, 15, 0xcefb_b3f0_8fab_8102),
+        (Kind::Cellular, 15, 0x67ef_24c1_a45e_9ded),
+        (Kind::Island, 60, 0x26d8_fc0f_f6dd_d698),
+        (Kind::IslandsOfCellular, 36, 0xa1e6_2123_5ac0_502e),
+    ];
+    assert_goldens(&|| dual_toolkit(&inst, 3), &eval, goldens);
 }
 
 /// The island golden must cover a migration generation in which a
