@@ -6,6 +6,7 @@ use ga::crossover::{KeysCrossover, PermCrossover, RepCrossover};
 use ga::mutate::{gaussian_keys, SeqMutation};
 use ga::rng::root_rng;
 use ga::select::Selection;
+use rand::seq::SliceRandom;
 use std::time::Duration;
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
@@ -16,35 +17,51 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g
 }
 
+/// `count` seeded pairs of shuffles of `genes`. The benches cycle
+/// through them: structured parents (identity against its reverse, one
+/// fixed pair) let the branch predictor learn a data-dependent kernel
+/// and price it at about half of what it costs on the random genomes a
+/// race breeds.
+fn shuffled_pairs(genes: &[usize], count: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut rng = root_rng(7);
+    let mut shuffled = || {
+        let mut g = genes.to_vec();
+        g.shuffle(&mut rng);
+        g
+    };
+    (0..count).map(|_| (shuffled(), shuffled())).collect()
+}
+
 fn bench_crossovers(c: &mut Criterion) {
     let mut g = quick(c);
     let mut rng = root_rng(1);
-    let p1: Vec<usize> = (0..100).collect();
-    let p2: Vec<usize> = (0..100).rev().collect();
-    for op in PermCrossover::ALL {
-        g.bench_function(format!("perm_{op:?}"), |b| {
-            b.iter(|| {
-                op.apply(
-                    std::hint::black_box(&p1),
-                    std::hint::black_box(&p2),
-                    &mut rng,
-                )
-            })
-        });
+    // The serve path's permutation sizes.
+    for n in [50, 160] {
+        let pairs = shuffled_pairs(&(0..n).collect::<Vec<_>>(), 64);
+        for op in PermCrossover::ALL {
+            let mut next = pairs.iter().cycle();
+            g.bench_function(format!("perm_{op:?}_n{n}"), |b| {
+                b.iter(|| {
+                    let (p1, p2) = next.next().expect("cycle never ends");
+                    op.apply(std::hint::black_box(p1), std::hint::black_box(p2), &mut rng)
+                })
+            });
+        }
     }
-    let r1: Vec<usize> = (0..100).map(|i| i % 10).collect();
-    let mut r2 = r1.clone();
-    r2.reverse();
+    // A serve-size job-shop sequence: 20 jobs x 10 operations.
+    let pairs = shuffled_pairs(&(0..200).map(|i| i % 20).collect::<Vec<_>>(), 64);
     for (name, op) in [
         ("job_order", RepCrossover::JobOrder),
         ("thx", RepCrossover::Thx(0.5)),
     ] {
+        let mut next = pairs.iter().cycle();
         g.bench_function(format!("rep_{name}"), |b| {
             b.iter(|| {
+                let (p1, p2) = next.next().expect("cycle never ends");
                 op.apply(
-                    std::hint::black_box(&r1),
-                    std::hint::black_box(&r2),
-                    10,
+                    std::hint::black_box(p1),
+                    std::hint::black_box(p2),
+                    20,
                     &mut rng,
                 )
             })

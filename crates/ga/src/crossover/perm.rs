@@ -1,5 +1,6 @@
 //! Crossovers over strict permutations (each value exactly once).
 
+use super::rep::keep_and_fill;
 use rand::Rng;
 
 fn cut_points(len: usize, rng: &mut impl Rng) -> (usize, usize) {
@@ -36,20 +37,25 @@ pub fn pmx(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
 pub fn order(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
     let n = p1.len();
     let (lo, hi) = cut_points(n, rng);
-    let mut child = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    for i in lo..=hi {
-        child[i] = p1[i];
-        used[p1[i]] = true;
+    let mut used = vec![0; n];
+    for &v in &p1[lo..=hi] {
+        used[v] = 1;
     }
-    let mut fill = (hi + 1) % n;
-    for k in 0..n {
-        let v = p2[(hi + 1 + k) % n];
-        if !used[v] {
-            child[fill] = v;
-            fill = (fill + 1) % n;
-        }
+    // `p2`'s unused values in the cyclic order after the segment,
+    // compacted without a branch.
+    let mut rest = vec![0; n];
+    let mut k = 0;
+    for &v in p2[hi + 1..].iter().chain(&p2[..=hi]) {
+        rest[k] = v;
+        k += 1 - used[v];
     }
+    // They fill the `tail` positions after the segment, then wrap to
+    // the `lo` positions before it.
+    let tail = n - 1 - hi;
+    let mut child = Vec::with_capacity(n);
+    child.extend_from_slice(&rest[tail..tail + lo]);
+    child.extend_from_slice(&p1[lo..=hi]);
+    child.extend_from_slice(&rest[..tail]);
     child
 }
 
@@ -58,22 +64,11 @@ pub fn order(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
 pub fn linear_order(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
     let n = p1.len();
     let (lo, hi) = cut_points(n, rng);
-    let mut child = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    for i in lo..=hi {
-        child[i] = p1[i];
-        used[p1[i]] = true;
+    let mut keep = vec![0; n];
+    for &v in &p1[lo..=hi] {
+        keep[v] = usize::MAX;
     }
-    let mut fill = 0;
-    for &v in p2 {
-        if !used[v] {
-            while child[fill] != usize::MAX {
-                fill += 1;
-            }
-            child[fill] = v;
-        }
-    }
-    child
+    keep_and_fill(p1, p2, &keep)
 }
 
 /// Cycle crossover (CX, Akhshabi \[18\], Gu \[28\]): children alternate the
@@ -118,31 +113,149 @@ pub fn cycle(p1: &[usize], p2: &[usize]) -> (Vec<usize>, Vec<usize>) {
 /// Position-based crossover: keep a random subset of positions from `p1`,
 /// fill the remaining values in `p2` order.
 pub fn position_based(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
-    let n = p1.len();
-    let mut child = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    for i in 0..n {
-        if rng.gen_bool(0.5) {
-            child[i] = p1[i];
-            used[p1[i]] = true;
-        }
+    let mut keep = vec![0; p1.len()];
+    for &v in p1 {
+        keep[v] = usize::from(rng.gen_bool(0.5)).wrapping_neg();
     }
-    let mut fill = 0;
-    for &v in p2 {
-        if !used[v] {
-            while child[fill] != usize::MAX {
-                fill += 1;
-            }
-            child[fill] = v;
-        }
-    }
-    child
+    keep_and_fill(p1, p2, &keep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::root_rng;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::RngCore;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The branching OX the kernel replaced, kept as the oracle for its
+    /// children and its RNG calls.
+    fn order_reference(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
+        let n = p1.len();
+        let (lo, hi) = cut_points(n, rng);
+        let mut child = vec![usize::MAX; n];
+        let mut used = vec![false; n];
+        for i in lo..=hi {
+            child[i] = p1[i];
+            used[p1[i]] = true;
+        }
+        let mut fill = (hi + 1) % n;
+        for k in 0..n {
+            let v = p2[(hi + 1 + k) % n];
+            if !used[v] {
+                child[fill] = v;
+                fill = (fill + 1) % n;
+            }
+        }
+        child
+    }
+
+    /// Fills the `usize::MAX` holes of `child` left to right with the
+    /// values of `p2` not in `used`, in `p2` order: the branching fill the
+    /// LOX and position-based references share.
+    fn fill_holes(mut child: Vec<usize>, used: &[bool], p2: &[usize]) -> Vec<usize> {
+        let mut fill = 0;
+        for &v in p2 {
+            if !used[v] {
+                while child[fill] != usize::MAX {
+                    fill += 1;
+                }
+                child[fill] = v;
+            }
+        }
+        child
+    }
+
+    fn linear_order_reference(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
+        let n = p1.len();
+        let (lo, hi) = cut_points(n, rng);
+        let mut child = vec![usize::MAX; n];
+        let mut used = vec![false; n];
+        for i in lo..=hi {
+            child[i] = p1[i];
+            used[p1[i]] = true;
+        }
+        fill_holes(child, &used, p2)
+    }
+
+    fn position_based_reference(p1: &[usize], p2: &[usize], rng: &mut impl Rng) -> Vec<usize> {
+        let n = p1.len();
+        let mut child = vec![usize::MAX; n];
+        let mut used = vec![false; n];
+        for i in 0..n {
+            if rng.gen_bool(0.5) {
+                child[i] = p1[i];
+                used[p1[i]] = true;
+            }
+        }
+        fill_holes(child, &used, p2)
+    }
+
+    type Kernel = fn(&[usize], &[usize], &mut ChaCha8Rng) -> Vec<usize>;
+
+    /// Each rewritten kernel next to its branching reference.
+    fn kernels() -> [(&'static str, Kernel, Kernel); 3] {
+        [
+            ("ox", order, order_reference),
+            ("lox", linear_order, linear_order_reference),
+            ("position", position_based, position_based_reference),
+        ]
+    }
+
+    fn permutation(n: usize, rng: &mut impl Rng) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        p.shuffle(rng);
+        p
+    }
+
+    /// Every kernel and its reference, each from a clone of `rng`, give
+    /// the same child and leave the RNG at the same position.
+    fn assert_kernels_match(p1: &[usize], p2: &[usize], rng: &ChaCha8Rng) {
+        for (name, kernel, reference) in kernels() {
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            assert_eq!(
+                kernel(p1, p2, &mut a),
+                reference(p1, p2, &mut b),
+                "{name}: {p1:?} x {p2:?}"
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG position");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn order_kernels_match_the_branching_references(
+            n in 1usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = root_rng(seed);
+            let p1 = permutation(n, &mut rng);
+            let p2 = permutation(n, &mut rng);
+            assert_kernels_match(&p1, &p2, &rng);
+        }
+    }
+
+    #[test]
+    fn order_kernels_match_the_references_at_the_cut_edges() {
+        // lo == hi, lo == 0, hi == n - 1, and a segment touching neither end.
+        let mut seen = [false; 4];
+        for seed in 0..600 {
+            let mut rng = root_rng(seed);
+            let n = 1 + seed as usize % 6;
+            let p1 = permutation(n, &mut rng);
+            let p2 = permutation(n, &mut rng);
+            let (lo, hi) = cut_points(n, &mut rng.clone());
+            seen[0] |= lo == hi;
+            seen[1] |= lo == 0;
+            seen[2] |= hi == n - 1;
+            seen[3] |= lo > 0 && hi < n - 1;
+            assert_kernels_match(&p1, &p2, &rng);
+        }
+        assert_eq!(seen, [true; 4]);
+    }
 
     #[test]
     fn pmx_keeps_segment_from_first_parent() {
