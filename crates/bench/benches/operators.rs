@@ -20,8 +20,7 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
 /// `count` seeded pairs of shuffles of `genes`. The benches cycle
 /// through them: structured parents (identity against its reverse, one
 /// fixed pair) let the branch predictor learn a data-dependent kernel
-/// and price it at about half of what it costs on the random genomes a
-/// race breeds.
+/// and under-price it against the random genomes a race breeds.
 fn shuffled_pairs(genes: &[usize], count: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
     let mut rng = root_rng(7);
     let mut shuffled = || {
