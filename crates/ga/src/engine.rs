@@ -467,11 +467,11 @@ impl<'a, G: Clone> Engine<'a, G> {
 
         // Elites survive unchanged.
         let mut next: Vec<Individual<G>> = Vec::with_capacity(pop);
-        if elites > 0 {
-            let mut sorted: Vec<&Individual<G>> = self.population.iter().collect();
-            sorted.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-            next.extend(sorted.into_iter().take(elites).cloned());
-        }
+        next.extend(
+            elite_indices(&costs, elites)
+                .into_iter()
+                .map(|i| self.population[i].clone()),
+        );
         next.extend(
             children
                 .into_iter()
@@ -572,6 +572,21 @@ impl<G: Clone> Model<G> for Engine<'_, G> {
     }
 }
 
+/// Indices of the `k` lowest `costs`, listed as a stable sort by cost
+/// would list them (ties in index order): a partial selection under
+/// the `(cost, index)` key, then a sort of the `k` it picked, instead
+/// of sorting the whole population every generation.
+fn elite_indices(costs: &[f64], k: usize) -> Vec<usize> {
+    let key = |a: &usize, b: &usize| costs[*a].total_cmp(&costs[*b]).then(a.cmp(b));
+    let mut idx: Vec<usize> = (0..costs.len()).collect();
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k, key);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(key);
+    idx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,6 +683,27 @@ mod tests {
             let best_now = e.best().cost;
             assert!(best_now <= last + 1e-12);
             last = best_now;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // The elites are the first `k` of a stable sort by cost, even
+        // when most costs tie (drawn from six values, with `-0.0`, NaN
+        // and infinity among them).
+        #[test]
+        fn elite_indices_match_a_stable_sort(
+            picks in proptest::collection::vec(0usize..6, 1..60),
+            k in 0usize..64,
+        ) {
+            const VALUES: [f64; 6] = [0.0, -0.0, 1.0, 2.0, f64::NAN, f64::INFINITY];
+            let costs: Vec<f64> = picks.iter().map(|&p| VALUES[p]).collect();
+            let k = k % (costs.len() + 1);
+            let mut sorted: Vec<usize> = (0..costs.len()).collect();
+            sorted.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
+            sorted.truncate(k);
+            proptest::prop_assert_eq!(elite_indices(&costs, k), sorted);
         }
     }
 
