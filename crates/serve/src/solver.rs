@@ -35,7 +35,7 @@ use shop::gen::AnyInstance;
 use shop::schedule::Schedule;
 use shop::Problem;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The parsed problem instance a request resolves to. Kept as an alias
 /// of [`shop::gen::AnyInstance`] — the family-generic operations
@@ -123,8 +123,9 @@ pub struct SolveOutcome {
 /// tail of the per-family [`MemberRunner`] closures below, each of
 /// which owns an `Arc` of the instance so the racer-pool task is
 /// `'static`). `decode` costs one genome; when the race is profiled,
-/// every call is timed into the `decode` phase. The decoder's work
-/// counters are folded into the member's telemetry.
+/// every call is timed, summed in the member's own evaluator state and
+/// added to the race's `decode` phase once, when the member returns.
+/// The decoder's work counters are folded into the member's telemetry.
 fn run_decoding<G, D, TF>(
     member: ModelKind,
     member_seed: u64,
@@ -141,20 +142,27 @@ where
     TF: Fn() -> Toolkit<G> + Sync,
 {
     // The mutex satisfies the `Fn + Sync` evaluator bound and is
-    // uncontended: one evaluator per member run.
-    let inc = Mutex::new(inc);
-    let profile = obs.phases;
+    // uncontended: one evaluator per member run. It also holds the
+    // member's summed decode nanoseconds, so a profiled decode touches
+    // no cache line the other racers share.
+    let state = Mutex::new((inc, 0u64));
+    let profiled = obs.phases.is_some();
     let eval = |g: &G| {
-        let mut inc = inc.lock().expect("member decoder poisoned");
-        let t0 = profile.map(|_| Instant::now());
-        let v = decode(&mut inc, g);
-        if let (Some(acc), Some(t0)) = (profile, t0) {
-            acc.add_decode(t0.elapsed());
+        let mut state = state.lock().expect("member decoder poisoned");
+        let (inc, decode_ns) = &mut *state;
+        let t0 = profiled.then(Instant::now);
+        let v = decode(inc, g);
+        if let Some(t0) = t0 {
+            *decode_ns += t0.elapsed().as_nanos() as u64;
         }
         v
     };
     let (best, mut tel, hit) = run_member(member, member_seed, &toolkit_factory, &eval, stop, obs);
-    let c = counters(&inc.lock().expect("member decoder poisoned"));
+    let (inc, decode_ns) = state.into_inner().expect("member decoder poisoned");
+    if let Some(acc) = obs.phases {
+        acc.add_decode(Duration::from_nanos(decode_ns));
+    }
+    let c = counters(&inc);
     tel.decode_calls = c.decodes;
     tel.retimed_positions = c.retimed_positions;
     (best, tel, hit)
@@ -547,6 +555,39 @@ mod tests {
         );
         assert!(sink.0.load(Ordering::Relaxed) > 0, "frames were emitted");
         assert!(out.timelines.is_empty());
+    }
+
+    /// Each member adds its summed decode time once, after its run. Every
+    /// decode but the initial population's runs inside a model's timed
+    /// evaluation batch, and ft06's target is never certified, so all
+    /// three members run their 40 generations and the race's decode
+    /// total stays within its evaluate total.
+    #[test]
+    fn profiled_solve_reports_decode_within_evaluate() {
+        use crate::obs::phase::PhaseAcc;
+        let pool = RacerPool::new(2);
+        let inst = Arc::new(load_instance(&InstanceSpec::Named("ft06".into())).unwrap());
+        let phases = Arc::new(PhaseAcc::new());
+        solve_hooked(
+            &pool,
+            &inst,
+            Objective::Makespan,
+            7,
+            deadline(),
+            40,
+            3,
+            SolveHooks {
+                traced: false,
+                watch: None,
+                phases: Some(Arc::clone(&phases)),
+            },
+        );
+        let [_, _, evaluate, _, decode] = phases.snapshot_ns();
+        assert!(decode > 0, "no decode time recorded");
+        assert!(
+            decode <= evaluate,
+            "decode {decode} ns > evaluate {evaluate} ns"
+        );
     }
 
     #[test]
