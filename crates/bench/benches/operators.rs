@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ga::crossover::{KeysCrossover, PermCrossover, RepCrossover};
+use ga::dual::DualGenome;
 use ga::mutate::{gaussian_keys, SeqMutation};
 use ga::rng::root_rng;
 use ga::select::Selection;
@@ -66,6 +67,28 @@ fn bench_crossovers(c: &mut Criterion) {
             })
         });
     }
+    // The flexible-shop dual genome at the serve size: 20 jobs x 8
+    // operations, 3 eligible machines per operation.
+    let mut pair_rng = root_rng(7);
+    let dual_pairs: Vec<(DualGenome, DualGenome)> = (0..64)
+        .map(|_| {
+            let a = DualGenome::random(&[8; 20], 3, &mut pair_rng);
+            let b = DualGenome::random(&[8; 20], 3, &mut pair_rng);
+            (a, b)
+        })
+        .collect();
+    let mut next = dual_pairs.iter().cycle();
+    g.bench_function("dual_crossover", |b| {
+        b.iter(|| {
+            let (p1, p2) = next.next().expect("cycle never ends");
+            DualGenome::crossover(
+                std::hint::black_box(p1),
+                std::hint::black_box(p2),
+                20,
+                &mut rng,
+            )
+        })
+    });
     let k1: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
     let k2: Vec<f64> = k1.iter().rev().copied().collect();
     for (name, op) in [
