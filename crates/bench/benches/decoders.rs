@@ -2,15 +2,19 @@
 //! kernels whose cost drives all of the survey's speedup arithmetic.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ga::rng::root_rng;
+use rand::seq::SliceRandom;
 use shop::decoder::flexible::FlexDecoder;
 use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::decoder::open::OpenDecoder;
 use shop::decoder::table::{DecodeScratch, FlexTable, OpTable};
+use shop::dynamic::SuffixRedecoder;
 use shop::graph::{machine_orders_from_sequence, DisjunctiveGraph};
 use shop::instance::generate::{
     flexible_job_shop, flow_shop_taillard, job_shop_uniform, open_shop_uniform, GenConfig,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
@@ -148,11 +152,58 @@ fn bench_table_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// The session re-solve evaluator, `SuffixRedecoder`, on a 15x8 job
+/// shop with an empty frozen prefix (k = 120), next to the table
+/// decode of the same op multisets. Both cycle through 256 seeded
+/// random orders, so the branch predictor cannot learn one genome.
+fn bench_suffix(c: &mut Criterion) {
+    let mut g = quick(c);
+    let inst = job_shop_uniform(&GenConfig::new(15, 8, 5));
+    let suffix: Vec<(usize, usize)> = (0..8).flat_map(|s| (0..15).map(move |j| (j, s))).collect();
+    let mut rng = root_rng(11);
+    let perms: Vec<Vec<usize>> = (0..256)
+        .map(|_| {
+            let mut p: Vec<usize> = (0..suffix.len()).collect();
+            p.shuffle(&mut rng);
+            p
+        })
+        .collect();
+    let seqs: Vec<Vec<usize>> = perms
+        .iter()
+        .map(|p| p.iter().map(|&i| suffix[i].0).collect())
+        .collect();
+
+    let table = OpTable::from_job(&inst);
+    let mut redecoder = SuffixRedecoder::new(
+        Arc::new(inst),
+        &[],
+        Arc::new(suffix),
+        Arc::new(Vec::new()),
+        0,
+    );
+    let mut next = perms.iter().cycle();
+    g.bench_function("suffix_redecode/15x8", |b| {
+        b.iter(|| redecoder.makespan(std::hint::black_box(next.next().expect("cycle never ends"))))
+    });
+    let mut scratch = DecodeScratch::new();
+    let mut next = seqs.iter().cycle();
+    g.bench_function("job_table_shuffled/15x8", |b| {
+        b.iter(|| {
+            table.job_makespan(
+                std::hint::black_box(next.next().expect("cycle never ends")),
+                &mut scratch,
+            )
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_flow,
     bench_job,
     bench_open_flexible,
-    bench_table_paths
+    bench_table_paths,
+    bench_suffix
 );
 criterion_main!(benches);

@@ -18,12 +18,12 @@ use ga::rng::split_seed;
 use serve::portfolio::{plan_lineup, race};
 use serve::scheduler::RacerPool;
 use shop::dynamic::{
-    apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event,
+    apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
 };
 use shop::gen::{AnyInstance, Family, GenSpec};
 use shop::instance::{JobShopInstance, Op};
 use shop::schedule::Schedule;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One storm measurement.
@@ -107,24 +107,29 @@ fn resolve_race(
 ) -> (u64, Schedule) {
     let k = suffix.len();
     let inst = Arc::new(inst.clone());
-    let frozen = Arc::new(frozen.to_vec());
-    let suffix_arc = Arc::new(suffix.to_vec());
+    let suffix = Arc::new(suffix.to_vec());
     let windows = Arc::new(windows.to_vec());
-    let decode = {
-        let (inst, frozen, suffix, windows) = (
-            Arc::clone(&inst),
-            Arc::clone(&frozen),
-            Arc::clone(&suffix_arc),
-            Arc::clone(&windows),
-        );
-        move |perm: &Vec<usize>| {
-            let order: Vec<(usize, usize)> = perm.iter().map(|&i| suffix[i]).collect();
-            reschedule_suffix_with_windows(&inst, &frozen, &order, &windows, now)
-        }
-    };
-    let eval = {
-        let decode = decode.clone();
-        move |perm: &Vec<usize>| decode(perm).makespan() as f64
+    // Every genome is priced through the session path's suffix decoder;
+    // only the winner is materialised. `race` shares one evaluator
+    // across its racers, so each racer takes whichever decoder is free
+    // (a decoder keeps no state between decodes).
+    let decoders: Vec<Mutex<SuffixRedecoder>> = (0..STORM_RACERS)
+        .map(|_| {
+            Mutex::new(SuffixRedecoder::new(
+                Arc::clone(&inst),
+                frozen,
+                Arc::clone(&suffix),
+                Arc::clone(&windows),
+                now,
+            ))
+        })
+        .collect();
+    let eval = move |perm: &Vec<usize>| {
+        let mut r = decoders
+            .iter()
+            .find_map(|d| d.try_lock().ok())
+            .unwrap_or_else(|| decoders[0].lock().unwrap());
+        r.makespan(perm) as f64
     };
     let toolkit_factory = move || {
         let tk = crate::toolkits::perm_toolkit(
@@ -148,7 +153,8 @@ fn resolve_race(
         STORM_GEN_CAP,
         0.0,
     );
-    let schedule = decode(&outcome.best.genome);
+    let order: Vec<(usize, usize)> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
+    let schedule = reschedule_suffix_with_windows(&inst, frozen, &order, &windows, now);
     (schedule.makespan(), schedule)
 }
 

@@ -72,9 +72,7 @@ impl<G: Clone + Send + Sync + 'static> Toolkit<G> {
     /// Because construction fills population slots in order, an
     /// evaluator sees the seeds first and their mutated clones
     /// immediately after — see the evaluation-order contract on
-    /// [`Engine::new`], which is what lets the session suffix
-    /// re-decoder (`shop::dynamic::SuffixRedecoder`) warm its cache on
-    /// a seed and then re-time only the mutated tail of each clone.
+    /// [`Engine::new`].
     ///
     /// ```
     /// use ga::engine::{Engine, GaConfig, Toolkit};
@@ -318,16 +316,12 @@ impl<'a, G: Clone> Engine<'a, G> {
     /// were bred (crossover pairs, then immigrants) in
     /// [`evolve`](Self::evolve). `Evaluator::cost_batch` receives them as
     /// one slice in that order, and the default implementation calls
-    /// `cost` sequentially over it. The stateful caching evaluator of
-    /// session re-solves (`shop::dynamic::SuffixRedecoder`, which
-    /// replays a cached prefix) relies on this: combined with
+    /// `cost` sequentially over it. Combined with
     /// [`Toolkit::with_warm_start`] placing seeds before their mutated
-    /// clones, consecutive evaluations differ only past the mutation
-    /// point, so a cache primed by one genome accelerates the next.
-    /// Correctness never depends on the order — evaluators must return
-    /// the same cost for the same genome regardless — but the
-    /// performance of prefix-replay evaluation does, so this order is a
-    /// contract, not an implementation detail (pinned by the
+    /// clones, a stateful evaluator sees each seed just before its
+    /// clones. Correctness never depends on the order — evaluators must
+    /// return the same cost for the same genome regardless — but the
+    /// order is a contract, not an implementation detail (pinned by the
     /// `evaluation_order_is_population_order` test).
     pub fn new(config: GaConfig, toolkit: Toolkit<G>, evaluator: &'a dyn Evaluator<G>) -> Self {
         assert!(config.pop_size >= 2, "population of at least 2 required");
@@ -806,9 +800,7 @@ mod tests {
         }
         eval.seen.lock().unwrap().clear();
         engine.step(&mut ());
-        // Children are evaluated in breeding order: each differs from a
-        // recent genome by one crossover/mutation, which is what the
-        // session suffix re-decoder exploits.
+        // Children are evaluated in breeding order.
         assert!(!eval.seen.lock().unwrap().is_empty());
     }
 

@@ -259,12 +259,11 @@ pub(crate) fn handle_event_hooked(
         let clones = (k / 2).clamp(2, 8);
         let lineup = plan_lineup(Family::Job, k, racers.max(1));
         // Every race member shares the Arc'd (instance, frozen,
-        // suffix, windows) base data and wraps it in its own
-        // incremental suffix re-decoder: evaluations are bit-identical
-        // to materialising via reschedule_suffix_with_windows (with
-        // the `now` floor at the event time, which is what keeps
-        // resolve <= repair), but a warm-started population's
-        // mutated-clone traffic re-times only the changed tail.
+        // suffix, windows) base data and wraps it in its own suffix
+        // decoder: evaluations are bit-identical to materialising via
+        // reschedule_suffix_with_windows (with the `now` floor at the
+        // event time, which is what keeps resolve <= repair), in one
+        // allocation-free pass per genome.
         let runner: Arc<MemberRunner<Vec<usize>>> = {
             let inst = Arc::clone(&shared_inst);
             let frozen = Arc::clone(&shared_frozen);
@@ -309,7 +308,7 @@ pub(crate) fn handle_event_hooked(
             },
         );
         // The winner is materialised and validated by the reference
-        // path — the incremental decoder never answers unchecked.
+        // path — the suffix decoder never answers unchecked.
         let order: Vec<(usize, usize)> = outcome
             .best
             .genome

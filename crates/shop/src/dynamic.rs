@@ -548,31 +548,26 @@ pub fn fold_events(
     Ok((cur_inst, windows, cur_sched))
 }
 
-/// Incremental, makespan-only re-decode of frozen-prefix suffix
-/// permutations — the hot loop of a warm-started session re-solve.
+/// Objective-only decode of frozen-prefix suffix permutations — the
+/// evaluator of a warm-started session re-solve.
 ///
-/// A session re-solve races permutations of the suffix index set; every
-/// evaluation used to materialise the full order
-/// (`perm → Vec<(job, op)>`) and run
-/// [`reschedule_suffix_with_windows`] from scratch. This decoder
-/// produces **bit-identical objective values** with no per-evaluation
-/// allocation, and replays the shared prefix of consecutive
-/// permutations from a cache, so the mutated-clone traffic a
-/// warm-started GA generates re-times only the changed tail.
+/// A session re-solve races permutations of the suffix index set. This
+/// decoder returns the objective values of materialising the order
+/// (`perm → Vec<(job, op)>`) through [`reschedule_suffix_with_windows`],
+/// bit-identically, in one O(k) pass with no per-decode allocation.
 ///
-/// # Why prefix replay is exact
+/// # Why one pass dispatches in priority order
 ///
-/// Dispatch step `p` of the priority-list decode picks the *minimal*
-/// pending position whose job predecessor is scheduled. Suppose the new
-/// permutation agrees with the cached one on positions `0..d`, and
-/// every cached dispatch step so far consumed a position `< d`. Then
-/// the fold state (machine/job availability, per-job cursors, consumed
-/// set) is identical to the cached decode's, positions `< d` carry
-/// identical genes, and any position `>= d` has index `>= d`, strictly
-/// greater than the cached step's chosen index — so it can never
-/// preempt the minimum. The cached step therefore replays verbatim
-/// (two timestamp writes); replay stops at the first cached step that
-/// consumed a position `>= d` and the remainder re-runs live.
+/// The priority-list rule dispatches, at each step, the first pending
+/// position whose op is its job's next stage. Whether a position is
+/// ready depends only on its own job's progress, so every position a
+/// left-to-right scan has passed over waits on a stage of its own job
+/// that the scan has not reached yet. When the scan reaches a job's
+/// next stage, that stage is therefore the first ready position and is
+/// dispatched. Dispatching it readies only the job's following stage:
+/// if the scan already passed over it, it is now the first ready
+/// position and is dispatched at once, and so on down the chain;
+/// otherwise no passed-over position became ready and the scan resumes.
 pub struct SuffixRedecoder {
     inst: std::sync::Arc<JobShopInstance>,
     suffix: std::sync::Arc<Vec<(usize, usize)>>,
@@ -584,23 +579,20 @@ pub struct SuffixRedecoder {
     base_machine_free: Vec<Time>,
     base_job_free: Vec<Time>,
     base_next_op: Vec<usize>,
-    /// Cached genome and its dispatch trace: step `p` consumed
-    /// position `span_src[p]` and ended at `span_end[p]`.
-    perm: Vec<usize>,
-    span_src: Vec<usize>,
-    span_end: Vec<Time>,
-    makespan: Time,
-    completion_sum: Time,
-    divergence: usize,
-    // Scratch (reused, no per-decode allocation).
+    /// Dense `(job, stage)` ids: job `j`'s stages are
+    /// `stage_base[j]..stage_base[j + 1]`.
+    stage_base: Vec<usize>,
+    // Scratch (reused, no per-decode allocation). `seen` marks the
+    // passed-over stages; the chain that dispatches one clears it, so
+    // it is all `false` between decodes.
     machine_free: Vec<Time>,
     job_free: Vec<Time>,
     next_op: Vec<usize>,
-    consumed: Vec<bool>,
+    seen: Vec<bool>,
 }
 
 impl SuffixRedecoder {
-    /// A cold decoder for the `(frozen, suffix)` split of a schedule at
+    /// A decoder for the `(frozen, suffix)` split of a schedule at
     /// rescheduling moment `now` (see [`frozen_prefix`]); `suffix` is
     /// the canonical remaining-operation order a permutation indexes
     /// into.
@@ -621,8 +613,15 @@ impl SuffixRedecoder {
             base_next_op[o.job] = base_next_op[o.job].max(o.op + 1);
             frozen_mk = frozen_mk.max(o.end);
         }
-        let k = suffix.len();
+        let mut stage_base = vec![0];
+        for j in 0..inst.n_jobs() {
+            stage_base.push(stage_base[j] + inst.route(j).len());
+        }
         SuffixRedecoder {
+            machine_free: base_machine_free.clone(),
+            job_free: base_job_free.clone(),
+            next_op: base_next_op.clone(),
+            seen: vec![false; stage_base[inst.n_jobs()]],
             inst,
             suffix,
             windows,
@@ -631,121 +630,60 @@ impl SuffixRedecoder {
             base_machine_free,
             base_job_free,
             base_next_op,
-            perm: Vec::new(),
-            span_src: vec![0; k],
-            span_end: vec![0; k],
-            makespan: 0,
-            completion_sum: 0,
-            divergence: 0,
-            machine_free: Vec::new(),
-            job_free: Vec::new(),
-            next_op: Vec::new(),
-            consumed: vec![false; k],
+            stage_base,
         }
-    }
-
-    /// First permutation position whose timing diverged on the last
-    /// decode (`suffix length` when the genome was unchanged).
-    pub fn divergence(&self) -> usize {
-        self.divergence
-    }
-
-    fn redecode(&mut self, perm: &[usize]) {
-        let k = self.suffix.len();
-        debug_assert_eq!(perm.len(), k);
-        let d = if self.perm.len() == k {
-            self.perm
-                .iter()
-                .zip(perm)
-                .take_while(|(a, b)| a == b)
-                .count()
-        } else {
-            0
-        };
-        self.divergence = d;
-        if d == k && !self.perm.is_empty() {
-            return; // Unchanged genome: the cached answer stands.
-        }
-        self.machine_free.clear();
-        self.machine_free.extend_from_slice(&self.base_machine_free);
-        self.job_free.clear();
-        self.job_free.extend_from_slice(&self.base_job_free);
-        self.next_op.clear();
-        self.next_op.extend_from_slice(&self.base_next_op);
-        self.consumed.clear();
-        self.consumed.resize(k, false);
-        let mut mk = self.frozen_mk;
-        // Replay cached dispatch steps while they consumed positions in
-        // the shared prefix (exactness argued in the type docs).
-        let mut step = 0;
-        while step < k && self.span_src[step] < d {
-            let i = self.span_src[step];
-            let (j, s) = self.suffix[perm[i]];
-            let end = self.span_end[step];
-            self.machine_free[self.inst.op(j, s).machine] = end;
-            self.job_free[j] = end;
-            self.next_op[j] = s + 1;
-            self.consumed[i] = true;
-            mk = mk.max(end);
-            step += 1;
-        }
-        // Live dispatch for the rest: first unconsumed position whose
-        // job predecessor is scheduled, with the `now` floor and the
-        // breakdown windows — the reschedule_suffix_with_windows loop,
-        // makespan-only.
-        let mut scan_from = 0;
-        for p in step..k {
-            while self.consumed[scan_from] {
-                scan_from += 1;
-            }
-            let mut pos = scan_from;
-            let (j, s) = loop {
-                debug_assert!(
-                    pos < k,
-                    "suffix multiset must contain each job's next stage"
-                );
-                if !self.consumed[pos] {
-                    let (j, s) = self.suffix[perm[pos]];
-                    if s == self.next_op[j] {
-                        break (j, s);
-                    }
-                }
-                pos += 1;
-            };
-            let op = self.inst.op(j, s);
-            let start = self.job_free[j]
-                .max(self.machine_free[op.machine])
-                .max(self.now);
-            let start = clear_of_windows(op.machine, start, op.duration, &self.windows);
-            let end = start + op.duration;
-            self.machine_free[op.machine] = end;
-            self.job_free[j] = end;
-            self.next_op[j] = s + 1;
-            self.consumed[pos] = true;
-            self.span_src[p] = pos;
-            self.span_end[p] = end;
-            mk = mk.max(end);
-        }
-        self.perm.clear();
-        self.perm.extend_from_slice(perm);
-        self.makespan = mk;
-        // Every job has at least one operation and operations never end
-        // before the job's release, so the per-job availability vector
-        // *is* the completion-time vector.
-        self.completion_sum = self.job_free.iter().sum();
     }
 
     /// Makespan of the schedule `perm` decodes to — bit-identical to
-    /// materialising via [`reschedule_suffix_with_windows`].
+    /// materialising via [`reschedule_suffix_with_windows`], with the
+    /// `now` floor and the breakdown windows, in one pass (see the type
+    /// docs).
     pub fn makespan(&mut self, perm: &[usize]) -> Time {
-        self.redecode(perm);
-        self.makespan
+        debug_assert_eq!(perm.len(), self.suffix.len());
+        self.machine_free.copy_from_slice(&self.base_machine_free);
+        self.job_free.copy_from_slice(&self.base_job_free);
+        self.next_op.copy_from_slice(&self.base_next_op);
+        let mut mk = self.frozen_mk;
+        for &p in perm {
+            let (j, mut s) = self.suffix[p];
+            let base = self.stage_base[j];
+            let stages = self.stage_base[j + 1] - base;
+            if s != self.next_op[j] {
+                self.seen[base + s] = true;
+                continue;
+            }
+            loop {
+                let op = self.inst.op(j, s);
+                let start = self.job_free[j]
+                    .max(self.machine_free[op.machine])
+                    .max(self.now);
+                let start = clear_of_windows(op.machine, start, op.duration, &self.windows);
+                let end = start + op.duration;
+                self.machine_free[op.machine] = end;
+                self.job_free[j] = end;
+                mk = mk.max(end);
+                s += 1;
+                if s == stages || !self.seen[base + s] {
+                    break;
+                }
+                self.seen[base + s] = false;
+            }
+            self.next_op[j] = s;
+        }
+        debug_assert!(
+            !self.seen.contains(&true),
+            "suffix multiset must contain each job's next stage"
+        );
+        mk
     }
 
     /// Sum of per-job completion times of the decoded schedule.
     pub fn completion_sum(&mut self, perm: &[usize]) -> Time {
-        self.redecode(perm);
-        self.completion_sum
+        self.makespan(perm);
+        // Every job has at least one operation and operations never end
+        // before the job's release, so the per-job availability vector
+        // *is* the completion-time vector.
+        self.job_free.iter().sum()
     }
 }
 
