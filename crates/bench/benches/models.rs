@@ -2,10 +2,9 @@
 //! per-generation critical path the `hpc` cost models price) plus a
 //! migration event and a cost-model evaluation.
 
-use bench::toolkits::opseq_toolkit;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ga::crossover::RepCrossover;
-use ga::engine::{Engine, Model};
+use ga::engine::{Engine, Model, Toolkit};
 use ga::mutate::SeqMutation;
 use hpc::model::{island_time, master_slave_time, RunShape};
 use hpc::Platform;
@@ -15,6 +14,7 @@ use pga::master_slave::RayonEvaluator;
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 use std::time::Duration;
 
 fn bench_models(c: &mut Criterion) {
@@ -26,33 +26,28 @@ fn bench_models(c: &mut Criterion) {
     let inst = job_shop_uniform(&GenConfig::new(10, 6, 9));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
+    let toolkit = || {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        )
+    };
     let cfg = crate_cfg(48);
 
     g.bench_function("engine_generation_pop48", |b| {
-        let mut e = Engine::new(
-            cfg.clone(),
-            opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-            &eval,
-        );
+        let mut e = Engine::new(cfg.clone(), toolkit(), &eval);
         b.iter(|| e.step(&mut ()));
     });
 
     let rayon_eval = RayonEvaluator::new(eval);
     g.bench_function("master_slave_generation_pop48", |b| {
-        let mut e = Engine::new(
-            cfg.clone(),
-            opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-            &rayon_eval,
-        );
+        let mut e = Engine::new(cfg.clone(), toolkit(), &rayon_eval);
         b.iter(|| e.step(&mut ()));
     });
 
     g.bench_function("cellular_generation_7x7", |b| {
-        let mut cga = CellularGa::new(
-            CellularConfig::new(7, 7, 3),
-            opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-            &eval,
-        );
+        let mut cga = CellularGa::new(CellularConfig::new(7, 7, 3), toolkit(), &eval);
         b.iter(|| cga.step(&mut ()));
     });
 
@@ -60,7 +55,7 @@ fn bench_models(c: &mut Criterion) {
         let mut ig = IslandGa::homogeneous(
             crate_cfg(12),
             4,
-            &|_| opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
+            &|_| toolkit(),
             &eval,
             IslandConfig::new(MigrationConfig::ring(1, 2)), // migrate every gen
         );

@@ -4,8 +4,9 @@
 //! grid quantifies the effect of each knob in isolation on this codebase.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{opseq_toolkit, survey_config};
+use crate::toolkits::survey_config;
 use ga::crossover::RepCrossover;
+use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use ga::termination::Termination;
@@ -14,6 +15,7 @@ use pga::migration::{MigrationConfig, MigrationPolicy};
 use pga::topology::Topology;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(12, 6, 0xA01));
@@ -37,7 +39,13 @@ pub fn run() -> Report {
                 let mut ig = IslandGa::homogeneous(
                     base,
                     4,
-                    &|_| opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
+                    &|_| {
+                        Toolkit::repetition(
+                            inst.ops_per_job(),
+                            RepCrossover::JobOrder,
+                            SeqMutation::Swap,
+                        )
+                    },
                     &eval,
                     IslandConfig::new(mig),
                 );

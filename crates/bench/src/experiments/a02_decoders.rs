@@ -4,9 +4,9 @@
 //! ranking them; this harness measures the trade-off directly.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{keys_toolkit, opseq_toolkit, pressure_config};
+use crate::toolkits::pressure_config;
 use ga::crossover::{KeysCrossover, RepCrossover};
-use ga::engine::Engine;
+use ga::engine::{Engine, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use ga::termination::Termination;
@@ -29,7 +29,11 @@ pub fn run() -> Report {
             let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
             let mut e = Engine::new(
                 pressure_config(40, split_seed(0xA02, s)),
-                opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
+                Toolkit::repetition(
+                    inst.ops_per_job(),
+                    RepCrossover::JobOrder,
+                    SeqMutation::Swap,
+                ),
                 &eval,
             );
             ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost
@@ -44,7 +48,7 @@ pub fn run() -> Report {
             let eval = move |keys: &Vec<f64>| decoder.gt_from_keys(keys).makespan() as f64;
             let mut e = Engine::new(
                 pressure_config(40, split_seed(0xA02, s)),
-                keys_toolkit(total_ops, KeysCrossover::Uniform),
+                Toolkit::random_keys(total_ops, KeysCrossover::Uniform),
                 &eval,
             );
             ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost
@@ -59,7 +63,7 @@ pub fn run() -> Report {
             let eval = move |keys: &Vec<f64>| decoder.non_delay_from_keys(keys).makespan() as f64;
             let mut e = Engine::new(
                 pressure_config(40, split_seed(0xA02, s)),
-                keys_toolkit(total_ops, KeysCrossover::Uniform),
+                Toolkit::random_keys(total_ops, KeysCrossover::Uniform),
                 &eval,
             );
             ga::run(&mut e, &Termination::Generations(generations), &mut ()).cost

@@ -6,9 +6,8 @@
 //! regimes to document that finding explicitly.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::opseq_toolkit;
 use ga::crossover::RepCrossover;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::fitness::FitnessTransform;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
@@ -18,6 +17,7 @@ use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 fn regime(name: &str, pop: usize, seed: u64) -> GaConfig {
     match name {
@@ -63,6 +63,13 @@ pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(15, 8, 0xA03));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
+    let toolkit = || {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        )
+    };
     let seeds = [1u64, 2, 3, 4];
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
@@ -78,11 +85,7 @@ pub fn run() -> Report {
         let mut island = Vec::new();
         for &s in &seeds {
             let cfg = regime(name, 96, split_seed(0xA03, s));
-            let mut e = Engine::new(
-                cfg,
-                opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-                &eval,
-            );
+            let mut e = Engine::new(cfg, toolkit(), &eval);
             ga::run(&mut e, &Termination::Generations(GENERATIONS), &mut ());
             single.push(e.best().cost);
 
@@ -90,13 +93,8 @@ pub fn run() -> Report {
             let mut mig = MigrationConfig::ring(10, 2);
             mig.topology = pga::topology::Topology::Hypercube;
             mig.policy = pga::migration::MigrationPolicy::BestReplaceRandom;
-            let mut ig = IslandGa::homogeneous(
-                base,
-                8,
-                &|_| opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-                &eval,
-                IslandConfig::new(mig),
-            );
+            let mut ig =
+                IslandGa::homogeneous(base, 8, &|_| toolkit(), &eval, IslandConfig::new(mig));
             island.push(ga::run(&mut ig, &Termination::Generations(GENERATIONS), &mut ()).cost);
         }
         let sm = mean(&single);

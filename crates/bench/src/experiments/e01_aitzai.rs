@@ -6,15 +6,16 @@
 //! CPU-networking version.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{opseq_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::RepCrossover;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::termination::Termination;
 use hpc::model::{evals_within_budget, master_slave_time, sequential_time};
 use hpc::Platform;
 use shop::graph::{machine_orders_from_sequence, DisjunctiveGraph};
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(10, 5, 0xE01));
@@ -44,7 +45,11 @@ pub fn run() -> Report {
         seed: 0xE01,
         ..GaConfig::default()
     };
-    let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
+    let tk = Toolkit::repetition(
+        inst.ops_per_job(),
+        RepCrossover::JobOrder,
+        SeqMutation::Swap,
+    );
     let mut engine = Engine::new(cfg, tk, &eval);
     let serial: Vec<usize> = (0..10).flat_map(|j| std::iter::repeat_n(j, 5)).collect();
     engine.seed_individuals(vec![serial]);

@@ -8,7 +8,7 @@
 use crate::report::{fmt, Report};
 use crate::toolkits::run_shape;
 use ga::crossover::KeysCrossover;
-use ga::engine::GaConfig;
+use ga::engine::{GaConfig, Toolkit};
 use ga::termination::Termination;
 use hpc::model::{island_time, sequential_time, speedup};
 use hpc::Platform;
@@ -31,7 +31,7 @@ pub fn run() -> Report {
         ..GaConfig::default()
     };
     let term = Termination::Generations(30);
-    let tk_factory = || crate::toolkits::keys_toolkit(total_ops, KeysCrossover::Uniform);
+    let tk_factory = || Toolkit::random_keys(total_ops, KeysCrossover::Uniform);
 
     let single = DistributedSlavesGa::run(&cfg, &tk_factory, &eval, 1, &term);
     let six = DistributedSlavesGa::run(&cfg, &tk_factory, &eval, 6, &term);

@@ -5,9 +5,9 @@
 //! Paper outcome: up to ~9x faster than the serial GA baseline.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{perm_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::PermCrossover;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::termination::Termination;
 use hpc::model::{master_slave_time, sequential_time, speedup};
@@ -29,7 +29,7 @@ pub fn run() -> Report {
         ..GaConfig::default()
     };
     let batched = BatchedEvaluator::new(eval, 12);
-    let tk = perm_toolkit(50, PermCrossover::Cycle, SeqMutation::Swap);
+    let tk = Toolkit::permutation(50, PermCrossover::Cycle, SeqMutation::Swap);
     let mut engine = Engine::new(cfg.clone(), tk, &batched);
     let start = engine.best().cost;
     ga::run(&mut engine, &Termination::Generations(50), &mut ());
@@ -37,7 +37,7 @@ pub fn run() -> Report {
     let batches = batched.batches();
 
     // Equivalence check: plain sequential evaluation gives the same run.
-    let tk2 = perm_toolkit(50, PermCrossover::Cycle, SeqMutation::Swap);
+    let tk2 = Toolkit::permutation(50, PermCrossover::Cycle, SeqMutation::Swap);
     let mut seq_engine = Engine::new(cfg, tk2, &eval);
     ga::run(&mut seq_engine, &Termination::Generations(50), &mut ());
     let identical = (seq_engine.best().cost - end).abs() < 1e-12;

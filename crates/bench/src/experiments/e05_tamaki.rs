@@ -7,9 +7,9 @@
 //! level because the Transputer has no shared memory.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{opseq_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::RepCrossover;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::stats::History;
 use ga::termination::Termination;
@@ -18,11 +18,19 @@ use hpc::Platform;
 use pga::cellular::{CellularConfig, CellularGa};
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(8, 5, 0xE05));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
+    let toolkit = || {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        )
+    };
 
     let generations = 30u64;
 
@@ -32,7 +40,7 @@ pub fn run() -> Report {
         seed: 0xE05,
         ..GaConfig::default()
     };
-    let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
+    let tk = toolkit();
     let mut pan = Engine::new(cfg, tk, &eval);
     let mut pan_history = History::default();
     ga::run(
@@ -42,7 +50,7 @@ pub fn run() -> Report {
     );
 
     // 6x6 cellular grid.
-    let tk2 = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
+    let tk2 = toolkit();
     let mut cell = CellularGa::new(CellularConfig::new(6, 6, 0xE05), tk2, &eval);
     let mut cell_history = History::default();
     ga::run(

@@ -8,9 +8,9 @@
 //! style topology.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{opseq_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::RepCrossover;
-use ga::engine::Engine;
+use ga::engine::{Engine, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use ga::termination::Termination;
@@ -22,6 +22,7 @@ use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(10, 6, 0xE06));
@@ -30,7 +31,13 @@ pub fn run() -> Report {
     let generations = 400u64;
     let seeds = [1u64, 2, 3];
 
-    let tk = |_: usize| opseq_toolkit(&inst, RepCrossover::Thx(0.5), SeqMutation::Swap);
+    let tk = |_: usize| {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::Thx(0.5),
+            SeqMutation::Swap,
+        )
+    };
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
 
     // Total population 64 everywhere; models differ in structure.

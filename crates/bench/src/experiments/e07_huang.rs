@@ -7,10 +7,10 @@
 //! while the modified GA keeps improving the fuzzy agreement objective.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{keys_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::keys::keys_to_permutation;
 use ga::crossover::KeysCrossover;
-use ga::engine::GaConfig;
+use ga::engine::{GaConfig, Toolkit};
 use ga::fitness::FitnessTransform;
 use ga::termination::Termination;
 use hpc::model::{island_time, sequential_time, speedup};
@@ -45,7 +45,7 @@ pub fn run() -> Report {
     let mut islands = IslandGa::homogeneous(
         base,
         8,
-        &|_| keys_toolkit(40, KeysCrossover::ParamUniform(0.7)),
+        &|_| Toolkit::random_keys(40, KeysCrossover::ParamUniform(0.7)),
         &eval,
         IslandConfig::new(MigrationConfig::ring(0, 0)), // no migration
     );

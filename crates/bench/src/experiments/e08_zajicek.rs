@@ -7,10 +7,10 @@
 //! version (Tesla C1060).
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{keys_toolkit, run_shape};
+use crate::toolkits::run_shape;
 use ga::crossover::keys::keys_to_permutation;
 use ga::crossover::KeysCrossover;
-use ga::engine::GaConfig;
+use ga::engine::{GaConfig, Toolkit};
 use ga::select::Selection;
 use ga::termination::Termination;
 use hpc::model::{master_slave_time, sequential_time, speedup, RunShape};
@@ -43,7 +43,7 @@ pub fn run() -> Report {
     let mut islands = IslandGa::homogeneous(
         base,
         4,
-        &|_| keys_toolkit(30, KeysCrossover::Arithmetic),
+        &|_| Toolkit::random_keys(30, KeysCrossover::Arithmetic),
         &eval,
         IslandConfig::new(mig),
     );

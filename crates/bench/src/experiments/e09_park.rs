@@ -8,7 +8,7 @@
 //! (best/average taken over repeated runs, as in the paper's tables).
 
 use crate::report::{fmt, Report};
-use crate::toolkits::{opseq_toolkit, survey_config};
+use crate::toolkits::survey_config;
 use ga::crossover::RepCrossover;
 use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
@@ -21,6 +21,7 @@ use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::classic;
 use shop::instance::JobShopInstance;
+use shop::Problem;
 
 /// Run length per configuration. The island advantage the paper
 /// reports is a *diversity* effect: at short horizons (≤ 200
@@ -48,7 +49,7 @@ fn island_toolkit(inst: &JobShopInstance, i: usize) -> Toolkit<Vec<usize>> {
     // crossover / mutation / selection configurations per island).
     let ops = [RepCrossover::JobOrder, RepCrossover::Thx(0.5)];
     let muts = [SeqMutation::Swap, SeqMutation::Shift];
-    opseq_toolkit(inst, ops[i % 2], muts[(i / 2) % 2])
+    Toolkit::repetition(inst.ops_per_job(), ops[i % 2], muts[(i / 2) % 2])
 }
 
 /// Best and mean of the per-seed best makespans (the paper's "best" and

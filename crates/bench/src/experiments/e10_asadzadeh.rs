@@ -7,9 +7,8 @@
 //! large problem instances.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::opseq_toolkit;
 use ga::crossover::RepCrossover;
-use ga::engine::Engine;
+use ga::engine::{Engine, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use ga::stats::History;
@@ -19,12 +18,20 @@ use pga::migration::{MigrationConfig, MigrationPolicy};
 use pga::topology::Topology;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     // "Large" instance relative to this harness: 15 jobs x 8 machines.
     let inst = job_shop_uniform(&GenConfig::new(15, 8, 0xE10));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
+    let toolkit = || {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        )
+    };
     let generations = 250u64;
     let seeds = [5u64, 6, 7];
 
@@ -35,7 +42,7 @@ pub fn run() -> Report {
     for &s in &seeds {
         // Serial agent-based GA = one population of the full size.
         let cfg = crate::toolkits::survey_config(96, split_seed(0xE10, s));
-        let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
+        let tk = toolkit();
         let mut e = Engine::new(cfg, tk, &eval);
         let mut history = History::default();
         ga::run(&mut e, &Termination::Generations(generations), &mut history);
@@ -47,13 +54,7 @@ pub fn run() -> Report {
         let mut mig = MigrationConfig::ring(10, 2);
         mig.topology = Topology::Hypercube;
         mig.policy = MigrationPolicy::BestReplaceRandom;
-        let mut ig = IslandGa::homogeneous(
-            base,
-            8,
-            &|_| opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap),
-            &eval,
-            IslandConfig::new(mig),
-        );
+        let mut ig = IslandGa::homogeneous(base, 8, &|_| toolkit(), &eval, IslandConfig::new(mig));
         let mut history = History::default();
         ga::run(
             &mut ig,

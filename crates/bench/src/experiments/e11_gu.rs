@@ -7,9 +7,8 @@
 //! conventional GA and the serial quantum GA on large instances.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::opseq_toolkit;
 use ga::crossover::RepCrossover;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::quantum::QuantumGa;
 use ga::stats::History;
@@ -60,7 +59,11 @@ pub fn run() -> Report {
             seed,
             ..GaConfig::default()
         };
-        let tk = opseq_toolkit(&crisp, RepCrossover::JobOrder, SeqMutation::Swap);
+        let tk = Toolkit::repetition(
+            crisp.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        );
         let mut conventional = Engine::new(cfg, tk, &eval);
         let mut history = History::default();
         ga::run(

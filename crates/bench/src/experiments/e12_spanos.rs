@@ -9,7 +9,6 @@
 //! concentrating the search).
 
 use crate::report::{fmt, Report};
-use crate::toolkits::opseq_toolkit;
 use ga::crossover::fusion::path_relink;
 use ga::engine::{GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
@@ -19,6 +18,7 @@ use pga::island::{IslandConfig, IslandGa, MergeRule};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(10, 5, 0xE12));
@@ -29,8 +29,8 @@ pub fn run() -> Report {
 
     // Path-relinking crossover: child = best point on the relink path.
     let pr_toolkit = |_: usize| -> Toolkit<Vec<usize>> {
-        let base = opseq_toolkit(
-            &inst,
+        let base = Toolkit::repetition(
+            inst.ops_per_job(),
             ga::crossover::RepCrossover::JobOrder,
             SeqMutation::Swap,
         );

@@ -9,7 +9,6 @@
 //! of distance-to-reference and of standard deviation were ~7% and ~40%.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::perm_toolkit;
 use ga::crossover::PermCrossover;
 use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
@@ -53,7 +52,7 @@ fn run_strategy(
             } else {
                 PermCrossover::Order
             };
-            perm_toolkit(n_jobs, op, SeqMutation::Swap)
+            Toolkit::permutation(n_jobs, op, SeqMutation::Swap)
         })
         .collect();
     let interval = if st.cooperative { 8 } else { 0 };
@@ -81,7 +80,7 @@ pub fn run() -> Report {
         let cfg = crate::toolkits::pressure_config(48, split_seed(0xE13, s));
         let mut e = Engine::new(
             cfg,
-            perm_toolkit(20, PermCrossover::Order, SeqMutation::Swap),
+            Toolkit::permutation(20, PermCrossover::Order, SeqMutation::Swap),
             &eval,
         );
         ga::run(&mut e, &Termination::Generations(generations), &mut ());

@@ -10,9 +10,8 @@
 //! little effect with best-replace-random slightly ahead.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
-use ga::engine::{Engine, GaConfig};
+use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::rng::split_seed;
 use ga::select::Selection;
 use ga::termination::Termination;
@@ -22,6 +21,7 @@ use pga::topology::Topology;
 use shop::decoder::flexible::FlexDecoder;
 use shop::instance::generate::{flexible_flow_shop, GenConfig};
 use shop::instance::LotStreaming;
+use shop::Problem;
 
 pub fn run() -> Report {
     // 5 jobs x 3 stages (2,1,2 machines), batches of 20 split into 2
@@ -49,7 +49,11 @@ pub fn run() -> Report {
                 seed: split_seed(0xE16, s),
                 ..GaConfig::default()
             };
-            let mut e = Engine::new(cfg, dual_toolkit(&inst), &eval);
+            let mut e = Engine::new(
+                cfg,
+                Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
+                &eval,
+            );
             ga::run(&mut e, &Termination::Generations(generations), &mut ());
             e.best().cost
         })
@@ -71,7 +75,7 @@ pub fn run() -> Report {
         let mut ig = IslandGa::homogeneous(
             base,
             6,
-            &|_| dual_toolkit(&inst),
+            &|_| Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
             &eval,
             IslandConfig::new(mig),
         );

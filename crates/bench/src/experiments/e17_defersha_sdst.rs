@@ -8,9 +8,8 @@
 //! allowed time where the single GA fails to.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
-use ga::engine::Engine;
+use ga::engine::{Engine, Toolkit};
 use ga::rng::split_seed;
 use ga::stats::History;
 use ga::termination::Termination;
@@ -20,6 +19,7 @@ use pga::topology::Topology;
 use shop::decoder::flexible::FlexDecoder;
 use shop::instance::generate::{flexible_job_shop, sdst_matrix, GenConfig};
 use shop::setup::{MachineConstraints, SetupKind};
+use shop::Problem;
 
 fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64, f64, u64, u64) {
     let inst = flexible_job_shop(&GenConfig::new(n_jobs, 6, seed), ops, 3);
@@ -40,7 +40,11 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
     let mut island_hit = 0u64;
     for &s in &seeds {
         let cfg = crate::toolkits::pressure_config(48, split_seed(seed, s));
-        let mut e = Engine::new(cfg.clone(), dual_toolkit(&inst), &eval);
+        let mut e = Engine::new(
+            cfg.clone(),
+            Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
+            &eval,
+        );
         let mut single_history = History::default();
         ga::run(
             &mut e,
@@ -61,7 +65,7 @@ fn evaluate_case(n_jobs: usize, ops: usize, seed: u64, generations: u64) -> (f64
         let mut ig = IslandGa::homogeneous(
             base,
             4,
-            &|_| dual_toolkit(&inst),
+            &|_| Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
             &eval,
             IslandConfig::new(mig),
         );

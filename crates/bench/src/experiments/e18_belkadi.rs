@@ -10,9 +10,8 @@
 //! makespan is never worse than the sequential GA's.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
-use ga::engine::Engine;
+use ga::engine::{Engine, Toolkit};
 use ga::rng::split_seed;
 use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
@@ -20,6 +19,7 @@ use pga::migration::{MigrationConfig, MigrationPolicy};
 use pga::topology::Topology;
 use shop::decoder::flexible::FlexDecoder;
 use shop::instance::generate::{flexible_flow_shop, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = flexible_flow_shop(&GenConfig::new(8, 0, 0xE18), &[2, 2, 2], true);
@@ -46,7 +46,7 @@ pub fn run() -> Report {
                     let mut ig = IslandGa::homogeneous(
                         base,
                         islands,
-                        &|_| dual_toolkit(&inst),
+                        &|_| Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
                         &eval,
                         IslandConfig::new(mig),
                     );
@@ -62,7 +62,11 @@ pub fn run() -> Report {
             .iter()
             .map(|&s| {
                 let cfg = crate::toolkits::pressure_config(total_pop, split_seed(0xE18, s));
-                let mut e = Engine::new(cfg, dual_toolkit(&inst), &eval);
+                let mut e = Engine::new(
+                    cfg,
+                    Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
+                    &eval,
+                );
                 ga::run(&mut e, &Termination::Generations(generations), &mut ());
                 e.best().cost
             })

@@ -10,9 +10,8 @@
 //! performance (wider/closer Pareto coverage) than the plain island GA.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
-use ga::engine::GaConfig;
+use ga::engine::{GaConfig, Toolkit};
 use ga::local_search::{hill_climb, Neighborhood};
 use ga::rng::split_seed;
 use ga::termination::Termination;
@@ -71,7 +70,9 @@ pub fn run() -> Report {
                 ..GaConfig::default()
             })
             .collect();
-        let toolkits = (0..weights.len()).map(|_| dual_toolkit(&inst)).collect();
+        let toolkits = (0..weights.len())
+            .map(|_| Toolkit::dual(inst.ops_per_job(), inst.max_choices()))
+            .collect();
         let mut ig = IslandGa::new(
             configs,
             toolkits,

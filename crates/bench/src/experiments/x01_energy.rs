@@ -8,9 +8,8 @@
 //! multi-point Pareto front.
 
 use crate::report::{fmt, Report};
-use crate::toolkits::dual_toolkit;
 use ga::dual::DualGenome;
-use ga::engine::GaConfig;
+use ga::engine::{GaConfig, Toolkit};
 use ga::rng::split_seed;
 use ga::termination::Termination;
 use pga::island::{IslandConfig, IslandGa};
@@ -18,9 +17,9 @@ use pga::migration::MigrationConfig;
 use rand::Rng;
 use shop::decoder::flexible::FlexDecoder;
 use shop::energy::{MachinePower, PowerProfile};
-use shop::instance::generate::GenConfig;
 use shop::instance::{FlexOp, FlexibleInstance};
 use shop::objective::pareto_front;
+use shop::Problem;
 
 /// Builds the speed-scaled shop: `stages` stages, each with a fast
 /// machine (duration `d`, power 24) and a slow one (duration `2d`,
@@ -52,7 +51,6 @@ fn speed_scaled_shop(n_jobs: usize, stages: usize, seed: u64) -> (FlexibleInstan
 }
 
 pub fn run() -> Report {
-    let _ = GenConfig::new(1, 1, 0); // (generator config unused; kept for symmetry)
     let (inst, power) = speed_scaled_shop(10, 3, 0x01E);
 
     let objectives = |g: &DualGenome| -> (f64, f64) {
@@ -84,7 +82,7 @@ pub fn run() -> Report {
         let mut ig = IslandGa::homogeneous(
             base,
             2,
-            &|_| dual_toolkit(&inst),
+            &|_| Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
             f,
             IslandConfig::new(MigrationConfig::ring(10, 1)),
         );

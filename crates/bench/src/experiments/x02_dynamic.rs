@@ -6,6 +6,7 @@
 //! rescheduling recovers a shorter makespan than plain repair.
 
 use crate::report::{fmt, Report};
+use ga::crossover::{PermCrossover, RepCrossover};
 use ga::engine::{Engine, GaConfig, Toolkit};
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
@@ -13,6 +14,7 @@ use ga::termination::Termination;
 use shop::decoder::job::JobDecoder;
 use shop::dynamic::{frozen_prefix, reschedule_suffix, right_shift_repair, Event};
 use shop::instance::generate::{job_shop_uniform, GenConfig};
+use shop::Problem;
 
 pub fn run() -> Report {
     let inst = job_shop_uniform(&GenConfig::new(10, 5, 0x02D));
@@ -20,9 +22,9 @@ pub fn run() -> Report {
 
     // Predictive schedule: GA-optimised before execution starts.
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
-    let tk = crate::toolkits::opseq_toolkit(
-        &inst,
-        ga::crossover::RepCrossover::JobOrder,
+    let tk = Toolkit::repetition(
+        inst.ops_per_job(),
+        RepCrossover::JobOrder,
         SeqMutation::Swap,
     );
     let mut engine = Engine::new(
@@ -61,22 +63,7 @@ pub fn run() -> Report {
         reschedule_suffix(inst_ref, &frozen_cl, &order, &event_cl).makespan() as f64
     };
     let k = remaining.len();
-    let suffix_tk: Toolkit<Vec<usize>> = Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..k).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| {
-            (
-                ga::crossover::perm::order(a, b, rng),
-                ga::crossover::perm::order(b, a, rng),
-            )
-        }),
-        mutate: Box::new(|g, rng| SeqMutation::Shift.apply(g, rng)),
-        seq_view: None,
-    };
+    let suffix_tk = Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift);
     let mut reactive = Engine::new(
         GaConfig {
             pop_size: 40,

@@ -14,6 +14,7 @@
 //! seeds and the shape check is noise-free.
 
 use crate::report::{fmt, Report};
+use ga::engine::Toolkit;
 use ga::rng::split_seed;
 use serve::portfolio::{plan_lineup, race};
 use serve::scheduler::RacerPool;
@@ -132,7 +133,7 @@ fn resolve_race(
         r.makespan(perm) as f64
     };
     let toolkit_factory = move || {
-        let tk = crate::toolkits::perm_toolkit(
+        let tk = Toolkit::permutation(
             k,
             ga::crossover::PermCrossover::Order,
             ga::mutate::SeqMutation::Shift,

@@ -1,92 +1,10 @@
-//! Shared genome toolkits and calibration helpers used by the experiment
-//! harnesses (and usable as API examples: each wires a `ga::Toolkit` to a
-//! shop decoder).
+//! GA profiles and calibration helpers shared by the experiment
+//! harnesses. The genome toolkits themselves are built by the
+//! constructors on `ga::engine::Toolkit` (`permutation`, `repetition`,
+//! `dual`, `random_keys`), the same ones the serve path runs.
 
-use ga::crossover::{KeysCrossover, PermCrossover, RepCrossover};
-use ga::dual::DualGenome;
-use ga::engine::Toolkit;
-use ga::mutate::{gaussian_keys, SeqMutation};
 use hpc::calibrate::measure_adaptive_s;
 use hpc::model::RunShape;
-use shop::instance::{FlexibleInstance, JobShopInstance};
-use shop::Problem;
-
-/// Toolkit over strict job permutations (flow shops).
-pub fn perm_toolkit(
-    n_jobs: usize,
-    crossover: PermCrossover,
-    mutation: SeqMutation,
-) -> Toolkit<Vec<usize>> {
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..n_jobs).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(move |a, b, rng| crossover.apply(a, b, rng)),
-        mutate: Box::new(move |g, rng| mutation.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over operation sequences (permutation with repetition) for a
-/// job-shop instance.
-pub fn opseq_toolkit(
-    inst: &JobShopInstance,
-    crossover: RepCrossover,
-    mutation: SeqMutation,
-) -> Toolkit<Vec<usize>> {
-    let n_jobs = inst.n_jobs();
-    let ops_per_job: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut seq = Vec::new();
-            for (j, &k) in ops_per_job.iter().enumerate() {
-                seq.extend(std::iter::repeat_n(j, k));
-            }
-            seq.shuffle(rng);
-            seq
-        }),
-        crossover: Box::new(move |a, b, rng| crossover.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(move |g, rng| mutation.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over random-key vectors of length `len`.
-pub fn keys_toolkit(len: usize, crossover: KeysCrossover) -> Toolkit<Vec<f64>> {
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::Rng;
-            (0..len).map(|_| rng.gen::<f64>()).collect()
-        }),
-        crossover: Box::new(move |a, b, rng| crossover.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| gaussian_keys(g, 0.1, 0.2, rng)),
-        seq_view: Some(Box::new(|g: &Vec<f64>| {
-            ga::crossover::keys::keys_to_permutation(g)
-        })),
-    }
-}
-
-/// Toolkit over dual assignment+sequencing genomes for a flexible
-/// instance.
-pub fn dual_toolkit(inst: &FlexibleInstance) -> Toolkit<DualGenome> {
-    let n_jobs = inst.n_jobs();
-    let ops_per_job: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    let max_choices = (0..n_jobs)
-        .flat_map(|j| (0..inst.n_ops(j)).map(move |s| (j, s)))
-        .map(|(j, s)| inst.op(j, s).choices.len())
-        .max()
-        .unwrap_or(1);
-    Toolkit {
-        init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
-        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
-        mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
-        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
-    }
-}
 
 /// GA profile for the quality-comparison experiments: strong selection
 /// pressure (k=5 tournament) and modest mutation. This is the regime the
@@ -152,33 +70,6 @@ pub fn run_shape<G>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga::rng::root_rng;
-    use shop::instance::generate::{flexible_job_shop, job_shop_uniform, GenConfig};
-
-    #[test]
-    fn opseq_toolkit_generates_valid_sequences() {
-        let inst = job_shop_uniform(&GenConfig::new(4, 3, 1));
-        let tk = opseq_toolkit(&inst, RepCrossover::JobOrder, SeqMutation::Swap);
-        let mut rng = root_rng(1);
-        let g = (tk.init)(&mut rng);
-        let mut counts = vec![0usize; 4];
-        for &j in &g {
-            counts[j] += 1;
-        }
-        assert_eq!(counts, vec![3, 3, 3, 3]);
-        let (c1, _) = (tk.crossover)(&g, &g, &mut rng);
-        assert_eq!(c1.len(), 12);
-    }
-
-    #[test]
-    fn dual_toolkit_respects_instance_shape() {
-        let inst = flexible_job_shop(&GenConfig::new(3, 4, 2), 3, 2);
-        let tk = dual_toolkit(&inst);
-        let mut rng = root_rng(2);
-        let g = (tk.init)(&mut rng);
-        assert_eq!(g.assign.len(), 9);
-        assert_eq!(g.seq.len(), 9);
-    }
 
     #[test]
     fn run_shape_measures_positive_cost() {

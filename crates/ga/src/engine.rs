@@ -15,12 +15,17 @@
 //! particular, *identical* under sequential and parallel evaluation (the
 //! survey's defining property of the master-slave model).
 
+use crate::crossover::keys::keys_to_permutation;
+use crate::crossover::{KeysCrossover, PermCrossover, RepCrossover};
+use crate::dual::DualGenome;
 use crate::fitness::FitnessTransform;
+use crate::mutate::{gaussian_keys, SeqMutation};
 use crate::rng::root_rng;
 use crate::select::Selection;
 use crate::stats::GenerationSample;
 use crate::termination::{Progress, Termination};
 use crate::Evaluator;
+use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -133,6 +138,82 @@ impl<G: Clone + Send + Sync + 'static> Toolkit<G> {
             crossover,
             mutate: Box::new(move |g, rng| (mutate)(g, rng)),
             seq_view,
+        }
+    }
+}
+
+// The workspace's genome bundles live here and nowhere else: the serve
+// path, the experiments, the examples and the test goldens all build
+// through these constructors, so a change to one bundle moves every
+// caller (and every golden) at once.
+
+impl Toolkit<Vec<usize>> {
+    /// Strict permutations of `0..n` (flow shops, open-shop operation
+    /// orders, session suffixes): a shuffled `0..n`, the given operators,
+    /// and the identity sequence view.
+    pub fn permutation(n: usize, crossover: PermCrossover, mutation: SeqMutation) -> Self {
+        Toolkit {
+            init: Box::new(move |rng| {
+                let mut p: Vec<usize> = (0..n).collect();
+                p.shuffle(rng);
+                p
+            }),
+            crossover: Box::new(move |a, b, rng| crossover.apply(a, b, rng)),
+            mutate: Box::new(move |g, rng| mutation.apply(g, rng)),
+            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+        }
+    }
+
+    /// Operation sequences (permutation with repetition, job shops): job
+    /// `j` appears `ops_per_job[j]` times, grouped by job and then
+    /// shuffled; the identity sequence view.
+    pub fn repetition(
+        ops_per_job: Vec<usize>,
+        crossover: RepCrossover,
+        mutation: SeqMutation,
+    ) -> Self {
+        let n_jobs = ops_per_job.len();
+        Toolkit {
+            init: Box::new(move |rng| {
+                let mut seq = Vec::with_capacity(ops_per_job.iter().sum());
+                for (j, &k) in ops_per_job.iter().enumerate() {
+                    seq.extend(std::iter::repeat_n(j, k));
+                }
+                seq.shuffle(rng);
+                seq
+            }),
+            crossover: Box::new(move |a, b, rng| crossover.apply(a, b, n_jobs, rng)),
+            mutate: Box::new(move |g, rng| mutation.apply(g, rng)),
+            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
+        }
+    }
+}
+
+impl Toolkit<DualGenome> {
+    /// Dual assignment+sequencing genomes (flexible shops):
+    /// [`DualGenome::random`] init, its crossover and mutation, and the
+    /// sequencing part as the sequence view.
+    pub fn dual(ops_per_job: Vec<usize>, max_choices: usize) -> Self {
+        let n_jobs = ops_per_job.len();
+        Toolkit {
+            init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
+            crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
+            mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
+            seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
+        }
+    }
+}
+
+impl Toolkit<Vec<f64>> {
+    /// Random-key vectors of length `len`: uniform `[0, 1)` keys,
+    /// Gaussian key mutation, and the keys' sort order as the sequence
+    /// view.
+    pub fn random_keys(len: usize, crossover: KeysCrossover) -> Self {
+        Toolkit {
+            init: Box::new(move |rng| (0..len).map(|_| rng.gen::<f64>()).collect()),
+            crossover: Box::new(move |a, b, rng| crossover.apply(a, b, rng)),
+            mutate: Box::new(|g, rng| gaussian_keys(g, 0.1, 0.2, rng)),
+            seq_view: Some(Box::new(|g: &Vec<f64>| keys_to_permutation(g))),
         }
     }
 }
@@ -584,10 +665,7 @@ fn elite_indices(costs: &[f64], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossover::PermCrossover;
-    use crate::mutate::SeqMutation;
     use crate::stats::History;
-    use rand::seq::SliceRandom;
 
     /// Minimise total displacement of a permutation from identity.
     fn displacement(p: &[usize]) -> f64 {
@@ -598,16 +676,7 @@ mod tests {
     }
 
     fn perm_toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-        }
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     #[test]
@@ -873,6 +942,47 @@ mod tests {
             e.population().iter().map(|i| i.genome.clone()).collect()
         };
         assert_eq!(genomes(&plain), genomes(&warm));
+    }
+
+    #[test]
+    fn repetition_toolkit_generates_valid_sequences() {
+        let tk = Toolkit::repetition(vec![3; 4], RepCrossover::JobOrder, SeqMutation::Swap);
+        let mut rng = root_rng(1);
+        let g = (tk.init)(&mut rng);
+        let mut counts = vec![0usize; 4];
+        for &j in &g {
+            counts[j] += 1;
+        }
+        assert_eq!(counts, vec![3, 3, 3, 3]);
+        let (c1, _) = (tk.crossover)(&g, &g, &mut rng);
+        assert_eq!(c1.len(), 12);
+        assert_eq!(tk.seq_view.as_ref().map(|view| view(&g)), Some(g));
+    }
+
+    #[test]
+    fn dual_toolkit_respects_the_job_shape() {
+        let tk = Toolkit::dual(vec![3, 4, 2], 2);
+        let mut rng = root_rng(2);
+        let mut g = (tk.init)(&mut rng);
+        assert_eq!(g.assign.len(), 9);
+        assert_eq!(g.seq.len(), 9);
+        for _ in 0..20 {
+            (tk.mutate)(&mut g, &mut rng);
+            assert!(g.assign.iter().all(|&c| c < 2));
+        }
+        let mut jobs = g.seq.clone();
+        jobs.sort_unstable();
+        assert_eq!(jobs, [0, 0, 0, 1, 1, 1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn random_keys_toolkit_views_keys_as_their_sort_order() {
+        let tk = Toolkit::random_keys(6, KeysCrossover::Uniform);
+        let g = (tk.init)(&mut root_rng(3));
+        assert_eq!(g.len(), 6);
+        assert!(g.iter().all(|k| (0.0..1.0).contains(k)));
+        let view = tk.seq_view.as_ref().unwrap()(&g);
+        assert!(view.windows(2).all(|w| g[w[0]] <= g[w[1]]));
     }
 
     #[test]

@@ -299,7 +299,6 @@ mod tests {
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-    use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
         p.iter()
@@ -309,16 +308,7 @@ mod tests {
     }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-        }
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     #[test]

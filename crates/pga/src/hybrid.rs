@@ -191,7 +191,6 @@ mod tests {
     use ga::engine::run;
     use ga::mutate::SeqMutation;
     use ga::termination::Termination;
-    use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
         p.iter()
@@ -201,16 +200,7 @@ mod tests {
     }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: None,
-        }
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     #[test]

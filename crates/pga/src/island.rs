@@ -360,7 +360,6 @@ mod tests {
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-    use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
         p.iter()
@@ -370,16 +369,7 @@ mod tests {
     }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-        }
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     fn base_cfg(seed: u64) -> GaConfig {
@@ -554,16 +544,7 @@ mod tests {
         let toolkits: Vec<Toolkit<Vec<usize>>> = (0..3)
             .map(|i| {
                 let op = PermCrossover::ALL[i % PermCrossover::ALL.len()];
-                Toolkit {
-                    init: Box::new(move |rng| {
-                        let mut p: Vec<usize> = (0..8).collect();
-                        p.shuffle(rng);
-                        p
-                    }),
-                    crossover: Box::new(move |a, b, rng| op.apply(a, b, rng)),
-                    mutate: Box::new(|g, rng| SeqMutation::Shift.apply(g, rng)),
-                    seq_view: None,
-                }
+                Toolkit::permutation(8, op, SeqMutation::Shift)
             })
             .collect();
         let evals: Vec<&dyn Evaluator<Vec<usize>>> = vec![&eval, &eval, &eval];

@@ -53,7 +53,6 @@ pub(crate) mod tests {
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-    use rand::seq::SliceRandom;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -85,16 +84,7 @@ pub(crate) mod tests {
     }
 
     fn toolkit(_: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(|rng| {
-                let mut p: Vec<usize> = (0..9).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-        }
+        Toolkit::permutation(9, PermCrossover::Order, SeqMutation::Swap)
     }
 
     /// Runs three fresh models from `build` — bare, recording samples,

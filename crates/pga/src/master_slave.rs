@@ -169,7 +169,6 @@ mod tests {
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-    use rand::seq::SliceRandom;
 
     fn displacement(p: &[usize]) -> f64 {
         p.iter()
@@ -179,16 +178,7 @@ mod tests {
     }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Pmx.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Shift.apply(g, rng)),
-            seq_view: None,
-        }
+        Toolkit::permutation(n, PermCrossover::Pmx, SeqMutation::Shift)
     }
 
     #[test]

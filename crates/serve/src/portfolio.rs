@@ -622,23 +622,13 @@ pub(crate) fn race_core<G: Send + 'static>(
 /// use ga::engine::Toolkit;
 /// use ga::crossover::PermCrossover;
 /// use ga::mutate::SeqMutation;
-/// use rand::seq::SliceRandom;
 /// use std::time::{Duration, Instant};
 ///
 /// // Minimise total displacement of a permutation (optimum: identity).
 /// let eval = |p: &Vec<usize>| {
 ///     p.iter().enumerate().map(|(i, &v)| (i as f64 - v as f64).abs()).sum::<f64>()
 /// };
-/// let toolkit = || Toolkit::<Vec<usize>> {
-///     init: Box::new(|rng| {
-///         let mut p: Vec<usize> = (0..6).collect();
-///         p.shuffle(rng);
-///         p
-///     }),
-///     crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-///     mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-///     seq_view: None,
-/// };
+/// let toolkit = || Toolkit::permutation(6, PermCrossover::Order, SeqMutation::Swap);
 /// let pool = RacerPool::new(2);
 /// let outcome = race(
 ///     &pool,
@@ -775,7 +765,6 @@ mod tests {
     use super::*;
     use ga::crossover::PermCrossover;
     use ga::mutate::SeqMutation;
-    use rand::seq::SliceRandom;
     use std::time::Duration;
 
     fn displacement(p: &[usize]) -> f64 {
@@ -786,16 +775,7 @@ mod tests {
     }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit {
-            init: Box::new(move |rng| {
-                let mut p: Vec<usize> = (0..n).collect();
-                p.shuffle(rng);
-                p
-            }),
-            crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-            mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-            seq_view: None,
-        }
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     /// Gate for a pool-occupying blocker task; opens on drop so a

@@ -30,7 +30,8 @@ use pga::telemetry::RequestTelemetry;
 use shop::dynamic::Event;
 use shop::gen::GenSpec;
 use shop::instance::Op;
-use shop::schedule::ScheduledOp;
+use shop::schedule::{Schedule, ScheduledOp};
+use shop::Problem;
 
 pub use shop::gen::Family;
 
@@ -59,6 +60,18 @@ impl Objective {
             "makespan" => Some(Objective::Makespan),
             "total_completion" => Some(Objective::TotalCompletion),
             _ => None,
+        }
+    }
+
+    /// This objective's value of `schedule`, a schedule of `problem`.
+    pub(crate) fn value(&self, problem: &dyn Problem, schedule: &Schedule) -> f64 {
+        match self {
+            Objective::Makespan => schedule.makespan() as f64,
+            Objective::TotalCompletion => schedule
+                .completion_times(problem.n_jobs())
+                .iter()
+                .map(|&c| c as f64)
+                .sum(),
         }
     }
 }

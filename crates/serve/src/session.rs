@@ -42,7 +42,9 @@ use crate::portfolio::{
 };
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
+use ga::crossover::PermCrossover;
 use ga::engine::Toolkit;
+use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use shop::dynamic::{
     apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
@@ -50,7 +52,7 @@ use shop::dynamic::{
 use shop::gen::Family;
 use shop::instance::JobShopInstance;
 use shop::schedule::Schedule;
-use shop::{Problem, Time};
+use shop::Time;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -227,7 +229,7 @@ pub(crate) fn handle_event_hooked(
     if let Err(e) = repaired.validate_job(&inst) {
         return Err(format!("internal: repair produced {e}"));
     }
-    let repair_value = objective_value(&inst, &repaired, state.objective);
+    let repair_value = state.objective.value(&inst, &repaired);
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), repair_start) {
         tr.span(
             "repair",
@@ -287,8 +289,10 @@ pub(crate) fn handle_event_hooked(
                         Objective::TotalCompletion => r.completion_sum(perm) as f64,
                     }
                 };
-                let toolkit_factory =
-                    || suffix_toolkit(k).with_warm_start(vec![identity(k)], clones);
+                let toolkit_factory = || {
+                    Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift)
+                        .with_warm_start(vec![identity(k)], clones)
+                };
                 run_member(member, mseed, &toolkit_factory, &eval, stop, obs)
             })
         };
@@ -322,7 +326,7 @@ pub(crate) fn handle_event_hooked(
             &shared_windows,
             t,
         );
-        let value = objective_value(&inst, &schedule, state.objective);
+        let value = state.objective.value(&inst, &schedule);
         let generations = outcome
             .models
             .iter()
@@ -414,42 +418,9 @@ pub(crate) fn handle_event_hooked(
     })
 }
 
-/// Objective value of `schedule` for the session's instance.
-pub(crate) fn objective_value(
-    inst: &JobShopInstance,
-    schedule: &Schedule,
-    objective: Objective,
-) -> f64 {
-    match objective {
-        Objective::Makespan => schedule.makespan() as f64,
-        Objective::TotalCompletion => schedule
-            .completion_times(inst.n_jobs())
-            .iter()
-            .map(|&c| c as f64)
-            .sum(),
-    }
-}
-
 /// The identity permutation `0..k`.
 fn identity(k: usize) -> Vec<usize> {
     (0..k).collect()
-}
-
-/// Toolkit over permutations of the suffix indices.
-fn suffix_toolkit(k: usize) -> Toolkit<Vec<usize>> {
-    use ga::crossover::PermCrossover;
-    use ga::mutate::SeqMutation;
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..k).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Shift.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
 }
 
 #[cfg(test)]
@@ -461,6 +432,7 @@ mod tests {
     use crate::wal::{read_frames, RecoverOutcome, SessionStore};
     use shop::instance::classic;
     use shop::instance::Op;
+    use shop::Problem;
     use std::path::PathBuf;
     use std::time::Duration;
 

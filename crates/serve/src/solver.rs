@@ -20,8 +20,10 @@ use crate::portfolio::{plan_lineup, race_core, run_member, MemberObs, MemberRunn
 use crate::portfolio::{RaceResult, StopRule};
 use crate::protocol::{InstanceSpec, Objective, Solution};
 use crate::scheduler::RacerPool;
+use ga::crossover::{PermCrossover, RepCrossover};
 use ga::dual::DualGenome;
 use ga::engine::{Individual, Toolkit};
+use ga::mutate::SeqMutation;
 use pga::telemetry::RunTelemetry;
 use shop::decoder::flexible::FlexDecoder;
 use shop::decoder::flow::FlowDecoder;
@@ -74,17 +76,6 @@ pub fn load_instance(spec: &InstanceSpec) -> Result<AnyInstance, LoadError> {
         InstanceSpec::Inline { family, text } => {
             AnyInstance::parse(*family, text).map_err(|e| LoadError(e.to_string()))
         }
-    }
-}
-
-fn objective_of(problem: &dyn Problem, schedule: &Schedule, objective: Objective) -> f64 {
-    match objective {
-        Objective::Makespan => schedule.makespan() as f64,
-        Objective::TotalCompletion => schedule
-            .completion_times(problem.n_jobs())
-            .iter()
-            .map(|&c| c as f64)
-            .sum(),
     }
 }
 
@@ -225,7 +216,7 @@ pub fn solve_hooked(
                         mseed,
                         stop,
                         obs,
-                        || perm_toolkit(n_jobs),
+                        || Toolkit::permutation(n_jobs, PermCrossover::Order, SeqMutation::Swap),
                         IncrementalFlow::new(Arc::clone(&table)),
                         |inc, perm: &Vec<usize>| match objective {
                             Objective::Makespan => inc.decode(perm) as f64,
@@ -249,7 +240,7 @@ pub fn solve_hooked(
             )
         }
         LoadedInstance::Job(job) => {
-            let ops_per_job: Vec<usize> = (0..job.n_jobs()).map(|j| job.n_ops(j)).collect();
+            let ops_per_job = job.ops_per_job();
             let table = Arc::new(OpTable::from_job(job));
             let runner: Arc<MemberRunner<Vec<usize>>> =
                 Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
@@ -258,7 +249,13 @@ pub fn solve_hooked(
                         mseed,
                         stop,
                         obs,
-                        || opseq_toolkit(ops_per_job.clone()),
+                        || {
+                            Toolkit::repetition(
+                                ops_per_job.clone(),
+                                RepCrossover::JobOrder,
+                                SeqMutation::Swap,
+                            )
+                        },
                         IncrementalJob::new(Arc::clone(&table)),
                         |inc, seq: &Vec<usize>| match objective {
                             Objective::Makespan => inc.decode(seq) as f64,
@@ -288,7 +285,7 @@ pub fn solve_hooked(
                         mseed,
                         stop,
                         obs,
-                        || perm_toolkit(n * m),
+                        || Toolkit::permutation(n * m, PermCrossover::Order, SeqMutation::Swap),
                         IncrementalOpenOrder::new(Arc::clone(&table)),
                         |inc, perm: &Vec<usize>| match objective {
                             Objective::Makespan => inc.decode(perm) as f64,
@@ -311,12 +308,7 @@ pub fn solve_hooked(
             finish(inst, objective, schedule, outcome)
         }
         LoadedInstance::Flexible(flex) => {
-            let ops_per_job: Vec<usize> = (0..flex.n_jobs()).map(|j| flex.n_ops(j)).collect();
-            let max_choices = (0..flex.n_jobs())
-                .flat_map(|j| (0..flex.n_ops(j)).map(move |s| flex.op(j, s).choices.len()))
-                .max()
-                .unwrap_or(1);
-            let n_jobs = flex.n_jobs();
+            let (ops_per_job, max_choices) = (flex.ops_per_job(), flex.max_choices());
             let table = Arc::new(FlexTable::from_flexible(flex));
             let runner: Arc<MemberRunner<DualGenome>> =
                 Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
@@ -325,7 +317,7 @@ pub fn solve_hooked(
                         mseed,
                         stop,
                         obs,
-                        || dual_toolkit(ops_per_job.clone(), max_choices, n_jobs),
+                        || Toolkit::dual(ops_per_job.clone(), max_choices),
                         IncrementalFlex::new(Arc::clone(&table)),
                         |inc, g: &DualGenome| match objective {
                             Objective::Makespan => inc.decode(&g.assign, &g.seq) as f64,
@@ -352,7 +344,7 @@ fn finish<G>(
     schedule: Schedule,
     outcome: RaceResult<G>,
 ) -> SolveOutcome {
-    let value = objective_of(inst.problem(), &schedule, objective);
+    let value = objective.value(inst.problem(), &schedule);
     SolveOutcome {
         solution: Solution {
             objective,
@@ -367,56 +359,6 @@ fn finish<G>(
         timelines: outcome.timelines,
         run_ns: outcome.run_ns,
         total_ops: inst.total_ops() as u64,
-    }
-}
-
-/// Toolkit over strict permutations of `0..n` (flow shops, open-shop
-/// operation orders).
-fn perm_toolkit(n: usize) -> Toolkit<Vec<usize>> {
-    use ga::crossover::PermCrossover;
-    use ga::mutate::SeqMutation;
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..n).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over operation sequences (permutation with repetition) for
-/// job shops.
-fn opseq_toolkit(ops_per_job: Vec<usize>) -> Toolkit<Vec<usize>> {
-    use ga::crossover::RepCrossover;
-    use ga::mutate::SeqMutation;
-    let n_jobs = ops_per_job.len();
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut seq = Vec::new();
-            for (j, &k) in ops_per_job.iter().enumerate() {
-                seq.extend(std::iter::repeat_n(j, k));
-            }
-            seq.shuffle(rng);
-            seq
-        }),
-        crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
-/// Toolkit over dual assignment+sequencing genomes for flexible shops.
-fn dual_toolkit(ops_per_job: Vec<usize>, max_choices: usize, n_jobs: usize) -> Toolkit<DualGenome> {
-    Toolkit {
-        init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
-        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
-        mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
-        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
     }
 }
 
@@ -481,6 +423,32 @@ mod tests {
             );
             assert_eq!(out.solution.makespan, schedule.makespan());
             assert!(!out.models.is_empty());
+        }
+    }
+
+    /// Every evaluation is one full table decode of the whole genome:
+    /// the request telemetry's decode count and perfbench's
+    /// `retimed_share` of 1.0 both rest on this.
+    #[test]
+    fn every_evaluation_is_one_full_decode() {
+        let pool = RacerPool::new(2);
+        for name in ["flow05", "ft06", "open_latin3", "flex03"] {
+            let inst = Arc::new(load_instance(&InstanceSpec::Named(name.into())).unwrap());
+            let genome_len = match &*inst {
+                LoadedInstance::Flow(flow) => flow.n_jobs(),
+                other => other.total_ops(),
+            } as u64;
+            let out = solve(&pool, &inst, Objective::Makespan, 5, deadline(), 30, 3);
+            assert!(!out.models.is_empty());
+            for (model, t) in &out.models {
+                assert!(t.evaluations > 0, "{name}/{model}: no evaluations");
+                assert_eq!(t.decode_calls, t.evaluations, "{name}/{model}");
+                assert_eq!(
+                    t.retimed_positions,
+                    t.decode_calls * genome_len,
+                    "{name}/{model}"
+                );
+            }
         }
     }
 

@@ -152,6 +152,17 @@ impl FlexibleInstance {
         &self.jobs[job]
     }
 
+    /// Most eligible machines of any operation: the range of a dual
+    /// genome's assignment genes.
+    pub fn max_choices(&self) -> usize {
+        self.jobs
+            .iter()
+            .flatten()
+            .map(|op| op.choices.len())
+            .max()
+            .unwrap_or(1)
+    }
+
     /// Upper bound on schedule length: sum of the *slowest* alternative of
     /// every operation.
     pub fn total_work_upper(&self) -> Time {
@@ -314,6 +325,8 @@ mod tests {
         assert_eq!(inst.n_machines(), 3);
         assert_eq!(inst.op(0, 0).choices, vec![(0, 4), (1, 6)]);
         assert_eq!(inst.op(0, 0).fastest_choice(), 0);
+        assert_eq!(inst.ops_per_job(), vec![2, 2]);
+        assert_eq!(inst.max_choices(), 2);
     }
 
     #[test]

@@ -104,6 +104,11 @@ pub trait Problem {
     fn total_ops(&self) -> usize {
         (0..self.n_jobs()).map(|j| self.n_ops(j)).sum()
     }
+    /// Operation count of every job, in job order (the shape a
+    /// repetition or dual genome is built from).
+    fn ops_per_job(&self) -> Vec<usize> {
+        (0..self.n_jobs()).map(|j| self.n_ops(j)).collect()
+    }
 }
 
 #[cfg(test)]

@@ -31,14 +31,7 @@ fn main() {
     let decoder = FlexDecoder::new(&inst).with_setups(&setups);
     let eval = move |g: &DualGenome| decoder.makespan(&g.assign, &g.seq) as f64;
 
-    let n_jobs = inst.n_jobs();
-    let ops: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    let toolkit = Toolkit {
-        init: Box::new(move |rng| DualGenome::random(&ops, 2, rng)),
-        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| g.mutate(2, rng)),
-        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
-    };
+    let toolkit = Toolkit::dual(inst.ops_per_job(), inst.max_choices());
 
     let cfg = GaConfig {
         pop_size: 50,

@@ -16,17 +16,7 @@ use shop::decoder::flow::FlowDecoder;
 use shop::instance::generate::{flow_shop_taillard, GenConfig};
 
 fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..n).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| PermCrossover::Pmx.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: None,
-    }
+    Toolkit::permutation(n, PermCrossover::Pmx, SeqMutation::Swap)
 }
 
 fn main() {

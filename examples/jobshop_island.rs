@@ -12,28 +12,7 @@ use pga::island::{IslandConfig, IslandGa};
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::classic;
-use shop::instance::JobShopInstance;
 use shop::Problem;
-
-fn opseq_toolkit(inst: &JobShopInstance) -> Toolkit<Vec<usize>> {
-    let n_jobs = inst.n_jobs();
-    let ops: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut seq: Vec<usize> = ops
-                .iter()
-                .enumerate()
-                .flat_map(|(j, &k)| std::iter::repeat_n(j, k))
-                .collect();
-            seq.shuffle(rng);
-            seq
-        }),
-        crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
 
 fn main() {
     for bench in [classic::ft06(), classic::la01()] {
@@ -51,7 +30,13 @@ fn main() {
         let mut islands = IslandGa::homogeneous(
             base,
             4,
-            &|_| opseq_toolkit(inst),
+            &|_| {
+                Toolkit::repetition(
+                    inst.ops_per_job(),
+                    RepCrossover::JobOrder,
+                    SeqMutation::Swap,
+                )
+            },
             &eval,
             IslandConfig::new(MigrationConfig::ring(10, 2)),
         );

@@ -19,25 +19,12 @@ fn main() {
     let inst = job_shop_uniform(&GenConfig::new(12, 6, 77));
     let decoder = JobDecoder::new(&inst);
     let eval = move |seq: &Vec<usize>| decoder.semi_active_makespan(seq) as f64;
-    let n_jobs = inst.n_jobs();
-    let ops: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    let toolkit = move |_: usize| Toolkit {
-        init: Box::new({
-            let ops = ops.clone();
-            move |rng| {
-                use rand::seq::SliceRandom;
-                let mut seq: Vec<usize> = ops
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(j, &k)| std::iter::repeat_n(j, k))
-                    .collect();
-                seq.shuffle(rng);
-                seq
-            }
-        }),
-        crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: None,
+    let toolkit = |_: usize| {
+        Toolkit::repetition(
+            inst.ops_per_job(),
+            RepCrossover::JobOrder,
+            SeqMutation::Swap,
+        )
     };
 
     let topologies: Vec<(&str, Topology)> = vec![

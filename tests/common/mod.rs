@@ -6,26 +6,13 @@ use ga::mutate::SeqMutation;
 use shop::instance::JobShopInstance;
 use shop::Problem;
 
-/// Operation-sequence toolkit for a job-shop instance: shuffled
-/// permutation-with-repetition init, JobOrder crossover, Swap mutation,
-/// identity sequence view. Kept in one place so every suite exercises
-/// the *same* operator bundle.
+/// The job-shop bundle `serve::solver` races: operation sequences under
+/// job-order crossover and swap mutation, built by the same `ga`
+/// constructor, so every suite exercises the serve path's bundle.
 pub fn opseq_toolkit(inst: &JobShopInstance) -> Toolkit<Vec<usize>> {
-    let n_jobs = inst.n_jobs();
-    let ops: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut seq: Vec<usize> = ops
-                .iter()
-                .enumerate()
-                .flat_map(|(j, &k)| std::iter::repeat_n(j, k))
-                .collect();
-            seq.shuffle(rng);
-            seq
-        }),
-        crossover: Box::new(move |a, b, rng| RepCrossover::JobOrder.apply(a, b, n_jobs, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
+    Toolkit::repetition(
+        inst.ops_per_job(),
+        RepCrossover::JobOrder,
+        SeqMutation::Swap,
+    )
 }

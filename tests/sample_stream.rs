@@ -1,10 +1,12 @@
 //! The sample stream is a model's only per-generation record. These
 //! tests pin it exactly (every field's bits, hashed) for the four
 //! `Individual`-based models under each of the serve path's three
-//! genome toolkits (job-order over operation sequences, OX over
-//! permutations, dual assignment+sequence genomes), and check that a
-//! run whose observer does not ask for samples never builds one — no
-//! sequence view, no diversity pass.
+//! genome toolkits, built by the very `ga::engine::Toolkit`
+//! constructors `serve::solver` races (job-order `repetition` over
+//! operation sequences, OX `permutation`, `dual` assignment+sequence
+//! genomes), so a change to a serve bundle moves these goldens. They
+//! also check that a run whose observer does not ask for samples never
+//! builds one — no sequence view, no diversity pass.
 
 use ga::crossover::PermCrossover;
 use ga::dual::DualGenome;
@@ -19,7 +21,6 @@ use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::instance::classic;
 use shop::instance::generate::{flexible_job_shop, flow_shop_taillard, GenConfig};
-use shop::instance::FlexibleInstance;
 use shop::Problem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -153,22 +154,6 @@ fn sample_streams_match_the_goldens() {
     assert_goldens(&|| opseq_toolkit(inst), &eval, goldens);
 }
 
-/// The serve path's flow/open-shop bundle: shuffled permutation init,
-/// order crossover (OX), swap mutation.
-fn ox_toolkit(n: usize) -> Toolkit<Vec<usize>> {
-    Toolkit {
-        init: Box::new(move |rng| {
-            use rand::seq::SliceRandom;
-            let mut p: Vec<usize> = (0..n).collect();
-            p.shuffle(rng);
-            p
-        }),
-        crossover: Box::new(|a, b, rng| PermCrossover::Order.apply(a, b, rng)),
-        mutate: Box::new(|g, rng| SeqMutation::Swap.apply(g, rng)),
-        seq_view: Some(Box::new(|g: &Vec<usize>| g.clone())),
-    }
-}
-
 #[test]
 fn ox_sample_streams_match_the_goldens() {
     let inst = flow_shop_taillard(&GenConfig::new(12, 5, 7));
@@ -180,20 +165,11 @@ fn ox_sample_streams_match_the_goldens() {
         (Kind::Island, 60, 0x60e1_06a3_225a_44e2),
         (Kind::IslandsOfCellular, 36, 0x01cc_770e_0265_2d5f),
     ];
-    assert_goldens(&|| ox_toolkit(inst.n_jobs()), &eval, goldens);
-}
-
-/// The serve path's flexible-shop bundle: random dual genomes, uniform
-/// assignment exchange + job-order sequence crossover, dual mutation.
-fn dual_toolkit(inst: &FlexibleInstance, max_choices: usize) -> Toolkit<DualGenome> {
-    let n_jobs = inst.n_jobs();
-    let ops_per_job: Vec<usize> = (0..n_jobs).map(|j| inst.n_ops(j)).collect();
-    Toolkit {
-        init: Box::new(move |rng| DualGenome::random(&ops_per_job, max_choices, rng)),
-        crossover: Box::new(move |a, b, rng| DualGenome::crossover(a, b, n_jobs, rng)),
-        mutate: Box::new(move |g, rng| g.mutate(max_choices, rng)),
-        seq_view: Some(Box::new(|g: &DualGenome| g.seq.clone())),
-    }
+    assert_goldens(
+        &|| Toolkit::permutation(inst.n_jobs(), PermCrossover::Order, SeqMutation::Swap),
+        &eval,
+        goldens,
+    );
 }
 
 #[test]
@@ -207,7 +183,11 @@ fn dual_sample_streams_match_the_goldens() {
         (Kind::Island, 60, 0xab96_317f_ee10_5aeb),
         (Kind::IslandsOfCellular, 36, 0x2e28_f583_10ac_6545),
     ];
-    assert_goldens(&|| dual_toolkit(&inst, 3), &eval, goldens);
+    assert_goldens(
+        &|| Toolkit::dual(inst.ops_per_job(), inst.max_choices()),
+        &eval,
+        goldens,
+    );
 }
 
 /// The island golden must cover a migration generation in which a
