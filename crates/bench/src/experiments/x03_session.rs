@@ -300,9 +300,30 @@ fn report_from(rows: &[StormRow]) -> Report {
 
 #[cfg(test)]
 mod tests {
+    /// The sweep is cap-bound, so its `(repair, warm, cold)` makespans
+    /// are pinned exactly, one row per storm event.
     #[test]
     fn shape_holds() {
-        let r = super::run();
+        let rows = super::measure();
+        let r = super::report_from(&rows);
         assert!(r.shape_holds, "{}", r.to_text());
+        let cols: Vec<(u64, u64, u64)> = rows.iter().map(|r| (r.repair, r.warm, r.cold)).collect();
+        assert_eq!(
+            cols,
+            [
+                (497, 497, 497),
+                (512, 497, 497),
+                (497, 497, 497),
+                (499, 499, 499),
+                (821, 728, 728),
+                (743, 731, 731),
+                (836, 836, 836),
+                (844, 838, 838),
+                (1143, 1143, 1188),
+                (1158, 1146, 1148),
+                (1285, 1285, 1285),
+                (1287, 1287, 1287),
+            ]
+        );
     }
 }

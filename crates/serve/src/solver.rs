@@ -474,21 +474,92 @@ mod tests {
         assert!(inst.validate(&schedule).is_ok());
     }
 
+    /// FNV-1a over every field of every scheduled operation.
+    fn schedule_hash(ops: &[shop::schedule::ScheduledOp]) -> u64 {
+        let mut h = shop::instance::hash::Fnv1a::default();
+        for o in ops {
+            for v in [o.job, o.op, o.machine] {
+                h.write_u64(v as u64);
+            }
+            h.write_u64(o.start);
+            h.write_u64(o.end);
+        }
+        h.finish()
+    }
+
+    /// A cap-bound solve is a pure function of (instance, objective,
+    /// seed, cap): every family answers its pinned value, twice. The
+    /// winner label and the schedule are pinned only where the target
+    /// is never certified (every racer runs to the cap, as on ft06,
+    /// whose makespan lower bound sits below the optimum, and under
+    /// total completion, whose target is 0). A certified race cuts its
+    /// rivals short at a timing-dependent generation, so `None` there.
     #[test]
     fn solve_is_deterministic_when_caps_bind() {
+        use Objective::{Makespan, TotalCompletion};
         let pool = RacerPool::new(3);
-        let inst = Arc::new(load_instance(&InstanceSpec::Named("ft06".into())).unwrap());
-        let run = || solve(&pool, &inst, Objective::Makespan, 42, deadline(), 150, 3);
-        let a = run();
-        let b = run();
-        assert_eq!(a.solution.schedule, b.solution.schedule);
-        // Model equality is safe to assert *here* because ft06's
-        // makespan lower bound sits below the optimum: the target is
-        // never certified, every racer runs to the cap, and the winner
-        // label is pinned. It is not part of the general contract.
-        assert_eq!(a.solution.model, b.solution.model);
-        assert_eq!(a.solution.makespan, b.solution.makespan);
-        assert!(!a.deadline_bound, "cap-bound solve is budget-independent");
+        let goldens = [
+            (
+                "flow05",
+                Makespan,
+                46.0,
+                Some(("cellular", 8202653481939093861)),
+            ),
+            (
+                "flow05",
+                TotalCompletion,
+                153.0,
+                Some(("cellular", 11613451717241188761)),
+            ),
+            (
+                "ft06",
+                Makespan,
+                55.0,
+                Some(("cellular", 8680174348891320210)),
+            ),
+            (
+                "ft06",
+                TotalCompletion,
+                280.0,
+                Some(("island", 12714476144529347776)),
+            ),
+            // Certified: 6 is open_latin3's makespan lower bound.
+            ("open_latin3", Makespan, 6.0, None),
+            (
+                "open_latin3",
+                TotalCompletion,
+                18.0,
+                Some(("cellular", 1248479420612381056)),
+            ),
+            (
+                "flex03",
+                Makespan,
+                7.0,
+                Some(("master_slave", 7047738052505233059)),
+            ),
+            (
+                "flex03",
+                TotalCompletion,
+                19.0,
+                Some(("master_slave", 7047738052505233059)),
+            ),
+        ];
+        for (name, objective, value, pinned) in goldens {
+            let inst = Arc::new(load_instance(&InstanceSpec::Named(name.into())).unwrap());
+            let run = || solve(&pool, &inst, objective, 42, deadline(), 150, 3);
+            for out in [run(), run()] {
+                let row = format!("{name}/{objective:?}");
+                assert_eq!(out.solution.value, value, "{row}");
+                assert!(
+                    !out.deadline_bound,
+                    "{row}: cap-bound solve is budget-independent"
+                );
+                if let Some((winner, hash)) = pinned {
+                    assert_eq!(out.solution.model, winner, "{row}");
+                    assert_eq!(schedule_hash(&out.solution.schedule), hash, "{row}");
+                }
+            }
+        }
     }
 
     /// Watching alone records no trace: the frames reach the sink and

@@ -35,9 +35,11 @@ fn roundtrip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
     json::parse(response.trim()).expect("parse response")
 }
 
-/// One full session trajectory; returns `(value, schedule-json)` per
-/// answer so the determinism test can compare runs bit-for-bit.
-fn run_session(gen_cap: u64) -> Vec<(f64, String)> {
+/// One full session trajectory; returns `(value, model, schedule-json)`
+/// per answer so the determinism test can compare runs bit-for-bit.
+/// `model` names the winner: the opening race's member, then
+/// `resolve/<member>` or `right_shift` per event.
+fn run_session(gen_cap: u64) -> Vec<(f64, String, String)> {
     let service = Service::bind(ServeConfig {
         workers: 2,
         gen_cap,
@@ -61,8 +63,10 @@ fn run_session(gen_cap: u64) -> Vec<(f64, String)> {
     let sched = schedule_from_json(opened.get("schedule").unwrap()).unwrap();
     Schedule::new(sched).validate_job(&base).unwrap();
 
+    let model = |answer: &Json| answer.get("model").unwrap().as_str().unwrap().to_string();
     let mut answers = vec![(
         opened.get("value").unwrap().as_f64().unwrap(),
+        model(&opened),
         opened.get("schedule").unwrap().encode(),
     )];
 
@@ -94,7 +98,7 @@ fn run_session(gen_cap: u64) -> Vec<(f64, String)> {
     );
     let sched1 = schedule_from_json(ev1.get("schedule").unwrap()).unwrap();
     Schedule::new(sched1).validate_job(&base).unwrap();
-    answers.push((value1, ev1.get("schedule").unwrap().encode()));
+    answers.push((value1, model(&ev1), ev1.get("schedule").unwrap().encode()));
 
     // Event 2: a job arrives. The session's instance grows; validate
     // against the same transformation applied locally.
@@ -117,7 +121,7 @@ fn run_session(gen_cap: u64) -> Vec<(f64, String)> {
         with_job_arrival(&base, &[Op::new(0, 5), Op::new(3, 7), Op::new(1, 4)], at).unwrap();
     let sched2 = schedule_from_json(ev2.get("schedule").unwrap()).unwrap();
     Schedule::new(sched2).validate_job(&grown).unwrap();
-    answers.push((value2, ev2.get("schedule").unwrap().encode()));
+    answers.push((value2, model(&ev2), ev2.get("schedule").unwrap().encode()));
 
     // Close; the registry must drain.
     let closed = roundtrip(
@@ -249,6 +253,14 @@ fn session_trajectory_is_feasible_beats_repair_and_is_deterministic() {
     // bit-identically.
     let a = run_session(60);
     let b = run_session(60);
-    assert_eq!(a.len(), 3);
     assert_eq!(a, b, "fixed seed + generation cap must pin the trajectory");
+    let rows: Vec<(f64, &str)> = a.iter().map(|(v, m, _)| (*v, m.as_str())).collect();
+    assert_eq!(
+        rows,
+        [
+            (55.0, "cellular"),
+            (68.0, "resolve/island"),
+            (64.0, "resolve/cellular"),
+        ]
+    );
 }
