@@ -16,7 +16,7 @@
 use crate::report::{fmt, Report};
 use ga::engine::Toolkit;
 use ga::rng::split_seed;
-use serve::portfolio::{plan_lineup, race};
+use serve::portfolio::{plan_lineup, race, SolveHooks, StopRule};
 use serve::scheduler::RacerPool;
 use shop::dynamic::{
     apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
@@ -24,7 +24,7 @@ use shop::dynamic::{
 use shop::gen::{AnyInstance, Family, GenSpec};
 use shop::instance::{JobShopInstance, Op};
 use shop::schedule::Schedule;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One storm measurement.
@@ -107,31 +107,15 @@ fn resolve_race(
     warm: bool,
 ) -> (u64, Schedule) {
     let k = suffix.len();
-    let inst = Arc::new(inst.clone());
-    let suffix = Arc::new(suffix.to_vec());
-    let windows = Arc::new(windows.to_vec());
-    // Every genome is priced through the session path's suffix decoder;
-    // only the winner is materialised. `race` shares one evaluator
-    // across its racers, so each racer takes whichever decoder is free
-    // (a decoder keeps no state between decodes).
-    let decoders: Vec<Mutex<SuffixRedecoder>> = (0..STORM_RACERS)
-        .map(|_| {
-            Mutex::new(SuffixRedecoder::new(
-                Arc::clone(&inst),
-                frozen,
-                Arc::clone(&suffix),
-                Arc::clone(&windows),
-                now,
-            ))
-        })
-        .collect();
-    let eval = move |perm: &Vec<usize>| {
-        let mut r = decoders
-            .iter()
-            .find_map(|d| d.try_lock().ok())
-            .unwrap_or_else(|| decoders[0].lock().unwrap());
-        r.makespan(perm) as f64
-    };
+    // Every genome is priced through the session path's suffix decoder,
+    // one clone per racer; only the winner is materialised.
+    let decoder = SuffixRedecoder::new(
+        Arc::new(inst.clone()),
+        frozen,
+        Arc::new(suffix.to_vec()),
+        Arc::new(windows.to_vec()),
+        now,
+    );
     let toolkit_factory = move || {
         let tk = Toolkit::permutation(
             k,
@@ -148,14 +132,18 @@ fn resolve_race(
         pool,
         &plan_lineup(Family::Job, k, STORM_RACERS),
         toolkit_factory,
-        eval,
+        move || decoder.clone(),
+        |r: &mut SuffixRedecoder, perm: &Vec<usize>| r.makespan(perm) as f64,
         seed,
-        Instant::now() + Duration::from_secs(60),
-        STORM_GEN_CAP,
-        0.0,
+        StopRule {
+            deadline: Instant::now() + Duration::from_secs(60),
+            gen_cap: STORM_GEN_CAP,
+            target: 0.0,
+        },
+        SolveHooks::default(),
     );
     let order: Vec<(usize, usize)> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
-    let schedule = reschedule_suffix_with_windows(&inst, frozen, &order, &windows, now);
+    let schedule = reschedule_suffix_with_windows(inst, frozen, &order, windows, now);
     (schedule.makespan(), schedule)
 }
 

@@ -335,16 +335,15 @@ impl<G> Observer<G> for () {}
 /// The generational loop of survey Table II, shared by every model:
 /// steps `model` until `termination` fires and returns its best
 /// individual. `obs` sees the starting best, every strict improvement,
-/// and whatever each step reports. Wall time and improvement
-/// stagnation are measured from this call; generation and evaluation
-/// counts are the model's own, so a fresh model run for
-/// `Termination::Generations(n)` steps exactly `n` times.
+/// and whatever each step reports. Improvement stagnation is measured
+/// from this call; generation and evaluation counts are the model's
+/// own, so a fresh model run for `Termination::Generations(n)` steps
+/// exactly `n` times.
 pub fn run<G: Clone, M: Model<G> + ?Sized>(
     model: &mut M,
     termination: &Termination,
     obs: &mut dyn Observer<G>,
 ) -> Individual<G> {
-    let started = crate::clock::now();
     let mut since_improvement = 0u64;
     let mut last_best = model.best().cost;
     obs.on_best(model.best());
@@ -353,7 +352,6 @@ pub fn run<G: Clone, M: Model<G> + ?Sized>(
         let progress = Progress {
             generation: s.generation,
             evaluations: s.evaluations,
-            elapsed: crate::clock::elapsed_since(started),
             best_cost: model.best().cost,
             generations_since_improvement: since_improvement,
         };

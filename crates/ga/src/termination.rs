@@ -1,9 +1,7 @@
 //! Termination criteria ("while termination criteria are not satisfied",
-//! survey Tables II–V). Composable with [`Termination::Any`] /
-//! [`Termination::All`]; both combinators evaluate their children
-//! left-to-right and short-circuit on the first decisive child (`Any`
-//! stops at the first satisfied criterion, `All` at the first
-//! unsatisfied one), so cheap criteria should be listed first.
+//! survey Tables II–V). Composable with [`Termination::Any`], which
+//! evaluates its children left-to-right and stops at the first
+//! satisfied one, so cheap criteria should be listed first.
 //!
 //! Clock handling: a whole criterion tree is evaluated against *one*
 //! clock snapshot. [`Termination::should_stop`] reads `Instant::now()`
@@ -14,7 +12,7 @@
 //! time it is — and tests can drive the clock by hand instead of
 //! sleeping.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A stopping rule for a GA run.
 #[derive(Debug, Clone)]
@@ -23,13 +21,9 @@ pub enum Termination {
     Generations(u64),
     /// Stop after this many fitness evaluations.
     Evaluations(u64),
-    /// Stop after this much wall-clock time (AitZai's fixed 300 s budget),
-    /// measured from the run's own start via [`Progress::elapsed`].
-    WallTime(Duration),
     /// Stop at an absolute wall-clock instant — the *anytime* criterion
-    /// the solver service races against. Unlike [`Termination::WallTime`]
-    /// the deadline is shared by every portfolio member regardless of
-    /// when each one started.
+    /// the solver service races against. The deadline is shared by
+    /// every portfolio member regardless of when each one started.
     Deadline(Instant),
     /// Stop when the best cost reaches the target or below.
     TargetCost(f64),
@@ -37,8 +31,6 @@ pub enum Termination {
     Stagnation(u64),
     /// Stop when *any* inner criterion fires (false when empty).
     Any(Vec<Termination>),
-    /// Stop only when *every* inner criterion fires (true when empty).
-    All(Vec<Termination>),
 }
 
 /// Snapshot of run progress that criteria are checked against.
@@ -46,7 +38,6 @@ pub enum Termination {
 pub struct Progress {
     pub generation: u64,
     pub evaluations: u64,
-    pub elapsed: Duration,
     pub best_cost: f64,
     pub generations_since_improvement: u64,
 }
@@ -59,12 +50,10 @@ impl Termination {
         match self {
             Termination::Generations(g) => p.generation >= *g,
             Termination::Evaluations(e) => p.evaluations >= *e,
-            Termination::WallTime(t) => p.elapsed >= *t,
             Termination::Deadline(d) => now >= *d,
             Termination::TargetCost(c) => p.best_cost <= *c,
             Termination::Stagnation(s) => p.generations_since_improvement >= *s,
             Termination::Any(list) => list.iter().any(|t| t.should_stop_at(p, now)),
-            Termination::All(list) => list.iter().all(|t| t.should_stop_at(p, now)),
         }
     }
 
@@ -73,22 +62,17 @@ impl Termination {
     pub fn should_stop(&self, p: &Progress) -> bool {
         self.should_stop_at(p, crate::clock::now())
     }
-
-    /// Convenience: a deadline `budget` from now.
-    pub fn deadline_in(budget: Duration) -> Self {
-        Termination::Deadline(crate::clock::now() + budget)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn progress() -> Progress {
         Progress {
             generation: 10,
             evaluations: 1000,
-            elapsed: Duration::from_secs(5),
             best_cost: 42.0,
             generations_since_improvement: 3,
         }
@@ -100,7 +84,6 @@ mod tests {
         assert!(Termination::Generations(10).should_stop(&p));
         assert!(!Termination::Generations(11).should_stop(&p));
         assert!(Termination::Evaluations(900).should_stop(&p));
-        assert!(Termination::WallTime(Duration::from_secs(5)).should_stop(&p));
         assert!(Termination::TargetCost(42.0).should_stop(&p));
         assert!(!Termination::TargetCost(41.0).should_stop(&p));
         assert!(Termination::Stagnation(3).should_stop(&p));
@@ -120,22 +103,6 @@ mod tests {
         assert!(!Termination::Any(vec![]).should_stop(&p));
     }
 
-    #[test]
-    fn all_combinator() {
-        let p = progress();
-        let both = Termination::All(vec![
-            Termination::Generations(10),
-            Termination::TargetCost(50.0),
-        ]);
-        assert!(both.should_stop(&p));
-        let one_unmet = Termination::All(vec![
-            Termination::Generations(10),
-            Termination::TargetCost(41.0),
-        ]);
-        assert!(!one_unmet.should_stop(&p));
-        assert!(Termination::All(vec![]).should_stop(&p));
-    }
-
     // The Deadline tests drive the clock by hand through
     // `should_stop_at`: one base `Instant` plus offsets, no sleeping.
     #[test]
@@ -152,17 +119,15 @@ mod tests {
     #[test]
     fn combinators_share_one_clock_snapshot() {
         // Two identical deadlines inside one combinator must agree at
-        // every instant — Any(d, d) and All(d, d) are equivalent to d.
+        // every instant — Any(d, d) is equivalent to d.
         let p = progress();
         let t0 = Instant::now();
         let d = Termination::Deadline(t0 + Duration::from_millis(50));
         let any = Termination::Any(vec![d.clone(), d.clone()]);
-        let all = Termination::All(vec![d.clone(), d.clone()]);
         for off_ms in [0u64, 49, 50, 51, 1000] {
             let now = t0 + Duration::from_millis(off_ms);
             let expect = d.should_stop_at(&p, now);
             assert_eq!(any.should_stop_at(&p, now), expect);
-            assert_eq!(all.should_stop_at(&p, now), expect);
         }
     }
 
@@ -177,31 +142,14 @@ mod tests {
             Termination::Deadline(t0 + Duration::from_secs(3600)),
         ]);
         assert!(t.should_stop_at(&p, t0));
-        // All(unsat, sat): the unsatisfied head short-circuits to false.
-        let t = Termination::All(vec![
-            Termination::Generations(11),
-            Termination::Deadline(t0),
-        ]);
-        assert!(!t.should_stop_at(&p, t0));
         // Deep nesting mixes fine.
-        let deep = Termination::All(vec![
+        let deep = Termination::Any(vec![
+            Termination::Generations(11),
             Termination::Any(vec![
                 Termination::Deadline(t0 + Duration::from_secs(1)),
                 Termination::Stagnation(3),
             ]),
-            Termination::Generations(10),
         ]);
         assert!(deep.should_stop_at(&p, t0));
-    }
-
-    #[test]
-    fn deadline_in_is_a_future_deadline() {
-        let p = progress();
-        let t = Termination::deadline_in(Duration::from_secs(3600));
-        assert!(!t.should_stop(&p));
-        let Termination::Deadline(d) = t else {
-            panic!("deadline_in must build a Deadline");
-        };
-        assert!(d > Instant::now());
     }
 }

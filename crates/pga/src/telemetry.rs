@@ -31,9 +31,9 @@ pub struct RunTelemetry {
     /// anytime convergence curve. Each model counts them in its own
     /// step, so bare and observed runs report the same number.
     pub improvements: u64,
-    /// Table-decoder invocations behind this run's evaluations (zero
-    /// when the evaluator is not decoder-backed or the caller did not
-    /// wire the counters through).
+    /// Decoder invocations behind this run's evaluations. A member of
+    /// a `serve` portfolio race counts one per evaluation; a model run
+    /// outside a race leaves it zero.
     pub decode_calls: u64,
     /// Genome positions timed by those decodes. Every decode is a full
     /// decode, so this is `decode_calls` times the genome length.

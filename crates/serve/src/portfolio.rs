@@ -32,7 +32,6 @@ use ga::engine::{Engine, GaConfig, GaPhase, Individual, Observer, Toolkit};
 use ga::rng::split_seed;
 use ga::stats::GenerationSample;
 use ga::termination::Termination;
-use ga::Evaluator;
 use hpc::model::{cellular_time, island_time, master_slave_time, RunShape};
 use hpc::Platform;
 use pga::telemetry::RunTelemetry;
@@ -255,9 +254,9 @@ pub struct SolveHooks {
 /// one); phase times reach the accumulator when profiled. That is what
 /// lets tracing, watching and profiling ride along without touching the
 /// GA layers.
-pub(crate) struct MemberObs<'a> {
+struct MemberObs<'a> {
     /// The race-wide monotone best cell (the anytime contract).
-    pub(crate) best: &'a BestSoFar,
+    best: &'a BestSoFar,
     /// Where this member's frames go: the subscriber's sink, a trace
     /// recorder, or nothing for an unobserved race.
     frames: Option<&'a dyn WatchSink>,
@@ -269,7 +268,7 @@ pub(crate) struct MemberObs<'a> {
     /// chunk; the stream keeps strict improvements only).
     last_best: f64,
     /// Phase-time accumulator, when the race is profiled.
-    pub(crate) phases: Option<&'a PhaseAcc>,
+    phases: Option<&'a PhaseAcc>,
 }
 
 impl MemberObs<'_> {
@@ -321,16 +320,9 @@ impl<G> Observer<G> for MemberObs<'_> {
     }
 }
 
-/// The type-erased per-member work unit `race_core` schedules: run
-/// `ModelKind` with the given derived seed under the stop rule,
-/// reporting through the member observer; return the member's best,
-/// its telemetry, and whether the deadline alone cut it short.
-pub(crate) type MemberRunner<G> = dyn Fn(ModelKind, u64, &StopRule, &mut MemberObs) -> (Individual<G>, RunTelemetry, bool)
-    + Send
-    + Sync;
-
-/// One lineup slot's eventual payload.
-type RacerSlot<G> = Option<(Individual<G>, RunTelemetry, bool)>;
+/// What one member run yields: its best, its telemetry, and whether
+/// the deadline alone cut it short.
+type MemberOut<G> = (Individual<G>, RunTelemetry, bool);
 
 /// Progress accounting for the members handed to the pool.
 struct Progress {
@@ -344,12 +336,14 @@ struct Progress {
 /// pooled member tasks. `Arc`-owned by each task, so the submitter can
 /// return at the deadline without waiting for queued stragglers — they
 /// complete (as skips) against this state later and free their slots.
-struct RaceState<G> {
-    runner: Arc<MemberRunner<G>>,
+struct RaceState<G, R> {
+    /// Runs one lineup member under its derived seed (a call of
+    /// [`run_member`] with the race's factories).
+    run: R,
     seed: u64,
     stop: StopRule,
     best: BestSoFar,
-    results: Mutex<Vec<RacerSlot<G>>>,
+    results: Mutex<Vec<Option<MemberOut<G>>>>,
     progress: Mutex<Progress>,
     done: Condvar,
     /// Max pool-queue wait over this race's members, in µs.
@@ -364,7 +358,10 @@ struct RaceState<G> {
     phases: Option<Arc<PhaseAcc>>,
 }
 
-impl<G> RaceState<G> {
+impl<G, R> RaceState<G, R>
+where
+    R: Fn(ModelKind, u64, &StopRule, &mut MemberObs<'_>) -> MemberOut<G>,
+{
     /// Runs lineup member `i` on the calling thread and files its
     /// result. Its `start` and `finish` frames bracket the run; each
     /// costs one clock read, shared with `run_ns`.
@@ -383,7 +380,7 @@ impl<G> RaceState<G> {
             elapsed_us: start.as_micros() as u64,
         });
         let seed = split_seed(self.seed, i as u64);
-        let out = (self.runner)(member, seed, &self.stop, &mut obs);
+        let out = (self.run)(member, seed, &self.stop, &mut obs);
         let end = self.t0.elapsed();
         let run_ns = end.saturating_sub(start).as_nanos() as u64;
         self.run_ns.fetch_add(run_ns, Ordering::Relaxed);
@@ -393,7 +390,9 @@ impl<G> RaceState<G> {
         });
         self.results.lock().expect("results poisoned")[i] = Some(out);
     }
+}
 
+impl<G, R> RaceState<G, R> {
     fn begin_run(&self) {
         let mut p = self.progress.lock().expect("race progress poisoned");
         p.queued -= 1;
@@ -419,7 +418,10 @@ impl<G> RaceState<G> {
     /// deadline passed with nothing left running. Cancels the race's
     /// queued tasks on every early exit so they free their pool slots
     /// in O(1) when popped.
-    fn wait_for_members(&self, deadline: Instant, target: f64, cancel: &CancelToken) {
+    fn wait_for_members(&self, cancel: &CancelToken) {
+        let StopRule {
+            deadline, target, ..
+        } = self.stop;
         let mut p = self.progress.lock().expect("race progress poisoned");
         loop {
             if p.queued == 0 && p.running == 0 {
@@ -457,37 +459,108 @@ impl<G> RaceState<G> {
     }
 }
 
-/// The scheduling core shared by [`race`] and the solver glue: run
-/// `lineup[0]` inline on the calling thread and the rest as cancellable
-/// tasks on `pool`, then merge whatever completed. Every member emits
-/// one frame stream: to the watch sink, or through a [`TraceRecorder`]
-/// (forwarding to the watch sink, if any) whose recordings become
-/// `RaceResult::timelines` when traced. None of the hooks changes any
-/// member's search trajectory.
+/// Races `lineup` on the given racer pool under `stop`. Member 0 (the
+/// predicted-cheapest) runs inline on the calling thread; the rest are
+/// submitted as cancellable pool tasks. Each member that runs builds
+/// its toolkit from `toolkit_factory` and its own decoder from
+/// `decoder_factory`, and costs every genome as `cost(&mut decoder,
+/// genome)`. Decodes are counted into
+/// `RunTelemetry::decode_calls` and, when `hooks.phases` is set, timed.
+///
+/// Each member runs with derived seed `split_seed(seed, index)` until
+/// the first of deadline / `gen_cap` generations / `target` cost fires,
+/// reporting every improvement into a [`BestSoFar`] cell — which the
+/// other racers poll between generation chunks, so the whole race ends
+/// (not just the proving racer) as soon as anyone certifies the target.
+/// Returns the global best individual, the winning member and
+/// per-member telemetry. The racers' own trajectories are
+/// seed-deterministic; only *when* a rival's target-hit cuts a racer
+/// short can depend on timing, so the winner label (and, when several
+/// genomes attain the target cost, the returned genome) is only
+/// guaranteed reproducible for races where every member runs to
+/// `gen_cap`. The service's cache pins whichever solution completed
+/// first.
+///
+/// Every member emits one frame stream: to the watch sink, or through a
+/// trace recorder (forwarding to the watch sink, if any) whose
+/// recordings become `RaceResult::timelines` when traced. None of the
+/// hooks changes any member's search trajectory.
+///
+/// ```
+/// use serve::portfolio::{race, ModelKind, SolveHooks, StopRule};
+/// use serve::scheduler::RacerPool;
+/// use ga::engine::Toolkit;
+/// use ga::crossover::PermCrossover;
+/// use ga::mutate::SeqMutation;
+/// use std::time::{Duration, Instant};
+///
+/// // Minimise total displacement of a permutation (optimum: identity).
+/// // The decoder is a per-member scratch buffer of absolute offsets.
+/// let cost = |offsets: &mut Vec<f64>, p: &Vec<usize>| {
+///     offsets.clear();
+///     offsets.extend(p.iter().enumerate().map(|(i, &v)| (i as f64 - v as f64).abs()));
+///     offsets.iter().sum::<f64>()
+/// };
+/// let toolkit = || Toolkit::permutation(6, PermCrossover::Order, SeqMutation::Swap);
+/// let pool = RacerPool::new(2);
+/// let stop = StopRule {
+///     deadline: Instant::now() + Duration::from_secs(10),
+///     gen_cap: 300,
+///     target: 0.0, // certified optimum
+/// };
+/// let outcome = race(
+///     &pool,
+///     &[ModelKind::MasterSlave { pop: 16 }],
+///     toolkit,
+///     Vec::new, // one decoder per member
+///     cost,
+///     7, // seed
+///     stop,
+///     SolveHooks::default(),
+/// );
+/// assert_eq!(outcome.best.cost, 0.0);
+/// assert_eq!(outcome.best.genome, (0..6).collect::<Vec<usize>>());
+/// let (_, telemetry) = &outcome.models[0];
+/// assert_eq!(telemetry.decode_calls, telemetry.evaluations);
+/// ```
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn race_core<G: Send + 'static>(
+pub fn race<G, D, TF, DF, C>(
     pool: &RacerPool,
     lineup: &[ModelKind],
-    runner: Arc<MemberRunner<G>>,
+    toolkit_factory: TF,
+    decoder_factory: DF,
+    cost: C,
     seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    target: f64,
+    stop: StopRule,
     hooks: SolveHooks,
-) -> RaceResult<G> {
+) -> RaceResult<G>
+where
+    G: Clone + Send + Sync + 'static,
+    D: Send + 'static,
+    TF: Fn() -> Toolkit<G> + Send + Sync + 'static,
+    DF: Fn() -> D + Send + Sync + 'static,
+    C: Fn(&mut D, &G) -> f64 + Send + Sync + 'static,
+{
     assert!(!lineup.is_empty(), "portfolio needs at least one member");
     let members = lineup.len();
     let recorder = hooks
         .traced
         .then(|| Arc::new(TraceRecorder::new(members, hooks.watch.clone())));
+    let run = move |member: ModelKind, seed: u64, stop: &StopRule, obs: &mut MemberObs<'_>| {
+        run_member(
+            member,
+            seed,
+            &toolkit_factory,
+            &decoder_factory,
+            &cost,
+            stop,
+            obs,
+        )
+    };
     let state = Arc::new(RaceState {
-        runner,
+        run,
         seed,
-        stop: StopRule {
-            deadline,
-            gen_cap,
-            target,
-        },
+        stop,
         best: BestSoFar::default(),
         results: Mutex::new((0..members).map(|_| None).collect()),
         progress: Mutex::new(Progress {
@@ -510,7 +583,7 @@ pub(crate) fn race_core<G: Send + 'static>(
         let state = Arc::clone(&state);
         let member = *member;
         pool.submit(
-            deadline,
+            stop.deadline,
             Arc::clone(&cancel),
             Box::new(move |run: TaskRun| {
                 // Record the queue wait for skipped members too: a
@@ -528,13 +601,13 @@ pub(crate) fn race_core<G: Send + 'static>(
                 state.begin_run();
                 // Drop guard: even a panicking member must not leave
                 // the race waiting on `running` forever.
-                struct FinishGuard<'a, G>(&'a RaceState<G>);
-                impl<G> Drop for FinishGuard<'_, G> {
+                struct FinishGuard<'a, G, R>(&'a RaceState<G, R>);
+                impl<G, R> Drop for FinishGuard<'_, G, R> {
                     fn drop(&mut self) {
                         self.0.finish_run();
                     }
                 }
-                let _guard = FinishGuard(&state);
+                let _guard = FinishGuard(&*state);
                 state.race_member(i, member);
             }),
         );
@@ -544,12 +617,12 @@ pub(crate) fn race_core<G: Send + 'static>(
     // fully saturated pool cannot starve a race of progress, and total
     // racing threads stay bounded by pool size + serving workers.
     state.race_member(0, lineup[0]);
-    state.wait_for_members(deadline, target, &cancel);
+    state.wait_for_members(&cancel);
     // Idempotent; covers the all-members-finished path too, where any
     // re-submitted key's stale queue entries no longer exist.
     cancel.cancel();
 
-    let collected: Vec<RacerSlot<G>> = {
+    let collected: Vec<Option<MemberOut<G>>> = {
         let mut slots = state.results.lock().expect("results poisoned");
         slots.iter_mut().map(Option::take).collect()
     };
@@ -588,7 +661,7 @@ pub(crate) fn race_core<G: Send + 'static>(
     // A certified target is a proof of optimality, so extra wall-clock
     // could not improve on it even if some rival was cut off mid-search
     // or never started.
-    let deadline_bound = (any_timed_out || missing > 0) && best.cost > target;
+    let deadline_bound = (any_timed_out || missing > 0) && best.cost > stop.target;
     RaceResult {
         best,
         winner: lineup[idx].name().to_string(),
@@ -598,74 +671,6 @@ pub(crate) fn race_core<G: Send + 'static>(
         timelines,
         run_ns: state.run_ns.load(Ordering::Relaxed),
     }
-}
-
-/// Races `lineup` against `deadline` on the given racer pool. Member 0
-/// (the predicted-cheapest) runs inline on the calling thread; the
-/// rest are submitted as cancellable pool tasks. Each member runs with
-/// derived seed `split_seed(seed, index)` until the first of deadline /
-/// `gen_cap` generations / `target` cost fires, reporting every
-/// improvement into a [`BestSoFar`] cell — which the other racers poll
-/// between generation chunks, so the whole race ends (not just the
-/// proving racer) as soon as anyone certifies the target. Returns the
-/// global best individual, the winning member and per-member telemetry.
-/// The racers' own trajectories are seed-deterministic; only *when* a
-/// rival's target-hit cuts a racer short can depend on timing, so the
-/// winner label (and, when several genomes attain the target cost, the
-/// returned genome) is only guaranteed reproducible for races where
-/// every member runs to `gen_cap`. The service's cache pins whichever
-/// solution completed first.
-///
-/// ```
-/// use serve::portfolio::{race, ModelKind};
-/// use serve::scheduler::RacerPool;
-/// use ga::engine::Toolkit;
-/// use ga::crossover::PermCrossover;
-/// use ga::mutate::SeqMutation;
-/// use std::time::{Duration, Instant};
-///
-/// // Minimise total displacement of a permutation (optimum: identity).
-/// let eval = |p: &Vec<usize>| {
-///     p.iter().enumerate().map(|(i, &v)| (i as f64 - v as f64).abs()).sum::<f64>()
-/// };
-/// let toolkit = || Toolkit::permutation(6, PermCrossover::Order, SeqMutation::Swap);
-/// let pool = RacerPool::new(2);
-/// let outcome = race(
-///     &pool,
-///     &[ModelKind::MasterSlave { pop: 16 }],
-///     toolkit,
-///     eval,
-///     7,                                        // seed
-///     Instant::now() + Duration::from_secs(10), // deadline
-///     300,                                      // generation cap
-///     0.0,                                      // certified-optimum target
-/// );
-/// assert_eq!(outcome.best.cost, 0.0);
-/// assert_eq!(outcome.best.genome, (0..6).collect::<Vec<usize>>());
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn race<G, TF, E>(
-    pool: &RacerPool,
-    lineup: &[ModelKind],
-    toolkit_factory: TF,
-    evaluator: E,
-    seed: u64,
-    deadline: Instant,
-    gen_cap: u64,
-    target: f64,
-) -> RaceResult<G>
-where
-    G: Clone + Send + Sync + 'static,
-    TF: Fn() -> Toolkit<G> + Send + Sync + 'static,
-    E: Evaluator<G> + Send + Sync + 'static,
-{
-    let runner: Arc<MemberRunner<G>> = Arc::new(
-        move |member: ModelKind, member_seed: u64, stop: &StopRule, obs: &mut MemberObs| {
-            run_member(member, member_seed, &toolkit_factory, &evaluator, stop, obs)
-        },
-    );
-    let bare = SolveHooks::default();
-    race_core(pool, lineup, runner, seed, deadline, gen_cap, target, bare)
 }
 
 /// Generations per chunk between cooperative checks of the shared
@@ -705,22 +710,48 @@ fn run_chunked<G>(
     }
 }
 
-/// Runs one portfolio member to completion under the stop rule. This is
-/// the unit of work a racer-pool task executes; the solver glue calls
-/// it from its family-specific [`MemberRunner`] closures.
-pub(crate) fn run_member<G, TF, E>(
+/// Runs one portfolio member to completion under the stop rule: the
+/// unit of work a racer-pool task executes, and the one place a race
+/// member's evaluator is built. The member owns one decoder from
+/// `decoder_factory`, behind a mutex that is uncontended (the evaluator
+/// bound is `Fn + Sync`, and nothing else sees it). The mutex also
+/// holds the member's decode count and, when profiled, its summed
+/// decode nanoseconds, so a decode touches no cache line the other
+/// racers share; both reach the race once, when the member returns.
+fn run_member<G, D>(
     member: ModelKind,
     seed: u64,
-    toolkit_factory: &TF,
-    evaluator: &E,
+    toolkit_factory: &(impl Fn() -> Toolkit<G> + Sync),
+    decoder_factory: &impl Fn() -> D,
+    cost: &(impl Fn(&mut D, &G) -> f64 + Sync),
     stop: &StopRule,
     obs: &mut MemberObs,
-) -> (Individual<G>, RunTelemetry, bool)
+) -> MemberOut<G>
 where
     G: Clone + Send + Sync,
-    TF: Fn() -> Toolkit<G> + Sync,
-    E: Evaluator<G> + Sync,
+    D: Send,
 {
+    struct Decodes<D> {
+        decoder: D,
+        calls: u64,
+        ns: u64,
+    }
+    let profiled = obs.phases.is_some();
+    let decodes = Mutex::new(Decodes {
+        decoder: decoder_factory(),
+        calls: 0,
+        ns: 0,
+    });
+    let evaluator = |g: &G| {
+        let mut d = decodes.lock().expect("member decoder poisoned");
+        d.calls += 1;
+        let t0 = profiled.then(Instant::now);
+        let v = cost(&mut d.decoder, g);
+        if let Some(t0) = t0 {
+            d.ns += t0.elapsed().as_nanos() as u64;
+        }
+        v
+    };
     let mut model: Box<dyn Instrumented<G> + '_> = match member {
         ModelKind::MasterSlave { pop } => {
             let cfg = GaConfig {
@@ -728,7 +759,7 @@ where
                 seed,
                 ..GaConfig::default()
             };
-            Box::new(Engine::new(cfg, toolkit_factory(), evaluator))
+            Box::new(Engine::new(cfg, toolkit_factory(), &evaluator))
         }
         ModelKind::Island {
             islands,
@@ -743,21 +774,40 @@ where
                 cfg,
                 islands,
                 &|_| toolkit_factory(),
-                evaluator,
+                &evaluator,
                 IslandConfig::new(MigrationConfig::ring(5, 2)),
             ))
         }
         ModelKind::Cellular { rows, cols } => {
             let cfg = CellularConfig::new(rows, cols, seed);
-            Box::new(CellularGa::new(cfg, toolkit_factory(), evaluator))
+            Box::new(CellularGa::new(cfg, toolkit_factory(), &evaluator))
         }
     };
+    // Construction decoded the initial population outside every
+    // model's `Evaluate` phase; count it there, so the race's decode
+    // time stays within its evaluate time.
+    if let Some(acc) = obs.phases {
+        let ns = decodes.lock().expect("member decoder poisoned").ns;
+        acc.add(GaPhase::Evaluate, Duration::from_nanos(ns));
+    }
     let shared = obs.best;
     let (best, timed_out) = run_chunked(stop, shared, &mut |t| {
         let best = ga::engine::run(&mut *model, t, obs);
         (best, model.status().generation)
     });
-    (best, model.telemetry(), timed_out)
+    let mut telemetry = model.telemetry();
+    drop(model);
+    let d = decodes.into_inner().expect("member decoder poisoned");
+    if let Some(acc) = obs.phases {
+        acc.add_decode(Duration::from_nanos(d.ns));
+    }
+    // Every decode is a full decode of one fixed-length genome.
+    let len = toolkit_factory()
+        .seq_view
+        .map_or(0, |view| view(&best.genome).len());
+    telemetry.decode_calls = d.calls;
+    telemetry.retimed_positions = d.calls * len as u64;
+    (best, telemetry, timed_out)
 }
 
 #[cfg(test)]
@@ -776,6 +826,40 @@ mod tests {
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
         Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
+    }
+
+    /// Races `floor + displacement` over `n`-permutations toward target
+    /// 0 through a counting decoder factory; returns the result and how
+    /// many decoders the members built.
+    fn race_perm(
+        pool: &RacerPool,
+        lineup: &[ModelKind],
+        n: usize,
+        floor: f64,
+        seed: u64,
+        deadline: Instant,
+        gen_cap: u64,
+    ) -> (RaceResult<Vec<usize>>, u64) {
+        let built = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&built);
+        let r = race(
+            pool,
+            lineup,
+            move || toolkit(n),
+            move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            },
+            move |_: &mut (), g: &Vec<usize>| floor + displacement(g),
+            seed,
+            StopRule {
+                deadline,
+                gen_cap,
+                target: 0.0,
+            },
+            SolveHooks::default(),
+        );
+        let built = built.load(Ordering::Relaxed);
+        (r, built)
     }
 
     /// Gate for a pool-occupying blocker task; opens on drop so a
@@ -845,16 +929,16 @@ mod tests {
         let pool = RacerPool::new(2);
         let lineup = plan_lineup(Family::Job, 10, 3);
         let run = || {
-            race(
+            race_perm(
                 &pool,
                 &lineup,
-                || toolkit(8),
-                |g: &Vec<usize>| displacement(g),
+                8,
+                0.0,
                 7,
                 Instant::now() + Duration::from_secs(20),
                 400,
-                0.0,
             )
+            .0
         };
         let a = run();
         let b = run();
@@ -880,6 +964,24 @@ mod tests {
         }
         for (_, t) in &a.models {
             assert!(t.evaluations > 0);
+        }
+    }
+
+    /// Each member that runs builds exactly one decoder, decodes once
+    /// per evaluation, and times the whole genome each time.
+    #[test]
+    fn every_member_that_runs_builds_one_decoder() {
+        let pool = RacerPool::new(2);
+        let lineup = plan_lineup(Family::Job, 10, 3);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        // Cap-bound: every member runs to generation 20.
+        let (r, built) = race_perm(&pool, &lineup, 10, 1.0, 5, deadline, 20);
+        assert_eq!(r.models.len(), lineup.len());
+        assert_eq!(built, lineup.len() as u64);
+        for (model, t) in &r.models {
+            assert!(t.evaluations > 0, "{model}");
+            assert_eq!(t.decode_calls, t.evaluations, "{model}");
+            assert_eq!(t.retimed_positions, 10 * t.decode_calls, "{model}");
         }
     }
 
@@ -921,16 +1023,8 @@ mod tests {
         // runs to gen_cap, so the outcome is budget-independent.
         let pool = RacerPool::new(1);
         let lineup = [ModelKind::MasterSlave { pop: 16 }];
-        let r = race(
-            &pool,
-            &lineup,
-            || toolkit(12),
-            |g: &Vec<usize>| 1.0 + displacement(g),
-            3,
-            Instant::now() + Duration::from_secs(3600),
-            30,
-            0.0,
-        );
+        let deadline = Instant::now() + Duration::from_secs(3600);
+        let (r, _) = race_perm(&pool, &lineup, 12, 1.0, 3, deadline, 30);
         assert!(!r.deadline_bound);
         assert!(r.best.cost >= 1.0);
     }
@@ -940,16 +1034,8 @@ mod tests {
         let pool = RacerPool::new(1);
         let lineup = [ModelKind::MasterSlave { pop: 16 }];
         let started = Instant::now();
-        let r = race(
-            &pool,
-            &lineup,
-            || toolkit(30),
-            |g: &Vec<usize>| 1.0 + displacement(g),
-            1,
-            started + Duration::from_millis(120),
-            u64::MAX,
-            0.0,
-        );
+        let deadline = started + Duration::from_millis(120);
+        let (r, _) = race_perm(&pool, &lineup, 30, 1.0, 1, deadline, u64::MAX);
         // Deadline is the only live criterion: the race must end near
         // it (generously bounded for slow CI) and still return a best.
         assert!(started.elapsed() < Duration::from_secs(10));
@@ -973,20 +1059,14 @@ mod tests {
         let lineup = plan_lineup(Family::Job, 10, 3);
         assert_eq!(lineup.len(), 3);
         let started = Instant::now();
-        let r = race(
-            &pool,
-            &lineup,
-            || toolkit(10),
-            |g: &Vec<usize>| 1.0 + displacement(g),
-            9,
-            started + Duration::from_millis(150),
-            u64::MAX, // unreachable cap
-            0.0,      // unreachable target
-        );
+        // Unreachable cap and target.
+        let deadline = started + Duration::from_millis(150);
+        let (r, built) = race_perm(&pool, &lineup, 10, 1.0, 9, deadline, u64::MAX);
         // The race ends near its deadline with only the inline member's
         // result, reported as deadline-bound.
         assert!(started.elapsed() < Duration::from_secs(10));
         assert_eq!(r.models.len(), 1, "only the inline member completed");
+        assert_eq!(built, 1, "skipped members build no decoder");
         assert!(r.deadline_bound);
         assert!(r.best.cost >= 1.0);
         // Release the blocker; the stranded tasks drain as skips.
@@ -1011,16 +1091,8 @@ mod tests {
         // optimum almost immediately.
         let lineup = plan_lineup(Family::Job, 6, 2);
         let started = Instant::now();
-        let r = race(
-            &pool,
-            &lineup,
-            || toolkit(4),
-            |g: &Vec<usize>| displacement(g),
-            7,
-            started + Duration::from_secs(30),
-            100_000,
-            0.0,
-        );
+        let deadline = started + Duration::from_secs(30);
+        let (r, _) = race_perm(&pool, &lineup, 4, 0.0, 7, deadline, 100_000);
         assert_eq!(r.best.cost, 0.0);
         assert!(
             started.elapsed() < Duration::from_secs(20),

@@ -37,15 +37,14 @@
 //! serialise in arrival order.
 
 use crate::obs::trace::{Trace, WatchSink};
-use crate::portfolio::{
-    plan_lineup, race_core, run_member, MemberObs, MemberRunner, SolveHooks, StopRule,
-};
+use crate::portfolio::{plan_lineup, race, SolveHooks, StopRule};
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
 use ga::crossover::PermCrossover;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
+use pga::telemetry::RunTelemetry;
 use shop::dynamic::{
     apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
 };
@@ -157,6 +156,9 @@ pub struct EventOutcome {
     pub resolve_skipped: Option<ResolveSkip>,
     /// Generations the winning re-solve member ran (0 when skipped).
     pub resolve_generations: u64,
+    /// Per-member telemetry of the re-solve race, in lineup order
+    /// (empty when the re-solve was skipped).
+    pub resolve_models: Vec<(String, RunTelemetry)>,
     /// True when the re-solve race was cut by the clock rather than
     /// its generation cap (see `portfolio::RaceResult::deadline_bound`).
     pub deadline_bound: bool,
@@ -247,64 +249,48 @@ pub(crate) fn handle_event_hooked(
     }
 
     let mut resolve: Option<(f64, Schedule, String, u64, bool)> = None;
+    let mut resolve_models = Vec::new();
     if skip.is_none() {
         let k = suffix.len();
         let objective = state.objective;
-        let shared_inst = Arc::new(inst.clone());
-        let shared_frozen = Arc::new(frozen.clone());
-        let shared_suffix = Arc::new(suffix.clone());
-        let shared_windows = Arc::new(windows.clone());
         // Warm start: the identity permutation *is* the incumbent
         // order, so the race's first individual already matches (or
         // beats — greedy dispatch) right-shift repair; a handful of
         // mutated clones around it seeds the neighbourhood.
         let clones = (k / 2).clamp(2, 8);
         let lineup = plan_lineup(Family::Job, k, racers.max(1));
-        // Every race member shares the Arc'd (instance, frozen,
-        // suffix, windows) base data and wraps it in its own suffix
-        // decoder: evaluations are bit-identical to materialising via
+        // Every race member decodes through its own clone of one suffix
+        // decoder, which shares the Arc'd (instance, suffix, windows)
+        // base data: evaluations are bit-identical to materialising via
         // reschedule_suffix_with_windows (with the `now` floor at the
         // event time, which is what keeps resolve <= repair), in one
         // allocation-free pass per genome.
-        let runner: Arc<MemberRunner<Vec<usize>>> = {
-            let inst = Arc::clone(&shared_inst);
-            let frozen = Arc::clone(&shared_frozen);
-            let suffix = Arc::clone(&shared_suffix);
-            let windows = Arc::clone(&shared_windows);
-            Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
-                // Per-member mutable decode state; the mutex satisfies
-                // the `Fn + Sync` evaluator bound and is uncontended
-                // (one evaluator per member run).
-                let redecoder = Mutex::new(SuffixRedecoder::new(
-                    Arc::clone(&inst),
-                    &frozen,
-                    Arc::clone(&suffix),
-                    Arc::clone(&windows),
-                    t,
-                ));
-                let eval = move |perm: &Vec<usize>| {
-                    let mut r = redecoder.lock().unwrap();
-                    match objective {
-                        Objective::Makespan => r.makespan(perm) as f64,
-                        Objective::TotalCompletion => r.completion_sum(perm) as f64,
-                    }
-                };
-                let toolkit_factory = || {
-                    Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift)
-                        .with_warm_start(vec![identity(k)], clones)
-                };
-                run_member(member, mseed, &toolkit_factory, &eval, stop, obs)
-            })
-        };
+        let decoder = SuffixRedecoder::new(
+            Arc::new(inst.clone()),
+            &frozen,
+            Arc::new(suffix.clone()),
+            Arc::new(windows.clone()),
+            t,
+        );
         let resolve_start = trace.as_deref().map(|tr| tr.elapsed_us());
-        let outcome = race_core(
+        let outcome = race(
             pool,
             &lineup,
-            runner,
+            move || {
+                Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift)
+                    .with_warm_start(vec![identity(k)], clones)
+            },
+            move || decoder.clone(),
+            move |r: &mut SuffixRedecoder, perm: &Vec<usize>| match objective {
+                Objective::Makespan => r.makespan(perm) as f64,
+                Objective::TotalCompletion => r.completion_sum(perm) as f64,
+            },
             split_seed(state.seed, state.events + 1),
-            deadline,
-            gen_cap,
-            0.0, // no cheap certificate for a frozen-prefix re-solve
+            StopRule {
+                deadline,
+                gen_cap,
+                target: 0.0, // no cheap certificate for a frozen-prefix re-solve
+            },
             SolveHooks {
                 traced: trace.is_some(),
                 watch,
@@ -313,19 +299,8 @@ pub(crate) fn handle_event_hooked(
         );
         // The winner is materialised and validated by the reference
         // path — the suffix decoder never answers unchecked.
-        let order: Vec<(usize, usize)> = outcome
-            .best
-            .genome
-            .iter()
-            .map(|&i| shared_suffix[i])
-            .collect();
-        let schedule = reschedule_suffix_with_windows(
-            &shared_inst,
-            &shared_frozen,
-            &order,
-            &shared_windows,
-            t,
-        );
+        let order: Vec<(usize, usize)> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
+        let schedule = reschedule_suffix_with_windows(&inst, &frozen, &order, &windows, t);
         let value = state.objective.value(&inst, &schedule);
         let generations = outcome
             .models
@@ -345,6 +320,7 @@ pub(crate) fn handle_event_hooked(
                 ],
             );
         }
+        resolve_models = outcome.models;
         match schedule.validate_job(&inst) {
             Ok(()) => {
                 resolve = Some((
@@ -412,6 +388,7 @@ pub(crate) fn handle_event_hooked(
         resolve_value,
         resolve_skipped: skip,
         resolve_generations: generations,
+        resolve_models,
         deadline_bound,
         solution,
         now: t,

@@ -5,24 +5,25 @@
 //!
 //! The family-generic instance type is [`shop::gen::AnyInstance`];
 //! this module only adds the protocol-level resolution
-//! ([`load_instance`]) and the racing glue ([`solve`]). Because races
-//! run as tasks on a persistent pool (see [`crate::scheduler`]), all
-//! race members share one `Arc`-cached flat operation table
-//! ([`shop::decoder::table`]) built once per solve; each member run
-//! wraps it in its own member decoder (one reusable scratch plus
-//! decode counters) and decodes every genome in full. The final
-//! winning genome is decoded by the family's reference decoder and
-//! validated — the hot path never gets to answer unchecked.
+//! ([`load_instance`]) and the racing glue ([`solve`]). Each family arm
+//! builds one `Arc`-shared flat operation table
+//! ([`shop::decoder::table`]) per solve, the toolkit factory, and a
+//! decoder factory that wraps the table in a member decoder (one
+//! reusable scratch); [`crate::portfolio::race`] gives every member
+//! that runs its own decoder, and counts and times its decodes. The
+//! `Incremental*` decoder names are historical; they stay because the
+//! perfbench harness calls them. The final winning genome is decoded
+//! by the family's reference decoder and validated — the hot path
+//! never gets to answer unchecked.
 
 use crate::obs::trace::MemberTrace;
 pub use crate::portfolio::SolveHooks;
-use crate::portfolio::{plan_lineup, race_core, run_member, MemberObs, MemberRunner, ModelKind};
-use crate::portfolio::{RaceResult, StopRule};
+use crate::portfolio::{plan_lineup, race, RaceResult, StopRule};
 use crate::protocol::{InstanceSpec, Objective, Solution};
 use crate::scheduler::RacerPool;
 use ga::crossover::{PermCrossover, RepCrossover};
 use ga::dual::DualGenome;
-use ga::engine::{Individual, Toolkit};
+use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
 use pga::telemetry::RunTelemetry;
 use shop::decoder::flexible::FlexDecoder;
@@ -30,14 +31,13 @@ use shop::decoder::flow::FlowDecoder;
 use shop::decoder::job::JobDecoder;
 use shop::decoder::open::OpenDecoder;
 use shop::decoder::table::{
-    DecodeCounters, FlexTable, IncrementalFlex, IncrementalFlow, IncrementalJob,
-    IncrementalOpenOrder, OpTable,
+    FlexTable, IncrementalFlex, IncrementalFlow, IncrementalJob, IncrementalOpenOrder, OpTable,
 };
 use shop::gen::AnyInstance;
 use shop::schedule::Schedule;
-use shop::Problem;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use shop::{Problem, Time};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The parsed problem instance a request resolves to. Kept as an alias
 /// of [`shop::gen::AnyInstance`] — the family-generic operations
@@ -110,55 +110,6 @@ pub struct SolveOutcome {
     pub total_ops: u64,
 }
 
-/// Runs one member over its own table decoder `inc` (the shared
-/// tail of the per-family [`MemberRunner`] closures below, each of
-/// which owns an `Arc` of the instance so the racer-pool task is
-/// `'static`). `decode` costs one genome; when the race is profiled,
-/// every call is timed, summed in the member's own evaluator state and
-/// added to the race's `decode` phase once, when the member returns.
-/// The decoder's work counters are folded into the member's telemetry.
-fn run_decoding<G, D, TF>(
-    member: ModelKind,
-    member_seed: u64,
-    stop: &StopRule,
-    obs: &mut MemberObs,
-    toolkit_factory: TF,
-    inc: D,
-    decode: impl Fn(&mut D, &G) -> f64 + Sync,
-    counters: impl Fn(&D) -> DecodeCounters,
-) -> (Individual<G>, RunTelemetry, bool)
-where
-    G: Clone + Send + Sync,
-    D: Send,
-    TF: Fn() -> Toolkit<G> + Sync,
-{
-    // The mutex satisfies the `Fn + Sync` evaluator bound and is
-    // uncontended: one evaluator per member run. It also holds the
-    // member's summed decode nanoseconds, so a profiled decode touches
-    // no cache line the other racers share.
-    let state = Mutex::new((inc, 0u64));
-    let profiled = obs.phases.is_some();
-    let eval = |g: &G| {
-        let mut state = state.lock().expect("member decoder poisoned");
-        let (inc, decode_ns) = &mut *state;
-        let t0 = profiled.then(Instant::now);
-        let v = decode(inc, g);
-        if let Some(t0) = t0 {
-            *decode_ns += t0.elapsed().as_nanos() as u64;
-        }
-        v
-    };
-    let (best, mut tel, hit) = run_member(member, member_seed, &toolkit_factory, &eval, stop, obs);
-    let (inc, decode_ns) = state.into_inner().expect("member decoder poisoned");
-    if let Some(acc) = obs.phases {
-        acc.add_decode(Duration::from_nanos(decode_ns));
-    }
-    let c = counters(&inc);
-    tel.decode_calls = c.decodes;
-    tel.retimed_positions = c.retimed_positions;
-    (best, tel, hit)
-}
-
 /// Races the portfolio on `inst` until `deadline` on `pool` and returns
 /// the best schedule found, decoded and ready to validate. `threads`
 /// bounds the number of racing models, `gen_cap` bounds each racer's
@@ -182,9 +133,10 @@ pub fn solve(
 
 /// [`solve`] with the full observation surface (see [`SolveHooks`]):
 /// tracing, live watch streaming, and phase profiling, in any
-/// combination. The decode leg of the profile is timed here, around
-/// the member table decoders; the other phases come from the models
-/// through each member's observer.
+/// combination. Every member decodes through its own table decoder
+/// over the solve's one shared table; the race times those decodes
+/// when profiled, and the models report the other phases through each
+/// member's observer.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_hooked(
     pool: &RacerPool,
@@ -203,139 +155,122 @@ pub fn solve_hooked(
         Objective::Makespan => inst.makespan_lower_bound() as f64,
         Objective::TotalCompletion => 0.0,
     };
+    let stop = StopRule {
+        deadline,
+        gen_cap,
+        target,
+    };
+    // Each arm builds the solve's one flat operation table, shared by
+    // every member's decoder, and materialises the winner through the
+    // family's reference decoder: the answer cross-checks the hot path
+    // (validated in finish's caller tests and the property suite).
     match &**inst {
         LoadedInstance::Flow(flow) => {
-            let n_jobs = flow.n_jobs();
-            // One flat operation table per solve, shared by every race
-            // member; each member wraps it in its own decoder.
-            let table = Arc::new(OpTable::from_flow(flow));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
-                    run_decoding(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        || Toolkit::permutation(n_jobs, PermCrossover::Order, SeqMutation::Swap),
-                        IncrementalFlow::new(Arc::clone(&table)),
-                        |inc, perm: &Vec<usize>| match objective {
-                            Objective::Makespan => inc.decode(perm) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        },
-                        IncrementalFlow::counters,
-                    )
-                });
-            let outcome = race_core(
-                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
+            let (n, table) = (flow.n_jobs(), Arc::new(OpTable::from_flow(flow)));
+            let outcome = race(
+                pool,
+                &lineup,
+                move || Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap),
+                move || IncrementalFlow::new(Arc::clone(&table)),
+                cost(
+                    objective,
+                    |d: &mut IncrementalFlow, g: &Vec<usize>| d.decode(g),
+                    |d, g| d.decode_completion_sum(g),
+                ),
+                seed,
+                stop,
+                hooks,
             );
-            // The final answer goes through the reference decoder — the
-            // materialised schedule cross-checks the hot path (validated
-            // in finish's caller tests and the property suite).
-            let decoder = FlowDecoder::new(flow);
-            finish(
-                inst,
-                objective,
-                decoder.schedule(&outcome.best.genome),
-                outcome,
-            )
+            let schedule = FlowDecoder::new(flow).schedule(&outcome.best.genome);
+            finish(inst, objective, schedule, outcome)
         }
         LoadedInstance::Job(job) => {
-            let ops_per_job = job.ops_per_job();
-            let table = Arc::new(OpTable::from_job(job));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
-                    run_decoding(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        || {
-                            Toolkit::repetition(
-                                ops_per_job.clone(),
-                                RepCrossover::JobOrder,
-                                SeqMutation::Swap,
-                            )
-                        },
-                        IncrementalJob::new(Arc::clone(&table)),
-                        |inc, seq: &Vec<usize>| match objective {
-                            Objective::Makespan => inc.decode(seq) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(seq) as f64,
-                        },
-                        IncrementalJob::counters,
+            let (ops_per_job, table) = (job.ops_per_job(), Arc::new(OpTable::from_job(job)));
+            let outcome = race(
+                pool,
+                &lineup,
+                move || {
+                    Toolkit::repetition(
+                        ops_per_job.clone(),
+                        RepCrossover::JobOrder,
+                        SeqMutation::Swap,
                     )
-                });
-            let outcome = race_core(
-                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
+                },
+                move || IncrementalJob::new(Arc::clone(&table)),
+                cost(
+                    objective,
+                    |d: &mut IncrementalJob, g: &Vec<usize>| d.decode(g),
+                    |d, g| d.decode_completion_sum(g),
+                ),
+                seed,
+                stop,
+                hooks,
             );
-            let decoder = JobDecoder::new(job);
-            finish(
-                inst,
-                objective,
-                decoder.semi_active(&outcome.best.genome),
-                outcome,
-            )
+            let schedule = JobDecoder::new(job).semi_active(&outcome.best.genome);
+            finish(inst, objective, schedule, outcome)
         }
         LoadedInstance::Open(open) => {
             let (n, m) = (open.n_jobs(), open.n_machines());
             let table = Arc::new(OpTable::from_open(open));
-            let runner: Arc<MemberRunner<Vec<usize>>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
-                    run_decoding(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        || Toolkit::permutation(n * m, PermCrossover::Order, SeqMutation::Swap),
-                        IncrementalOpenOrder::new(Arc::clone(&table)),
-                        |inc, perm: &Vec<usize>| match objective {
-                            Objective::Makespan => inc.decode(perm) as f64,
-                            Objective::TotalCompletion => inc.decode_completion_sum(perm) as f64,
-                        },
-                        IncrementalOpenOrder::counters,
-                    )
-                });
-            let outcome = race_core(
-                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
+            let outcome = race(
+                pool,
+                &lineup,
+                move || Toolkit::permutation(n * m, PermCrossover::Order, SeqMutation::Swap),
+                move || IncrementalOpenOrder::new(Arc::clone(&table)),
+                cost(
+                    objective,
+                    |d: &mut IncrementalOpenOrder, g: &Vec<usize>| d.decode(g),
+                    |d, g| d.decode_completion_sum(g),
+                ),
+                seed,
+                stop,
+                hooks,
             );
-            let decoder = OpenDecoder::new(open);
             let order: Vec<(usize, usize)> = outcome
                 .best
                 .genome
                 .iter()
                 .map(|&v| (v / m, v % m))
                 .collect();
-            let schedule = decoder.by_op_order(&order);
+            let schedule = OpenDecoder::new(open).by_op_order(&order);
             finish(inst, objective, schedule, outcome)
         }
         LoadedInstance::Flexible(flex) => {
             let (ops_per_job, max_choices) = (flex.ops_per_job(), flex.max_choices());
             let table = Arc::new(FlexTable::from_flexible(flex));
-            let runner: Arc<MemberRunner<DualGenome>> =
-                Arc::new(move |member, mseed, stop: &StopRule, obs: &mut MemberObs| {
-                    run_decoding(
-                        member,
-                        mseed,
-                        stop,
-                        obs,
-                        || Toolkit::dual(ops_per_job.clone(), max_choices),
-                        IncrementalFlex::new(Arc::clone(&table)),
-                        |inc, g: &DualGenome| match objective {
-                            Objective::Makespan => inc.decode(&g.assign, &g.seq) as f64,
-                            Objective::TotalCompletion => {
-                                inc.decode_completion_sum(&g.assign, &g.seq) as f64
-                            }
-                        },
-                        IncrementalFlex::counters,
-                    )
-                });
-            let outcome = race_core(
-                pool, &lineup, runner, seed, deadline, gen_cap, target, hooks,
+            let outcome = race(
+                pool,
+                &lineup,
+                move || Toolkit::dual(ops_per_job.clone(), max_choices),
+                move || IncrementalFlex::new(Arc::clone(&table)),
+                cost(
+                    objective,
+                    |d: &mut IncrementalFlex, g: &DualGenome| d.decode(&g.assign, &g.seq),
+                    |d, g| d.decode_completion_sum(&g.assign, &g.seq),
+                ),
+                seed,
+                stop,
+                hooks,
             );
-            let schedule = FlexDecoder::new(flex)
-                .decode(&outcome.best.genome.assign, &outcome.best.genome.seq);
+            let best = &outcome.best.genome;
+            let schedule = FlexDecoder::new(flex).decode(&best.assign, &best.seq);
             finish(inst, objective, schedule, outcome)
         }
     }
+}
+
+/// A member's cost function for `objective`: the decoder kernel that
+/// computes it, chosen once per solve.
+fn cost<D, G>(
+    objective: Objective,
+    makespan: fn(&mut D, &G) -> Time,
+    completion_sum: fn(&mut D, &G) -> Time,
+) -> impl Fn(&mut D, &G) -> f64 {
+    let kernel = match objective {
+        Objective::Makespan => makespan,
+        Objective::TotalCompletion => completion_sum,
+    };
+    move |decoder, genome| kernel(decoder, genome) as f64
 }
 
 fn finish<G>(
@@ -426,26 +361,62 @@ mod tests {
         }
     }
 
-    /// Every evaluation is one full table decode of the whole genome:
-    /// the request telemetry's decode count and perfbench's
-    /// `retimed_share` of 1.0 both rest on this.
+    /// Every evaluation is one full decode of the whole genome, in the
+    /// four solve families and in a session re-solve: the request
+    /// telemetry's decode count and perfbench's `retimed_share` of 1.0
+    /// both rest on this.
     #[test]
     fn every_evaluation_is_one_full_decode() {
+        use crate::session::{handle_event, SessionState};
+        use shop::dynamic::{apply_event, frozen_prefix, Event};
         let pool = RacerPool::new(2);
+        let mut cases = Vec::new();
         for name in ["flow05", "ft06", "open_latin3", "flex03"] {
             let inst = Arc::new(load_instance(&InstanceSpec::Named(name.into())).unwrap());
             let genome_len = match &*inst {
                 LoadedInstance::Flow(flow) => flow.n_jobs(),
                 other => other.total_ops(),
-            } as u64;
+            };
             let out = solve(&pool, &inst, Objective::Makespan, 5, deadline(), 30, 3);
-            assert!(!out.models.is_empty());
-            for (model, t) in &out.models {
+            cases.push((name, out.models, genome_len));
+        }
+        // A cap-bound re-solve after a breakdown on ft06: its genome is
+        // the unstarted suffix.
+        let inst = shop::instance::classic::ft06().instance;
+        let any = Arc::new(LoadedInstance::Job(inst.clone()));
+        let opened = solve(&pool, &any, Objective::Makespan, 5, deadline(), 30, 3);
+        let mk = opened.solution.makespan;
+        let event = Event::Breakdown {
+            machine: 2,
+            from: mk / 4,
+            duration: mk / 3,
+        };
+        let incumbent = Schedule::new(opened.solution.schedule.clone());
+        let (_, _, repaired) = apply_event(&inst, &incumbent, &[], &event).unwrap();
+        let suffix_len = frozen_prefix(&repaired, event.at()).1.len();
+        let mut state = SessionState {
+            inst,
+            objective: Objective::Makespan,
+            seed: 5,
+            windows: Vec::new(),
+            now: 0,
+            incumbent: Arc::new(opened.solution),
+            deadline_bound: false,
+            events: 0,
+            ttl_ms: 0,
+            journal: Vec::new(),
+        };
+        let out = handle_event(&pool, &mut state, &event, deadline(), 30, 3, false).unwrap();
+        cases.push(("ft06 session", out.resolve_models, suffix_len));
+
+        for (name, models, genome_len) in cases {
+            assert!(!models.is_empty(), "{name}: no members ran");
+            for (model, t) in &models {
                 assert!(t.evaluations > 0, "{name}/{model}: no evaluations");
                 assert_eq!(t.decode_calls, t.evaluations, "{name}/{model}");
                 assert_eq!(
                     t.retimed_positions,
-                    t.decode_calls * genome_len,
+                    t.decode_calls * genome_len as u64,
                     "{name}/{model}"
                 );
             }
@@ -622,6 +593,7 @@ mod tests {
             },
         );
         let [_, _, evaluate, _, decode] = phases.snapshot_ns();
+        eprintln!("RATIO {}", decode as f64 / evaluate as f64);
         assert!(decode > 0, "no decode time recorded");
         assert!(
             decode <= evaluate,

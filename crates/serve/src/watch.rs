@@ -391,7 +391,7 @@ mod tests {
     }
 
     /// Emits after the answer — the straggler case: a pooled member
-    /// popped just before cancellation can finish after `race_core`
+    /// popped just before cancellation can finish after `race`
     /// returned at the deadline — are dropped, so the answer frame
     /// stays the last line on the socket (framing of later requests on
     /// the connection survives) and in the log (attach replays match

@@ -20,10 +20,12 @@
 //!   performs **no per-op allocation**.
 //! * [`IncrementalJob`] / [`IncrementalFlow`] / [`IncrementalOpenOrder`]
 //!   / [`IncrementalFlex`] — one race member's decoder: the shared
-//!   table, one scratch and its [`DecodeCounters`]. Every call decodes
-//!   the whole genome: consecutive genomes in a race batch are
-//!   unrelated, so there is no shared prefix worth caching (DESIGN §9).
-//!   The names are kept for existing callers.
+//!   table and one scratch. Every call decodes the whole genome:
+//!   consecutive genomes in a race batch are unrelated, so there is no
+//!   shared prefix worth caching (DESIGN §9). The race that owns the
+//!   decoder counts and times its calls (`serve::portfolio::race`).
+//!   The `Incremental*` names are historical; they stay because the
+//!   perfbench harness calls them by name.
 //!
 //! Every kernel here is makespan/total-completion only; materialising
 //! a [`crate::schedule::Schedule`] for the final answer stays with the
@@ -416,26 +418,12 @@ impl DecodeScratch {
     }
 }
 
-/// Cumulative work counters of one member decoder — the table-path
-/// numbers the serving layer surfaces in request traces (how many
-/// chromosome decodes a race member ran, and how many genome positions
-/// they timed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeCounters {
-    /// `decode*` calls answered.
-    pub decodes: u64,
-    /// Genome positions timed across all decodes. Every decode is a
-    /// full decode, so this is `decodes * genome length`.
-    pub retimed_positions: u64,
-}
-
-/// The state every member decoder carries: the shared table, one
-/// reusable scratch and the work counters.
+/// The state every member decoder carries: the shared table and one
+/// reusable scratch.
 #[derive(Debug, Clone)]
 struct Member<T> {
     table: Arc<T>,
     scratch: DecodeScratch,
-    counters: DecodeCounters,
 }
 
 impl<T> Member<T> {
@@ -443,15 +431,7 @@ impl<T> Member<T> {
         Member {
             table,
             scratch: DecodeScratch::new(),
-            counters: DecodeCounters::default(),
         }
-    }
-
-    /// Counts one decode of a `len`-position genome and runs it.
-    fn run(&mut self, len: usize, decode: impl FnOnce(&T, &mut DecodeScratch) -> Time) -> Time {
-        self.counters.decodes += 1;
-        self.counters.retimed_positions += len as u64;
-        decode(&self.table, &mut self.scratch)
     }
 }
 
@@ -468,19 +448,14 @@ impl IncrementalJob {
         IncrementalJob(Member::new(table))
     }
 
-    /// Cumulative decode-work counters since construction.
-    pub fn counters(&self) -> DecodeCounters {
-        self.0.counters
-    }
-
     /// Semi-active makespan of the operation sequence `seq`.
     pub fn decode(&mut self, seq: &[usize]) -> Time {
-        self.0.run(seq.len(), |t, s| t.job_makespan(seq, s))
+        self.0.table.job_makespan(seq, &mut self.0.scratch)
     }
 
     /// Sum of per-job completion times of `seq`.
     pub fn decode_completion_sum(&mut self, seq: &[usize]) -> Time {
-        self.0.run(seq.len(), |t, s| t.job_completion_sum(seq, s))
+        self.0.table.job_completion_sum(seq, &mut self.0.scratch)
     }
 }
 
@@ -496,20 +471,14 @@ impl IncrementalFlow {
         IncrementalFlow(Member::new(table))
     }
 
-    /// Cumulative decode-work counters since construction.
-    pub fn counters(&self) -> DecodeCounters {
-        self.0.counters
-    }
-
     /// Makespan of `perm`.
     pub fn decode(&mut self, perm: &[usize]) -> Time {
-        self.0.run(perm.len(), |t, s| t.flow_makespan(perm, s))
+        self.0.table.flow_makespan(perm, &mut self.0.scratch)
     }
 
     /// Sum of per-job completion times of `perm`.
     pub fn decode_completion_sum(&mut self, perm: &[usize]) -> Time {
-        self.0
-            .run(perm.len(), |t, s| t.flow_completion_sum(perm, s))
+        self.0.table.flow_completion_sum(perm, &mut self.0.scratch)
     }
 }
 
@@ -527,21 +496,16 @@ impl IncrementalOpenOrder {
         IncrementalOpenOrder(Member::new(table))
     }
 
-    /// Cumulative decode-work counters since construction.
-    pub fn counters(&self) -> DecodeCounters {
-        self.0.counters
-    }
-
     /// Makespan of `perm`.
     pub fn decode(&mut self, perm: &[usize]) -> Time {
-        self.0
-            .run(perm.len(), |t, s| t.open_order_makespan(perm, s))
+        self.0.table.open_order_makespan(perm, &mut self.0.scratch)
     }
 
     /// Sum of per-job completion times of `perm`.
     pub fn decode_completion_sum(&mut self, perm: &[usize]) -> Time {
         self.0
-            .run(perm.len(), |t, s| t.open_order_completion_sum(perm, s))
+            .table
+            .open_order_completion_sum(perm, &mut self.0.scratch)
     }
 }
 
@@ -558,20 +522,16 @@ impl IncrementalFlex {
         IncrementalFlex(Member::new(table))
     }
 
-    /// Cumulative decode-work counters since construction.
-    pub fn counters(&self) -> DecodeCounters {
-        self.0.counters
-    }
-
     /// Makespan of the dual genome.
     pub fn decode(&mut self, assign: &[usize], seq: &[usize]) -> Time {
-        self.0.run(seq.len(), |t, s| t.makespan(assign, seq, s))
+        self.0.table.makespan(assign, seq, &mut self.0.scratch)
     }
 
     /// Sum of per-job completion times of the dual genome.
     pub fn decode_completion_sum(&mut self, assign: &[usize], seq: &[usize]) -> Time {
         self.0
-            .run(seq.len(), |t, s| t.completion_sum(assign, seq, s))
+            .table
+            .completion_sum(assign, seq, &mut self.0.scratch)
     }
 }
 

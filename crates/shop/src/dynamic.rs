@@ -568,6 +568,7 @@ pub fn fold_events(
 /// if the scan already passed over it, it is now the first ready
 /// position and is dispatched at once, and so on down the chain;
 /// otherwise no passed-over position became ready and the scan resumes.
+#[derive(Clone)]
 pub struct SuffixRedecoder {
     inst: std::sync::Arc<JobShopInstance>,
     suffix: std::sync::Arc<Vec<(usize, usize)>>,
