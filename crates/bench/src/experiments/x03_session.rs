@@ -1,29 +1,29 @@
 //! X03 — extension: event-storm session sweep. A dynamic-rescheduling
-//! session (serve::session) absorbs a storm of breakdowns and job
-//! arrivals; at every event the unstarted suffix is re-sequenced by a
-//! portfolio race under a bounded budget, either **warm-started** from
-//! the incumbent order (`ga::engine::Toolkit::with_warm_start` — what
-//! the session subsystem does) or **cold** (random initial
-//! population, the ablation). The reproduced shape: at equal budget,
-//! the warm-started re-solve never loses to right-shift repair and
-//! never loses to the cold re-solve *in aggregate* — warm starting is
-//! what makes tight event deadlines survivable.
+//! session absorbs a storm of breakdowns and job arrivals through
+//! `serve::session::handle_event`, the transition the service runs: at
+//! every event right-shift repair races a frozen-prefix re-solve of the
+//! unstarted suffix, **warm-started** from the incumbent order
+//! (`ga::engine::Toolkit::with_warm_start`), under a bounded budget.
+//! The **cold** ablation runs the same resolve leg
+//! (`serve::session::resolve`) on the same repair and seed with no
+//! warm-start seeds, i.e. a random initial population. The reproduced
+//! shape: at equal budget, the warm-started re-solve never loses to
+//! right-shift repair and never loses to the cold re-solve *in
+//! aggregate* — warm starting is what makes tight event deadlines
+//! survivable.
 //!
 //! The races run cap-bound (small generation cap, generous wall
 //! clock), so every number in the sweep is deterministic for the fixed
 //! seeds and the shape check is noise-free.
 
 use crate::report::{fmt, Report};
-use ga::engine::Toolkit;
-use ga::rng::split_seed;
-use serve::portfolio::{plan_lineup, race, SolveHooks, StopRule};
+use serve::portfolio::{SolveHooks, StopRule};
 use serve::scheduler::RacerPool;
-use shop::dynamic::{
-    apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
-};
+use serve::session::{handle_event, resolve, Repair, SessionState};
+use serve::Objective;
+use shop::dynamic::Event;
 use shop::gen::{AnyInstance, Family, GenSpec};
-use shop::instance::{JobShopInstance, Op};
-use shop::schedule::Schedule;
+use shop::instance::Op;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,8 @@ pub struct StormRow {
     pub warm: u64,
     /// Cold re-solve's makespan at the same budget.
     pub cold: u64,
-    /// Wall time of the warm race, in milliseconds.
+    /// Wall time of the whole session event (repair plus the
+    /// warm-started re-solve), in milliseconds.
     pub warm_ms: f64,
 }
 
@@ -94,57 +95,14 @@ fn storm(mk: u64, n_machines: usize) -> Vec<Event> {
     ]
 }
 
-/// Races the suffix permutation, warm-started or cold, and returns the
-/// best reschedule found plus its makespan.
-fn resolve_race(
-    pool: &RacerPool,
-    inst: &JobShopInstance,
-    frozen: &[shop::schedule::ScheduledOp],
-    suffix: &[(usize, usize)],
-    windows: &[DownWindow],
-    now: u64,
-    seed: u64,
-    warm: bool,
-) -> (u64, Schedule) {
-    let k = suffix.len();
-    // Every genome is priced through the session path's suffix decoder,
-    // one clone per racer; only the winner is materialised.
-    let decoder = SuffixRedecoder::new(
-        Arc::new(inst.clone()),
-        frozen,
-        Arc::new(suffix.to_vec()),
-        Arc::new(windows.to_vec()),
-        now,
-    );
-    let toolkit_factory = move || {
-        let tk = Toolkit::permutation(
-            k,
-            ga::crossover::PermCrossover::Order,
-            ga::mutate::SeqMutation::Shift,
-        );
-        if warm {
-            tk.with_warm_start(vec![(0..k).collect()], (k / 2).clamp(2, 8))
-        } else {
-            tk
-        }
-    };
-    let outcome = race(
-        pool,
-        &plan_lineup(Family::Job, k, STORM_RACERS),
-        toolkit_factory,
-        move || decoder.clone(),
-        |r: &mut SuffixRedecoder, perm: &Vec<usize>| r.makespan(perm) as f64,
-        seed,
-        StopRule {
-            deadline: Instant::now() + Duration::from_secs(60),
-            gen_cap: STORM_GEN_CAP,
-            target: 0.0,
-        },
-        SolveHooks::default(),
-    );
-    let order: Vec<(usize, usize)> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
-    let schedule = reschedule_suffix_with_windows(inst, frozen, &order, windows, now);
-    (schedule.makespan(), schedule)
+/// The budget of every race: the generation cap binds, the wall clock
+/// never does.
+fn stop_rule() -> StopRule {
+    StopRule {
+        deadline: Instant::now() + Duration::from_secs(60),
+        gen_cap: STORM_GEN_CAP,
+        target: 0.0,
+    }
 }
 
 /// Runs the sweep and returns the raw measurements.
@@ -160,54 +118,47 @@ pub fn measure() -> Vec<StormRow> {
         // Predictive incumbent: a capped portfolio race on the intact
         // instance (the session_open step).
         let any = Arc::new(AnyInstance::Job(base.clone()));
+        let stop = stop_rule();
         let opened = serve::solve(
             &pool,
             &any,
-            serve::Objective::Makespan,
+            Objective::Makespan,
             7,
-            Instant::now() + Duration::from_secs(60),
-            STORM_GEN_CAP,
+            stop.deadline,
+            stop.gen_cap,
             STORM_RACERS,
         );
-        let mut inst = base;
-        let mut schedule = Schedule::new(opened.solution.schedule.clone());
-        let mut windows: Vec<DownWindow> = Vec::new();
-        let mk0 = schedule.makespan();
+        // Event k races with split_seed(42, k).
+        let mut state =
+            SessionState::opened(base, Objective::Makespan, 42, Arc::new(opened.solution), 0);
+        let mk0 = state.incumbent.makespan;
 
         for (i, event) in storm(mk0, machines).into_iter().enumerate() {
-            let t = event.at();
-            let (next_inst, next_windows, repaired) =
-                apply_event(&inst, &schedule, &windows, &event).expect("storm events are valid");
-            repaired
-                .validate_job(&next_inst)
-                .expect("repair stays feasible");
-            let (frozen, suffix) = frozen_prefix(&repaired, t);
-            let seed = split_seed(42, (i + 1) as u64);
+            // The cold ablation: the session's own resolve leg with no
+            // warm-start seeds, on the same repair and seed.
+            let repair = Repair::apply(&state, &event).expect("storm events are valid");
+            let (cold, _) = resolve(
+                &pool,
+                &state,
+                &repair,
+                vec![],
+                STORM_RACERS,
+                stop_rule(),
+                SolveHooks::default(),
+            );
             let started = Instant::now();
-            let (warm_mk, warm_sched) = resolve_race(
+            let stop = stop_rule();
+            let out = handle_event(
                 &pool,
-                &next_inst,
-                &frozen,
-                &suffix,
-                &next_windows,
-                t,
-                seed,
-                true,
-            );
-            let warm_ms = started.elapsed().as_secs_f64() * 1e3;
-            let (cold_mk, _) = resolve_race(
-                &pool,
-                &next_inst,
-                &frozen,
-                &suffix,
-                &next_windows,
-                t,
-                seed,
+                &mut state,
+                &event,
+                stop.deadline,
+                stop.gen_cap,
+                STORM_RACERS,
                 false,
-            );
-            warm_sched
-                .validate_job(&next_inst)
-                .expect("warm re-solve stays feasible");
+            )
+            .expect("storm events are valid");
+            let warm_ms = started.elapsed().as_secs_f64() * 1e3;
             rows.push(StormRow {
                 name: generated.name.clone(),
                 event_idx: i,
@@ -216,20 +167,15 @@ pub fn measure() -> Vec<StormRow> {
                     Event::JobArrival { .. } => "job_arrival",
                     Event::Revision { .. } => "revision",
                 },
-                suffix_len: suffix.len(),
-                repair: repaired.makespan(),
-                warm: warm_mk,
-                cold: cold_mk,
+                suffix_len: repair.suffix().len(),
+                repair: out.repair_value as u64,
+                warm: out
+                    .resolve_value
+                    .expect("every storm event leaves a feasible suffix re-solve")
+                    as u64,
+                cold: cold.makespan(),
                 warm_ms,
             });
-            // The session keeps the better of repair / warm re-solve.
-            inst = next_inst;
-            windows = next_windows;
-            schedule = if warm_mk < repaired.makespan() {
-                warm_sched
-            } else {
-                repaired
-            };
         }
     }
     rows
@@ -281,7 +227,8 @@ fn report_from(rows: &[StormRow]) -> Report {
         notes: format!(
             "3 generated job shops (gen-job-*-s42), 4-event storms (2 breakdowns incl. an \
              overlapping pair, 2 arrivals), gen_cap {STORM_GEN_CAP}, {STORM_RACERS} racers, \
-             cap-bound so deterministic; warm total {warm_total} vs cold total {cold_total}."
+             cap-bound so deterministic; warm total {warm_total} vs cold total {cold_total}; \
+             warm ms times the whole session event (repair plus warm re-solve)."
         ),
     }
 }

@@ -158,12 +158,6 @@ impl RacerPool {
         }
     }
 
-    /// A pool sized for the machine this process runs on
-    /// (`hpc::host_cores`).
-    pub fn with_host_size() -> RacerPool {
-        RacerPool::new(hpc::host_cores())
-    }
-
     /// Number of racer threads.
     pub fn size(&self) -> usize {
         self.size

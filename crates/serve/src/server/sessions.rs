@@ -78,20 +78,13 @@ pub(super) fn handle_session_open(
         Ok(out) => out,
         Err(fail) => return fail_json(id, fail, shared).encode(),
     };
-    let state = SessionState {
-        inst: job.clone(),
-        objective: req.objective,
-        seed: req.seed,
-        windows: Vec::new(),
-        now: 0,
-        incumbent: Arc::clone(&out.solution),
-        // Tracks *event* degradation (busy-skips, clock-cut re-solves);
-        // a fresh incumbent starts settled.
-        deadline_bound: false,
-        events: 0,
-        ttl_ms: req.ttl_ms,
-        journal: Vec::new(),
-    };
+    let state = SessionState::opened(
+        job.clone(),
+        req.objective,
+        req.seed,
+        Arc::clone(&out.solution),
+        req.ttl_ms,
+    );
     // Durability: the open record is on disk (and fsync'd) before the
     // session is reachable, let alone answered.
     let session = shared.sessions.open(state, req.ttl_ms);

@@ -591,10 +591,11 @@ pub(super) fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Sh
     }
     // Fan the groups out across scoped lane threads, reusing the
     // service's configured worker width as the parallelism knob.
-    // Lanes are coordinators, not racers: each runs one portfolio
-    // member inline and leaves the rest to the shared racer pool, so
-    // compute threads stay bounded by `workers + racer_pool` even
-    // under concurrent batch load. Groups are pulled from a shared
+    // Each lane runs its race's member 0 inline and leaves the rest to
+    // the shared racer pool, so one batch runs up to `fanout` inline
+    // members and `workers` concurrent batches up to `workers²`: under
+    // batch load compute threads are bounded by `workers² + racer_pool`,
+    // not `workers + racer_pool`. Groups are pulled from a shared
     // counter so early finishers keep the lanes busy; results land in
     // their slot, preserving request order on the wire.
     let fanout = shared.config.workers.clamp(1, groups.len());

@@ -29,6 +29,11 @@
 //! server skips the resolve and degrades to repair, so an event burst
 //! is answered within its deadline no matter what.
 //!
+//! This module is the one place a session is born
+//! ([`SessionState::opened`]) and advanced: an event is [`Repair::apply`],
+//! then the [`resolve`] leg, then one commit of the better answer, which
+//! WAL replay shares for the logged answer.
+//!
 //! Sessions live in [`crate::wal::SessionStore`], which owns their whole
 //! lifecycle: idle-TTL expiry, LRU capacity eviction and the write-ahead
 //! log; `stats` exposes the gauges. Lookups take one short map lock;
@@ -37,7 +42,7 @@
 //! serialise in arrival order.
 
 use crate::obs::trace::{Trace, WatchSink};
-use crate::portfolio::{plan_lineup, race, SolveHooks, StopRule};
+use crate::portfolio::{plan_lineup, race, RaceResult, SolveHooks, StopRule};
 use crate::protocol::{Objective, Solution};
 use crate::scheduler::RacerPool;
 use ga::crossover::PermCrossover;
@@ -50,14 +55,14 @@ use shop::dynamic::{
 };
 use shop::gen::Family;
 use shop::instance::JobShopInstance;
-use shop::schedule::Schedule;
+use shop::schedule::{Schedule, ScheduledOp};
 use shop::Time;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Everything one session knows. Guarded by its entry's mutex: events
 /// on one session serialise, sessions stay independent.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct SessionState {
     /// The instance as of the virtual clock (grows with job arrivals,
     /// durations change with revisions).
@@ -91,10 +96,121 @@ pub struct SessionState {
     pub journal: Vec<JournalEntry>,
 }
 
+impl SessionState {
+    /// A session just opened on `inst`: `incumbent` answers it at clock
+    /// 0 and no event has been applied yet. `deadline_bound` tracks
+    /// *event* degradation, so a fresh incumbent starts settled.
+    pub fn opened(
+        inst: JobShopInstance,
+        objective: Objective,
+        seed: u64,
+        incumbent: Arc<Solution>,
+        ttl_ms: u64,
+    ) -> SessionState {
+        SessionState {
+            inst,
+            objective,
+            seed,
+            windows: Vec::new(),
+            now: 0,
+            incumbent,
+            deadline_bound: false,
+            events: 0,
+            ttl_ms,
+            journal: Vec::new(),
+        }
+    }
+
+    /// Commits one event's outcome — the one place an event changes a
+    /// session, shared by the live path and WAL replay: the world moves
+    /// to `inst` and `windows` at the event time, `incumbent` answers
+    /// it, and the journal gains the event's row.
+    pub(crate) fn commit(
+        &mut self,
+        event: &Event,
+        inst: JobShopInstance,
+        windows: Vec<DownWindow>,
+        incumbent: Arc<Solution>,
+        deadline_bound: bool,
+        winner: &str,
+    ) {
+        self.inst = inst;
+        self.windows = windows;
+        self.now = event.at();
+        self.events += 1;
+        self.journal.push(JournalEntry {
+            seq: self.events,
+            event: event.clone(),
+            winner: winner.to_string(),
+            value: incumbent.value,
+            makespan: incumbent.makespan,
+            deadline_bound,
+        });
+        self.incumbent = incumbent;
+        self.deadline_bound = deadline_bound;
+    }
+}
+
+/// An event applied by right-shift repair, before a responder is
+/// picked: the post-event world, the repaired incumbent, and its split
+/// at the event time into what has started and what a re-solve may
+/// re-sequence. Built only by [`Repair::apply`], so the split always
+/// matches the schedule.
+#[derive(Debug)]
+pub struct Repair {
+    /// The instance after the event.
+    pub(crate) inst: JobShopInstance,
+    /// The breakdown windows after the event.
+    pub(crate) windows: Vec<DownWindow>,
+    /// The incumbent, right-shift repaired around the event.
+    pub(crate) schedule: Schedule,
+    /// The event time: the session clock after the event.
+    pub(crate) at: Time,
+    /// The repaired schedule's operations that started before `at`.
+    pub(crate) frozen: Vec<ScheduledOp>,
+    /// The unstarted `(job, op)`s, in repaired start order.
+    pub(crate) suffix: Vec<(usize, usize)>,
+}
+
+impl Repair {
+    /// Validates `event` against `state`'s clock and applies it to the
+    /// incumbent by right-shift repair; `state` itself is not changed.
+    pub fn apply(state: &SessionState, event: &Event) -> Result<Repair, String> {
+        let at = event.at();
+        if at < state.now {
+            return Err(format!(
+                "event at {at} is behind the session clock {}",
+                state.now
+            ));
+        }
+        let incumbent = Schedule::new(state.incumbent.schedule.clone());
+        let (inst, windows, schedule) = apply_event(&state.inst, &incumbent, &state.windows, event)
+            .map_err(|e| e.to_string())?;
+        if let Err(e) = schedule.validate_job(&inst) {
+            return Err(format!("internal: repair produced {e}"));
+        }
+        let (frozen, suffix) = frozen_prefix(&schedule, at);
+        Ok(Repair {
+            inst,
+            windows,
+            schedule,
+            at,
+            frozen,
+            suffix,
+        })
+    }
+
+    /// The unstarted `(job, op)`s a re-solve re-sequences, in repaired
+    /// start order.
+    pub fn suffix(&self) -> &[(usize, usize)] {
+        &self.suffix
+    }
+}
+
 /// One line of a session's event journal: the disruption plus the
 /// summary of the answer it got (the full winning schedule lives in
 /// the incumbent / the WAL, not here).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// 1-based event sequence number.
     pub seq: u64,
@@ -216,22 +332,9 @@ pub(crate) fn handle_event_hooked(
     mut trace: Option<&mut Trace>,
     watch: Option<Arc<dyn WatchSink>>,
 ) -> Result<EventOutcome, String> {
-    let t = event.at();
-    if t < state.now {
-        return Err(format!(
-            "event at {t} is behind the session clock {}",
-            state.now
-        ));
-    }
-    let incumbent_schedule = Schedule::new(state.incumbent.schedule.clone());
     let repair_start = trace.as_deref().map(|tr| tr.elapsed_us());
-    let (inst, windows, repaired) =
-        apply_event(&state.inst, &incumbent_schedule, &state.windows, event)
-            .map_err(|e| e.to_string())?;
-    if let Err(e) = repaired.validate_job(&inst) {
-        return Err(format!("internal: repair produced {e}"));
-    }
-    let repair_value = state.objective.value(&inst, &repaired);
+    let repair = Repair::apply(state, event)?;
+    let repair_value = state.objective.value(&repair.inst, &repair.schedule);
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), repair_start) {
         tr.span(
             "repair",
@@ -240,52 +343,33 @@ pub(crate) fn handle_event_hooked(
         );
     }
 
-    let (frozen, suffix) = frozen_prefix(&repaired, t);
     let mut skip = None;
-    if suffix.is_empty() {
+    if repair.suffix.is_empty() {
         skip = Some(ResolveSkip::EmptySuffix);
     } else if skip_resolve {
         skip = Some(ResolveSkip::Busy);
     }
-
-    let mut resolve: Option<(f64, Schedule, String, u64, bool)> = None;
-    let mut resolve_models = Vec::new();
+    // A backpressure skip is a budget-degraded answer — the repaired
+    // schedule stands in because the service had no re-solve capacity,
+    // exactly the solver's "never got a slot" semantics — so it must
+    // surface as deadline_bound, not masquerade as a settled incumbent.
+    let mut deadline_bound = skip == Some(ResolveSkip::Busy);
+    let (mut resolve_value, mut generations, mut resolve_models) = (None, 0, Vec::new());
+    // The resolve answer, kept only when it strictly beats repair: ties
+    // go to repair, whose schedule moves the fewest operations.
+    let mut better = None;
     if skip.is_none() {
-        let k = suffix.len();
-        let objective = state.objective;
         // Warm start: the identity permutation *is* the incumbent
         // order, so the race's first individual already matches (or
-        // beats — greedy dispatch) right-shift repair; a handful of
-        // mutated clones around it seeds the neighbourhood.
-        let clones = (k / 2).clamp(2, 8);
-        let lineup = plan_lineup(Family::Job, k, racers.max(1));
-        // Every race member decodes through its own clone of one suffix
-        // decoder, which shares the Arc'd (instance, suffix, windows)
-        // base data: evaluations are bit-identical to materialising via
-        // reschedule_suffix_with_windows (with the `now` floor at the
-        // event time, which is what keeps resolve <= repair), in one
-        // allocation-free pass per genome.
-        let decoder = SuffixRedecoder::new(
-            Arc::new(inst.clone()),
-            &frozen,
-            Arc::new(suffix.clone()),
-            Arc::new(windows.clone()),
-            t,
-        );
+        // beats — greedy dispatch) right-shift repair.
+        let warm = vec![(0..repair.suffix.len()).collect()];
         let resolve_start = trace.as_deref().map(|tr| tr.elapsed_us());
-        let outcome = race(
+        let (schedule, outcome) = resolve(
             pool,
-            &lineup,
-            move || {
-                Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift)
-                    .with_warm_start(vec![identity(k)], clones)
-            },
-            move || decoder.clone(),
-            move |r: &mut SuffixRedecoder, perm: &Vec<usize>| match objective {
-                Objective::Makespan => r.makespan(perm) as f64,
-                Objective::TotalCompletion => r.completion_sum(perm) as f64,
-            },
-            split_seed(state.seed, state.events + 1),
+            state,
+            &repair,
+            warm,
+            racers,
             StopRule {
                 deadline,
                 gen_cap,
@@ -297,17 +381,8 @@ pub(crate) fn handle_event_hooked(
                 phases: None,
             },
         );
-        // The winner is materialised and validated by the reference
-        // path — the suffix decoder never answers unchecked.
-        let order: Vec<(usize, usize)> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
-        let schedule = reschedule_suffix_with_windows(&inst, &frozen, &order, &windows, t);
-        let value = state.objective.value(&inst, &schedule);
-        let generations = outcome
-            .models
-            .iter()
-            .map(|(_, t)| t.generations)
-            .max()
-            .unwrap_or(0);
+        let value = state.objective.value(&repair.inst, &schedule);
+        let gens = outcome.models.iter().map(|(_, t)| t.generations).max();
         if let (Some(tr), Some(start)) = (trace, resolve_start) {
             tr.member_spans(start, &outcome.timelines);
             tr.span(
@@ -316,50 +391,27 @@ pub(crate) fn handle_event_hooked(
                 vec![
                     ("value".to_string(), value.into()),
                     ("winner".to_string(), outcome.winner.as_str().into()),
-                    ("generations".to_string(), generations.into()),
+                    ("generations".to_string(), gens.unwrap_or(0).into()),
                 ],
             );
         }
         resolve_models = outcome.models;
-        match schedule.validate_job(&inst) {
-            Ok(()) => {
-                resolve = Some((
-                    value,
-                    schedule,
-                    outcome.winner,
-                    generations,
-                    outcome.deadline_bound,
-                ))
-            }
+        if schedule.validate_job(&repair.inst).is_err() {
             // A decode bug must degrade to repair, never to an
             // infeasible answer; the server counts the anomaly.
-            Err(_) => skip = Some(ResolveSkip::Infeasible),
-        }
-    }
-
-    let mut resolve_value = None;
-    let mut generations = 0;
-    // A backpressure skip is a budget-degraded answer — the repaired
-    // schedule stands in because the service had no re-solve capacity,
-    // exactly the solver's "never got a slot" semantics — so it must
-    // surface as deadline_bound, not masquerade as a settled incumbent.
-    let mut deadline_bound = matches!(skip, Some(ResolveSkip::Busy));
-    let (winner, value, schedule, model) = match resolve {
-        Some((rv, schedule, member, gens, bound)) => {
-            resolve_value = Some(rv);
-            generations = gens;
-            deadline_bound = bound;
-            if rv < repair_value {
-                ("resolve", rv, schedule, format!("resolve/{member}"))
-            } else {
-                // Resolve ran but did not strictly beat repair:
-                // repair's schedule moves the fewest operations, so it
-                // wins ties.
-                ("repair", repair_value, repaired, "right_shift".to_string())
+            skip = Some(ResolveSkip::Infeasible);
+        } else {
+            resolve_value = Some(value);
+            generations = gens.unwrap_or(0);
+            deadline_bound = outcome.deadline_bound;
+            if value < repair_value {
+                better = Some((value, schedule, format!("resolve/{}", outcome.winner)));
             }
         }
-        None => ("repair", repair_value, repaired, "right_shift".to_string()),
-    };
+    }
+    let winner = better.as_ref().map_or("repair", |_| "resolve");
+    let (value, schedule, model) =
+        better.unwrap_or((repair_value, repair.schedule, "right_shift".into()));
 
     let solution = Arc::new(Solution {
         objective: state.objective,
@@ -368,20 +420,14 @@ pub(crate) fn handle_event_hooked(
         model,
         schedule: schedule.ops,
     });
-    state.inst = inst;
-    state.windows = windows;
-    state.now = t;
-    state.incumbent = Arc::clone(&solution);
-    state.deadline_bound = deadline_bound;
-    state.events += 1;
-    state.journal.push(JournalEntry {
-        seq: state.events,
-        event: event.clone(),
-        winner: winner.to_string(),
-        value,
-        makespan: solution.makespan,
+    state.commit(
+        event,
+        repair.inst,
+        repair.windows,
+        Arc::clone(&solution),
         deadline_bound,
-    });
+        winner,
+    );
     Ok(EventOutcome {
         winner,
         repair_value,
@@ -391,13 +437,71 @@ pub(crate) fn handle_event_hooked(
         resolve_models,
         deadline_bound,
         solution,
-        now: t,
+        now: repair.at,
     })
 }
 
-/// The identity permutation `0..k`.
-fn identity(k: usize) -> Vec<usize> {
-    (0..k).collect()
+/// The resolve leg of an event: a portfolio race on `pool` re-sequences
+/// `repair`'s unstarted suffix behind its frozen prefix, never before
+/// the event time, with `split_seed(state.seed, state.events + 1)` —
+/// the seed of `state`'s next event. Each genome is a permutation of
+/// suffix positions; `warm` seeds the initial population with those
+/// orders plus a handful of mutated clones around them, and no seeds
+/// leave the population random (the cold ablation). Returns the race
+/// and its winner materialised by the reference suffix decode
+/// (`reschedule_suffix_with_windows`), which the caller validates.
+pub fn resolve(
+    pool: &RacerPool,
+    state: &SessionState,
+    repair: &Repair,
+    warm: Vec<Vec<usize>>,
+    racers: usize,
+    stop: StopRule,
+    hooks: SolveHooks,
+) -> (Schedule, RaceResult<Vec<usize>>) {
+    let Repair {
+        inst,
+        windows,
+        at,
+        frozen,
+        suffix,
+        ..
+    } = repair;
+    let k = suffix.len();
+    let clones = (k / 2).clamp(2, 8);
+    let objective = state.objective;
+    // Every race member decodes through its own clone of one suffix
+    // decoder, which shares the Arc'd (instance, suffix, windows)
+    // base data: evaluations are bit-identical to materialising via
+    // reschedule_suffix_with_windows (with the `now` floor at the
+    // event time, which is what keeps resolve <= repair), in one
+    // allocation-free pass per genome.
+    let decoder = SuffixRedecoder::new(
+        Arc::new(inst.clone()),
+        frozen,
+        Arc::new(suffix.clone()),
+        Arc::new(windows.clone()),
+        *at,
+    );
+    let outcome = race(
+        pool,
+        &plan_lineup(Family::Job, k, racers.max(1)),
+        move || {
+            Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift)
+                .with_warm_start(warm.clone(), clones)
+        },
+        move || decoder.clone(),
+        move |r: &mut SuffixRedecoder, perm: &Vec<usize>| match objective {
+            Objective::Makespan => r.makespan(perm) as f64,
+            Objective::TotalCompletion => r.completion_sum(perm) as f64,
+        },
+        split_seed(state.seed, state.events + 1),
+        stop,
+        hooks,
+    );
+    let order: Vec<_> = outcome.best.genome.iter().map(|&i| suffix[i]).collect();
+    let schedule = reschedule_suffix_with_windows(inst, frozen, &order, windows, *at);
+    (schedule, outcome)
 }
 
 #[cfg(test)]
@@ -426,18 +530,7 @@ mod tests {
             80,
             2,
         );
-        SessionState {
-            inst,
-            objective: Objective::Makespan,
-            seed,
-            windows: Vec::new(),
-            now: 0,
-            incumbent: Arc::new(out.solution),
-            deadline_bound: false,
-            events: 0,
-            ttl_ms: 0,
-            journal: Vec::new(),
-        }
+        SessionState::opened(inst, Objective::Makespan, seed, Arc::new(out.solution), 0)
     }
 
     // The session lifecycle (open, touch, expiry, eviction, restore,

@@ -394,18 +394,8 @@ mod tests {
         let incumbent = Schedule::new(opened.solution.schedule.clone());
         let (_, _, repaired) = apply_event(&inst, &incumbent, &[], &event).unwrap();
         let suffix_len = frozen_prefix(&repaired, event.at()).1.len();
-        let mut state = SessionState {
-            inst,
-            objective: Objective::Makespan,
-            seed: 5,
-            windows: Vec::new(),
-            now: 0,
-            incumbent: Arc::new(opened.solution),
-            deadline_bound: false,
-            events: 0,
-            ttl_ms: 0,
-            journal: Vec::new(),
-        };
+        let mut state =
+            SessionState::opened(inst, Objective::Makespan, 5, Arc::new(opened.solution), 0);
         let out = handle_event(&pool, &mut state, &event, deadline(), 30, 3, false).unwrap();
         cases.push(("ft06 session", out.resolve_models, suffix_len));
 

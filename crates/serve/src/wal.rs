@@ -21,10 +21,11 @@
 //! **Recovery** ([`replay`]) rebuilds a [`SessionState`] bit-identical
 //! to the pre-crash state: the header re-parses the instance and
 //! installs the logged incumbent, then each event record re-derives
-//! the instance/windows evolution through `shop::dynamic::apply_event`
-//! (the same per-step transform `fold_events` folds) and installs the
-//! *logged* winning schedule — re-validated against the evolved
-//! instance, never trusted blindly. Storing the winner rather than
+//! the instance/windows evolution through the live path's right-shift
+//! repair (`serve::session::Repair`, the per-step transform
+//! `shop::dynamic::fold_events` folds) and commits the *logged* winning
+//! schedule — re-validated against the evolved instance, never trusted
+//! blindly — through the live event commit. Storing the winner rather than
 //! re-racing it is what makes recovery exact even for deadline-bound
 //! events whose GA outcome was timing-dependent.
 //!
@@ -44,13 +45,13 @@ use crate::protocol::{
     event_from_json, event_to_json, schedule_from_json, schedule_to_json, Objective, Solution,
 };
 use crate::server::{ServeConfig, ServiceStats};
-use crate::session::{JournalEntry, SessionEntry, SessionState};
-use shop::dynamic::{apply_event, DownWindow, Event};
+use crate::session::{JournalEntry, Repair, SessionEntry, SessionState};
+use shop::dynamic::{DownWindow, Event};
 use shop::instance::hash::Fnv1a;
 use shop::instance::parse::{parse_job_shop_ragged, write_job_shop_ragged};
 use shop::instance::JobMeta;
 use shop::schedule::Schedule;
-use shop::{Problem, Time};
+use shop::Problem;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -414,46 +415,30 @@ fn base_state(v: &Json) -> Result<(String, SessionState), String> {
         .ok_or("header record needs a seed")?;
     let ttl_ms = v.get("ttl_ms").and_then(Json::as_u64).unwrap_or(0);
     let (incumbent, deadline_bound) = incumbent_from_record(v, objective)?;
-    let is_snapshot = v.get("kind").and_then(Json::as_str) == Some("snapshot");
-    let (windows, now, events, journal) = if is_snapshot {
-        let windows = windows_from_json(v.get("windows").ok_or("snapshot needs windows")?)?;
-        let now = v
+    Schedule::new(incumbent.schedule.clone())
+        .validate_job(&inst)
+        .map_err(|e| format!("header incumbent is infeasible: {e}"))?;
+    let mut state = SessionState::opened(inst, objective, seed, incumbent, ttl_ms);
+    state.deadline_bound = deadline_bound;
+    if v.get("kind").and_then(Json::as_str) == Some("snapshot") {
+        state.windows = windows_from_json(v.get("windows").ok_or("snapshot needs windows")?)?;
+        state.now = v
             .get("now")
             .and_then(Json::as_u64)
             .ok_or("snapshot needs now")?;
-        let events = v
+        state.events = v
             .get("events")
             .and_then(Json::as_u64)
             .ok_or("snapshot needs events")?;
-        let journal = v
+        state.journal = v
             .get("journal")
             .and_then(Json::as_arr)
             .ok_or("snapshot needs a journal")?
             .iter()
             .map(journal_entry_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        (windows, now, events, journal)
-    } else {
-        (Vec::new(), 0, 0, Vec::new())
-    };
-    Schedule::new(incumbent.schedule.clone())
-        .validate_job(&inst)
-        .map_err(|e| format!("header incumbent is infeasible: {e}"))?;
-    Ok((
-        session,
-        SessionState {
-            inst,
-            objective,
-            seed,
-            windows,
-            now,
-            incumbent,
-            deadline_bound,
-            events,
-            ttl_ms,
-            journal,
-        },
-    ))
+    }
+    Ok((session, state))
 }
 
 /// Replays one record batch into a [`RecoveredSession`].
@@ -462,10 +447,11 @@ fn base_state(v: &Json) -> Result<(String, SessionState), String> {
 /// following payload must be an `event` record whose `seq` extends the
 /// count by exactly one (a duplicate or out-of-order record is
 /// corruption, not a merge). Every event re-derives the
-/// instance/window evolution through [`apply_event`] — the same
-/// transform `shop::dynamic::fold_events` folds — and installs the
-/// logged winning schedule after re-validating it against the evolved
-/// instance.
+/// instance/window evolution through the live path's right-shift
+/// repair ([`Repair::apply`], the per-step transform
+/// `shop::dynamic::fold_events` folds) and commits the logged winning
+/// schedule, re-validated against the evolved instance, through the
+/// same state transition a live event commits through.
 ///
 /// A bad header is unrecoverable (`Err`). A bad record *after* a valid
 /// prefix salvages the prefix: the returned state reflects everything
@@ -528,43 +514,26 @@ fn replay_event(state: &mut SessionState, payload: &str) -> Result<(), String> {
     }
     let event = event_from_json(v.get("event").ok_or("event record needs an event")?)
         .map_err(|e| format!("bad event body: {e}"))?;
-    let t: Time = event.at();
-    if t < state.now {
-        return Err(format!(
-            "event at {t} is behind the replayed clock {}",
-            state.now
-        ));
-    }
     let winner = v
         .get("winner")
         .and_then(Json::as_str)
-        .ok_or("event record needs a winner")?
-        .to_string();
+        .ok_or("event record needs a winner")?;
     let (incumbent, deadline_bound) = incumbent_from_record(&v, state.objective)?;
-    // Re-derive the world exactly as the live path did: apply_event
-    // evolves (instance, windows) deterministically; the logged winner
-    // replaces the repair schedule it returned.
-    let incumbent_schedule = Schedule::new(state.incumbent.schedule.clone());
-    let (inst, windows, _repaired) =
-        apply_event(&state.inst, &incumbent_schedule, &state.windows, &event)
-            .map_err(|e| format!("apply_event failed: {e}"))?;
+    // Re-derive the world exactly as the live path did: the repair
+    // evolves (instance, windows) deterministically, and the logged
+    // winner replaces the repaired schedule.
+    let repair = Repair::apply(state, &event)?;
     Schedule::new(incumbent.schedule.clone())
-        .validate_job(&inst)
+        .validate_job(&repair.inst)
         .map_err(|e| format!("logged incumbent is infeasible: {e}"))?;
-    state.journal.push(JournalEntry {
-        seq,
-        event,
-        winner,
-        value: incumbent.value,
-        makespan: incumbent.makespan,
+    state.commit(
+        &event,
+        repair.inst,
+        repair.windows,
+        incumbent,
         deadline_bound,
-    });
-    state.inst = inst;
-    state.windows = windows;
-    state.now = t;
-    state.incumbent = incumbent;
-    state.deadline_bound = deadline_bound;
-    state.events = seq;
+        winner,
+    );
     Ok(())
 }
 
@@ -1168,6 +1137,8 @@ impl SessionStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::scheduler::RacerPool;
+    use crate::session::handle_event;
     use shop::dynamic::{fold_events, reschedule_suffix_with_windows};
     use shop::instance::classic;
     use shop::instance::Op;
@@ -1181,63 +1152,23 @@ pub(crate) mod tests {
             .flat_map(|j| (0..inst.n_ops(j)).map(move |s| (j, s)))
             .collect();
         let schedule = reschedule_suffix_with_windows(&inst, &[], &order, &[], 0);
-        let value = schedule.makespan() as f64;
-        let makespan = schedule.makespan();
-        SessionState {
-            inst,
+        let incumbent = Arc::new(Solution {
             objective: Objective::Makespan,
-            seed: 7,
-            windows: Vec::new(),
-            now: 0,
-            incumbent: Arc::new(Solution {
-                objective: Objective::Makespan,
-                value,
-                makespan,
-                model: "greedy".into(),
-                schedule: schedule.ops,
-            }),
-            deadline_bound: false,
-            events: 0,
-            ttl_ms: 0,
-            journal: Vec::new(),
-        }
+            value: schedule.makespan() as f64,
+            makespan: schedule.makespan(),
+            model: "greedy".into(),
+            schedule: schedule.ops,
+        });
+        SessionState::opened(inst, Objective::Makespan, 7, incumbent, 0)
     }
 
-    /// Applies `event` to `state` the way a repair-only live event
-    /// would (winner = right-shift repair), returning the log record.
-    fn apply_repair(state: &mut SessionState, event: &Event) -> String {
-        let incumbent = Schedule::new(state.incumbent.schedule.clone());
-        let (inst, windows, repaired) =
-            apply_event(&state.inst, &incumbent, &state.windows, event).unwrap();
-        let seq = state.events + 1;
-        let solution = Arc::new(Solution {
-            objective: state.objective,
-            value: repaired.makespan() as f64,
-            makespan: repaired.makespan(),
-            model: "right_shift".into(),
-            schedule: repaired.ops,
-        });
-        state.journal.push(JournalEntry {
-            seq,
-            event: event.clone(),
-            winner: "repair".into(),
-            value: solution.value,
-            makespan: solution.makespan,
-            deadline_bound: false,
-        });
-        state.inst = inst;
-        state.windows = windows;
-        state.now = event.at();
-        state.incumbent = Arc::clone(&solution);
-        state.events = seq;
-        let mut fields: Vec<(String, Json)> = vec![
-            ("kind".into(), "event".into()),
-            ("seq".into(), seq.into()),
-            ("event".into(), event_to_json(event)),
-            ("winner".into(), "repair".into()),
-        ];
-        incumbent_fields(&mut fields, &solution, false);
-        Json::Obj(fields).encode()
+    /// Applies `event` to `state` as a live event that admission
+    /// control shed to repair alone, returning its log record.
+    fn log_event(state: &mut SessionState, event: &Event) -> String {
+        let pool = RacerPool::new(1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let out = handle_event(&pool, state, event, deadline, 30, 1, true).unwrap();
+        event_record(state.events, event, &out)
     }
 
     fn storm() -> Vec<Event> {
@@ -1264,20 +1195,9 @@ pub(crate) mod tests {
         let mut state = seed_state();
         let mut payloads = vec![open_record("sess-1", &state)];
         for e in events {
-            payloads.push(apply_repair(&mut state, e));
+            payloads.push(log_event(&mut state, e));
         }
         (payloads, state)
-    }
-
-    fn assert_state_eq(a: &SessionState, b: &SessionState) {
-        assert_eq!(a.now, b.now);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.windows, b.windows);
-        assert_eq!(a.incumbent.value, b.incumbent.value);
-        assert_eq!(a.incumbent.makespan, b.incumbent.makespan);
-        assert_eq!(a.incumbent.schedule, b.incumbent.schedule);
-        assert_eq!(a.inst, b.inst); // routes, inferred machines AND meta
-        assert_eq!(a.journal.len(), b.journal.len());
     }
 
     #[test]
@@ -1300,7 +1220,7 @@ pub(crate) mod tests {
         assert_eq!(rec.session, "sess-1");
         assert_eq!(rec.records, 4);
         assert!(rec.salvaged.is_none());
-        assert_state_eq(&rec.state, &live);
+        assert_eq!(rec.state, live);
         // Because every logged winner here *is* the repair schedule,
         // replay must agree with folding the raw event sequence.
         let base = seed_state();
@@ -1320,13 +1240,13 @@ pub(crate) mod tests {
         let (payloads, live) = build_log(&storm());
         let snap = snapshot_record("sess-1", &live);
         let rec = replay(&[snap], None).unwrap();
-        assert_state_eq(&rec.state, &live);
+        assert_eq!(rec.state, live);
         assert_eq!(rec.state.journal.len(), 3, "journal survives compaction");
         assert_eq!(rec.records, 1);
         // And the compacted log accepts further events.
         let mut more = vec![snapshot_record("sess-1", &live)];
         let mut cont = replay(&[more[0].clone()], None).unwrap().state;
-        more.push(apply_repair(
+        more.push(log_event(
             &mut cont,
             &Event::Breakdown {
                 machine: 0,
@@ -1335,7 +1255,7 @@ pub(crate) mod tests {
             },
         ));
         let rec2 = replay(&more, None).unwrap();
-        assert_state_eq(&rec2.state, &cont);
+        assert_eq!(rec2.state, cont);
         let _ = payloads;
     }
 
@@ -1380,7 +1300,7 @@ pub(crate) mod tests {
         let RecoverOutcome::Recovered(rec) = wal.recover_one("sess-1").unwrap() else {
             panic!("expected recovery");
         };
-        assert_state_eq(&rec.state, &live);
+        assert_eq!(rec.state, live);
         // Truncate the tail mid-record: the prefix is salvaged, the
         // damaged file is quarantined, and the rewritten log replays
         // to the prefix state cleanly.

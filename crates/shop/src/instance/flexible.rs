@@ -34,18 +34,6 @@ impl FlexOp {
         Ok(FlexOp { choices })
     }
 
-    /// Duration on the `k`-th eligible machine.
-    #[inline]
-    pub fn duration_of_choice(&self, k: usize) -> Time {
-        self.choices[k].1
-    }
-
-    /// Machine index of the `k`-th eligible choice.
-    #[inline]
-    pub fn machine_of_choice(&self, k: usize) -> usize {
-        self.choices[k].0
-    }
-
     /// Index of the fastest eligible alternative.
     pub fn fastest_choice(&self) -> usize {
         self.choices
@@ -239,11 +227,6 @@ impl LotStreaming {
             batch: vec![batch; n_jobs],
             sublots: vec![sublots; n_jobs],
         }
-    }
-
-    /// Total number of sublots over all jobs.
-    pub fn total_sublots(&self) -> usize {
-        self.sublots.iter().map(|&s| s as usize).sum()
     }
 
     /// Expands `inst` so that every sublot becomes its own job. Sublot

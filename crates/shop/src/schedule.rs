@@ -244,35 +244,6 @@ impl Schedule {
         Ok(())
     }
 
-    /// Per-machine busy time (sum of operation spans on each machine).
-    pub fn machine_busy(&self, n_machines: usize) -> Vec<Time> {
-        let mut busy = vec![0; n_machines];
-        for op in &self.ops {
-            if op.machine < n_machines {
-                busy[op.machine] += op.end - op.start;
-            }
-        }
-        busy
-    }
-
-    /// Mean machine utilisation in `[0, 1]`: busy time divided by the
-    /// makespan, averaged over machines. A coarse schedule-quality
-    /// indicator used in several surveyed evaluations.
-    pub fn mean_utilization(&self, n_machines: usize) -> f64 {
-        let mk = self.makespan();
-        if mk == 0 || n_machines == 0 {
-            return 0.0;
-        }
-        let busy = self.machine_busy(n_machines);
-        busy.iter().map(|&b| b as f64 / mk as f64).sum::<f64>() / n_machines as f64
-    }
-
-    /// Total idle time summed over machines (makespan - busy per machine).
-    pub fn total_idle(&self, n_machines: usize) -> Time {
-        let mk = self.makespan();
-        self.machine_busy(n_machines).iter().map(|&b| mk - b).sum()
-    }
-
     /// Renders a small ASCII Gantt chart (one row per machine), mostly for
     /// examples and debugging.
     pub fn gantt(&self, n_machines: usize, width: usize) -> String {
