@@ -4,14 +4,15 @@
 //! The crates carry invariants no off-the-shelf tool checks: seeded
 //! bit-identical determinism (DESIGN.md §2/§6), a two-level locking
 //! discipline across the session registry, racer pool and sharded
-//! cache (§7–§8), the serve tier's no-panic degrade-to-memory contract
-//! and the WAL's append+fsync-before-answer ordering (§11). This crate
+//! cache (§7–§8), the serve tier's no-panic degrade-to-memory contract,
+//! the WAL's append+fsync-before-answer ordering (§11) and a public
+//! API with no dead items. This crate
 //! machine-checks them on every PR, the same way fmt/clippy/docs gate
 //! style and documentation. See DESIGN.md §12 for the architecture.
 //!
 //! Zero dependencies by design: a hand-rolled lexer ([`lexer`]), a
 //! brace-matching item scanner ([`scan`]), a hand-parsed config +
-//! audited allowlist ([`config`]) and four rules ([`rules`]):
+//! audited allowlist ([`config`]) and five rules ([`rules`]):
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -19,6 +20,7 @@
 //! | `lock_order`  | the lock-acquisition graph stays acyclic |
 //! | `panic_path`  | request paths justify every `unwrap`/`expect`/index |
 //! | `durability`  | WAL append+fsync precedes the wire answer |
+//! | `unused_pub`  | every public item has a non-test reference (word match; `use` lines do not count; perfbench, examples and benches are reference-only) |
 //!
 //! Everything is approximate — the scanner has no type information —
 //! so every rule pairs with the allowlist in `analyze.toml`: findings
@@ -40,13 +42,14 @@ use scan::Workspace;
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Emitting rule (`determinism`, `lock_order`, `panic_path`,
-    /// `durability`).
+    /// `durability`, `unused_pub`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line.
     pub line: u32,
-    /// Enclosing function name (empty when file-scoped).
+    /// Enclosing function name (empty when file-scoped); for
+    /// `unused_pub`, the flagged item's own name.
     pub function: String,
     /// Human explanation of the violation.
     pub message: String,

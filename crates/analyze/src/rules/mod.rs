@@ -1,4 +1,4 @@
-//! The rule engine: one trait, four repo-specific rules.
+//! The rule engine: one trait, five repo-specific rules.
 //!
 //! Each rule reads its own `[section]` of `analyze.toml` (rule
 //! behaviour is data, not code, so fixtures and future tightening
@@ -16,6 +16,7 @@ mod determinism;
 mod durability;
 mod lock_order;
 mod panic_path;
+mod unused_pub;
 
 /// A single analysis pass.
 pub trait Rule {
@@ -33,6 +34,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(lock_order::LockOrder),
         Box::new(panic_path::PanicPath),
         Box::new(durability::Durability),
+        Box::new(unused_pub::UnusedPub),
     ]
 }
 

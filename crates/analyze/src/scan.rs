@@ -71,14 +71,6 @@ impl SourceFile {
             .filter(|f| f.body.0 <= idx && idx <= f.body.1)
             .min_by_key(|f| f.body.1 - f.body.0)
     }
-
-    /// True when token index `idx` sits inside test code (a `#[test]`
-    /// fn or `#[cfg(test)]` module) — or outside any function body.
-    /// Top-level tokens (use/struct/impl headers) are treated as
-    /// non-code for the body-scanning rules, which iterate functions.
-    pub fn is_test_at(&self, idx: usize) -> bool {
-        self.fn_at(idx).map(|f| f.is_test).unwrap_or(false)
-    }
 }
 
 /// The set of scanned files the rules run over.
@@ -86,6 +78,10 @@ impl SourceFile {
 pub struct Workspace {
     /// All scanned files, in deterministic (sorted-by-path) order.
     pub files: Vec<SourceFile>,
+    /// Reference-only files (`perfbench/src`, `examples/`,
+    /// `crates/*/benches`): `unused_pub` counts the names they use,
+    /// and no rule checks them.
+    pub refs: Vec<SourceFile>,
 }
 
 impl Workspace {
@@ -94,9 +90,17 @@ impl Workspace {
     /// shims reproduce *external* crate APIs and are not subject to
     /// repo-local invariants. Test/bench/example trees are likewise
     /// out of scope: the gates protect shipped library and binary
-    /// code.
+    /// code; the perfbench, example and bench trees that call it are
+    /// loaded as [`Workspace::refs`].
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut files = Vec::new();
+        let mut refs = Vec::new();
+        for (tree, name) in [("perfbench/src", "perfbench"), ("examples", "examples")] {
+            let dir = root.join(tree);
+            if dir.is_dir() {
+                collect_tree(&dir, root, name, name, &mut refs)?;
+            }
+        }
         let facade = root.join("src");
         if facade.is_dir() {
             collect_tree(&facade, root, "pga-shop", "pga_shop", &mut files)?;
@@ -118,10 +122,14 @@ impl Workspace {
                 if src.is_dir() {
                     collect_tree(&src, root, &name, &name, &mut files)?;
                 }
+                let benches = dir.join("benches");
+                if benches.is_dir() {
+                    collect_tree(&benches, root, &name, &name, &mut refs)?;
+                }
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace { files })
+        Ok(Workspace { files, refs })
     }
 
     /// Loads a flat directory of `.rs` files (the fixture corpus):
@@ -149,7 +157,10 @@ impl Workspace {
             files.push(SourceFile::parse(&rel, &stem, &stem, &src));
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace { files })
+        Ok(Workspace {
+            files,
+            refs: Vec::new(),
+        })
     }
 }
 
@@ -248,11 +259,7 @@ fn scan_fns(tokens: &[Token]) -> Vec<FnItem> {
             {
                 // Attribute: collect its flattened text.
                 let (text, j) = attr_text(tokens, i + 2);
-                if text == "test"
-                    || text.ends_with("::test")
-                    || text.contains("cfg(test)")
-                    || text.contains("cfg(any(test")
-                {
+                if is_test_attr(&text) {
                     pending_test = true;
                 }
                 i = j;
@@ -366,9 +373,19 @@ fn scan_fns(tokens: &[Token]) -> Vec<FnItem> {
     fns
 }
 
+/// True for a flattened attribute (see [`attr_text`]) that marks test
+/// code: `#[test]`, `#[tokio::test]`-style paths, `#[cfg(test)]` and
+/// `#[cfg(any(test, …))]`.
+pub(crate) fn is_test_attr(text: &str) -> bool {
+    text == "test"
+        || text.ends_with("::test")
+        || text.contains("cfg(test)")
+        || text.contains("cfg(any(test")
+}
+
 /// Flattens an attribute body (after `#[`) to a compact string like
 /// `cfg(test)`; returns the text and the index past the closing `]`.
-fn attr_text(tokens: &[Token], start: usize) -> (String, usize) {
+pub(crate) fn attr_text(tokens: &[Token], start: usize) -> (String, usize) {
     let mut depth = 1i32; // the `[` already consumed by caller offset
     let mut j = start;
     let mut s = String::new();

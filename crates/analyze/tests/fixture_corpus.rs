@@ -38,6 +38,39 @@ fn exact_findings_at_stable_anchors() {
     assert_eq!(got, want, "full output:\n{}", rendered.join("\n"));
 }
 
+/// `unused_pub` counts references across the whole workspace, and the
+/// other fixtures define `pub fn`s that nothing calls, so the rule runs
+/// over its own two fixtures only.
+#[test]
+fn unused_pub_findings_at_stable_anchors() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut ws = Workspace::load_dir(&dir).expect("fixture corpus readable");
+    ws.files.retain(|f| f.rel.starts_with("unused_pub_"));
+    assert_eq!(ws.files.len(), 2);
+    let cfg = Config::parse("[unused_pub]\n").expect("config parses");
+    let report = analyze::run(&ws, &cfg);
+    let got: Vec<(&str, u32, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.path.as_str(), f.line, f.function.as_str()))
+        .collect();
+    let rendered: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
+    // Flagged: a fn called only from `#[cfg(test)]`, a fn reached only
+    // through a `pub use`, and a struct named only inside its own impl.
+    // Clean: `Counter::bump` (called as `.bump(`) and `BATCH` (read
+    // from the other file).
+    assert_eq!(
+        got,
+        vec![
+            ("unused_pub_bad.rs", 3, "only_tested"),
+            ("unused_pub_bad.rs", 7, "only_reexported"),
+            ("unused_pub_bad.rs", 25, "Orphan"),
+        ],
+        "full output:\n{}",
+        rendered.join("\n")
+    );
+}
+
 #[test]
 fn twins_are_clean_and_allowlist_is_exercised() {
     let report = fixture_report();

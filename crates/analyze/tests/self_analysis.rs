@@ -54,7 +54,13 @@ fn committed_durability_markers_flag_an_event_logged_after_its_answer() {
             "serve::server::sessions",
             &src,
         );
-        let report = analyze::run(&Workspace { files: vec![file] }, &cfg);
+        let report = analyze::run(
+            &Workspace {
+                files: vec![file],
+                refs: Vec::new(),
+            },
+            &cfg,
+        );
         report
             .findings
             .iter()

@@ -1,8 +1,7 @@
 //! E13 — Bożejko & Wodecki \[30\]\[31\]: island GA for the flow shop testing
 //! three binary strategy axes — same vs different starting
 //! subpopulations, independent vs cooperative (migrating) islands, and
-//! same vs different genetic operators per island — with MSXF used to
-//! blend the best individuals of cooperating islands.
+//! same vs different genetic operators per island.
 //!
 //! Paper outcome: different starts + different operators + cooperation is
 //! significantly the best strategy; vs the sequential GA the improvements

@@ -1,5 +1,5 @@
-//! E14 — Kokosiński & Studzienny \[32\]: open-shop GA with LPT-Task /
-//! LPT-Machine decoding, 2-element tournament selection, linear-order
+//! E14 — Kokosiński & Studzienny \[32\]: open-shop GA with LPT-Task
+//! decoding, 2-element tournament selection, linear-order
 //! crossover and swap/invert mutation; the parallel version is an island
 //! GA where every island broadcasts its best emigrants to all others.
 //!

@@ -53,23 +53,18 @@ fn speed_scaled_shop(n_jobs: usize, stages: usize, seed: u64) -> (FlexibleInstan
 pub fn run() -> Report {
     let (inst, power) = speed_scaled_shop(10, 3, 0x01E);
 
+    let decode = |g: &DualGenome| FlexDecoder::new(&inst).decode(&g.assign, &g.seq);
     let objectives = |g: &DualGenome| -> (f64, f64) {
-        let decoder = FlexDecoder::new(&inst);
-        let s = decoder.decode(&g.assign, &g.seq);
+        let s = decode(g);
         (s.makespan() as f64, power.energy(&s))
     };
 
     let weights = [0.02, 0.25, 0.5, 0.75, 0.98];
     let energy_scale = 30.0;
-    let obj = &objectives;
+    let (decode, power) = (&decode, &power);
     let scalar_evals: Vec<_> = weights
         .iter()
-        .map(|&w| {
-            move |g: &DualGenome| {
-                let (mk, en) = obj(g);
-                w * mk + (1.0 - w) * en / energy_scale
-            }
-        })
+        .map(|&w| move |g: &DualGenome| power.energy_makespan_cost(&decode(g), w, energy_scale))
         .collect();
 
     let mut points = Vec::new();

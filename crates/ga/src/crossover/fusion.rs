@@ -1,56 +1,9 @@
-//! Fitness-guided recombination: multi-step crossover fusion (MSXF) used
-//! by Bożejko & Wodecki \[30\] to blend the best individuals of different
-//! islands, and path relinking used by Spanos et al. \[29\].
+//! Fitness-guided recombination: path relinking used by Spanos et al.
+//! \[29\].
 //!
-//! Both operators walk from one parent towards the other through a
-//! neighbourhood structure, returning the best solution seen, so they need
+//! The operator walks from one parent towards the other through a
+//! neighbourhood structure, returning the best solution seen, so it needs
 //! the cost function — unlike the syntactic crossovers.
-
-use rand::Rng;
-
-/// Positional (Hamming) distance between two equal-length sequences.
-pub fn hamming(a: &[usize], b: &[usize]) -> usize {
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
-/// Multi-step crossover fusion: starting at `from`, repeatedly propose
-/// random swap moves, preferring those that reduce the distance to `to`;
-/// every accepted step is evaluated, and the best-cost visited sequence is
-/// returned. `steps` bounds the walk length.
-pub fn msxf(
-    from: &[usize],
-    to: &[usize],
-    steps: usize,
-    cost: &dyn Fn(&[usize]) -> f64,
-    rng: &mut impl Rng,
-) -> Vec<usize> {
-    let n = from.len();
-    let mut current = from.to_vec();
-    let mut best = current.clone();
-    let mut best_cost = cost(&best);
-    for _ in 0..steps {
-        let i = rng.gen_range(0..n);
-        let j = rng.gen_range(0..n);
-        if i == j {
-            continue;
-        }
-        let before = hamming(&current, to);
-        current.swap(i, j);
-        let after = hamming(&current, to);
-        // Bias towards `to`: keep distance-reducing moves, keep neutral or
-        // worsening ones with small probability (stochastic fusion).
-        if after > before && !rng.gen_bool(0.15) {
-            current.swap(i, j); // revert
-            continue;
-        }
-        let c = cost(&current);
-        if c < best_cost {
-            best_cost = c;
-            best = current.clone();
-        }
-    }
-    best
-}
 
 /// Path relinking: walks from `from` to `to` by fixing one position per
 /// step (swapping the needed value into place), evaluating every
@@ -86,7 +39,11 @@ pub fn path_relink(from: &[usize], to: &[usize], cost: &dyn Fn(&[usize]) -> f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::root_rng;
+
+    /// Positional (Hamming) distance between two equal-length sequences.
+    fn hamming(a: &[usize], b: &[usize]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| x != y).count()
+    }
 
     fn multiset_eq(a: &[usize], b: &[usize]) -> bool {
         let mut x = a.to_vec();
@@ -94,12 +51,6 @@ mod tests {
         x.sort_unstable();
         y.sort_unstable();
         x == y
-    }
-
-    #[test]
-    fn hamming_counts_mismatches() {
-        assert_eq!(hamming(&[1, 2, 3], &[1, 3, 2]), 2);
-        assert_eq!(hamming(&[1, 2], &[1, 2]), 0);
     }
 
     #[test]
@@ -121,17 +72,5 @@ mod tests {
         let cost = |s: &[usize]| if s == [2, 1, 0] { 0.0 } else { 1.0 };
         let best = path_relink(&from, &to, &cost);
         assert_eq!(best, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn msxf_never_worse_than_start_and_preserves_multiset() {
-        let mut rng = root_rng(77);
-        let from = vec![0, 0, 1, 1, 2, 2];
-        let to = vec![2, 1, 0, 2, 1, 0];
-        let cost = |s: &[usize]| s.iter().enumerate().map(|(i, &g)| (i * g) as f64).sum();
-        let start_cost = cost(&from);
-        let best = msxf(&from, &to, 40, &cost, &mut rng);
-        assert!(cost(&best) <= start_cost);
-        assert!(multiset_eq(&best, &from));
     }
 }

@@ -7,8 +7,8 @@
 //!   of Lin et al. \[21\].
 //! * [`keys`] — real vectors (random keys): n-point, uniform,
 //!   parameterized uniform (Huang \[24\]), arithmetic (Zajíček \[25\]).
-//! * [`fusion`] — fitness-guided recombination: multi-step crossover
-//!   fusion (Bożejko \[30\]) and path relinking (Spanos \[29\]).
+//! * [`fusion`] — fitness-guided recombination: path relinking
+//!   (Spanos \[29\]).
 //!
 //! The enums here let experiment configs (heterogeneous islands of Park
 //! \[26\] / Bożejko \[30\]) name an operator per island.

@@ -5,7 +5,7 @@
 //! selection (roulette wheel, stochastic universal sampling, k-way
 //! tournament, rank, elitist-roulette), crossover and mutation families
 //! for permutation, repetition-permutation, random-key and dual-genome
-//! encodings, repair, elitism, the immigration scheme of Huang et al.
+//! encodings, elitism, the immigration scheme of Huang et al.
 //! \[24\], termination criteria, diversity statistics, hill-climbing local
 //! search with the Redirect step of Rashidi et al. \[38\], and the
 //! quantum-inspired machinery of Gu et al. \[28\].
@@ -24,7 +24,6 @@ pub mod fitness;
 pub mod local_search;
 pub mod mutate;
 pub mod quantum;
-pub mod repair;
 pub mod rng;
 pub mod select;
 pub mod stats;

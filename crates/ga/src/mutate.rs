@@ -79,16 +79,6 @@ pub fn gaussian_keys(genome: &mut [f64], per_gene: f64, sigma: f64, rng: &mut im
     }
 }
 
-/// Resets random genes to fresh uniform draws (random-key equivalent of
-/// uniform mutation).
-pub fn reset_keys(genome: &mut [f64], per_gene: f64, rng: &mut impl Rng) {
-    for g in genome.iter_mut() {
-        if rng.gen_bool(per_gene.clamp(0.0, 1.0)) {
-            *g = rng.gen();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +125,6 @@ mod tests {
         assert!(g.iter().all(|&k| (0.0..=1.0).contains(&k)));
         // With sigma 0.5 and 100 genes, essentially surely something moved.
         assert!(g.iter().any(|&k| (k - 0.5).abs() > 1e-9));
-    }
-
-    #[test]
-    fn reset_keys_probability_zero_is_identity() {
-        let mut rng = root_rng(24);
-        let mut g = vec![0.25, 0.75];
-        reset_keys(&mut g, 0.0, &mut rng);
-        assert_eq!(g, vec![0.25, 0.75]);
     }
 
     #[test]

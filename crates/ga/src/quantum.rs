@@ -287,7 +287,7 @@ mod tests {
         let last = crate::run(&mut qga, &Termination::Generations(80), &mut history).cost;
         assert!(last <= first);
         assert_eq!(history.samples.len(), 80);
-        assert_eq!(history.best_final(), Some(last));
+        assert_eq!(history.best_per_generation().last().copied(), Some(last));
         assert_eq!(qga.status().evaluations, 1 + 80 * 20);
     }
 

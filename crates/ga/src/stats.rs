@@ -72,34 +72,6 @@ pub fn stagnation_fraction(population: &[Vec<usize>], threshold: f64) -> f64 {
     close as f64 / pairs as f64
 }
 
-/// Positional entropy: mean over positions of the Shannon entropy of the
-/// value distribution at that position, normalised by `ln(n_values)`.
-pub fn positional_entropy(population: &[Vec<usize>], n_values: usize) -> f64 {
-    if population.is_empty() || n_values < 2 {
-        return 0.0;
-    }
-    let len = population[0].len();
-    let pop = population.len() as f64;
-    let norm = (n_values as f64).ln();
-    let mut total = 0.0;
-    for pos in 0..len {
-        let mut counts = vec![0usize; n_values];
-        for ind in population {
-            counts[ind[pos] % n_values] += 1;
-        }
-        let h: f64 = counts
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let p = c as f64 / pop;
-                -p * p.ln()
-            })
-            .sum();
-        total += h / norm;
-    }
-    total / len.max(1) as f64
-}
-
 /// One generation's convergence telemetry, as a model's `Model::step`
 /// reports it to `Observer::on_sample` when the observer
 /// [wants samples](Observer::wants_samples): best, mean and diversity
@@ -154,10 +126,6 @@ impl History {
         start.into_iter().chain(per_gen).collect()
     }
 
-    pub fn best_final(&self) -> Option<f64> {
-        self.best_per_generation().last().copied()
-    }
-
     /// First generation whose best cost reached `target` (time-to-target).
     pub fn generations_to_target(&self, target: f64) -> Option<u64> {
         self.best_per_generation()
@@ -196,7 +164,6 @@ mod tests {
         let pop = vec![vec![0, 1, 2]; 5];
         assert_eq!(mean_hamming(&pop), 0.0);
         assert_eq!(stagnation_fraction(&pop, 0.1), 1.0);
-        assert_eq!(positional_entropy(&pop, 3), 0.0);
     }
 
     #[test]
@@ -204,7 +171,6 @@ mod tests {
         let pop = vec![vec![0, 0, 0], vec![1, 1, 1], vec![2, 2, 2]];
         assert!(mean_hamming(&pop) > 0.99);
         assert_eq!(stagnation_fraction(&pop, 0.5), 0.0);
-        assert!(positional_entropy(&pop, 3) > 0.99);
     }
 
     #[test]
@@ -230,7 +196,6 @@ mod tests {
             h.samples.push(sample(Some(1), g, c));
         }
         assert_eq!(h.best_per_generation(), vec![100.0, 60.0, 50.0]);
-        assert_eq!(h.best_final(), Some(50.0));
         assert_eq!(h.generations_to_target(60.0), Some(1));
         assert_eq!(h.generations_to_target(10.0), None);
         assert_eq!(h.convergence_auc(), 210.0);

@@ -1,4 +1,4 @@
-//! Amdahl / Gustafson analysis used by the Section IV synthesis figure
+//! Amdahl analysis used by the Section IV synthesis figure
 //! (model × platform suitability): the serial fraction of a GA generation
 //! bounds the achievable speedup of the master-slave model, while island
 //! models parallelise the serial part too.
@@ -7,12 +7,6 @@
 pub fn amdahl(serial_fraction: f64, workers: usize) -> f64 {
     let s = serial_fraction.clamp(0.0, 1.0);
     1.0 / (s + (1.0 - s) / workers as f64)
-}
-
-/// Gustafson's law: scaled speedup when the parallel part grows with `n`.
-pub fn gustafson(serial_fraction: f64, workers: usize) -> f64 {
-    let s = serial_fraction.clamp(0.0, 1.0);
-    workers as f64 - s * (workers as f64 - 1.0)
 }
 
 /// Serial fraction of a master-slave GA generation given measured costs:
@@ -35,12 +29,6 @@ mod tests {
         assert!((amdahl(1.0, 8) - 1.0).abs() < 1e-12);
         // 10% serial caps speedup below 10 regardless of workers.
         assert!(amdahl(0.1, 1_000_000) < 10.0);
-    }
-
-    #[test]
-    fn gustafson_scales_linearly() {
-        assert!((gustafson(0.0, 16) - 16.0).abs() < 1e-12);
-        assert!(gustafson(0.5, 16) > 8.0);
     }
 
     #[test]

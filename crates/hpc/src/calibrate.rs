@@ -43,18 +43,6 @@ pub const DECODE_OP_S_OPEN: f64 = 85e-9;
 /// (dual assignment + sequence decode). See [`DECODE_OP_S_FLOW`].
 pub const DECODE_OP_S_FLEXIBLE: f64 = 280e-9;
 
-/// Measures the mean wall time of `f` over `iters` calls (after one
-/// warm-up call). Returns seconds per call.
-pub fn measure_s(iters: u32, mut f: impl FnMut()) -> f64 {
-    assert!(iters > 0);
-    f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
 /// Measures `f` adaptively: doubles the iteration count until one run
 /// takes at least `min_total_s`, then returns the *minimum* per-call
 /// time over three runs at that count. The minimum estimates the
@@ -92,10 +80,10 @@ mod tests {
 
     #[test]
     fn measures_are_positive_and_ordered() {
-        let cheap = measure_s(100, || {
+        let cheap = measure_adaptive_s(1e-4, || {
             std::hint::black_box(1 + 1);
         });
-        let costly = measure_s(10, || {
+        let costly = measure_adaptive_s(1e-4, || {
             let mut x = 0u64;
             for i in 0..20_000 {
                 x = x.wrapping_add(i);

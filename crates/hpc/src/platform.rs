@@ -120,13 +120,6 @@ impl Platform {
     pub fn compute_s(&self, units: f64, unit_s: f64) -> f64 {
         units * unit_s / self.worker_speed
     }
-
-    /// The machine this process runs on, as a [`Platform::multicore`]
-    /// of [`host_cores`] width. This is what sizes long-lived worker
-    /// pools (e.g. the serve crate's racer pool).
-    pub fn host() -> Self {
-        Platform::multicore(host_cores())
-    }
 }
 
 /// CPU cores visible to this process (`available_parallelism`, 1 when

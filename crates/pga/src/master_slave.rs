@@ -155,11 +155,6 @@ impl<G: Clone + Send + Sync> DistributedSlavesGa<G> {
             .min_by(|a, b| a.cost.total_cmp(&b.cost))
             .expect("at least one slave")
     }
-
-    /// Per-slave best individuals.
-    pub fn slave_results(&self) -> &[Individual<G>] {
-        &self.results
-    }
 }
 
 #[cfg(test)]
@@ -247,10 +242,10 @@ mod tests {
             &Termination::Generations(10),
         );
         let best = out.global_best().cost;
-        for r in out.slave_results() {
+        for r in &out.results {
             assert!(best <= r.cost);
         }
-        assert_eq!(out.slave_results().len(), 4);
+        assert_eq!(out.results.len(), 4);
         assert!(out.total_evaluations > 0);
     }
 

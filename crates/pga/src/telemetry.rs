@@ -40,17 +40,6 @@ pub struct RunTelemetry {
     pub retimed_positions: u64,
 }
 
-impl RunTelemetry {
-    /// Mean evaluations per generation (0 when empty).
-    pub fn mean_evals_per_gen(&self) -> f64 {
-        if self.evals_per_generation.is_empty() {
-            return 0.0;
-        }
-        self.evals_per_generation.iter().sum::<u64>() as f64
-            / self.evals_per_generation.len() as f64
-    }
-}
-
 /// A [`Model`] that accounts its run structure in a [`RunTelemetry`].
 pub trait Instrumented<G>: Model<G> {
     /// The structural counters of the run so far.
@@ -159,15 +148,5 @@ mod tests {
         .with_decodes_from_models();
         assert_eq!(t.decode_count, 200);
         assert!(!t.cache_hit);
-    }
-
-    #[test]
-    fn mean_evals() {
-        let t = RunTelemetry {
-            evals_per_generation: vec![10, 20, 30],
-            ..Default::default()
-        };
-        assert_eq!(t.mean_evals_per_gen(), 20.0);
-        assert_eq!(RunTelemetry::default().mean_evals_per_gen(), 0.0);
     }
 }

@@ -110,24 +110,23 @@ impl Topology {
             }
         }
     }
-
-    /// Total directed links in the topology at `epoch` (message count per
-    /// migration event when each link carries one message).
-    pub fn link_count(&self, n: usize, epoch: u64) -> usize {
-        (0..n).map(|i| self.destinations(i, n, epoch).len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Total directed links at epoch 0 (messages per migration event).
+    fn links(t: &Topology, n: usize) -> usize {
+        (0..n).map(|i| t.destinations(i, n, 0).len()).sum()
+    }
+
     #[test]
     fn ring_is_a_cycle() {
         let t = Topology::Ring;
         assert_eq!(t.destinations(0, 4, 0), vec![1]);
         assert_eq!(t.destinations(3, 4, 0), vec![0]);
-        assert_eq!(t.link_count(4, 0), 4);
+        assert_eq!(links(&t, 4), 4);
     }
 
     #[test]
@@ -137,7 +136,7 @@ mod tests {
             assert_eq!(t.destinations(i, 8, 0).len(), 3, "island {i}");
         }
         // Asadzadeh's virtual cube: 8 agents, 3 neighbours each.
-        assert_eq!(t.link_count(8, 0), 24);
+        assert_eq!(links(&t, 8), 24);
     }
 
     #[test]
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn fully_connected_has_n_squared_minus_n_links() {
         let t = Topology::FullyConnected;
-        assert_eq!(t.link_count(6, 0), 30);
+        assert_eq!(links(&t, 6), 30);
     }
 
     #[test]

@@ -258,11 +258,6 @@ impl ShardedCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: &CacheKey) -> &std::sync::Mutex<SolutionCache> {
         // Top byte of the canonical instance hash: FNV-1a mixes well,
         // and keying the shard on the *instance* keeps every
@@ -483,7 +478,7 @@ mod tests {
     #[test]
     fn sharded_cache_splits_capacity_and_preserves_per_key_semantics() {
         let c = ShardedCache::new(8, 4);
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.shards.len(), 4);
         assert!(c.is_empty());
         // Keys with different top bytes land in different shards; the
         // same key always lands in the same shard.

@@ -76,7 +76,7 @@ mod watch;
 
 pub use cache::{CacheKey, CachedSolve, ShardedCache, SolutionCache};
 pub use json::Json;
-pub use obs::metrics::{escape_label_value, Counter, Gauge, Histogram, Registry};
+pub use obs::metrics::{Counter, Gauge, Histogram, Registry};
 pub use obs::phase::{PhaseAcc, PHASE_NAMES};
 pub use obs::trace::{
     Frame, GenerationSample, MemberTrace, Payload, Span, Trace, TraceRing, WatchSink,

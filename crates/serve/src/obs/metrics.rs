@@ -14,23 +14,6 @@ use crate::json::{obj, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Escapes a label *value* for Prometheus text exposition: backslash,
-/// double quote and newline must be escaped inside the quoted value
-/// (`\\`, `\"`, `\n`). Callers baking dynamic strings (instance names,
-/// session ids) into a series label must route them through here.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// A monotone counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -474,29 +457,6 @@ mod tests {
             json.get("lab_total{type=\"batch\"}").and_then(Json::as_u64),
             Some(2)
         );
-    }
-
-    #[test]
-    fn label_values_escape_prometheus_specials() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape_label_value(r"a\b"), r"a\\b");
-        assert_eq!(escape_label_value("a\nb"), r"a\nb");
-        // A hostile value baked into a series name cannot break the
-        // exposition line structure: the quoted value stays one line
-        // and its quotes stay balanced.
-        let r = Registry::new();
-        let v = escape_label_value("evil\"}\nfake_total 99");
-        r.counter(&format!("esc_total{{inst=\"{v}\"}}"), "escaped label")
-            .inc();
-        let text = r.expose_text();
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("esc_total"))
-            .expect("series line");
-        assert!(line.ends_with(" 1"));
-        assert!(line.contains(r#"\"}\nfake_total"#));
-        assert!(!text.lines().any(|l| l.starts_with("fake_total")));
     }
 
     #[test]

@@ -1105,9 +1105,11 @@ mod tests {
     fn generate_request_roundtrips() {
         let req = GenerateRequest {
             id: Some("g1".into()),
-            spec: GenSpec::new(Family::Flexible, 6, 4, 9)
-                .with_ops_per_job(3)
-                .with_density_pct(75),
+            spec: GenSpec {
+                ops_per_job: Some(3),
+                ..GenSpec::new(Family::Flexible, 6, 4, 9)
+            }
+            .with_density_pct(75),
             solve: true,
             objective: Objective::Makespan,
             seed: 42,

@@ -87,7 +87,7 @@ pub(super) fn handle_session_open(
     );
     // Durability: the open record is on disk (and fsync'd) before the
     // session is reachable, let alone answered.
-    let session = shared.sessions.open(state, req.ttl_ms);
+    let session = shared.sessions.open(state);
     if let Some(tr) = trace.as_mut() {
         tr.session = Some(session.clone());
     }

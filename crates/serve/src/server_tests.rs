@@ -461,9 +461,14 @@ fn saturated_pool_returns_busy_and_still_serves_cached_hits() {
     });
     std::thread::scope(|s| {
         let saturator = s.spawn(|| send_lines(addr, std::slice::from_ref(&long)));
-        // Give the long race time to be admitted and queue its
-        // members.
-        std::thread::sleep(Duration::from_millis(400));
+        // Wait (bounded) for the long race to be admitted and queue
+        // its members.
+        for _ in 0..400 {
+            if service.queue_depth() >= 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(service.queue_depth() >= 1, "pool must be saturated");
 
         // A cold solve must now be refused fast with code busy.

@@ -569,7 +569,7 @@ mod tests {
     fn registry_opens_touches_and_closes() {
         let store = store(&cfg());
         assert_eq!(store.gauges().open, 0);
-        let id = store.open(seed_state(), 0);
+        let id = store.open(seed_state());
         assert_eq!(id, "sess-1");
         assert_eq!(store.gauges().open, 1);
         assert!(store.entry(&id).is_some());
@@ -613,7 +613,7 @@ mod tests {
                 }
             });
             ready.wait();
-            let id = store.open(seed_state(), 0);
+            let id = store.open(seed_state());
             opened.store(true, Relaxed);
             let seen = watcher.join().unwrap();
             prober.join().unwrap();
@@ -647,7 +647,7 @@ mod tests {
         assert!(Arc::ptr_eq(&entry, &store.restore(*rec)));
         assert_eq!(store.gauges().recovered, 1);
         // The minter was bumped past the recovered id.
-        assert_eq!(store.open(seed_state(), 0), "sess-8");
+        assert_eq!(store.open(seed_state()), "sess-8");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -657,9 +657,12 @@ mod tests {
             session_ttl_ms: 100,
             ..cfg()
         });
-        let id = store.open(seed_state(), 0);
+        let id = store.open(seed_state());
         // A generous per-request TTL is clamped to ten times the default.
-        let long = store.open(seed_state(), 3_600_000);
+        let long = store.open(SessionState {
+            ttl_ms: 3_600_000,
+            ..seed_state()
+        });
         assert_eq!(store.gauges().open, 2);
         std::thread::sleep(Duration::from_millis(250));
         assert!(store.entry(&id).is_none(), "idle session must expire");
@@ -677,11 +680,11 @@ mod tests {
             max_sessions: 2,
             ..cfg()
         });
-        let a = store.open(seed_state(), 0);
-        let b = store.open(seed_state(), 0);
+        let a = store.open(seed_state());
+        let b = store.open(seed_state());
         // Touch a so b becomes the LRU.
         assert!(store.entry(&a).is_some());
-        let c = store.open(seed_state(), 0);
+        let c = store.open(seed_state());
         assert_eq!(store.gauges().open, 2);
         assert!(store.entry(&b).is_none(), "LRU session must be evicted");
         assert!(store.entry(&a).is_some());
@@ -699,13 +702,13 @@ mod tests {
             },
         );
         let store = store(&config);
-        let a = store.open(seed_state(), 0);
+        let a = store.open(seed_state());
         assert_accounted(&store);
         // A request holds a's entry and lock (an event mid-race)
         // across an open that finds the store at capacity.
         let held = store.entry(&a).unwrap();
         let guard = held.lock().unwrap();
-        store.open(seed_state(), 0);
+        store.open(seed_state());
         assert_accounted(&store);
         assert_eq!(store.gauges().open, 2, "an open past a held cap exceeds it");
         let again = store.entry(&a).unwrap();
@@ -719,7 +722,7 @@ mod tests {
         // Released, both sessions are evictable again.
         drop(guard);
         drop((held, again));
-        store.open(seed_state(), 0);
+        store.open(seed_state());
         let g = store.gauges();
         assert_eq!((g.open, g.evicted, g.recovered), (1, 2, 0));
         assert_accounted(&store);
@@ -737,14 +740,14 @@ mod tests {
             },
         );
         let store = store(&config);
-        let a = store.open(seed_state(), 0);
+        let a = store.open(seed_state());
         assert_accounted(&store);
         let held = store.entry(&a).unwrap();
         let guard = held.lock().unwrap();
         std::thread::sleep(Duration::from_millis(500));
         // a is idle past its TTL but held: neither the open's sweep
         // nor its capacity check may drop it.
-        store.open(seed_state(), 0);
+        store.open(seed_state());
         assert_accounted(&store);
         let again = store.entry(&a).unwrap();
         assert!(
@@ -758,7 +761,7 @@ mod tests {
         drop(guard);
         drop((held, again));
         std::thread::sleep(Duration::from_millis(500));
-        store.open(seed_state(), 0);
+        store.open(seed_state());
         let g = store.gauges();
         assert_eq!((g.open, g.expired, g.evicted, g.recovered), (1, 2, 0, 0));
         assert_accounted(&store);

@@ -336,8 +336,6 @@ pub fn snapshot_record(session: &str, state: &SessionState) -> String {
 pub struct RecoveredSession {
     /// The session id the log belongs to.
     pub session: String,
-    /// The `ttl_ms` the session was opened with (0 = server default).
-    pub ttl_ms: u64,
     /// The rebuilt state — bit-identical to the state that wrote the
     /// last intact record (incumbent, clock, windows, journal).
     pub state: SessionState,
@@ -488,7 +486,6 @@ pub fn replay(
     }
     Ok(RecoveredSession {
         session,
-        ttl_ms: state.ttl_ms,
         state,
         records,
         salvaged,
@@ -924,8 +921,9 @@ impl SessionStore {
     /// Opens a fresh session under a newly minted id (`sess-<n>`) and
     /// returns the id. With a WAL the open record is written before the
     /// id is reachable, so even a session evicted before its opener
-    /// answers can be recovered. `ttl_ms` 0 means the default TTL.
-    pub fn open(&self, state: SessionState, ttl_ms: u64) -> String {
+    /// answers can be recovered. The idle TTL is `state.ttl_ms` (0 means
+    /// the default TTL).
+    pub fn open(&self, state: SessionState) -> String {
         let id = format!("sess-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
         // panic-safe: poisoned = a recovery already panicked; never replay on top of it.
         let _recovering = self.recovery.lock().expect("recovery lock poisoned");
@@ -936,7 +934,7 @@ impl SessionStore {
                 let _ = wal.remove(&id);
             })
         });
-        self.insert(&id, state, ttl_ms, &self.opened);
+        self.insert(&id, state, &self.opened);
         id
     }
 
@@ -1040,20 +1038,15 @@ impl SessionStore {
         if let Some(n) = minted {
             self.next_id.fetch_max(n, Ordering::Relaxed);
         }
-        self.insert(&rec.session, rec.state, rec.ttl_ms, &self.recovered)
+        self.insert(&rec.session, rec.state, &self.recovered)
     }
 
     /// Inserts `state` under `id` unless the id is already live,
     /// evicting least-recently-used unheld sessions down to capacity,
-    /// and bumps `counter` when it inserted.
-    fn insert(
-        &self,
-        id: &str,
-        state: SessionState,
-        ttl_ms: u64,
-        counter: &Counter,
-    ) -> SessionEntry {
-        let ttl = match ttl_ms {
+    /// and bumps `counter` when it inserted. The idle TTL comes from
+    /// `state.ttl_ms`, clamped to ten times the default.
+    fn insert(&self, id: &str, state: SessionState, counter: &Counter) -> SessionEntry {
+        let ttl = match state.ttl_ms {
             0 => self.ttl,
             ms => Duration::from_millis(ms).min(self.ttl.saturating_mul(10)),
         };
@@ -1233,6 +1226,33 @@ pub(crate) mod tests {
         assert_eq!(rec.state.inst.to_string(), inst.to_string());
         assert_eq!(rec.state.windows, windows);
         assert_eq!(rec.state.incumbent.schedule, folded.ops);
+    }
+
+    #[test]
+    fn restored_session_keeps_the_ttl_it_was_opened_with() {
+        let dir = std::env::temp_dir().join(format!("pga-wal-ttl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            session_ttl_ms: 60_000,
+            wal_dir: Some(dir.display().to_string()),
+            wal_fsync: false,
+            ..ServeConfig::default()
+        };
+        let open_store = || {
+            let stats = ServiceStats::new(&crate::obs::metrics::Registry::new());
+            SessionStore::new(&config, &stats, Arc::new(Histogram::default())).unwrap()
+        };
+        let id = open_store().open(SessionState {
+            ttl_ms: 90_000,
+            ..seed_state()
+        });
+        // A restart replays the open record, and the TTL rides in the
+        // state it rebuilds.
+        let restarted = open_store();
+        assert_eq!(restarted.gauges().recovered, 1);
+        let ttl = restarted.lock_slots().get(&id).map(|slot| slot.ttl);
+        assert_eq!(ttl, Some(Duration::from_millis(90_000)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,18 +25,6 @@ pub fn johnson_two_machine(a: &[Time], b: &[Time]) -> Vec<usize> {
     first
 }
 
-/// Johnson's rule applied directly to a 2-machine [`FlowShopInstance`].
-pub fn johnson(inst: &FlowShopInstance) -> Vec<usize> {
-    assert_eq!(
-        inst.n_machines(),
-        2,
-        "Johnson's rule needs exactly 2 machines"
-    );
-    let a: Vec<Time> = (0..inst.n_jobs()).map(|j| inst.proc(j, 0)).collect();
-    let b: Vec<Time> = (0..inst.n_jobs()).map(|j| inst.proc(j, 1)).collect();
-    johnson_two_machine(&a, &b)
-}
-
 /// Campbell–Dudek–Smith: builds `m - 1` two-machine surrogate problems
 /// (prefix sums vs suffix sums), runs Johnson's rule on each, and keeps
 /// the permutation with the best true makespan.
@@ -125,7 +113,9 @@ mod tests {
         for seed in 0..10 {
             let inst = flow_shop_taillard(&GenConfig::new(7, 2, seed));
             let decoder = FlowDecoder::new(&inst);
-            let mk = decoder.makespan(&johnson(&inst));
+            let a: Vec<Time> = (0..7).map(|j| inst.proc(j, 0)).collect();
+            let b: Vec<Time> = (0..7).map(|j| inst.proc(j, 1)).collect();
+            let mk = decoder.makespan(&johnson_two_machine(&a, &b));
             assert_eq!(mk, brute_force_optimum(&inst), "seed {seed}");
         }
     }

@@ -1,9 +1,8 @@
 //! Job-shop decoding: the semi-active builder for direct operation-based
 //! encodings, the Giffler–Thompson (G&T) *active* schedule builder used by
 //! Mui et al. \[17\] and the hybrid GAs of Park et al. \[26\], and the
-//! indirect dispatching-rule decoder of Cheng et al. \[12\].
+//! non-delay builder for random-key priorities.
 
-use super::DispatchRule;
 use crate::instance::JobShopInstance;
 use crate::schedule::{Schedule, ScheduledOp};
 use crate::{Problem, Time};
@@ -218,84 +217,6 @@ impl<'a> JobDecoder<'a> {
         self.non_delay(&|j, s| keys[offsets[j] + s])
     }
 
-    /// Indirect decoding (Cheng et al. \[12\]): gene `k` selects the
-    /// dispatching rule used at the `k`-th G&T decision point.
-    pub fn dispatch_rules(&self, rules: &[DispatchRule]) -> Schedule {
-        let n = self.inst.n_jobs();
-        let mut next_op = vec![0usize; n];
-        let mut job_free: Vec<Time> = (0..n).map(|j| self.inst.release(j)).collect();
-        let mut machine_free = vec![0 as Time; self.inst.n_machines()];
-        let mut remaining_work: Vec<Time> = (0..n)
-            .map(|j| self.inst.route(j).iter().map(|o| o.duration).sum())
-            .collect();
-        let mut ops = Vec::with_capacity(self.inst.total_ops());
-        let mut decision = 0usize;
-
-        loop {
-            let mut best: Option<(Time, usize)> = None;
-            for j in 0..n {
-                if next_op[j] >= self.inst.n_ops(j) {
-                    continue;
-                }
-                let op = self.inst.op(j, next_op[j]);
-                let start = job_free[j].max(machine_free[op.machine]);
-                let done = start + op.duration;
-                if best.is_none_or(|(c, _)| done < c) {
-                    best = Some((done, op.machine));
-                }
-            }
-            let Some((c_star, m_star)) = best else { break };
-
-            let rule = rules[decision % rules.len()];
-            decision += 1;
-
-            let mut chosen: Option<(usize, f64)> = None;
-            let mut arrival = 0usize;
-            for j in 0..n {
-                if next_op[j] >= self.inst.n_ops(j) {
-                    continue;
-                }
-                let op = self.inst.op(j, next_op[j]);
-                if op.machine != m_star {
-                    continue;
-                }
-                let start = job_free[j].max(machine_free[m_star]);
-                if start >= c_star {
-                    continue;
-                }
-                arrival += 1;
-                let score = match rule {
-                    DispatchRule::Spt => op.duration as f64,
-                    DispatchRule::Lpt => -(op.duration as f64),
-                    DispatchRule::Mwr => -(remaining_work[j] as f64),
-                    DispatchRule::Lwr => remaining_work[j] as f64,
-                    DispatchRule::Fifo => arrival as f64,
-                    DispatchRule::Edd => self.inst.due(j) as f64,
-                };
-                if chosen.is_none_or(|(_, bs)| score < bs) {
-                    chosen = Some((j, score));
-                }
-            }
-            let (j, _) = chosen.expect("non-empty conflict set");
-            let s = next_op[j];
-            let op = self.inst.op(j, s);
-            let start = job_free[j].max(machine_free[m_star]);
-            let end = start + op.duration;
-            ops.push(ScheduledOp {
-                job: j,
-                op: s,
-                machine: m_star,
-                start,
-                end,
-            });
-            job_free[j] = end;
-            machine_free[m_star] = end;
-            remaining_work[j] -= op.duration;
-            next_op[j] = s + 1;
-        }
-        Schedule::new(ops)
-    }
-
     /// Prefix offsets of each job's operations in a flat operation array.
     pub fn op_offsets(&self) -> Vec<usize> {
         let n = self.inst.n_jobs();
@@ -386,7 +307,7 @@ mod tests {
         // schedulable op could have started strictly earlier on an idle
         // machine. A cheap necessary condition: the earliest op starts at
         // the earliest release (0 here).
-        assert_eq!(s.start_time(), 0);
+        assert_eq!(s.ops.iter().map(|o| o.start).min(), Some(0));
     }
 
     #[test]
@@ -407,19 +328,6 @@ mod tests {
             assert!(nd.makespan() >= inst.makespan_lower_bound());
             assert!(gt.makespan() >= inst.makespan_lower_bound());
         }
-    }
-
-    #[test]
-    fn dispatch_rules_decode_validly() {
-        let inst = job_shop_uniform(&GenConfig::new(5, 4, 55));
-        let d = JobDecoder::new(&inst);
-        for rule in DispatchRule::ALL {
-            let s = d.dispatch_rules(&[rule]);
-            s.validate_job(&inst).unwrap();
-        }
-        // Mixed rule strings decode too.
-        let s = d.dispatch_rules(&[DispatchRule::Spt, DispatchRule::Mwr, DispatchRule::Edd]);
-        s.validate_job(&inst).unwrap();
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The survey's Section III.A describes the two classic styles:
 //! *direct* encodings whose genes are a job/operation ordering (decoded
-//! semi-actively here), and *indirect* encodings whose genes select
-//! dispatching rules (decoded through the Giffler–Thompson procedure in
-//! [`job`]).
+//! semi-actively here), and *indirect* encodings whose genes are
+//! priorities (random keys decoded through the Giffler–Thompson
+//! procedure in [`job`]).
 
 pub mod flexible;
 pub mod flow;
@@ -13,45 +13,3 @@ pub mod heuristics;
 pub mod job;
 pub mod open;
 pub mod table;
-
-/// Dispatching rules available to the indirect job-shop encoding
-/// (Cheng, Gen & Tsujimura's survey \[12\] taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DispatchRule {
-    /// Shortest processing time first.
-    Spt,
-    /// Longest processing time first.
-    Lpt,
-    /// Most work remaining first.
-    Mwr,
-    /// Least work remaining first.
-    Lwr,
-    /// First in the conflict set (arrival order).
-    Fifo,
-    /// Earliest due date first.
-    Edd,
-}
-
-impl DispatchRule {
-    /// All rules, in a stable order (gene value `g` maps to
-    /// `ALL[g % ALL.len()]`).
-    pub const ALL: [DispatchRule; 6] = [
-        DispatchRule::Spt,
-        DispatchRule::Lpt,
-        DispatchRule::Mwr,
-        DispatchRule::Lwr,
-        DispatchRule::Fifo,
-        DispatchRule::Edd,
-    ];
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rule_table_is_stable() {
-        assert_eq!(DispatchRule::ALL.len(), 6);
-        assert_eq!(DispatchRule::ALL[0], DispatchRule::Spt);
-    }
-}

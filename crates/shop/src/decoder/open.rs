@@ -1,9 +1,8 @@
 //! Open-shop decoding.
 //!
 //! Kokosiński & Studzienny \[32\] encode open-shop solutions as permutations
-//! with repetitions and decode them with two greedy heuristics, LPT-Task
-//! and LPT-Machine; both are implemented here alongside a plain
-//! operation-order decoder (the flow/job-shop style direct encoding, which
+//! with repetitions and decode them with greedy heuristics; LPT-Task is
+//! implemented here alongside a plain operation-order decoder (the flow/job-shop style direct encoding, which
 //! the survey notes also applies to open shops).
 
 use crate::instance::OpenShopInstance;
@@ -60,27 +59,6 @@ impl<'a> OpenDecoder<'a> {
                 let mach = (0..m)
                     .filter(|&k| !done[j][k])
                     .max_by_key(|&k| self.inst.proc(j, k))
-                    .expect("gene count exceeds remaining tasks");
-                done[j][mach] = true;
-                (j, mach)
-            })
-            .collect();
-        self.by_op_order(&order)
-    }
-
-    /// LPT-Machine decoding: the chromosome is a permutation with
-    /// repetition of *machine* ids (each appearing `n` times); each gene
-    /// schedules on that machine the unprocessed job with the longest
-    /// processing time there.
-    pub fn lpt_machine(&self, machine_sequence: &[usize]) -> Schedule {
-        let n = self.inst.n_jobs();
-        let mut done = vec![vec![false; self.inst.n_machines()]; n];
-        let order: Vec<(usize, usize)> = machine_sequence
-            .iter()
-            .map(|&mach| {
-                let j = (0..n)
-                    .filter(|&j| !done[j][mach])
-                    .max_by_key(|&j| self.inst.proc(j, mach))
                     .expect("gene count exceeds remaining tasks");
                 done[j][mach] = true;
                 (j, mach)
@@ -148,16 +126,6 @@ mod tests {
         let seq0 = s.machine_sequence(1);
         assert_eq!(seq0[0].job, 0);
         assert_eq!(seq0[0].start, 0);
-    }
-
-    #[test]
-    fn lpt_machine_decodes_validly() {
-        let inst = open_shop_uniform(&GenConfig::new(5, 4, 8));
-        let d = OpenDecoder::new(&inst);
-        let genes: Vec<usize> = (0..20).map(|i| i % 4).collect();
-        let s = d.lpt_machine(&genes);
-        s.validate_open(&inst).unwrap();
-        assert!(s.makespan() >= inst.makespan_lower_bound());
     }
 
     #[test]

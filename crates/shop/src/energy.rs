@@ -68,57 +68,6 @@ impl PowerProfile {
         total
     }
 
-    /// Peak instantaneous power draw over the schedule (the quantity Xu
-    /// et al. \[8\] bound). Computed exactly by sweeping operation start /
-    /// end events.
-    pub fn peak_power(&self, schedule: &Schedule) -> f64 {
-        // Events: at op start, machine switches idle -> processing (or
-        // off -> processing at its first op); at op end, processing ->
-        // idle (or -> off after its last op). We account conservatively:
-        // idle draw inside each machine's busy window, processing draw
-        // during ops.
-        #[derive(Clone, Copy)]
-        struct Window {
-            first: Time,
-            last: Time,
-        }
-        let mut windows: Vec<Option<Window>> = vec![None; self.n_machines()];
-        for m in 0..self.n_machines() {
-            let seq = schedule.machine_sequence(m);
-            if let (Some(f), Some(l)) = (seq.first(), seq.last()) {
-                windows[m] = Some(Window {
-                    first: f.start,
-                    last: l.end,
-                });
-            }
-        }
-        let mut events: Vec<Time> = schedule.ops.iter().flat_map(|o| [o.start, o.end]).collect();
-        events.sort_unstable();
-        events.dedup();
-        let mut peak = 0.0f64;
-        for &t in &events {
-            // Power during the instant just after t.
-            let mut draw = 0.0;
-            for (m, power) in self.machines.iter().enumerate() {
-                let Some(w) = windows[m] else { continue };
-                if t < w.first || t >= w.last {
-                    continue; // machine off
-                }
-                let processing = schedule
-                    .ops
-                    .iter()
-                    .any(|o| o.machine == m && o.start <= t && t < o.end);
-                draw += if processing {
-                    power.processing
-                } else {
-                    power.idle
-                };
-            }
-            peak = peak.max(draw);
-        }
-        peak
-    }
-
     /// The Tang et al. \[9\] style bi-objective scalarisation:
     /// `w * makespan + (1 - w) * energy / energy_scale`.
     pub fn energy_makespan_cost(&self, schedule: &Schedule, w: f64, energy_scale: f64) -> f64 {
@@ -164,22 +113,6 @@ mod tests {
         let p = PowerProfile::uniform(2, 10.0, 2.0);
         // M0: busy 5, idle 2 -> 50 + 4; M1: busy 3, idle 0 -> 30.
         assert!((p.energy(&sched()) - 84.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peak_power_sees_overlap() {
-        let p = PowerProfile::uniform(2, 10.0, 2.0);
-        // During [1,3): both machines processing -> 20.
-        assert!((p.peak_power(&sched()) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peak_power_counts_idle_draw_inside_window() {
-        let p = PowerProfile::uniform(2, 10.0, 3.0);
-        // During [5,7): M0 processing (10), M1 off (window ended at 4).
-        // During [3,4): M0 idle (3, inside its window), M1 processing (10)
-        // -> 13 < 20, so peak stays 20.
-        assert!((p.peak_power(&sched()) - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl TriFuzzy {
         }
     }
 
-    /// Centre-of-gravity style defuzzification `(a + 2b + c) / 4`.
-    pub fn defuzzify(self) -> f64 {
-        (self.a + 2.0 * self.b + self.c) / 4.0
-    }
-
     /// Possibility measure `Pos(self <= other)`: degree to which the
     /// completion can meet the due date (optimistic agreement index).
     pub fn possibility_le(self, other: TriFuzzy) -> f64 {
@@ -181,21 +176,6 @@ impl FuzzyFlowShop {
             .sum::<f64>()
             / n
     }
-
-    /// Defuzzified makespan of a permutation (for speed comparisons).
-    pub fn makespan_defuzzified(&self, perm: &[usize]) -> f64 {
-        let m = self.n_machines();
-        let mut frontier = vec![TriFuzzy::crisp(0.0); m];
-        for &j in perm {
-            let mut prev = frontier[0].add(self.proc[j][0]);
-            frontier[0] = prev;
-            for k in 1..m {
-                prev = prev.max(frontier[k]).add(self.proc[j][k]);
-                frontier[k] = prev;
-            }
-        }
-        frontier[m - 1].defuzzify()
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +189,6 @@ mod tests {
         let y = TriFuzzy::new(2.0, 2.0, 4.0);
         assert_eq!(x.add(y), TriFuzzy::new(3.0, 4.0, 7.0));
         assert_eq!(x.max(y), TriFuzzy::new(2.0, 2.0, 4.0));
-        assert!((x.defuzzify() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -244,7 +223,9 @@ mod tests {
         let fz = FuzzyFlowShop::from_crisp(&inst, 0.0, 1.5);
         let perm: Vec<usize> = (0..6).collect();
         let crisp = crate::decoder::flow::FlowDecoder::new(&inst).makespan(&perm) as f64;
-        assert!((fz.makespan_defuzzified(&perm) - crisp).abs() < 1e-9);
+        // The last job of the permutation completes at the makespan.
+        let last = fz.completion_times(&perm)[5];
+        assert_eq!(last, TriFuzzy::crisp(crisp));
     }
 
     #[test]

@@ -287,12 +287,6 @@ impl GenSpec {
         self
     }
 
-    /// Overrides the flexible-shop operations-per-job count.
-    pub fn with_ops_per_job(mut self, ops: usize) -> Self {
-        self.ops_per_job = Some(ops);
-        self
-    }
-
     /// Overrides the flexible-shop machine-subset density (percent).
     pub fn with_density_pct(mut self, pct: u8) -> Self {
         self.density_pct = pct;
@@ -498,9 +492,11 @@ mod tests {
         let specs = [
             GenSpec::new(Family::Job, 10, 5, 42),
             GenSpec::new(Family::Flow, 20, 5, 0).with_times(5, 20),
-            GenSpec::new(Family::Flexible, 6, 4, 9)
-                .with_ops_per_job(3)
-                .with_density_pct(75),
+            GenSpec {
+                ops_per_job: Some(3),
+                ..GenSpec::new(Family::Flexible, 6, 4, 9)
+            }
+            .with_density_pct(75),
             GenSpec::new(Family::Open, 8, 8, u64::MAX),
         ];
         for spec in specs {
@@ -567,10 +563,12 @@ mod tests {
             .with_density_pct(101)
             .build()
             .is_err());
-        assert!(GenSpec::new(Family::Flexible, 3, 3, 1)
-            .with_ops_per_job(0)
-            .build()
-            .is_err());
+        assert!(GenSpec {
+            ops_per_job: Some(0),
+            ..GenSpec::new(Family::Flexible, 3, 3, 1)
+        }
+        .build()
+        .is_err());
         assert!(GenSpec::new(Family::Job, 20_000, 3, 1).build().is_err());
     }
 

@@ -169,63 +169,6 @@ impl<'a> DisjunctiveGraph<'a> {
     pub fn makespan(&self) -> ShopResult<Time> {
         Ok(self.longest_path_schedule()?.makespan())
     }
-
-    /// Extracts one critical path: a chain of `(job, op)` whose arcs are
-    /// all tight (`start(to) == start(from) + weight`) ending at an
-    /// operation that completes at the makespan. Critical operations are
-    /// the targets of the THX-style neighbourhood moves in the job-shop
-    /// local-search literature.
-    pub fn critical_path(&self) -> ShopResult<Vec<(usize, usize)>> {
-        let order = self.topological_order()?;
-        let mut start = vec![0 as Time; self.len()];
-        for j in 0..self.inst.n_jobs() {
-            start[self.offsets[j]] = self.inst.release(j);
-        }
-        // Track the tight predecessor of every node.
-        let mut pred = vec![usize::MAX; self.len()];
-        for &v in &order {
-            for a in &self.adj[v] {
-                let cand = start[v] + a.weight;
-                if cand > start[a.to] {
-                    start[a.to] = cand;
-                    pred[a.to] = v;
-                }
-            }
-        }
-        // Find the sink: the op with the latest completion.
-        let mut sink = 0usize;
-        let mut best_end = 0;
-        for j in 0..self.inst.n_jobs() {
-            for s in 0..self.inst.n_ops(j) {
-                let v = self.offsets[j] + s;
-                let end = start[v] + self.inst.op(j, s).duration;
-                if end > best_end {
-                    best_end = end;
-                    sink = v;
-                }
-            }
-        }
-        // Walk tight predecessors back to a source.
-        let mut chain = Vec::new();
-        let mut v = sink;
-        loop {
-            chain.push(self.node_to_op(v));
-            if pred[v] == usize::MAX {
-                break;
-            }
-            v = pred[v];
-        }
-        chain.reverse();
-        Ok(chain)
-    }
-
-    fn node_to_op(&self, v: usize) -> (usize, usize) {
-        let j = match self.offsets.binary_search(&v) {
-            Ok(exact) => exact.min(self.inst.n_jobs() - 1),
-            Err(ins) => ins - 1,
-        };
-        (j, v - self.offsets[j])
-    }
 }
 
 /// Extracts per-machine `(job, op)` orders from an operation sequence
@@ -341,36 +284,6 @@ mod tests {
         // Blocking: J1 cannot enter M0 before J0 *starts* on M1 at t=3 —
         // same here; makespan still 9 but the arc structure differs.
         assert_eq!(s.makespan(), 9);
-    }
-
-    #[test]
-    fn critical_path_is_tight_and_ends_at_makespan() {
-        let inst = job_shop_uniform(&GenConfig::new(5, 4, 12));
-        let seq: Vec<usize> = (0..4).flat_map(|_| 0..5).collect();
-        let orders = machine_orders_from_sequence(&inst, &seq);
-        let g = DisjunctiveGraph::from_machine_orders(&inst, &orders, false);
-        let sched = g.longest_path_schedule().unwrap();
-        let chain = g.critical_path().unwrap();
-        assert!(!chain.is_empty());
-        // The chain's last op completes exactly at the makespan.
-        let (lj, ls) = *chain.last().unwrap();
-        let last = sched
-            .ops
-            .iter()
-            .find(|o| o.job == lj && o.op == ls)
-            .unwrap();
-        assert_eq!(last.end, sched.makespan());
-        // The first op of the chain starts at its release (a source).
-        let (fj, fs) = chain[0];
-        let first = sched
-            .ops
-            .iter()
-            .find(|o| o.job == fj && o.op == fs)
-            .unwrap();
-        assert_eq!(first.start, inst.release(fj));
-        // Total chain length is plausible: durations sum to the makespan.
-        let total: u64 = chain.iter().map(|&(j, s)| inst.op(j, s).duration).sum();
-        assert_eq!(total, sched.makespan());
     }
 
     #[test]

@@ -254,11 +254,6 @@ pub fn abz_like(index: u32) -> Benchmark {
     }
 }
 
-/// All embedded exact benchmarks.
-pub fn all_exact() -> Vec<Benchmark> {
-    vec![ft06(), ft10(), ft20(), la01()]
-}
-
 /// Textbook 5×3 permutation flow shop. Small enough that the optimal
 /// permutation makespan (46, over all 120 permutations) is verified by
 /// exhaustive search in the decoder test suite, so it anchors both the
@@ -308,6 +303,11 @@ pub fn flex03() -> FlexibleInstance {
 mod tests {
     use super::*;
     use crate::Problem;
+
+    /// All embedded exact benchmarks.
+    fn all_exact() -> Vec<Benchmark> {
+        vec![ft06(), ft10(), ft20(), la01()]
+    }
 
     #[test]
     fn shapes_are_correct() {

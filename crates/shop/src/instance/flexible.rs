@@ -151,16 +151,6 @@ impl FlexibleInstance {
             .unwrap_or(1)
     }
 
-    /// Upper bound on schedule length: sum of the *slowest* alternative of
-    /// every operation.
-    pub fn total_work_upper(&self) -> Time {
-        self.jobs
-            .iter()
-            .flatten()
-            .map(|op| op.choices.iter().map(|&(_, d)| d).max().unwrap_or(0))
-            .sum()
-    }
-
     /// Lower bound: longest job route using fastest alternatives.
     pub fn makespan_lower_bound(&self) -> Time {
         self.jobs
@@ -316,7 +306,6 @@ mod tests {
     fn bounds() {
         let inst = two_stage();
         assert_eq!(inst.makespan_lower_bound(), 7); // job 0: 4+3, job 1: 2+5
-        assert_eq!(inst.total_work_upper(), 6 + 3 + 2 + 5);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl JobMeta {
             weight: vec![1.0; n_jobs],
         }
     }
-
-    /// True when every release is zero (the common benchmark setting).
-    pub fn trivial_releases(&self) -> bool {
-        self.release.iter().all(|&r| r == 0)
-    }
 }
 
 #[cfg(test)]
@@ -81,6 +76,5 @@ mod tests {
         let m = JobMeta::neutral(4);
         assert_eq!(m.release, vec![0; 4]);
         assert_eq!(m.weight.len(), 4);
-        assert!(m.trivial_releases());
     }
 }

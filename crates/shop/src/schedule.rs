@@ -57,11 +57,6 @@ impl Schedule {
         self.ops.iter().map(|o| o.end).max().unwrap_or(0)
     }
 
-    /// Start time of the whole schedule (usually 0).
-    pub fn start_time(&self) -> Time {
-        self.ops.iter().map(|o| o.start).min().unwrap_or(0)
-    }
-
     /// Ops scheduled on `machine`, ordered by start time.
     pub fn machine_sequence(&self, machine: usize) -> Vec<ScheduledOp> {
         let mut v: Vec<ScheduledOp> = self

@@ -199,15 +199,6 @@ fn open_lpt_decoders_feasible_on_latin3_and_generated() {
         s.validate_open(&latin).expect("lpt_task infeasible");
         assert!(s.makespan() >= lb);
         assert_eq!(s.makespan(), d.lpt_task_makespan(&seq));
-
-        // Machine-sequence chromosome: each machine id n times.
-        let mut mseq: Vec<usize> = (0..latin.n_machines())
-            .flat_map(|m| std::iter::repeat_n(m, latin.n_jobs()))
-            .collect();
-        mseq.shuffle(&mut rng);
-        let s = d.lpt_machine(&mseq);
-        s.validate_open(&latin).expect("lpt_machine infeasible");
-        assert!(s.makespan() >= lb);
     }
 
     let gen = open_shop_uniform(&GenConfig::new(6, 5, 99));

@@ -49,9 +49,9 @@ fn main() {
     );
 
     let best = ga::run(&mut islands, &Termination::Generations(200), &mut ());
-    let neh = decoder.makespan(&decoder.neh());
+    let (_, heuristic) = shop::decoder::heuristics::best_heuristic(&inst);
     println!("island GA best makespan: {}", best.cost);
-    println!("NEH heuristic reference: {neh}");
+    println!("best of NEH/CDS/Palmer:  {heuristic}");
     println!("lower bound:             {}", inst.makespan_lower_bound());
     println!(
         "migrations: {} messages / {} individuals",

@@ -114,9 +114,10 @@ fn cost_model_orders_platforms_consistently_with_telemetry() {
         IslandConfig::new(MigrationConfig::ring(5, 1)),
     );
     ga::run(&mut ig, &Termination::Generations(20), &mut ());
+    let per_gen = &ig.telemetry.evals_per_generation;
     let shape = hpc::model::RunShape {
         generations: ig.telemetry.generations,
-        evals_per_gen: ig.telemetry.mean_evals_per_gen() as u64,
+        evals_per_gen: per_gen.iter().sum::<u64>() / per_gen.len() as u64,
         eval_s: 2e-6,
         serial_gen_s: 1e-6,
         genome_bytes: 200.0,
