@@ -28,8 +28,18 @@
 //! `ServeConfig::workers` and size `ServeConfig::racer_pool` to the
 //! hardware (the admission limit `max_queue_depth` then sheds the
 //! excess as `busy` instead of letting races starve each other).
+//!
+//! A hit costs a lookup and a copy. `SpecMemo` maps a request's
+//! instance spec (a name, or a family plus the exact inline text) to
+//! its canonical hash, so a repeated request finds its [`CacheKey`]
+//! without building the instance; it compares whole specs, stores
+//! only specs that loaded, and holds at most `cache_capacity` specs
+//! and `SPEC_MEMO_BYTES` (4 MiB) of text. Each entry keeps its
+//! schedule's encoded wire array once its first hit has built it
+//! (lazily, because most entries of a cold stream are never hit), and
+//! replies splice it in as [`crate::json::Json::Raw`].
 
-use crate::protocol::{Objective, Solution};
+use crate::protocol::{InstanceSpec, Objective, Solution};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -76,7 +86,25 @@ impl CachedSolve {
 struct Entry {
     stamp: u64,
     solve: CachedSolve,
+    /// `solve.solution`'s schedule encoded as its wire array, once a
+    /// hit has built it (see [`SolutionCache::keep_schedule`]); dropped
+    /// whenever the entry's solution changes.
+    schedule: Option<Arc<str>>,
 }
+
+impl Entry {
+    fn new(stamp: u64, solve: CachedSolve) -> Entry {
+        Entry {
+            stamp,
+            solve,
+            schedule: None,
+        }
+    }
+}
+
+/// A cache lookup: the entry, and its encoded `"schedule"` array when
+/// an earlier hit has already built it.
+pub(crate) type Lookup = (CachedSolve, Option<Arc<str>>);
 
 /// A fixed-capacity least-recently-used map from [`CacheKey`] to the
 /// memoised [`CachedSolve`]. Recency is tracked with a monotonic stamp;
@@ -148,25 +176,43 @@ impl SolutionCache {
 
     /// Looks up and touches (marks most-recently-used) an entry.
     pub fn get(&mut self, key: &CacheKey) -> Option<CachedSolve> {
+        self.lookup(key).map(|(solve, _)| solve)
+    }
+
+    /// [`SolutionCache::get`], plus the entry's stored encoded schedule
+    /// when it has one.
+    pub(crate) fn lookup(&mut self, key: &CacheKey) -> Option<Lookup> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|e| {
             e.stamp = clock;
-            e.solve.clone()
+            (e.solve.clone(), e.schedule.clone())
         })
+    }
+
+    /// Stores `schedule`, the encoded wire array of `solution`'s
+    /// schedule, in `key`'s entry — only while that entry still holds
+    /// this very `solution` (`Arc::ptr_eq`), so a fragment built outside
+    /// the lock can never be attached to a solution that replaced it in
+    /// the meantime. Touches nothing else, recency included.
+    pub(crate) fn keep_schedule(
+        &mut self,
+        key: &CacheKey,
+        solution: &Arc<Solution>,
+        schedule: Arc<str>,
+    ) {
+        if let Some(e) = self.map.get_mut(key) {
+            if Arc::ptr_eq(&e.solve.solution, solution) {
+                e.schedule = Some(schedule);
+            }
+        }
     }
 
     /// Inserts (or replaces) an entry, evicting the least-recently-used
     /// one when over capacity.
     pub fn insert(&mut self, key: CacheKey, solve: CachedSolve) {
         self.clock += 1;
-        self.map.insert(
-            key,
-            Entry {
-                stamp: self.clock,
-                solve,
-            },
-        );
+        self.map.insert(key, Entry::new(self.clock, solve));
         self.evict_lru_if_over_capacity();
     }
 
@@ -193,16 +239,11 @@ impl SolutionCache {
             cur.budget_ms = cur.budget_ms.max(solve.budget_ms);
             if solve.solution.value < cur.solution.value {
                 cur.solution = solve.solution;
+                e.schedule = None;
             }
             return cur.clone();
         }
-        self.map.insert(
-            key,
-            Entry {
-                stamp,
-                solve: solve.clone(),
-            },
-        );
+        self.map.insert(key, Entry::new(stamp, solve.clone()));
         self.evict_lru_if_over_capacity();
         solve
     }
@@ -272,6 +313,29 @@ impl ShardedCache {
         self.shard_of(key).lock().expect("cache poisoned").get(key)
     }
 
+    /// Looks up and touches an entry in its shard; see
+    /// [`SolutionCache::lookup`].
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Lookup> {
+        self.shard_of(key)
+            .lock()
+            .expect("cache poisoned")
+            .lookup(key)
+    }
+
+    /// Stores an encoded schedule in its shard; see
+    /// [`SolutionCache::keep_schedule`].
+    pub(crate) fn keep_schedule(
+        &self,
+        key: &CacheKey,
+        solution: &Arc<Solution>,
+        schedule: Arc<str>,
+    ) {
+        self.shard_of(key)
+            .lock()
+            .expect("cache poisoned")
+            .keep_schedule(key, solution, schedule)
+    }
+
     /// Same-key merge insert in the key's shard; see
     /// [`SolutionCache::insert_best`].
     pub fn insert_best(&self, key: CacheKey, solve: CachedSolve) -> CachedSolve {
@@ -292,6 +356,116 @@ impl ShardedCache {
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Stored-text budget of a [`SpecMemo`]: the names and inline instance
+/// texts it keeps add up to at most this many bytes. A 2000-operation
+/// inline instance is ~20 KB of text, so the budget holds a couple of
+/// hundred of them; a spec larger than the whole budget is not
+/// memoised at all.
+pub(crate) const SPEC_MEMO_BYTES: usize = 4 << 20;
+
+/// A bounded LRU map from a request's [`InstanceSpec`] — a name, or a
+/// family plus the exact inline text — to the canonical hash its
+/// instance loaded to. With it a repeated request finds its
+/// [`CacheKey`] without regenerating, parsing or hashing the instance.
+///
+/// Lookups compare whole specs (`HashMap` equality compares the full
+/// text), never a hash of the text alone, so an inline text one byte
+/// away from a memoised one misses and is loaded as its own instance.
+/// Callers insert only specs that loaded successfully. Two bounds hold
+/// at once: at most `capacity` entries (the server passes its
+/// `cache_capacity`) and at most `budget` bytes of stored text
+/// ([`SPEC_MEMO_BYTES`] in the server); the least-recently-used specs
+/// go first.
+pub(crate) struct SpecMemo {
+    inner: std::sync::Mutex<MemoInner>,
+}
+
+struct MemoInner {
+    /// Spec → (canonical hash, recency stamp). Specs arrive from the
+    /// network, so the map keeps std's keyed hasher: a client cannot
+    /// craft texts that collide into one bucket.
+    map: HashMap<InstanceSpec, (u64, u64)>,
+    capacity: usize,
+    budget: usize,
+    bytes: usize,
+    clock: u64,
+}
+
+/// The text bytes a memoised spec keeps.
+fn spec_bytes(spec: &InstanceSpec) -> usize {
+    match spec {
+        InstanceSpec::Named(name) => name.len(),
+        InstanceSpec::Inline { text, .. } => text.len(),
+    }
+}
+
+impl SpecMemo {
+    /// An empty memo of at most `capacity` specs (>= 1) and `budget`
+    /// bytes of stored text.
+    pub(crate) fn new(capacity: usize, budget: usize) -> Self {
+        assert!(capacity >= 1, "memo capacity must be at least 1");
+        SpecMemo {
+            inner: std::sync::Mutex::new(MemoInner {
+                map: HashMap::new(),
+                capacity,
+                budget,
+                bytes: 0,
+                clock: 0,
+            }),
+        }
+    }
+
+    /// The canonical hash `spec` loaded to, if memoised (touches it).
+    pub(crate) fn get(&self, spec: &InstanceSpec) -> Option<u64> {
+        let mut m = self.inner.lock().expect("memo poisoned");
+        m.clock += 1;
+        let clock = m.clock;
+        m.map.get_mut(spec).map(|(hash, stamp)| {
+            *stamp = clock;
+            *hash
+        })
+    }
+
+    /// Memoises `spec` → `hash`, evicting least-recently-used specs
+    /// until both bounds hold. A spec over the whole byte budget is
+    /// skipped.
+    pub(crate) fn insert(&self, spec: &InstanceSpec, hash: u64) {
+        let size = spec_bytes(spec);
+        let mut m = self.inner.lock().expect("memo poisoned");
+        if size > m.budget {
+            return;
+        }
+        m.clock += 1;
+        let stamp = m.clock;
+        match m.map.get_mut(spec) {
+            Some(slot) => *slot = (hash, stamp),
+            None => {
+                m.map.insert(spec.clone(), (hash, stamp));
+                m.bytes += size;
+            }
+        }
+        let MemoInner {
+            map,
+            capacity,
+            budget,
+            bytes,
+            ..
+        } = &mut *m;
+        while map.len() > *capacity || *bytes > *budget {
+            let Some(oldest) = map.values().map(|&(_, stamp)| stamp).min() else {
+                break;
+            };
+            // Stamps are unique, so this drops exactly the LRU spec.
+            map.retain(|spec, &mut (_, stamp)| {
+                if stamp == oldest {
+                    *bytes -= spec_bytes(spec);
+                }
+                stamp != oldest
+            });
+        }
     }
 }
 
@@ -539,6 +713,96 @@ mod tests {
         assert_eq!(merged.solution.makespan, 40);
         assert_eq!(merged.budget_ms, 107, "max budget over all inserts");
         assert!(!merged.deadline_bound, "one complete race proves the key");
+    }
+
+    #[test]
+    fn encoded_schedule_is_kept_only_for_the_solution_it_encodes() {
+        let mut c = SolutionCache::new(4);
+        c.insert(key(1), solve(60));
+        assert_eq!(
+            c.lookup(&key(1)).unwrap().1,
+            None,
+            "built lazily, not on insert"
+        );
+        let held = c.get(&key(1)).unwrap().solution;
+        // A fragment built for some other solution is refused.
+        c.keep_schedule(&key(1), &solve(60).solution, "[[9]]".into());
+        assert_eq!(c.lookup(&key(1)).unwrap().1, None);
+        c.keep_schedule(&key(1), &held, "[]".into());
+        assert_eq!(c.lookup(&key(1)).unwrap().1.as_deref(), Some("[]"));
+        // A merge that keeps the solution keeps the fragment...
+        c.insert_best(key(1), solve(70));
+        assert_eq!(c.lookup(&key(1)).unwrap().1.as_deref(), Some("[]"));
+        // ...one that replaces it drops the fragment with it.
+        c.insert_best(key(1), solve(55));
+        let (entry, schedule) = c.lookup(&key(1)).unwrap();
+        assert_eq!(entry.solution.makespan, 55);
+        assert_eq!(schedule, None);
+        // A late store for the replaced solution stays refused.
+        c.keep_schedule(&key(1), &held, "[]".into());
+        assert_eq!(c.lookup(&key(1)).unwrap().1, None);
+        // Through the sharded front too.
+        let sharded = ShardedCache::new(4, 2);
+        sharded.insert_best(key(2), solve(5));
+        let sol = sharded.get(&key(2)).unwrap().solution;
+        sharded.keep_schedule(&key(2), &sol, "[]".into());
+        assert_eq!(sharded.lookup(&key(2)).unwrap().1.as_deref(), Some("[]"));
+    }
+
+    fn named(name: &str) -> InstanceSpec {
+        InstanceSpec::Named(name.into())
+    }
+
+    fn memo_len(m: &SpecMemo) -> (usize, usize) {
+        let inner = m.inner.lock().unwrap();
+        (inner.map.len(), inner.bytes)
+    }
+
+    #[test]
+    fn spec_memo_keeps_at_most_capacity_specs() {
+        let m = SpecMemo::new(2, SPEC_MEMO_BYTES);
+        m.insert(&named("a"), 1);
+        m.insert(&named("b"), 2);
+        assert_eq!(m.get(&named("a")), Some(1)); // touch: b is now the LRU
+        m.insert(&named("c"), 3);
+        assert_eq!(memo_len(&m), (2, 2));
+        assert_eq!(m.get(&named("b")), None);
+        assert_eq!(m.get(&named("a")), Some(1));
+        assert_eq!(m.get(&named("c")), Some(3));
+        // Re-inserting a memoised spec neither grows nor double-counts.
+        m.insert(&named("c"), 3);
+        assert_eq!(memo_len(&m), (2, 2));
+    }
+
+    #[test]
+    fn spec_memo_keeps_at_most_its_byte_budget() {
+        let inline = |text: &str| InstanceSpec::Inline {
+            family: shop::gen::Family::Job,
+            text: text.into(),
+        };
+        let m = SpecMemo::new(16, 10);
+        m.insert(&inline("1 1\n0 5"), 7); // 7 bytes
+        m.insert(&named("ft06"), 8); // 4 bytes: 11 > 10, the text goes
+        assert_eq!(m.get(&inline("1 1\n0 5")), None);
+        assert_eq!(m.get(&named("ft06")), Some(8));
+        assert_eq!(memo_len(&m), (1, 4));
+        // A spec larger than the whole budget is not memoised and
+        // evicts nothing.
+        m.insert(&inline("1 1\n0 50000"), 9);
+        assert_eq!(m.get(&inline("1 1\n0 50000")), None);
+        assert_eq!(memo_len(&m), (1, 4));
+        // Lookups compare whole texts: one byte away is a miss.
+        m.insert(&inline("1 1\n0 6"), 10);
+        assert_eq!(m.get(&inline("1 1\n0 6")), Some(10));
+        assert_eq!(m.get(&inline("1 1\n0 7")), None);
+        assert_eq!(
+            m.get(&InstanceSpec::Inline {
+                family: shop::gen::Family::Flow,
+                text: "1 1\n0 6".into(),
+            }),
+            None,
+            "same text, other family"
+        );
     }
 
     #[test]

@@ -6,9 +6,19 @@
 //! Numbers are stored as `f64`; integers are emitted without a decimal
 //! point and [`Json::as_u64`] only succeeds on exact non-negative
 //! integers, so `u64` fields survive a round trip unchanged up to
-//! 2^53 - 1 (documented protocol limit for seeds and ids).
+//! 2^53 - 1 (documented protocol limit for seeds and ids). Numbers are
+//! formatted straight into the output buffer, with no allocation per
+//! number.
+//!
+//! [`Json::Raw`] holds text that is already encoded and is written
+//! verbatim. The parser never produces it. It lets a cache hit splice
+//! the entry's stored `"schedule"` array into its reply (see
+//! [`crate::cache`]), so a replay copies one string instead of
+//! rebuilding and re-encoding a tree of thousands of nodes; the bytes
+//! on the wire are the same either way.
 
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +36,11 @@ pub enum Json {
     /// Object as an insertion-ordered key/value list (duplicate keys are
     /// rejected by the parser).
     Obj(Vec<(String, Json)>),
+    /// Already-encoded JSON, written verbatim by [`Json::encode`]. The
+    /// parser never produces it; the server uses it to splice a cache
+    /// entry's stored `"schedule"` array into a reply without
+    /// rebuilding the tree. The text must be one valid JSON value.
+    Raw(Arc<str>),
 }
 
 /// Parse failure with a byte offset into the input.
@@ -111,6 +126,7 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(v) => write_number(*v, out),
             Json::Str(s) => write_string(s, out),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -173,11 +189,13 @@ impl From<String> for Json {
     }
 }
 
+// Writing into a `String` cannot fail, so the `fmt::Result`s below
+// are discarded.
 fn write_number(v: f64, out: &mut String) {
     if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -190,7 +208,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -610,6 +630,37 @@ mod tests {
         // Large-but-representable magnitudes still parse.
         assert!(parse("1e308").is_ok());
         assert_eq!(parse("-7.25e2").unwrap().as_f64(), Some(-725.0));
+    }
+
+    #[test]
+    fn number_encoding_is_pinned() {
+        let enc = |v: f64| Json::Num(v).encode();
+        // Integers below 2^53 print without a decimal point.
+        assert_eq!(enc(0.0), "0");
+        assert_eq!(enc(-0.0), "0");
+        assert_eq!(enc(42.0), "42");
+        assert_eq!(enc(-7.0), "-7");
+        assert_eq!(enc(9_007_199_254_740_991.0), "9007199254740991");
+        // Fractions use the shortest round-tripping decimal.
+        assert_eq!(enc(3.5), "3.5");
+        assert_eq!(enc(-0.25), "-0.25");
+        assert_eq!(enc(0.1), "0.1");
+        assert_eq!(enc(1e-7), "0.0000001");
+        // From 2^53 up, f64's Display: full decimal digits, no exponent.
+        assert_eq!(enc(9_007_199_254_740_992.0), "9007199254740992");
+        assert_eq!(enc(-1.5e19), "-15000000000000000000");
+        assert_eq!(enc(1e21), "1000000000000000000000");
+    }
+
+    #[test]
+    fn raw_text_is_written_verbatim() {
+        let tree = parse(r#"[[0,1,2,0,5],[1,0,2,5,9]]"#).unwrap();
+        let raw = Json::Raw(tree.encode().into());
+        let spliced = obj([("a", 1u64.into()), ("s", raw), ("z", Json::Null)]);
+        let built = obj([("a", 1u64.into()), ("s", tree), ("z", Json::Null)]);
+        assert_eq!(spliced.encode(), built.encode());
+        // Parsing the spliced bytes yields the ordinary tree again.
+        assert_eq!(parse(&spliced.encode()).unwrap(), built);
     }
 
     #[test]

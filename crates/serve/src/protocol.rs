@@ -32,6 +32,7 @@ use shop::gen::GenSpec;
 use shop::instance::Op;
 use shop::schedule::{Schedule, ScheduledOp};
 use shop::Problem;
+use std::sync::Arc;
 
 pub use shop::gen::Family;
 
@@ -984,12 +985,20 @@ pub(crate) fn extended<'a>(body: Json, fields: impl IntoIterator<Item = (&'a str
 
 /// Builds a successful solve response body (also used verbatim as a
 /// batch item entry and a generate response's `solution` field).
+/// `schedule`, when given, is `sol.schedule` already encoded as its
+/// wire array (a cache entry's stored fragment) and is spliced in as
+/// [`Json::Raw`]; the bytes are the same as building it afresh.
 pub fn solution_json(
     id: Option<&str>,
     sol: &Solution,
+    schedule: Option<Arc<str>>,
     cached: bool,
     telemetry: &RequestTelemetry,
 ) -> Json {
+    let schedule = match schedule {
+        Some(encoded) => Json::Raw(encoded),
+        None => schedule_to_json(&sol.schedule),
+    };
     reply(
         id,
         "ok",
@@ -999,7 +1008,7 @@ pub fn solution_json(
             ("makespan", sol.makespan.into()),
             ("model", sol.model.as_str().into()),
             ("cached", cached.into()),
-            ("schedule", schedule_to_json(&sol.schedule)),
+            ("schedule", schedule),
             ("telemetry", telemetry_to_json(telemetry)),
         ],
     )
@@ -1012,7 +1021,15 @@ pub fn encode_solution(
     cached: bool,
     telemetry: &RequestTelemetry,
 ) -> String {
-    solution_json(id, sol, cached, telemetry).encode()
+    solution_json(id, sol, None, cached, telemetry).encode()
+}
+
+/// Sends `line` plus its terminating newline in one `write_all`, so a
+/// wire line leaves as one write (`writeln!` on a socket issues two,
+/// which under `TCP_NODELAY` means two segments).
+pub(crate) fn write_line(w: &mut impl std::io::Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// Builds an error response body (also used as a batch item entry).

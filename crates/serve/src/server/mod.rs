@@ -33,16 +33,16 @@
 //! lifecycle and its durability; `metrics` the counters, histograms and
 //! the periodic stderr summary.
 
-use crate::cache::ShardedCache;
+use crate::cache::{ShardedCache, SpecMemo, SPEC_MEMO_BYTES};
 use crate::json::{obj, Json};
 use crate::obs::metrics::Registry;
 use crate::obs::trace::{Trace, TraceRing};
-use crate::protocol::{encode_error, extended, parse_request, Request, WatchTarget};
+use crate::protocol::{encode_error, extended, parse_request, write_line, Request, WatchTarget};
 use crate::scheduler::RacerPool;
 use crate::wal::{SessionGauges, SessionStore};
 use crate::watch::WatchHub;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -199,6 +199,10 @@ struct Shared {
     ready: Condvar,
     shutdown: AtomicBool,
     cache: ShardedCache,
+    /// Request spec → canonical instance hash, so a repeated request
+    /// finds its cache key without building the instance (see
+    /// [`SpecMemo`]).
+    memo: SpecMemo,
     /// The persistent racer pool every race on this service shares
     /// (see [`crate::scheduler`]): compute threads are bounded by its
     /// size plus the worker count, independent of in-flight requests.
@@ -259,6 +263,7 @@ impl Service {
         let sessions = SessionStore::new(&config, &stats, Arc::clone(&metrics.wal_append_us))?;
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            memo: SpecMemo::new(config.cache_capacity, SPEC_MEMO_BYTES),
             pool: RacerPool::new(config.racer_pool),
             sessions,
             traces: TraceRing::new(config.trace_ring),
@@ -521,7 +526,7 @@ fn handle_connection(stream: TcpStream, queue_wait: Duration, shared: &Shared) {
                 return;
             }
             Ok(LineRead::TooLarge) => {
-                let _ = writeln!(writer, "{}", encode_error(None, "request too large"));
+                let _ = write_line(&mut writer, encode_error(None, "request too large"));
                 return;
             }
             Ok(LineRead::Line) => {
@@ -565,8 +570,7 @@ fn respond(
     let wait = queue_wait.take().unwrap_or(Duration::ZERO);
     match handle_line(&text, wait, shared) {
         LineOutcome::Reply(response, stop) => {
-            writeln!(writer, "{response}")?;
-            writer.flush()?;
+            write_line(writer, response)?;
             Ok(!stop)
         }
         LineOutcome::Watch(target, parse_us) => {

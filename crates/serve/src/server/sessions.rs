@@ -2,13 +2,13 @@
 //! watched), `session_get`, `session_events` and `session_close`, over
 //! the durable [`crate::wal::SessionStore`].
 
-use super::solve::{fail_json, solve_core, SolveJob};
+use super::solve::{fail_json, solve_core, JobInstance, SolveJob};
 use super::{attach_trace, start_trace, Shared};
 use crate::json::{obj, Json};
 use crate::obs::trace::WatchSink;
 use crate::protocol::{
-    encode_error, error_json, extended, reply, schedule_to_json, solution_json,
-    SessionEventRequest, SessionOpenRequest, SessionRef,
+    encode_error, error_json, extended, reply, schedule_to_json, SessionEventRequest,
+    SessionOpenRequest, SessionRef,
 };
 use crate::session::{handle_event_hooked, ResolveSkip, SessionState};
 use crate::solver::{load_instance, LoadedInstance};
@@ -66,7 +66,7 @@ pub(super) fn handle_session_open(
         );
     };
     let solve = SolveJob::new(
-        &inst,
+        JobInstance::loaded(Arc::clone(&inst)),
         req.objective,
         req.seed,
         req.deadline_ms,
@@ -92,7 +92,7 @@ pub(super) fn handle_session_open(
         tr.session = Some(session.clone());
     }
     let body = extended(
-        solution_json(id, &out.solution, out.cached, &out.telemetry),
+        out.body(id),
         [
             ("session", session.as_str().into()),
             ("now", 0u64.into()),

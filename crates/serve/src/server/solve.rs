@@ -8,13 +8,13 @@ use crate::json::{obj, Json};
 use crate::obs::phase::PhaseAcc;
 use crate::obs::trace::{Trace, WatchSink};
 use crate::protocol::{
-    busy_json, encode_error, error_json, reply, solution_json, BatchItem, BatchRequest,
-    BatchSource, GenerateRequest, Objective, Solution, SolveRequest, WatchTarget,
+    busy_json, encode_error, error_json, reply, schedule_to_json, solution_json, write_line,
+    BatchItem, BatchRequest, BatchSource, GenerateRequest, InstanceSpec, Objective, Solution,
+    SolveRequest, WatchTarget,
 };
-use crate::solver::{load_instance, solve_hooked, LoadedInstance, SolveHooks};
+use crate::solver::{load_instance, solve_hooked, LoadError, LoadedInstance, SolveHooks};
 use pga::telemetry::RequestTelemetry;
 use shop::schedule::Schedule;
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,10 +28,63 @@ pub(super) fn effective_deadline_ms(requested: u64, config: &ServeConfig) -> u64
     }
 }
 
+/// A job's instance as far as the cache needs it: always its canonical
+/// hash, and the instance itself only once something had to build it.
+#[derive(Clone)]
+pub(super) enum JobInstance<'a> {
+    /// Materialised: generated, opened as a session, or loaded because
+    /// the spec memo did not know the request's spec.
+    Loaded {
+        inst: Arc<LoadedInstance>,
+        hash: u64,
+    },
+    /// A request spec the memo maps to its hash. [`solve_core`] loads
+    /// it only when the cache cannot answer.
+    Memoised { spec: &'a InstanceSpec, hash: u64 },
+}
+
+impl<'a> JobInstance<'a> {
+    /// An instance already in hand.
+    pub(super) fn loaded(inst: Arc<LoadedInstance>) -> JobInstance<'a> {
+        let hash = inst.canonical_hash();
+        JobInstance::Loaded { inst, hash }
+    }
+
+    /// Resolves a request's spec: the memoised hash when the memo holds
+    /// the spec, so no instance is generated, parsed or hashed;
+    /// otherwise the loaded instance, whose spec is memoised on
+    /// success.
+    pub(super) fn resolve(
+        spec: &'a InstanceSpec,
+        shared: &Shared,
+    ) -> Result<JobInstance<'a>, LoadError> {
+        if let Some(hash) = shared.memo.get(spec) {
+            return Ok(JobInstance::Memoised { spec, hash });
+        }
+        let loaded = JobInstance::loaded(Arc::new(load_instance(spec)?));
+        shared.memo.insert(spec, loaded.hash());
+        Ok(loaded)
+    }
+
+    fn hash(&self) -> u64 {
+        match self {
+            JobInstance::Loaded { hash, .. } | JobInstance::Memoised { hash, .. } => *hash,
+        }
+    }
+
+    /// The instance, loading a memoised spec.
+    fn materialise(self) -> Result<Arc<LoadedInstance>, LoadError> {
+        match self {
+            JobInstance::Loaded { inst, .. } => Ok(inst),
+            JobInstance::Memoised { spec, .. } => load_instance(spec).map(Arc::new),
+        }
+    }
+}
+
 /// One cache-aware solve: what to solve, the budget it may spend, and
 /// who observes it.
 pub(super) struct SolveJob<'a> {
-    inst: &'a Arc<LoadedInstance>,
+    instance: JobInstance<'a>,
     objective: Objective,
     seed: u64,
     /// Absolute deadline of the race.
@@ -53,7 +106,7 @@ impl<'a> SolveJob<'a> {
     /// A job under a request's `deadline_ms` (0 = the service default,
     /// clamped to the maximum), starting now, untraced and unwatched.
     pub(super) fn new(
-        inst: &'a Arc<LoadedInstance>,
+        instance: JobInstance<'a>,
         objective: Objective,
         seed: u64,
         deadline_ms: u64,
@@ -62,7 +115,7 @@ impl<'a> SolveJob<'a> {
     ) -> SolveJob<'a> {
         let budget_ms = effective_deadline_ms(deadline_ms, &shared.config);
         SolveJob {
-            inst,
+            instance,
             objective,
             seed,
             deadline: Instant::now() + Duration::from_millis(budget_ms),
@@ -83,8 +136,23 @@ impl<'a> SolveJob<'a> {
 /// solution plus the telemetry describing how it was obtained.
 pub(super) struct CoreOutcome {
     pub(super) solution: Arc<Solution>,
+    /// A replay's stored encoded schedule, spliced into its body.
+    schedule: Option<Arc<str>>,
     pub(super) cached: bool,
     pub(super) telemetry: RequestTelemetry,
+}
+
+impl CoreOutcome {
+    /// The solve-shaped response body.
+    pub(super) fn body(&self, id: Option<&str>) -> Json {
+        solution_json(
+            id,
+            &self.solution,
+            self.schedule.clone(),
+            self.cached,
+            &self.telemetry,
+        )
+    }
 }
 
 /// Why [`solve_core`] could not answer.
@@ -103,7 +171,7 @@ pub(super) enum CoreFail {
 /// body — hence the split from [`solve_cached`]).
 pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutcome, CoreFail> {
     let SolveJob {
-        inst,
+        instance,
         objective,
         seed,
         deadline,
@@ -113,21 +181,22 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
         watch,
     } = job;
     let key = CacheKey {
-        instance: inst.canonical_hash(),
+        instance: instance.hash(),
         objective,
         seed,
     };
     // Fast path: a memoised solution that fully honours this request's
     // budget (only the key's cache shard is locked, for the lookup; no
-    // racer-pool work spent). A deadline-bound entry whose stored
-    // budget is smaller than this request's falls through to a re-race
-    // below — replaying it would silently answer a long-deadline
-    // request with short-deadline quality.
+    // racer-pool work spent, and a memoised spec builds no instance).
+    // A deadline-bound entry whose stored budget is smaller than this
+    // request's falls through to a re-race below — replaying it would
+    // silently answer a long-deadline request with short-deadline
+    // quality.
     let lookup_start = trace.as_deref().map(Trace::elapsed_us);
-    let prev = shared.cache.get(&key);
-    let replayable = prev
+    let found = shared.cache.lookup(&key);
+    let replayable = found
         .as_ref()
-        .is_some_and(|hit| hit.replayable_for(budget_ms));
+        .is_some_and(|(hit, _)| hit.replayable_for(budget_ms));
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), lookup_start) {
         tr.span(
             "cache_lookup",
@@ -135,10 +204,18 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
             vec![("hit".to_string(), replayable.into())],
         );
     }
-    if replayable {
-        // panic-safe: replayable is only set when prev matched Some above.
-        let hit = prev.as_ref().expect("replayable implies a cache entry");
+    if let (true, Some((hit, stored))) = (replayable, &found) {
         shared.stats.cache_hits.inc();
+        // The entry's first hit encodes its schedule, outside the shard
+        // lock, and stores it for later hits; encoding on insert instead
+        // would cost every entry that is never hit.
+        let schedule = stored.clone().unwrap_or_else(|| {
+            let encoded: Arc<str> = schedule_to_json(&hit.solution.schedule).encode().into();
+            shared
+                .cache
+                .keep_schedule(&key, &hit.solution, Arc::clone(&encoded));
+            encoded
+        });
         let telemetry = RequestTelemetry {
             queue_wait,
             cache_hit: true,
@@ -146,10 +223,12 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
         };
         return Ok(CoreOutcome {
             solution: Arc::clone(&hit.solution),
+            schedule: Some(schedule),
             cached: true,
             telemetry,
         });
     }
+    let prev = found.map(|(entry, _)| entry);
     // Admission control (after the cache lookup, so a saturated
     // service keeps answering cached traffic): a cold solve whose race
     // tasks would join a queue already past the limit is refused
@@ -174,6 +253,15 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
         shared.stats.busy_rejections.inc();
         return Err(CoreFail::Busy { depth });
     }
+    // Memoised specs only ever loaded successfully, and loading is
+    // deterministic, so this fails only on an internal fault.
+    let inst = match instance.materialise() {
+        Ok(inst) => inst,
+        Err(e) => {
+            shared.stats.errors.inc();
+            return Err(CoreFail::Internal(format!("internal: {e}")));
+        }
+    };
     shared.stats.cache_misses.inc();
 
     let solve_started = Instant::now();
@@ -186,7 +274,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
     let phases = Arc::new(PhaseAcc::new());
     let outcome = solve_hooked(
         &shared.pool,
-        inst,
+        &inst,
         objective,
         seed,
         deadline,
@@ -258,6 +346,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
             };
             return Ok(CoreOutcome {
                 solution: prev.solution,
+                schedule: None,
                 cached: true,
                 telemetry,
             });
@@ -308,6 +397,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
     }
     Ok(CoreOutcome {
         solution: merged.solution,
+        schedule: None,
         cached: false,
         telemetry,
     })
@@ -316,7 +406,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
 /// [`solve_core`] rendered as a solve-shaped response body.
 fn solve_cached(id: Option<&str>, job: SolveJob<'_>, shared: &Shared) -> Json {
     match solve_core(job, shared) {
-        Ok(out) => solution_json(id, &out.solution, out.cached, &out.telemetry),
+        Ok(out) => out.body(id),
         Err(fail) => fail_json(id, fail, shared),
     }
 }
@@ -378,8 +468,8 @@ fn watch_solve(
     shared: &Shared,
 ) -> std::io::Result<()> {
     let id = req.id.as_deref();
-    let inst = match load_instance(&req.instance) {
-        Ok(inst) => Arc::new(inst),
+    let instance = match JobInstance::resolve(&req.instance, shared) {
+        Ok(instance) => instance,
         Err(e) => return watch_error(writer, id, &e.to_string(), shared),
     };
     stream_race(writer, id, shared, |sink| {
@@ -387,7 +477,7 @@ fn watch_solve(
         let job = SolveJob {
             watch: Some(sink),
             ..SolveJob::new(
-                &inst,
+                instance,
                 req.objective,
                 req.seed,
                 req.deadline_ms,
@@ -433,8 +523,7 @@ fn watch_error(
     shared: &Shared,
 ) -> std::io::Result<()> {
     shared.stats.errors.inc();
-    writeln!(writer, "{}", encode_error(id, msg))?;
-    writer.flush()
+    write_line(writer, encode_error(id, msg))
 }
 
 pub(super) fn handle_solve(
@@ -445,15 +534,15 @@ pub(super) fn handle_solve(
 ) -> String {
     let id = req.id.as_deref();
     let mut trace = start_trace(req.trace, "solve", parse_us, shared);
-    let inst = match load_instance(&req.instance) {
-        Ok(inst) => Arc::new(inst),
+    let instance = match JobInstance::resolve(&req.instance, shared) {
+        Ok(instance) => instance,
         Err(e) => {
             shared.stats.errors.inc();
             return encode_error(id, &e.to_string());
         }
     };
     let job = SolveJob::new(
-        &inst,
+        instance,
         req.objective,
         req.seed,
         req.deadline_ms,
@@ -479,9 +568,14 @@ pub(super) fn handle_generate(
         }
     };
     let inst = Arc::new(generated.instance);
+    let hash = inst.canonical_hash();
     let solution = req.solve.then(|| {
+        let instance = JobInstance::Loaded {
+            inst: Arc::clone(&inst),
+            hash,
+        };
         let job = SolveJob::new(
-            &inst,
+            instance,
             req.objective,
             req.seed,
             req.deadline_ms,
@@ -498,30 +592,36 @@ pub(super) fn handle_generate(
         ("total_ops", (inst.total_ops() as u64).into()),
         // The canonical hash exceeds 2^53 in general, so it travels as
         // a hex string, never as a JSON number.
-        ("hash", format!("{:#018x}", inst.canonical_hash()).into()),
+        ("hash", format!("{hash:#018x}").into()),
         ("instance", inst.text().into()),
     ];
     reply(id, "ok", fields.into_iter().chain(solution)).encode()
 }
 
-/// Materialises a batch item's instance (named, inline or generated).
-fn resolve_batch_source(source: &BatchSource) -> Result<Arc<LoadedInstance>, String> {
+/// Resolves a batch item's instance: a named or inline spec through
+/// the spec memo, a generated one by building it.
+fn resolve_batch_source<'a>(
+    source: &'a BatchSource,
+    shared: &Shared,
+) -> Result<JobInstance<'a>, String> {
     match source {
-        BatchSource::Instance(spec) => load_instance(spec).map(Arc::new).map_err(|e| e.to_string()),
+        BatchSource::Instance(spec) => {
+            JobInstance::resolve(spec, shared).map_err(|e| e.to_string())
+        }
         BatchSource::Generate(spec) => spec
             .build()
-            .map(|g| Arc::new(g.instance))
+            .map(|g| JobInstance::loaded(Arc::new(g.instance)))
             .map_err(|e| e.to_string()),
     }
 }
 
-/// Solves one batch item (instance already materialised by its group)
+/// Solves one batch item (instance already resolved by its group)
 /// against the batch's shared absolute deadline.
 fn solve_batch_item(
     item: &BatchItem,
     index: usize,
     batch: &BatchRequest,
-    inst: &Arc<LoadedInstance>,
+    instance: JobInstance<'_>,
     deadline: Instant,
     shared: &Shared,
 ) -> Json {
@@ -539,7 +639,7 @@ fn solve_batch_item(
     let job = SolveJob {
         deadline,
         budget_ms: remaining_ms,
-        ..SolveJob::new(inst, objective, seed, 0, Duration::ZERO, shared)
+        ..SolveJob::new(instance, objective, seed, 0, Duration::ZERO, shared)
     };
     with_index(solve_cached(id, job, shared), index)
 }
@@ -567,7 +667,7 @@ pub(super) fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Sh
     // Group them so a group's first item races and the later ones
     // replay the entry it lands (their remaining budget can only be
     // smaller, so the replay rule always accepts), and the shared
-    // instance is materialised once per group rather than per item.
+    // instance is resolved once per group rather than per item.
     // Grouping keys on the request *spec*; differently-spelled
     // duplicates still race separately and reconcile through
     // `insert_best`.
@@ -608,7 +708,7 @@ pub(super) fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Sh
                 let Some(group) = groups.get(g) else { break };
                 // Sources are identical within a group by construction.
                 // panic-safe: every group is created non-empty and indexes req.items.
-                match resolve_batch_source(&req.items[group[0]].source) {
+                match resolve_batch_source(&req.items[group[0]].source, shared) {
                     Err(e) => {
                         shared.stats.errors.add(group.len() as u64);
                         for &i in group {
@@ -619,12 +719,13 @@ pub(super) fn handle_batch(req: &BatchRequest, queue_wait: Duration, shared: &Sh
                                 Some(with_index(error_json(id, &e), i));
                         }
                     }
-                    Ok(inst) => {
+                    Ok(instance) => {
                         for &i in group {
                             // panic-safe: group indices enumerate req.items; slots has one
                             // entry per item; poisoning means a sibling already panicked.
-                            let body = // panic-safe: as above
-                                solve_batch_item(&req.items[i], i, req, &inst, deadline, shared);
+                            let item = &req.items[i];
+                            let body =
+                                solve_batch_item(item, i, req, instance.clone(), deadline, shared);
                             // panic-safe: as above
                             *slots[i].lock().expect("slot poisoned") = Some(body);
                         }

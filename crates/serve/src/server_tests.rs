@@ -7,6 +7,7 @@
 
 use super::*;
 use crate::protocol::{encode_request, InstanceSpec, Objective, SessionRef, SolveRequest};
+use std::io::Write;
 
 fn send_lines(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -154,8 +155,16 @@ fn longer_deadline_outgrows_a_deadline_bound_cache_entry() {
     let value = |i: usize| v[i].get("value").unwrap().as_f64().unwrap();
     // Cold 60 ms solve, memoised as deadline-bound.
     assert!(!cached(0));
-    // A 400 ms budget outgrows the entry: the service must re-race
-    // rather than replay 60 ms-quality, and never worsen the answer.
+    // The later requests resolve their key through the spec memo,
+    // without loading ft06 first...
+    assert!(service
+        .shared
+        .memo
+        .get(&InstanceSpec::Named("ft06".into()))
+        .is_some());
+    // ...yet a 400 ms budget outgrows the entry: the service must
+    // re-race rather than replay 60 ms-quality, and never worsen the
+    // answer.
     assert!(!cached(1), "larger budget must not replay a bound entry");
     assert!(
         value(1) <= value(0),
@@ -2043,5 +2052,228 @@ fn trace_dump_filters_by_type_and_session() {
     );
     assert_eq!(kinds_of(&responses[4]), vec!["session_event".to_string()]);
     assert!(kinds_of(&responses[5]).is_empty());
+    service.shutdown();
+}
+
+/// The part of a solve answer line before its `"telemetry"` field:
+/// everything a replay must reproduce byte for byte.
+fn before_telemetry(line: &str) -> &str {
+    &line[..line.find(r#","telemetry":"#).expect("a solve answer")]
+}
+
+fn solve_line(spec: InstanceSpec, seed: u64, deadline_ms: u64, trace: bool) -> String {
+    encode_request(&SolveRequest {
+        id: Some("h".into()),
+        instance: spec,
+        objective: Objective::Makespan,
+        seed,
+        deadline_ms,
+        trace,
+    })
+}
+
+/// Every family, named and inline: the first request races, and every
+/// later one — through the spec memo, the cache and the stored encoded
+/// schedule — answers the same bytes before `"telemetry"`, in the
+/// field order of the protocol reference. Two spellings of one
+/// instance share one cache entry; batch items and watch take the
+/// same hit path.
+#[test]
+fn memoised_hits_replay_every_family_named_and_inline() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let names = ["ft06", "flow05", "open_latin3", "flex03"];
+    for name in names {
+        let named = InstanceSpec::Named(name.into());
+        let inst = crate::solver::load_instance(&named).unwrap();
+        let inline = InstanceSpec::Inline {
+            family: inst.family(),
+            text: inst.text(),
+        };
+        // A second spelling: the same instance with wider whitespace.
+        let respaced = InstanceSpec::Inline {
+            family: inst.family(),
+            text: inst.text().replace(' ', "  "),
+        };
+        let lines = send_lines(
+            addr,
+            &[
+                solve_line(named.clone(), 3, 2_000, false),
+                solve_line(named.clone(), 3, 2_000, false),
+                solve_line(named, 3, 2_000, false),
+                solve_line(inline.clone(), 3, 2_000, false),
+                solve_line(inline, 3, 2_000, false),
+                solve_line(respaced, 3, 2_000, false),
+            ],
+        );
+        let cold = before_telemetry(&lines[0]);
+        assert!(cold.contains(r#""cached":false"#), "{name}: {cold}");
+        let hit = cold.replace(r#""cached":false"#, r#""cached":true"#);
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            assert_eq!(before_telemetry(line), hit, "{name}: answer {i}");
+        }
+        let keys: Vec<String> = match crate::json::parse(&lines[1]).unwrap() {
+            Json::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "id",
+                "status",
+                "objective",
+                "value",
+                "makespan",
+                "model",
+                "cached",
+                "schedule",
+                "telemetry"
+            ]
+        );
+    }
+    assert_eq!(service.cache_len(), names.len(), "spellings share entries");
+    let stats = service.stats();
+    assert_eq!(stats.cache_misses, names.len() as u64);
+    assert_eq!(stats.cache_hits, 5 * names.len() as u64);
+
+    // Batch items and a watch replay the same bytes.
+    let batch = concat!(
+        r#"{"cmd":"batch","seed":3,"deadline_ms":2000,"items":["#,
+        r#"{"instance":{"name":"ft06"}},{"instance":{"name":"flex03"}}]}"#
+    );
+    let single = send_lines(
+        addr,
+        &[
+            solve_line(InstanceSpec::Named("ft06".into()), 3, 2_000, false),
+            solve_line(InstanceSpec::Named("flex03".into()), 3, 2_000, false),
+            batch.to_string(),
+        ],
+    );
+    let batched = crate::json::parse(&single[2]).unwrap();
+    let items = batched.get("items").unwrap().as_arr().unwrap();
+    for (item, line) in items.iter().zip(&single) {
+        let solo = crate::json::parse(line).unwrap();
+        assert_eq!(item.get("cached").unwrap().as_bool(), Some(true));
+        assert_eq!(item.get("schedule"), solo.get("schedule"));
+    }
+    let watched = watch_lines(
+        addr,
+        r#"{"cmd":"watch","id":"w","instance":{"name":"ft06"},"seed":3,"deadline_ms":2000}"#,
+    );
+    assert_eq!(frame_kinds(&watched), ["answer"], "a hit streams no race");
+    let answer = crate::json::parse(&watched[0]).unwrap();
+    let solo = crate::json::parse(&single[0]).unwrap();
+    assert_eq!(answer.get("cached").unwrap().as_bool(), Some(true));
+    assert_eq!(answer.get("schedule"), solo.get("schedule"));
+    service.shutdown();
+}
+
+/// The memo matches whole texts: an inline instance one byte away from
+/// a memoised one is loaded, raced and answered as its own instance.
+#[test]
+fn inline_text_one_byte_away_is_answered_for_its_own_instance() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let ft06 = crate::solver::load_instance(&InstanceSpec::Named("ft06".into())).unwrap();
+    let text = ft06.text();
+    // Bump the last operation's duration by one in its final digit.
+    let at = text.rfind(|c: char| c.is_ascii_digit()).unwrap();
+    let digit = text.as_bytes()[at];
+    let bumped = if digit == b'9' {
+        '8'
+    } else {
+        (digit + 1) as char
+    };
+    let mut near = text.clone();
+    near.replace_range(at..=at, &bumped.to_string());
+    let spec = |text: String| InstanceSpec::Inline {
+        family: ft06.family(),
+        text,
+    };
+    let lines = send_lines(
+        addr,
+        &[
+            solve_line(spec(text), 4, 2_000, false),
+            solve_line(spec(near.clone()), 4, 2_000, false),
+        ],
+    );
+    let near_answer = crate::json::parse(&lines[1]).unwrap();
+    assert_eq!(near_answer.get("cached").unwrap().as_bool(), Some(false));
+    let near_inst = shop::gen::AnyInstance::parse(ft06.family(), &near).unwrap();
+    assert_ne!(near_inst.canonical_hash(), ft06.canonical_hash());
+    let schedule =
+        crate::protocol::schedule_from_json(near_answer.get("schedule").unwrap()).unwrap();
+    near_inst
+        .validate(&shop::schedule::Schedule::new(schedule))
+        .expect("answered for the bumped instance");
+    assert_eq!(service.cache_len(), 2);
+    service.shutdown();
+}
+
+/// An invalid inline text errors on every request, counts `errors`
+/// once per request, and never enters the memo.
+#[test]
+fn invalid_inline_text_errors_and_is_never_memoised() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let bad = InstanceSpec::Inline {
+        family: shop::gen::Family::Job,
+        text: "2 2\n0 5 1".into(),
+    };
+    let lines = send_lines(
+        addr,
+        &[
+            solve_line(bad.clone(), 1, 1_000, false),
+            solve_line(bad.clone(), 1, 1_000, false),
+        ],
+    );
+    for line in &lines {
+        let v = crate::json::parse(line).unwrap();
+        assert_eq!(v.get("status").unwrap().as_str(), Some("error"), "{line}");
+    }
+    assert_eq!(lines[0], lines[1]);
+    let stats = service.stats();
+    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.cache_misses, 0);
+    assert!(service.shared.memo.get(&bad).is_none());
+    service.shutdown();
+}
+
+/// A traced hit through a memoised spec keeps its `cache_lookup` span,
+/// marked `hit:true`, and records no race.
+#[test]
+fn traced_memoised_hit_records_its_cache_lookup() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let spec = InstanceSpec::Named("open_latin3".into());
+    let lines = send_lines(
+        addr,
+        &[
+            solve_line(spec.clone(), 8, 2_000, false),
+            solve_line(spec.clone(), 8, 2_000, true),
+        ],
+    );
+    assert!(service.shared.memo.get(&spec).is_some());
+    let hit = crate::json::parse(&lines[1]).unwrap();
+    assert_eq!(hit.get("cached").unwrap().as_bool(), Some(true));
+    let spans = hit
+        .get("trace")
+        .unwrap()
+        .get("spans")
+        .unwrap()
+        .as_arr()
+        .unwrap();
+    let lookup = spans
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("cache_lookup"))
+        .expect("a cache_lookup span");
+    assert_eq!(
+        lookup.get("hit").and_then(Json::as_bool),
+        Some(true),
+        "{lookup:?}"
+    );
+    assert!(spans
+        .iter()
+        .all(|s| s.get("name").and_then(Json::as_str) != Some("race")));
     service.shutdown();
 }

@@ -124,18 +124,20 @@ impl SessionState {
     /// Commits one event's outcome — the one place an event changes a
     /// session, shared by the live path and WAL replay: the world moves
     /// to `inst` and `windows` at the event time, `incumbent` answers
-    /// it, and the journal gains the event's row.
+    /// it, and the journal gains the event's row. `inst` and `windows`
+    /// come from the event's [`Repair`]; once the re-solve's decoders
+    /// are gone they are taken back without a copy.
     pub(crate) fn commit(
         &mut self,
         event: &Event,
-        inst: JobShopInstance,
-        windows: Vec<DownWindow>,
+        inst: Arc<JobShopInstance>,
+        windows: Arc<Vec<DownWindow>>,
         incumbent: Arc<Solution>,
         deadline_bound: bool,
         winner: &str,
     ) {
-        self.inst = inst;
-        self.windows = windows;
+        self.inst = Arc::unwrap_or_clone(inst);
+        self.windows = Arc::unwrap_or_clone(windows);
         self.now = event.at();
         self.events += 1;
         self.journal.push(JournalEntry {
@@ -155,13 +157,14 @@ impl SessionState {
 /// picked: the post-event world, the repaired incumbent, and its split
 /// at the event time into what has started and what a re-solve may
 /// re-sequence. Built only by [`Repair::apply`], so the split always
-/// matches the schedule.
+/// matches the schedule. The instance, windows and suffix sit behind
+/// `Arc`s that the re-solve's decoders share instead of copying.
 #[derive(Debug)]
 pub struct Repair {
     /// The instance after the event.
-    pub(crate) inst: JobShopInstance,
+    pub(crate) inst: Arc<JobShopInstance>,
     /// The breakdown windows after the event.
-    pub(crate) windows: Vec<DownWindow>,
+    pub(crate) windows: Arc<Vec<DownWindow>>,
     /// The incumbent, right-shift repaired around the event.
     pub(crate) schedule: Schedule,
     /// The event time: the session clock after the event.
@@ -169,7 +172,7 @@ pub struct Repair {
     /// The repaired schedule's operations that started before `at`.
     pub(crate) frozen: Vec<ScheduledOp>,
     /// The unstarted `(job, op)`s, in repaired start order.
-    pub(crate) suffix: Vec<(usize, usize)>,
+    pub(crate) suffix: Arc<Vec<(usize, usize)>>,
 }
 
 impl Repair {
@@ -191,12 +194,12 @@ impl Repair {
         }
         let (frozen, suffix) = frozen_prefix(&schedule, at);
         Ok(Repair {
-            inst,
-            windows,
+            inst: Arc::new(inst),
+            windows: Arc::new(windows),
             schedule,
             at,
             frozen,
-            suffix,
+            suffix: Arc::new(suffix),
         })
     }
 
@@ -334,7 +337,7 @@ pub(crate) fn handle_event_hooked(
 ) -> Result<EventOutcome, String> {
     let repair_start = trace.as_deref().map(|tr| tr.elapsed_us());
     let repair = Repair::apply(state, event)?;
-    let repair_value = state.objective.value(&repair.inst, &repair.schedule);
+    let repair_value = state.objective.value(&*repair.inst, &repair.schedule);
     if let (Some(tr), Some(start)) = (trace.as_deref_mut(), repair_start) {
         tr.span(
             "repair",
@@ -381,7 +384,7 @@ pub(crate) fn handle_event_hooked(
                 phases: None,
             },
         );
-        let value = state.objective.value(&repair.inst, &schedule);
+        let value = state.objective.value(&*repair.inst, &schedule);
         let gens = outcome.models.iter().map(|(_, t)| t.generations).max();
         if let (Some(tr), Some(start)) = (trace, resolve_start) {
             tr.member_spans(start, &outcome.timelines);
@@ -477,10 +480,10 @@ pub fn resolve(
     // event time, which is what keeps resolve <= repair), in one
     // allocation-free pass per genome.
     let decoder = SuffixRedecoder::new(
-        Arc::new(inst.clone()),
+        Arc::clone(inst),
         frozen,
-        Arc::new(suffix.clone()),
-        Arc::new(windows.clone()),
+        Arc::clone(suffix),
+        Arc::clone(windows),
         *at,
     );
     let outcome = race(

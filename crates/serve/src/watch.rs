@@ -27,8 +27,8 @@
 
 use crate::json::Json;
 use crate::obs::trace::{Frame, WatchSink};
+use crate::protocol::write_line;
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -110,10 +110,9 @@ impl WatchLog {
             if batch.is_empty() && done {
                 return Ok(());
             }
-            for line in &batch {
-                writeln!(sock, "{line}")?;
+            for line in batch {
+                write_line(sock, line)?;
             }
-            sock.flush()?;
         }
     }
 }
