@@ -88,7 +88,7 @@ pub use protocol::{
     SolveRequest, WatchTarget, MAX_BATCH_ITEMS,
 };
 pub use scheduler::{CancelToken, RacerPool};
-pub use server::{ServeConfig, Service, StatsSnapshot};
+pub use server::{ServeConfig, Service, ServiceStats};
 pub use session::{EventOutcome, JournalEntry, ResolveSkip, SessionEntry, SessionState};
 pub use solver::{load_instance, solve, solve_hooked, LoadedInstance, SolveHooks, SolveOutcome};
-pub use wal::{RecoverOutcome, RecoveredSession, SessionGauges, SessionStore, Wal, WalConfig};
+pub use wal::{RecoverOutcome, RecoveredSession, SessionStore, Wal, WalConfig};

@@ -37,7 +37,8 @@ impl Counter {
 
 /// A gauge: a value that can move both ways (queue depth, open
 /// sessions, uptime). Set-at-read by the exposition path for values
-/// that already live elsewhere (cache length, pool depth).
+/// that already live elsewhere (cache length, pool depth); the session
+/// lifecycle tallies add into theirs in place.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -45,6 +46,11 @@ impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -200,8 +206,7 @@ impl Registry {
         })
     }
 
-    /// Current value of a counter or gauge by full name (tests and the
-    /// snapshot-equivalence check).
+    /// Current value of a counter or gauge by full name.
     pub fn value(&self, name: &str) -> Option<u64> {
         let entries = self.entries.lock().expect("registry poisoned");
         entries

@@ -14,7 +14,9 @@
 //!   (no allocation, no locking on the hot path). The
 //!   [`metrics::Registry`] hands out `Arc` handles at service start and
 //!   renders every registered series as JSON or Prometheus text on
-//!   demand.
+//!   demand. It is the only store of every service count: the `stats`
+//!   reply, the `metrics` exposition and the periodic stderr summary
+//!   all read its cells.
 //! - [`trace`]: *per-request* state. A [`trace::Trace`] is built by the
 //!   one worker thread handling the request (no synchronisation), race
 //!   members emit one [`trace::Frame`] stream that a traced race

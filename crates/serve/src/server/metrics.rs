@@ -1,6 +1,8 @@
-//! Service counters and metrics: the legacy `stats` counters as views
-//! over the metrics registry, the histograms and labeled families
-//! behind the `metrics` command, and the periodic stderr summary.
+//! Service counters and metrics: the `stats` counters as handles into
+//! the metrics registry, the histograms and labeled families behind
+//! the `metrics` command, and the periodic stderr summary. The
+//! registry is the only store of every count: `stats`, `metrics` and
+//! the summary all read its cells.
 
 use super::Shared;
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
@@ -9,12 +11,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Monotonic service counters (lock-free; read with
-/// [`super::Service::stats`]). Since the observability layer landed these are
-/// *views over the metrics registry*: each field is the
-/// `serve_<field>_total` counter registered at construction, so
-/// `stats`, `metrics` and the periodic stderr summary all read the
-/// same cells and can never disagree.
+/// The service counts behind the `stats` reply (lock-free; read each
+/// with `.get()` through [`super::Service::stats`]). Every field is a
+/// handle to a cell of the metrics registry, registered at
+/// construction: the `serve_<field>_total` counter, or the
+/// `serve_<field>` gauge for the session lifecycle tallies. There is no
+/// second copy, so `stats`, `metrics` and the periodic stderr summary
+/// can never disagree.
 ///
 /// `cache_hits` counts responses answered from the memoised solution
 /// (including the rare validation-failure fallback); `cache_misses`
@@ -22,6 +25,11 @@ use std::time::{Duration, Instant};
 /// request increments both, so `cache_hits + cache_misses` can exceed
 /// the number of solve requests by the (error-counted) fallbacks —
 /// hit-rate consumers should divide by `requests` instead.
+///
+/// The session tallies satisfy `sessions_opened + sessions_recovered
+/// = open + sessions_closed + sessions_expired + sessions_evicted`,
+/// where `open` is the live map size
+/// ([`crate::wal::SessionStore::open_count`]).
 #[derive(Debug)]
 pub struct ServiceStats {
     /// Request lines received (any kind, including malformed).
@@ -64,47 +72,23 @@ pub struct ServiceStats {
     /// Write-ahead-log records replayed into sessions (restart
     /// recovery plus lazy recovery on first touch).
     pub wal_replays: Arc<Counter>,
-}
-
-/// Point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Request lines received (any kind, including malformed).
-    pub requests: u64,
-    /// Portfolio races run to completion.
-    pub solved: u64,
-    /// Responses answered from the memoised solution.
-    pub cache_hits: u64,
-    /// Cache lookups that could not be replayed directly.
-    pub cache_misses: u64,
-    /// Protocol, load and internal-validation failures.
-    pub errors: u64,
-    /// Cold solves refused with the `busy` backpressure error.
-    pub busy_rejections: u64,
-    /// Summed connection queue wait, in microseconds.
-    pub queue_wait_us: u64,
-    /// Summed racer-pool queue wait over solved requests, in
-    /// microseconds.
-    pub pool_wait_us: u64,
-    /// Session disruption events applied.
-    pub session_events: u64,
-    /// Events answered by right-shift repair.
-    pub session_repair_wins: u64,
-    /// Events answered by the warm-started re-solve.
-    pub session_resolve_wins: u64,
-    /// Events whose re-solve was shed by admission control.
-    pub session_resolve_busy: u64,
-    /// Write-ahead-log records durably appended.
-    pub wal_appends: u64,
-    /// Write-ahead-log records replayed into sessions.
-    pub wal_replays: u64,
+    /// Sessions ever opened by a `session_open`.
+    pub sessions_opened: Arc<Gauge>,
+    /// Sessions closed by request.
+    pub sessions_closed: Arc<Gauge>,
+    /// Sessions expired by idle TTL.
+    pub sessions_expired: Arc<Gauge>,
+    /// Sessions evicted by the LRU capacity cap.
+    pub sessions_evicted: Arc<Gauge>,
+    /// Sessions rebuilt from the write-ahead log.
+    pub sessions_recovered: Arc<Gauge>,
 }
 
 impl ServiceStats {
-    /// Registers every legacy stats counter in `registry` (names below)
-    /// and returns the view. The mapping is 1:1 — the
-    /// snapshot-equivalence test in this module walks it field by
-    /// field.
+    /// Registers every stats cell in `registry` (names below) and
+    /// returns the handles. Registration is idempotent by name, so a
+    /// second call (the session store fetching the cells it counts
+    /// into) returns the same cells.
     pub(crate) fn new(registry: &Registry) -> ServiceStats {
         ServiceStats {
             requests: registry.counter(
@@ -163,25 +147,15 @@ impl ServiceStats {
                 "serve_wal_replays_total",
                 "write-ahead-log records replayed into sessions",
             ),
-        }
-    }
-
-    pub(super) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.get(),
-            solved: self.solved.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            errors: self.errors.get(),
-            busy_rejections: self.busy_rejections.get(),
-            queue_wait_us: self.queue_wait_us.get(),
-            pool_wait_us: self.pool_wait_us.get(),
-            session_events: self.session_events.get(),
-            session_repair_wins: self.session_repair_wins.get(),
-            session_resolve_wins: self.session_resolve_wins.get(),
-            session_resolve_busy: self.session_resolve_busy.get(),
-            wal_appends: self.wal_appends.get(),
-            wal_replays: self.wal_replays.get(),
+            sessions_opened: registry.gauge("serve_sessions_opened", "sessions ever opened"),
+            sessions_closed: registry.gauge("serve_sessions_closed", "sessions explicitly closed"),
+            sessions_expired: registry.gauge("serve_sessions_expired", "sessions expired by TTL"),
+            sessions_evicted: registry
+                .gauge("serve_sessions_evicted", "sessions evicted by the LRU cap"),
+            sessions_recovered: registry.gauge(
+                "serve_sessions_recovered",
+                "sessions rebuilt from the write-ahead log",
+            ),
         }
     }
 }
@@ -213,7 +187,7 @@ pub(super) const FAMILIES: [&str; 4] = ["flow", "job", "open", "flexible"];
 /// `portfolio::ModelKind` names).
 const MEMBERS: [&str; 3] = ["master_slave", "island", "cellular"];
 
-/// Registry handles beyond the legacy [`ServiceStats`] counters:
+/// Registry handles beyond the [`ServiceStats`] counters:
 /// latency histograms, labeled counters (static label sets registered
 /// once at bind), and the gauges the exposition path refreshes at
 /// scrape time.
@@ -222,9 +196,6 @@ pub(super) struct ServeMetrics {
     pub(super) request_us: Arc<Histogram>,
     /// Per-`session_event` latency (repair + optional re-solve), µs.
     pub(super) session_event_us: Arc<Histogram>,
-    /// Per-record WAL append latency (frame + write + fsync, and the
-    /// periodic snapshot rewrite when one triggers), µs.
-    pub(super) wal_append_us: Arc<Histogram>,
     /// `serve_requests_by_type_total{type=...}` — one pre-registered
     /// counter per [`REQUEST_TYPES`] label.
     pub(super) by_type: Vec<(&'static str, Arc<Counter>)>,
@@ -252,11 +223,6 @@ pub(super) struct ServeMetrics {
     queue_depth: Arc<Gauge>,
     worker_panics: Arc<Gauge>,
     sessions_open: Arc<Gauge>,
-    sessions_opened: Arc<Gauge>,
-    sessions_closed: Arc<Gauge>,
-    sessions_expired: Arc<Gauge>,
-    sessions_evicted: Arc<Gauge>,
-    sessions_recovered: Arc<Gauge>,
     pub(super) workers: Arc<Gauge>,
     pub(super) racer_pool: Arc<Gauge>,
     pub(super) max_queue_depth: Arc<Gauge>,
@@ -284,10 +250,6 @@ impl ServeMetrics {
             session_event_us: registry.histogram(
                 "serve_session_event_us",
                 "session_event latency (repair + re-solve race) in microseconds",
-            ),
-            wal_append_us: registry.histogram(
-                "serve_wal_append_us",
-                "write-ahead-log append latency (write + fsync) in microseconds",
             ),
             by_type: labeled(
                 "serve_requests_by_type_total",
@@ -352,15 +314,6 @@ impl ServeMetrics {
                 "racer-pool tasks recovered from a panic",
             ),
             sessions_open: registry.gauge("serve_sessions_open", "sessions currently open"),
-            sessions_opened: registry.gauge("serve_sessions_opened", "sessions ever opened"),
-            sessions_closed: registry.gauge("serve_sessions_closed", "sessions explicitly closed"),
-            sessions_expired: registry.gauge("serve_sessions_expired", "sessions expired by TTL"),
-            sessions_evicted: registry
-                .gauge("serve_sessions_evicted", "sessions evicted by the LRU cap"),
-            sessions_recovered: registry.gauge(
-                "serve_sessions_recovered",
-                "sessions rebuilt from the write-ahead log",
-            ),
             workers: registry.gauge("serve_workers", "worker threads serving connections"),
             racer_pool: registry.gauge("serve_racer_pool", "persistent racer threads"),
             max_queue_depth: registry.gauge("serve_max_queue_depth", "admission limit"),
@@ -464,20 +417,19 @@ pub(super) fn metrics_summary_loop(shared: &Shared) {
             continue;
         }
         last = Instant::now();
-        shared.refresh_gauges();
-        let s = shared.stats.snapshot();
+        let s = &shared.stats;
         eprintln!(
             "[serve] up {}s: {} requests ({} solved, {} cache hits, {} errors, {} busy), \
              queue depth {}, {} sessions open, {} session events, {} worker panics",
             shared.started.elapsed().as_secs(),
-            s.requests,
-            s.solved,
-            s.cache_hits,
-            s.errors,
-            s.busy_rejections,
+            s.requests.get(),
+            s.solved.get(),
+            s.cache_hits.get(),
+            s.errors.get(),
+            s.busy_rejections.get(),
             shared.pool.queue_depth(),
-            shared.sessions.gauges().open,
-            s.session_events,
+            shared.sessions.open_count(),
+            s.session_events.get(),
             shared.pool.panics(),
         );
         // Cost-model drift check: observed per-op evaluation cost vs
@@ -498,22 +450,15 @@ pub(super) fn metrics_summary_loop(shared: &Shared) {
 }
 
 impl Shared {
-    /// Refreshes the point-in-time gauges from their sources (cache,
-    /// pool, session store, clock). Called at exposition and by the
-    /// periodic summary — gauges mirror live state, they are not
-    /// updated on the hot path.
+    /// Sets the point-in-time gauges from their live sources (cache,
+    /// pool, session map, clock) at exposition. Counts are never copied
+    /// here: every counter and session tally is its own registry cell.
     pub(super) fn refresh_gauges(&self) {
         let m = &self.metrics;
         m.uptime_ms.set(self.started.elapsed().as_millis() as u64);
         m.cache_len.set(self.cache.len() as u64);
         m.queue_depth.set(self.pool.queue_depth() as u64);
         m.worker_panics.set(self.pool.panics());
-        let sg = self.sessions.gauges();
-        m.sessions_open.set(sg.open);
-        m.sessions_opened.set(sg.opened);
-        m.sessions_closed.set(sg.closed);
-        m.sessions_expired.set(sg.expired);
-        m.sessions_evicted.set(sg.evicted);
-        m.sessions_recovered.set(sg.recovered);
+        m.sessions_open.set(self.sessions.open_count());
     }
 }

@@ -39,7 +39,7 @@ use crate::obs::metrics::Registry;
 use crate::obs::trace::{Trace, TraceRing};
 use crate::protocol::{encode_error, extended, parse_request, write_line, Request, WatchTarget};
 use crate::scheduler::RacerPool;
-use crate::wal::{SessionGauges, SessionStore};
+use crate::wal::SessionStore;
 use crate::watch::WatchHub;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
@@ -54,8 +54,8 @@ mod solve;
 #[path = "../server_tests.rs"]
 mod tests;
 
+pub use metrics::ServiceStats;
 use metrics::{metrics_summary_loop, ServeMetrics, FAMILIES};
-pub use metrics::{ServiceStats, StatsSnapshot};
 use sessions::{
     handle_session_close, handle_session_events, handle_session_get, handle_session_open,
     session_event_body,
@@ -211,8 +211,8 @@ struct Shared {
     /// [`crate::session`] and [`crate::wal`]).
     sessions: SessionStore,
     stats: ServiceStats,
-    /// The metrics registry behind `stats`, `metrics` and the periodic
-    /// stderr summary.
+    /// The metrics registry: the only store of every service count,
+    /// read by `stats`, `metrics` and the periodic stderr summary.
     registry: Registry,
     metrics: ServeMetrics,
     /// Recently finished request traces, served by `trace_dump`.
@@ -260,7 +260,7 @@ impl Service {
         metrics.workers.set(config.workers as u64);
         metrics.max_queue_depth.set(config.max_queue_depth as u64);
         metrics.max_sessions.set(config.max_sessions as u64);
-        let sessions = SessionStore::new(&config, &stats, Arc::clone(&metrics.wal_append_us))?;
+        let sessions = SessionStore::new(&config, &registry)?;
         let shared = Arc::new(Shared {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             memo: SpecMemo::new(config.cache_capacity, SPEC_MEMO_BYTES),
@@ -299,9 +299,10 @@ impl Service {
         self.addr
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+    /// The service counts, as handles into the metrics registry (read
+    /// each with `.get()`).
+    pub fn stats(&self) -> &ServiceStats {
+        &self.shared.stats
     }
 
     /// The service's metrics registry — every counter, gauge and
@@ -325,12 +326,6 @@ impl Service {
     /// Racer-pool thread count after auto-sizing.
     pub fn racer_pool_size(&self) -> usize {
         self.shared.pool.size()
-    }
-
-    /// Session registry gauges (open / opened / closed / expired /
-    /// evicted).
-    pub fn session_gauges(&self) -> SessionGauges {
-        self.shared.sessions.gauges()
     }
 
     /// Requests shutdown and joins every thread (graceful: in-flight
@@ -634,36 +629,37 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
         }
         Ok(Request::Stats) => {
             let cfg = &shared.config;
-            let s = shared.stats.snapshot();
-            let sg = shared.sessions.gauges();
-            let cache_len = shared.cache.len() as u64;
+            let s = &shared.stats;
+            // The open count sweeps expired sessions first, so the
+            // tallies are read after it.
+            let sessions_open = shared.sessions.open_count();
             let body = obj([
                 ("status", "ok".into()),
-                ("requests", s.requests.into()),
-                ("solved", s.solved.into()),
-                ("cache_hits", s.cache_hits.into()),
-                ("cache_misses", s.cache_misses.into()),
-                ("errors", s.errors.into()),
-                ("busy_rejections", s.busy_rejections.into()),
-                ("queue_wait_us", s.queue_wait_us.into()),
-                ("pool_wait_us", s.pool_wait_us.into()),
-                ("cache_len", cache_len.into()),
+                ("requests", s.requests.get().into()),
+                ("solved", s.solved.get().into()),
+                ("cache_hits", s.cache_hits.get().into()),
+                ("cache_misses", s.cache_misses.get().into()),
+                ("errors", s.errors.get().into()),
+                ("busy_rejections", s.busy_rejections.get().into()),
+                ("queue_wait_us", s.queue_wait_us.get().into()),
+                ("pool_wait_us", s.pool_wait_us.get().into()),
+                ("cache_len", (shared.cache.len() as u64).into()),
                 ("workers", (cfg.workers as u64).into()),
                 ("racer_pool", (shared.pool.size() as u64).into()),
                 ("queue_depth", (shared.pool.queue_depth() as u64).into()),
                 ("max_queue_depth", (cfg.max_queue_depth as u64).into()),
-                ("sessions_open", sg.open.into()),
-                ("sessions_opened", sg.opened.into()),
-                ("sessions_closed", sg.closed.into()),
-                ("sessions_expired", sg.expired.into()),
-                ("sessions_evicted", sg.evicted.into()),
-                ("session_events", s.session_events.into()),
-                ("session_repair_wins", s.session_repair_wins.into()),
-                ("session_resolve_wins", s.session_resolve_wins.into()),
-                ("session_resolve_busy", s.session_resolve_busy.into()),
-                ("sessions_recovered", sg.recovered.into()),
-                ("wal_appends", s.wal_appends.into()),
-                ("wal_replays", s.wal_replays.into()),
+                ("sessions_open", sessions_open.into()),
+                ("sessions_opened", s.sessions_opened.get().into()),
+                ("sessions_closed", s.sessions_closed.get().into()),
+                ("sessions_expired", s.sessions_expired.get().into()),
+                ("sessions_evicted", s.sessions_evicted.get().into()),
+                ("session_events", s.session_events.get().into()),
+                ("session_repair_wins", s.session_repair_wins.get().into()),
+                ("session_resolve_wins", s.session_resolve_wins.get().into()),
+                ("session_resolve_busy", s.session_resolve_busy.get().into()),
+                ("sessions_recovered", s.sessions_recovered.get().into()),
+                ("wal_appends", s.wal_appends.get().into()),
+                ("wal_replays", s.wal_replays.get().into()),
                 ("max_sessions", (cfg.max_sessions as u64).into()),
                 (
                     "uptime_ms",

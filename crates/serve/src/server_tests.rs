@@ -72,7 +72,7 @@ fn serves_solves_stats_and_errors_over_tcp() {
     assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(1));
     assert_eq!(stats.get("cache_misses").unwrap().as_u64(), Some(1));
     assert_eq!(stats.get("errors").unwrap().as_u64(), Some(1));
-    assert_eq!(service.stats().cache_hits, 1);
+    assert_eq!(service.stats().cache_hits.get(), 1);
     assert_eq!(service.cache_len(), 1);
     service.shutdown();
 }
@@ -174,9 +174,9 @@ fn longer_deadline_outgrows_a_deadline_bound_cache_entry() {
     assert!(cached(2));
     assert_eq!(value(2), value(1));
     let stats = service.stats();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.solved, 2);
+    assert_eq!(stats.cache_hits.get(), 1);
+    assert_eq!(stats.cache_misses.get(), 2);
+    assert_eq!(stats.solved.get(), 2);
     assert_eq!(service.cache_len(), 1, "upgrade replaces, never duplicates");
     service.shutdown();
 }
@@ -272,8 +272,12 @@ fn batch_cache_hits_do_not_consume_racer_threads() {
     assert_eq!(t.get("cache_hits").unwrap().as_u64(), Some(8));
     assert_eq!(t.get("errors").unwrap().as_u64(), Some(0));
     let stats = service.stats();
-    assert_eq!(stats.solved, 1, "cache hits must not race the portfolio");
-    assert_eq!(stats.cache_hits, 8);
+    assert_eq!(
+        stats.solved.get(),
+        1,
+        "cache hits must not race the portfolio"
+    );
+    assert_eq!(stats.cache_hits.get(), 8);
     service.shutdown();
 }
 
@@ -305,7 +309,7 @@ fn batch_evicts_lru_when_overflowing_the_cache() {
     let v = crate::json::parse(&responses[0]).unwrap();
     assert_eq!(v.get("ok").unwrap().as_u64(), Some(5));
     assert_eq!(service.cache_len(), 3, "cache must stay at capacity");
-    assert_eq!(service.stats().solved, 5);
+    assert_eq!(service.stats().solved.get(), 5);
 
     // LRU order preserved under batch load: the last three inserts
     // survive (replay), the first two were evicted (re-solve).
@@ -360,11 +364,11 @@ fn duplicate_batch_items_race_once_and_replay() {
     );
     let stats = service.stats();
     assert!(
-        stats.solved <= 3,
+        stats.solved.get() <= 3,
         "4 items, 2 unique specs of one key + 1 distinct: at most 3 races, got {}",
-        stats.solved
+        stats.solved.get()
     );
-    assert!(stats.cache_hits >= 1);
+    assert!(stats.cache_hits.get() >= 1);
     service.shutdown();
 }
 
@@ -395,7 +399,7 @@ fn bad_gen_name_parameters_get_the_generator_error() {
     assert!(err(0).contains("capped"), "{}", err(0));
     assert!(err(1).contains("min_time"), "{}", err(1));
     assert!(err(2).contains("unknown named instance"), "{}", err(2));
-    assert_eq!(service.stats().errors, 3);
+    assert_eq!(service.stats().errors.get(), 3);
     service.shutdown();
 }
 
@@ -423,7 +427,7 @@ fn batch_reports_per_item_errors_without_failing_the_batch() {
         v.get("telemetry").unwrap().get("errors").unwrap().as_u64(),
         Some(2)
     );
-    assert_eq!(service.stats().errors, 2);
+    assert_eq!(service.stats().errors.get(), 2);
     service.shutdown();
 }
 
@@ -522,8 +526,8 @@ fn saturated_pool_returns_busy_and_still_serves_cached_hits() {
     });
 
     let stats = service.stats();
-    assert_eq!(stats.busy_rejections, 1);
-    assert!(stats.cache_hits >= 1);
+    assert_eq!(stats.busy_rejections.get(), 1);
+    assert!(stats.cache_hits.get() >= 1);
     // Deadline cancellation freed the queued members: once the
     // long race's deadline passed, its stranded tasks drain.
     let waited = Instant::now();
@@ -654,7 +658,11 @@ fn session_lifecycle_over_tcp() {
     assert_eq!(closed.get("events").unwrap().as_u64(), Some(1));
     let gone = crate::json::parse(&responses[4]).unwrap();
     assert_eq!(gone.get("code").unwrap().as_str(), Some("unknown_session"));
-    assert_eq!(service.session_gauges().open, 0, "registry drains on close");
+    assert_eq!(
+        service.shared.sessions.open_count(),
+        0,
+        "registry drains on close"
+    );
     service.shutdown();
 }
 
@@ -881,7 +889,7 @@ fn sessions_expire_by_ttl_and_count_in_stats() {
         .as_str()
         .unwrap()
         .to_string();
-    assert_eq!(service.session_gauges().open, 1);
+    assert_eq!(service.shared.sessions.open_count(), 1);
     std::thread::sleep(Duration::from_millis(200));
     let responses = send_lines(
         addr,
@@ -952,7 +960,11 @@ fn expired_session_with_wal_recovers_via_replay() {
     let event = crate::json::parse(&responses[0]).unwrap();
     assert_eq!(event.get("status").unwrap().as_str(), Some("ok"));
     std::thread::sleep(Duration::from_millis(200));
-    assert_eq!(service.session_gauges().open, 0, "session must expire");
+    assert_eq!(
+        service.shared.sessions.open_count(),
+        0,
+        "session must expire"
+    );
     let responses = send_lines(
         addr,
         &[
@@ -1080,8 +1092,13 @@ fn evicted_durable_session_is_recovered_from_its_log() {
     let before = send_lines(addr, std::slice::from_ref(&get));
     let second = open_session(addr, 5);
     assert_ne!(first, second);
-    let gauges = service.session_gauges();
-    assert_eq!((gauges.open, gauges.evicted), (1, 1));
+    assert_eq!(
+        (
+            service.shared.sessions.open_count(),
+            service.stats().sessions_evicted.get()
+        ),
+        (1, 1)
+    );
     let after = send_lines(addr, &[get, r#"{"cmd":"stats"}"#.to_string()]);
     assert_eq!(
         after[0], before[0],
@@ -1090,6 +1107,73 @@ fn evicted_durable_session_is_recovered_from_its_log() {
     let stats = crate::json::parse(&after[1]).unwrap();
     assert_eq!(stats.get("sessions_recovered").unwrap().as_u64(), Some(1));
     assert_eq!(stats.get("errors").unwrap().as_u64(), Some(0));
+}
+
+/// The six session series of the registry, as `[open, opened, closed,
+/// expired, evicted, recovered]`, after refreshing the open gauge, with
+/// the accounting identity `opened + recovered = open + closed +
+/// expired + evicted` asserted.
+fn session_tallies(service: &Service) -> [u64; 6] {
+    service.shared.refresh_gauges();
+    let tallies = [
+        "open",
+        "opened",
+        "closed",
+        "expired",
+        "evicted",
+        "recovered",
+    ]
+    .map(|t| {
+        service
+            .registry()
+            .value(&format!("serve_sessions_{t}"))
+            .unwrap()
+    });
+    let [open, opened, closed, expired, evicted, recovered] = tallies;
+    assert_eq!(
+        opened + recovered,
+        open + closed + expired + evicted,
+        "session accounting broken: {tallies:?}"
+    );
+    tallies
+}
+
+// Every session that enters the map, opened or recovered, leaves it
+// exactly once (closed, expired or evicted), across a restart.
+#[test]
+fn session_tallies_balance_through_evict_recover_expire_and_close() {
+    let tmp = TmpWalDir::new("identity");
+    let config = || ServeConfig {
+        wal_dir: Some(tmp.path()),
+        max_sessions: 1,
+        session_ttl_ms: 1_000,
+        ..tiny_config()
+    };
+    let service = Service::bind(config()).unwrap();
+    let first = open_session(service.local_addr(), 4);
+    assert_eq!(session_tallies(&service), [1, 1, 0, 0, 0, 0]);
+    // The cap is one session: opening a second evicts the first.
+    let second = open_session(service.local_addr(), 5);
+    assert_eq!(session_tallies(&service), [1, 2, 0, 0, 1, 0]);
+    service.shutdown();
+
+    // Both logs replay at restart; the second restore evicts the first.
+    let service = Service::bind(config()).unwrap();
+    assert_eq!(session_tallies(&service), [1, 0, 0, 0, 1, 2]);
+    std::thread::sleep(Duration::from_millis(1_300));
+    assert_eq!(session_tallies(&service), [0, 0, 0, 1, 1, 2]);
+    // Closing an expired session recovers it from its log first.
+    for (sid, tallies) in [(&first, [0, 0, 1, 1, 1, 3]), (&second, [0, 0, 2, 1, 1, 4])] {
+        let close = format!(r#"{{"cmd":"session_close","session":"{sid}"}}"#);
+        let closed = crate::json::parse(&send_lines(service.local_addr(), &[close])[0]).unwrap();
+        assert_eq!(
+            closed.get("closed").unwrap().as_bool(),
+            Some(true),
+            "{closed:?}"
+        );
+        assert_eq!(session_tallies(&service), tallies);
+    }
+    service.shutdown();
 }
 
 /// One breakdown `session_event` line for `sid` at time `from`.
@@ -1283,15 +1367,14 @@ fn concurrent_connections_are_served() {
             });
         }
     });
-    assert_eq!(service.stats().solved, 4);
+    assert_eq!(service.stats().solved.get(), 4);
     service.shutdown();
 }
 
-/// Every legacy `ServiceStats` field must read back identically
-/// through the metrics registry — the snapshot is a *view*, not a
-/// second set of counters that could drift.
+/// The service counts live in the metrics registry alone: requests,
+/// cache hits and errors are read straight from its cells.
 #[test]
-fn stats_snapshot_matches_metrics_registry() {
+fn stats_counts_are_read_from_the_registry() {
     let service = Service::bind(tiny_config()).unwrap();
     let addr = service.local_addr();
     let req = encode_request(&SolveRequest {
@@ -1303,35 +1386,10 @@ fn stats_snapshot_matches_metrics_registry() {
         trace: false,
     });
     send_lines(addr, &[req.clone(), req, "nonsense".to_string()]);
-    let snap = service.stats();
     let reg = service.registry();
-    for (name, value) in [
-        ("serve_requests_total", snap.requests),
-        ("serve_solved_total", snap.solved),
-        ("serve_cache_hits_total", snap.cache_hits),
-        ("serve_cache_misses_total", snap.cache_misses),
-        ("serve_errors_total", snap.errors),
-        ("serve_busy_rejections_total", snap.busy_rejections),
-        ("serve_queue_wait_us_total", snap.queue_wait_us),
-        ("serve_pool_wait_us_total", snap.pool_wait_us),
-        ("serve_session_events_total", snap.session_events),
-        ("serve_session_repair_wins_total", snap.session_repair_wins),
-        (
-            "serve_session_resolve_wins_total",
-            snap.session_resolve_wins,
-        ),
-        (
-            "serve_session_resolve_busy_total",
-            snap.session_resolve_busy,
-        ),
-        ("serve_wal_appends_total", snap.wal_appends),
-        ("serve_wal_replays_total", snap.wal_replays),
-    ] {
-        assert_eq!(reg.value(name), Some(value), "{name} drifted");
-    }
-    assert_eq!(snap.requests, 3);
-    assert_eq!(snap.cache_hits, 1);
-    assert_eq!(snap.errors, 1);
+    assert_eq!(reg.value("serve_requests_total"), Some(3));
+    assert_eq!(reg.value("serve_cache_hits_total"), Some(1));
+    assert_eq!(reg.value("serve_errors_total"), Some(1));
     service.shutdown();
 }
 
@@ -1359,9 +1417,9 @@ fn metrics_command_exposes_json_and_text() {
     let metrics = crate::json::parse(&responses[2]).unwrap();
     assert_eq!(metrics.get("status").unwrap().as_str(), Some("ok"));
     let json = metrics.get("json").expect("json exposition");
-    // The exposition must round-trip every legacy stats field. The
+    // The exposition must round-trip every stats counter field. The
     // metrics request itself is the one extra request since the
-    // stats snapshot was taken.
+    // stats reply was built.
     assert_eq!(
         json.get("serve_requests_total").and_then(Json::as_u64),
         stats.get("requests").and_then(Json::as_u64).map(|n| n + 1)
@@ -1380,6 +1438,10 @@ fn metrics_command_exposes_json_and_text() {
         ("session_resolve_busy", "serve_session_resolve_busy_total"),
         ("wal_appends", "serve_wal_appends_total"),
         ("wal_replays", "serve_wal_replays_total"),
+        ("sessions_opened", "serve_sessions_opened"),
+        ("sessions_closed", "serve_sessions_closed"),
+        ("sessions_expired", "serve_sessions_expired"),
+        ("sessions_evicted", "serve_sessions_evicted"),
         ("sessions_recovered", "serve_sessions_recovered"),
     ] {
         assert_eq!(
@@ -1856,6 +1918,16 @@ fn traced_watch_reports_its_parse_time() {
     service.shutdown();
 }
 
+/// Polls until a watched race is registered on the hub under `id`,
+/// failing after ten seconds.
+fn await_watch(service: &Service, id: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.shared.watches.attach(id).is_none() {
+        assert!(Instant::now() < deadline, "watch {id} never registered");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A second connection can attach to an in-flight watched race by
 /// request id: it replays every frame streamed so far, follows the
 /// rest live, and sees the same terminal answer. Once the race
@@ -1874,7 +1946,7 @@ fn watch_attach_replays_the_stream_and_follows_live() {
     let watch_req =
         r#"{"cmd":"watch","id":"w-1","instance":{"name":"ft10"},"seed":5,"deadline_ms":1500}"#;
     let origin = std::thread::spawn(move || watch_lines(addr, watch_req));
-    std::thread::sleep(Duration::from_millis(300));
+    await_watch(&service, "w-1");
     let attached = watch_lines(addr, r#"{"cmd":"watch","request":"w-1"}"#);
     let origin_lines = origin.join().unwrap();
     assert!(
@@ -1945,7 +2017,7 @@ fn watch_rejects_a_duplicate_in_flight_id() {
     let watch_req =
         r#"{"cmd":"watch","id":"dup","instance":{"name":"ft10"},"seed":5,"deadline_ms":1500}"#;
     let origin = std::thread::spawn(move || watch_lines(addr, watch_req));
-    std::thread::sleep(Duration::from_millis(300));
+    await_watch(&service, "dup");
     let clash = watch_lines(
         addr,
         r#"{"cmd":"watch","id":"dup","instance":{"name":"ft06"},"seed":1,"deadline_ms":400}"#,
@@ -2133,8 +2205,8 @@ fn memoised_hits_replay_every_family_named_and_inline() {
     }
     assert_eq!(service.cache_len(), names.len(), "spellings share entries");
     let stats = service.stats();
-    assert_eq!(stats.cache_misses, names.len() as u64);
-    assert_eq!(stats.cache_hits, 5 * names.len() as u64);
+    assert_eq!(stats.cache_misses.get(), names.len() as u64);
+    assert_eq!(stats.cache_hits.get(), 5 * names.len() as u64);
 
     // Batch items and a watch replay the same bytes.
     let batch = concat!(
@@ -2233,8 +2305,8 @@ fn invalid_inline_text_errors_and_is_never_memoised() {
     }
     assert_eq!(lines[0], lines[1]);
     let stats = service.stats();
-    assert_eq!(stats.errors, 2);
-    assert_eq!(stats.cache_misses, 0);
+    assert_eq!(stats.errors.get(), 2);
+    assert_eq!(stats.cache_misses.get(), 0);
     assert!(service.shared.memo.get(&bad).is_none());
     service.shutdown();
 }

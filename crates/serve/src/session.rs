@@ -510,7 +510,7 @@ pub fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::metrics::{Histogram, Registry};
+    use crate::obs::metrics::Registry;
     use crate::server::{ServeConfig, ServiceStats};
     use crate::wal::tests::seed_state;
     use crate::wal::{read_frames, RecoverOutcome, SessionStore};
@@ -557,30 +557,44 @@ mod tests {
         (ServeConfig { wal_dir, ..config }, dir)
     }
 
-    fn store(config: &ServeConfig) -> SessionStore {
-        let stats = ServiceStats::new(&Registry::new());
-        SessionStore::new(config, &stats, Arc::new(Histogram::default())).unwrap()
+    /// A store over a fresh registry, plus the registry cells it counts
+    /// into.
+    fn store(config: &ServeConfig) -> (SessionStore, ServiceStats) {
+        let registry = Registry::new();
+        let store = SessionStore::new(config, &registry).unwrap();
+        (store, ServiceStats::new(&registry))
     }
 
-    /// Every opened session is accounted for exactly once.
-    fn assert_accounted(store: &SessionStore) {
-        let g = store.gauges();
-        assert_eq!(g.opened, g.open + g.closed + g.expired + g.evicted, "{g:?}");
+    /// Every session that entered the map, opened or recovered, is
+    /// accounted for exactly once.
+    fn assert_accounted(store: &SessionStore, s: &ServiceStats) {
+        let open = store.open_count();
+        assert_eq!(
+            s.sessions_opened.get() + s.sessions_recovered.get(),
+            open + s.sessions_closed.get() + s.sessions_expired.get() + s.sessions_evicted.get(),
+            "{s:?} with {open} open"
+        );
     }
 
     #[test]
     fn registry_opens_touches_and_closes() {
-        let store = store(&cfg());
-        assert_eq!(store.gauges().open, 0);
+        let (store, s) = store(&cfg());
+        assert_eq!(store.open_count(), 0);
         let id = store.open(seed_state());
         assert_eq!(id, "sess-1");
-        assert_eq!(store.gauges().open, 1);
+        assert_eq!(store.open_count(), 1);
         assert!(store.entry(&id).is_some());
         assert!(store.entry("sess-999").is_none());
         assert!(store.close(&id).is_some());
         assert!(store.close(&id).is_none());
-        let g = store.gauges();
-        assert_eq!((g.open, g.opened, g.closed), (0, 1, 1));
+        assert_eq!(
+            (
+                store.open_count(),
+                s.sessions_opened.get(),
+                s.sessions_closed.get()
+            ),
+            (0, 1, 1)
+        );
     }
 
     #[test]
@@ -588,7 +602,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::atomic::Ordering::Relaxed;
         let (config, dir) = durable("publish", cfg());
-        let store = store(&config);
+        let (store, s) = store(&config);
         // The open record is on disk in full, not merely created.
         let log = dir.join("sess-1.wal");
         let logged = || std::fs::read(&log).is_ok_and(|b| read_frames(&b).0.len() == 1);
@@ -610,7 +624,7 @@ mod tests {
             let prober = scope.spawn(|| {
                 ready.wait();
                 while !opened.load(Relaxed) {
-                    if store.gauges().open > 0 {
+                    if store.open_count() > 0 {
                         assert!(logged(), "session published before its log exists");
                     }
                 }
@@ -623,8 +637,10 @@ mod tests {
             assert!(Arc::ptr_eq(&seen, &store.entry(&id).unwrap()));
         });
         // The watcher never replayed a copy from the fresh log.
-        let g = store.gauges();
-        assert_eq!((g.opened, g.recovered), (1, 0));
+        assert_eq!(
+            (s.sessions_opened.get(), s.sessions_recovered.get()),
+            (1, 0)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -639,8 +655,8 @@ mod tests {
         .unwrap();
         wal.begin("sess-7", &crate::wal::open_record("sess-7", &seed_state()))
             .unwrap();
-        let store = store(&config);
-        assert_eq!(store.gauges().recovered, 1);
+        let (store, s) = store(&config);
+        assert_eq!(s.sessions_recovered.get(), 1);
         // A live id is never forked: restoring it again returns the
         // existing entry and counts nothing.
         let entry = store.entry("sess-7").unwrap();
@@ -648,7 +664,7 @@ mod tests {
             panic!("the log must replay");
         };
         assert!(Arc::ptr_eq(&entry, &store.restore(*rec)));
-        assert_eq!(store.gauges().recovered, 1);
+        assert_eq!(s.sessions_recovered.get(), 1);
         // The minter was bumped past the recovered id.
         assert_eq!(store.open(seed_state()), "sess-8");
         let _ = std::fs::remove_dir_all(&dir);
@@ -656,7 +672,7 @@ mod tests {
 
     #[test]
     fn registry_expires_idle_sessions_by_ttl() {
-        let store = store(&ServeConfig {
+        let (store, s) = store(&ServeConfig {
             session_ttl_ms: 100,
             ..cfg()
         });
@@ -666,20 +682,19 @@ mod tests {
             ttl_ms: 3_600_000,
             ..seed_state()
         });
-        assert_eq!(store.gauges().open, 2);
+        assert_eq!(store.open_count(), 2);
         std::thread::sleep(Duration::from_millis(250));
         assert!(store.entry(&id).is_none(), "idle session must expire");
         assert!(store.entry(&long).is_some(), "per-request TTL still alive");
-        let g = store.gauges();
-        assert_eq!((g.open, g.expired), (1, 1));
+        assert_eq!((store.open_count(), s.sessions_expired.get()), (1, 1));
         std::thread::sleep(Duration::from_millis(1_100));
         assert!(store.entry(&long).is_none(), "clamped TTL must expire");
-        assert_eq!(store.gauges().expired, 2);
+        assert_eq!(s.sessions_expired.get(), 2);
     }
 
     #[test]
     fn registry_evicts_lru_at_capacity() {
-        let store = store(&ServeConfig {
+        let (store, s) = store(&ServeConfig {
             max_sessions: 2,
             ..cfg()
         });
@@ -688,11 +703,11 @@ mod tests {
         // Touch a so b becomes the LRU.
         assert!(store.entry(&a).is_some());
         let c = store.open(seed_state());
-        assert_eq!(store.gauges().open, 2);
+        assert_eq!(store.open_count(), 2);
         assert!(store.entry(&b).is_none(), "LRU session must be evicted");
         assert!(store.entry(&a).is_some());
         assert!(store.entry(&c).is_some());
-        assert_eq!(store.gauges().evicted, 1);
+        assert_eq!(s.sessions_evicted.get(), 1);
     }
 
     #[test]
@@ -704,31 +719,39 @@ mod tests {
                 ..cfg()
             },
         );
-        let store = store(&config);
+        let (store, s) = store(&config);
         let a = store.open(seed_state());
-        assert_accounted(&store);
+        assert_accounted(&store, &s);
         // A request holds a's entry and lock (an event mid-race)
         // across an open that finds the store at capacity.
         let held = store.entry(&a).unwrap();
         let guard = held.lock().unwrap();
         store.open(seed_state());
-        assert_accounted(&store);
-        assert_eq!(store.gauges().open, 2, "an open past a held cap exceeds it");
+        assert_accounted(&store, &s);
+        assert_eq!(store.open_count(), 2, "an open past a held cap exceeds it");
         let again = store.entry(&a).unwrap();
         assert!(
             Arc::ptr_eq(&held, &again),
             "a replayed copy beside the held one"
         );
-        let g = store.gauges();
-        assert_eq!((g.evicted, g.recovered), (0, 0));
-        assert_accounted(&store);
+        assert_eq!(
+            (s.sessions_evicted.get(), s.sessions_recovered.get()),
+            (0, 0)
+        );
+        assert_accounted(&store, &s);
         // Released, both sessions are evictable again.
         drop(guard);
         drop((held, again));
         store.open(seed_state());
-        let g = store.gauges();
-        assert_eq!((g.open, g.evicted, g.recovered), (1, 2, 0));
-        assert_accounted(&store);
+        assert_eq!(
+            (
+                store.open_count(),
+                s.sessions_evicted.get(),
+                s.sessions_recovered.get()
+            ),
+            (1, 2, 0)
+        );
+        assert_accounted(&store, &s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -742,32 +765,46 @@ mod tests {
                 ..cfg()
             },
         );
-        let store = store(&config);
+        let (store, s) = store(&config);
         let a = store.open(seed_state());
-        assert_accounted(&store);
+        assert_accounted(&store, &s);
         let held = store.entry(&a).unwrap();
         let guard = held.lock().unwrap();
         std::thread::sleep(Duration::from_millis(500));
         // a is idle past its TTL but held: neither the open's sweep
         // nor its capacity check may drop it.
         store.open(seed_state());
-        assert_accounted(&store);
+        assert_accounted(&store, &s);
         let again = store.entry(&a).unwrap();
         assert!(
             Arc::ptr_eq(&held, &again),
             "a replayed copy beside the held one"
         );
-        let g = store.gauges();
-        assert_eq!((g.open, g.expired, g.evicted, g.recovered), (2, 0, 0, 0));
-        assert_accounted(&store);
+        assert_eq!(
+            (
+                store.open_count(),
+                s.sessions_expired.get(),
+                s.sessions_evicted.get(),
+                s.sessions_recovered.get()
+            ),
+            (2, 0, 0, 0)
+        );
+        assert_accounted(&store, &s);
         // Released and idle again, both expire on the next sweep.
         drop(guard);
         drop((held, again));
         std::thread::sleep(Duration::from_millis(500));
         store.open(seed_state());
-        let g = store.gauges();
-        assert_eq!((g.open, g.expired, g.evicted, g.recovered), (1, 2, 0, 0));
-        assert_accounted(&store);
+        assert_eq!(
+            (
+                store.open_count(),
+                s.sessions_expired.get(),
+                s.sessions_evicted.get(),
+                s.sessions_recovered.get()
+            ),
+            (1, 2, 0, 0)
+        );
+        assert_accounted(&store, &s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -40,7 +40,7 @@
 //! bit flips through this contract.
 
 use crate::json::{obj, Json};
-use crate::obs::metrics::{Counter, Histogram};
+use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::protocol::{
     event_from_json, event_to_json, schedule_from_json, schedule_to_json, Objective, Solution,
 };
@@ -759,23 +759,6 @@ impl Wal {
     }
 }
 
-/// Point-in-time copy of the session counters plus the open gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionGauges {
-    /// Sessions currently held in memory.
-    pub open: u64,
-    /// Sessions ever opened.
-    pub opened: u64,
-    /// Sessions closed by request.
-    pub closed: u64,
-    /// Sessions expired by idle TTL.
-    pub expired: u64,
-    /// Sessions evicted by the LRU capacity cap.
-    pub evicted: u64,
-    /// Sessions rebuilt from the write-ahead log.
-    pub recovered: u64,
-}
-
 /// One slot of the id map: the shared session entry plus recency
 /// metadata, kept outside the entry mutex so touching never waits on a
 /// running event.
@@ -836,14 +819,15 @@ pub struct SessionStore {
     /// write-then-publish, a miss's replay, and a close's delete. Never
     /// taken on a hit.
     recovery: Mutex<()>,
-    opened: Counter,
-    closed: Counter,
-    expired: Counter,
-    evicted: Counter,
-    recovered: Counter,
-    /// The service's `wal_appends`, `wal_replays` and `errors` counters.
-    appends: Arc<Counter>,
-    replays: Arc<Counter>,
+    /// The service's session tallies, `wal_appends`, `wal_replays` and
+    /// `errors` cells in the metrics registry.
+    sessions_opened: Arc<Gauge>,
+    sessions_closed: Arc<Gauge>,
+    sessions_expired: Arc<Gauge>,
+    sessions_evicted: Arc<Gauge>,
+    sessions_recovered: Arc<Gauge>,
+    wal_appends: Arc<Counter>,
+    wal_replays: Arc<Counter>,
     errors: Arc<Counter>,
     /// Per-record write latency (frame + write + fsync, plus the
     /// snapshot rewrite when one triggers), µs.
@@ -852,16 +836,13 @@ pub struct SessionStore {
 
 impl SessionStore {
     /// Builds the store from a resolved service configuration, counting
-    /// into the service's `stats` and timing writes into `append_us`.
-    /// With a `wal_dir` it restores every log on disk before returning,
-    /// so a client that reconnects right after a crash sees its
-    /// session. A corrupt or unreadable log is quarantined, never
-    /// fatal; only an unusable WAL directory is.
-    pub fn new(
-        config: &ServeConfig,
-        stats: &ServiceStats,
-        append_us: Arc<Histogram>,
-    ) -> std::io::Result<SessionStore> {
+    /// straight into `registry`: the [`ServiceStats`] cells it owns and
+    /// the `serve_wal_append_us` histogram. With a `wal_dir` it
+    /// restores every log on disk before returning, so a client that
+    /// reconnects right after a crash sees its session. A corrupt or
+    /// unreadable log is quarantined, never fatal; only an unusable WAL
+    /// directory is.
+    pub fn new(config: &ServeConfig, registry: &Registry) -> std::io::Result<SessionStore> {
         let wal = config
             .wal_dir
             .as_ref()
@@ -873,6 +854,17 @@ impl SessionStore {
                 })
             })
             .transpose()?;
+        let ServiceStats {
+            errors,
+            wal_appends,
+            wal_replays,
+            sessions_opened,
+            sessions_closed,
+            sessions_expired,
+            sessions_evicted,
+            sessions_recovered,
+            ..
+        } = ServiceStats::new(registry);
         let store = SessionStore {
             wal,
             ttl: Duration::from_millis(config.session_ttl_ms.max(1)),
@@ -881,15 +873,18 @@ impl SessionStore {
             clock: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
             recovery: Mutex::new(()),
-            opened: Counter::default(),
-            closed: Counter::default(),
-            expired: Counter::default(),
-            evicted: Counter::default(),
-            recovered: Counter::default(),
-            appends: Arc::clone(&stats.wal_appends),
-            replays: Arc::clone(&stats.wal_replays),
-            errors: Arc::clone(&stats.errors),
-            append_us,
+            sessions_opened,
+            sessions_closed,
+            sessions_expired,
+            sessions_evicted,
+            sessions_recovered,
+            wal_appends,
+            wal_replays,
+            errors,
+            append_us: registry.histogram(
+                "serve_wal_append_us",
+                "write-ahead-log append latency (write + fsync) in microseconds",
+            ),
         };
         match store.wal.as_ref().map(Wal::recover_all).transpose() {
             Ok(recovered) => recovered.into_iter().flatten().for_each(|rec| {
@@ -900,22 +895,12 @@ impl SessionStore {
         Ok(store)
     }
 
-    /// Counter snapshot plus the open gauge (after sweeping expired
-    /// sessions).
-    pub fn gauges(&self) -> SessionGauges {
-        let open = {
-            let mut slots = self.lock_slots();
-            self.sweep(&mut slots);
-            slots.len() as u64
-        };
-        SessionGauges {
-            open,
-            opened: self.opened.get(),
-            closed: self.closed.get(),
-            expired: self.expired.get(),
-            evicted: self.evicted.get(),
-            recovered: self.recovered.get(),
-        }
+    /// Sessions currently held in memory, read live: expired sessions
+    /// are swept first, then the map is counted.
+    pub fn open_count(&self) -> u64 {
+        let mut slots = self.lock_slots();
+        self.sweep(&mut slots);
+        slots.len() as u64
     }
 
     /// Opens a fresh session under a newly minted id (`sess-<n>`) and
@@ -934,7 +919,7 @@ impl SessionStore {
                 let _ = wal.remove(&id);
             })
         });
-        self.insert(&id, state, &self.opened);
+        self.insert(&id, state, &self.sessions_opened);
         id
     }
 
@@ -1017,7 +1002,7 @@ impl SessionStore {
         }
         // This close holds the entry, so no sweep or eviction removed it.
         self.lock_slots().remove(id);
-        self.closed.inc();
+        self.sessions_closed.add(1);
         Some(state)
     }
 
@@ -1030,7 +1015,7 @@ impl SessionStore {
         if let Some(salvaged) = &rec.salvaged {
             eprintln!("[serve::wal] {}: {salvaged}", rec.session);
         }
-        self.replays.add(rec.records);
+        self.wal_replays.add(rec.records);
         let minted = rec
             .session
             .strip_prefix("sess-")
@@ -1038,14 +1023,14 @@ impl SessionStore {
         if let Some(n) = minted {
             self.next_id.fetch_max(n, Ordering::Relaxed);
         }
-        self.insert(&rec.session, rec.state, &self.recovered)
+        self.insert(&rec.session, rec.state, &self.sessions_recovered)
     }
 
     /// Inserts `state` under `id` unless the id is already live,
     /// evicting least-recently-used unheld sessions down to capacity,
-    /// and bumps `counter` when it inserted. The idle TTL comes from
+    /// and bumps `tally` when it inserted. The idle TTL comes from
     /// `state.ttl_ms`, clamped to ten times the default.
-    fn insert(&self, id: &str, state: SessionState, counter: &Counter) -> SessionEntry {
+    fn insert(&self, id: &str, state: SessionState, tally: &Gauge) -> SessionEntry {
         let ttl = match state.ttl_ms {
             0 => self.ttl,
             ms => Duration::from_millis(ms).min(self.ttl.saturating_mul(10)),
@@ -1066,7 +1051,7 @@ impl SessionStore {
                 break;
             };
             slots.remove(&lru);
-            self.evicted.inc();
+            self.sessions_evicted.add(1);
         }
         let entry = Arc::new(Mutex::new(Some(state)));
         slots.insert(
@@ -1078,7 +1063,7 @@ impl SessionStore {
                 entry: Arc::clone(&entry),
             },
         );
-        counter.inc();
+        tally.add(1);
         entry
     }
 
@@ -1100,7 +1085,7 @@ impl SessionStore {
     fn sweep(&self, slots: &mut HashMap<String, Slot>) {
         let before = slots.len();
         slots.retain(|_, s| s.held() || s.last_touch.elapsed() <= s.ttl);
-        self.expired.add((before - slots.len()) as u64);
+        self.sessions_expired.add((before - slots.len()) as u64);
     }
 
     fn lock_slots(&self) -> std::sync::MutexGuard<'_, HashMap<String, Slot>> {
@@ -1118,7 +1103,7 @@ impl SessionStore {
         let result = op(wal);
         self.append_us.observe(started.elapsed().as_micros() as u64);
         match result {
-            Ok(()) => self.appends.inc(),
+            Ok(()) => self.wal_appends.inc(),
             Err(e) => {
                 eprintln!("[serve::wal] {id}: {what} failed: {e} (continuing without durability)");
                 self.errors.inc();
@@ -1238,10 +1223,8 @@ pub(crate) mod tests {
             wal_fsync: false,
             ..ServeConfig::default()
         };
-        let open_store = || {
-            let stats = ServiceStats::new(&crate::obs::metrics::Registry::new());
-            SessionStore::new(&config, &stats, Arc::new(Histogram::default())).unwrap()
-        };
+        let registry = Registry::new();
+        let open_store = || SessionStore::new(&config, &registry).unwrap();
         let id = open_store().open(SessionState {
             ttl_ms: 90_000,
             ..seed_state()
@@ -1249,7 +1232,7 @@ pub(crate) mod tests {
         // A restart replays the open record, and the TTL rides in the
         // state it rebuilds.
         let restarted = open_store();
-        assert_eq!(restarted.gauges().recovered, 1);
+        assert_eq!(registry.value("serve_sessions_recovered"), Some(1));
         let ttl = restarted.lock_slots().get(&id).map(|slot| slot.ttl);
         assert_eq!(ttl, Some(Duration::from_millis(90_000)));
         let _ = std::fs::remove_dir_all(&dir);

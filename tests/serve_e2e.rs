@@ -105,9 +105,13 @@ fn ft06_served_twice_feasible_deterministic_and_cached() {
     assert_eq!(first_v.get("cached").and_then(Json::as_bool), Some(false));
 
     let stats = service.stats();
-    assert_eq!(stats.cache_misses, 1, "first request must miss");
-    assert_eq!(stats.cache_hits, 1, "second request must hit");
-    assert_eq!(stats.solved, 1, "only one portfolio race must have run");
+    assert_eq!(stats.cache_misses.get(), 1, "first request must miss");
+    assert_eq!(stats.cache_hits.get(), 1, "second request must hit");
+    assert_eq!(
+        stats.solved.get(),
+        1,
+        "only one portfolio race must have run"
+    );
     assert_eq!(service.cache_len(), 1);
 
     service.shutdown();
@@ -196,7 +200,7 @@ fn batch_of_generated_instances_solves_under_one_deadline() {
         assert!(t.get("solve_ms").and_then(Json::as_u64).is_some());
         assert_eq!(t.get("cache_hit").and_then(Json::as_bool), Some(false));
     }
-    assert_eq!(service.stats().solved, 9);
+    assert_eq!(service.stats().solved.get(), 9);
 
     // The whole batch replays from the cache: small cap-bound races are
     // budget-independent, so a repeat is answered without re-racing.
@@ -209,7 +213,11 @@ fn batch_of_generated_instances_solves_under_one_deadline() {
             "repeat item {i}"
         );
     }
-    assert_eq!(service.stats().solved, 9, "repeat must not race again");
+    assert_eq!(
+        service.stats().solved.get(),
+        9,
+        "repeat must not race again"
+    );
     service.shutdown();
 }
 
@@ -244,6 +252,6 @@ fn inline_instance_hits_the_same_cache_entry_as_the_named_classic() {
         named_v.get("schedule").expect("schedule").encode(),
         inline_v.get("schedule").expect("schedule").encode()
     );
-    assert_eq!(service.stats().cache_hits, 1);
+    assert_eq!(service.stats().cache_hits.get(), 1);
     service.shutdown();
 }

@@ -131,10 +131,14 @@ fn run_session(gen_cap: u64) -> Vec<(f64, String, String)> {
     );
     assert_eq!(closed.get("closed").unwrap().as_bool(), Some(true));
     assert_eq!(closed.get("events").unwrap().as_u64(), Some(2));
-    assert_eq!(service.session_gauges().open, 0);
+    let wire = roundtrip(&mut w, &mut r, r#"{"cmd":"stats"}"#);
+    assert_eq!(wire.get("sessions_open").and_then(Json::as_u64), Some(0));
     let stats = service.stats();
-    assert_eq!(stats.session_events, 2);
-    assert_eq!(stats.session_repair_wins + stats.session_resolve_wins, 2);
+    assert_eq!(stats.session_events.get(), 2);
+    assert_eq!(
+        stats.session_repair_wins.get() + stats.session_resolve_wins.get(),
+        2
+    );
 
     service.shutdown();
     answers
@@ -201,7 +205,7 @@ fn killed_service_recovers_sessions_bit_identically_from_wal() {
     // Phase 2: a fresh service over the same WAL directory rebuilds
     // the session before accepting connections.
     let service = Service::bind(config()).expect("rebind");
-    assert_eq!(service.session_gauges().recovered, 1);
+    assert_eq!(service.stats().sessions_recovered.get(), 1);
     let (mut w, mut r) = connect(service.local_addr());
     let post = roundtrip(
         &mut w,
@@ -218,7 +222,7 @@ fn killed_service_recovers_sessions_bit_identically_from_wal() {
     }
     // open + 2 events replayed; the registry never reissues the
     // recovered id to a new session.
-    assert_eq!(service.stats().wal_replays, 3);
+    assert_eq!(service.stats().wal_replays.get(), 3);
     let opened2 = roundtrip(
         &mut w,
         &mut r,
