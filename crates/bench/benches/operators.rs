@@ -1,21 +1,19 @@
-//! Criterion micro-benches for the GA operator catalogue — the
-//! per-generation serial work that bounds master-slave speedup (Amdahl).
+//! Micro-benches for the GA operator catalogue — the per-generation
+//! serial work that bounds master-slave speedup (Amdahl).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+mod common;
+
 use ga::crossover::{KeysCrossover, PermCrossover, RepCrossover};
 use ga::dual::DualGenome;
 use ga::mutate::{gaussian_keys, SeqMutation};
 use ga::rng::root_rng;
 use ga::select::Selection;
 use rand::seq::SliceRandom;
-use std::time::Duration;
+use std::hint::black_box;
 
-fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
-    let mut g = c.benchmark_group("operators");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-    g
+/// Times one operator case as an `operators/<name>` row.
+fn row<O>(name: &str, f: impl FnMut() -> O) {
+    common::row("operators", name, f);
 }
 
 /// `count` seeded pairs of shuffles of `genes`. The benches cycle
@@ -32,19 +30,16 @@ fn shuffled_pairs(genes: &[usize], count: usize) -> Vec<(Vec<usize>, Vec<usize>)
     (0..count).map(|_| (shuffled(), shuffled())).collect()
 }
 
-fn bench_crossovers(c: &mut Criterion) {
-    let mut g = quick(c);
+fn bench_crossovers() {
     let mut rng = root_rng(1);
     // The serve path's permutation sizes.
     for n in [50, 160] {
         let pairs = shuffled_pairs(&(0..n).collect::<Vec<_>>(), 64);
         for op in PermCrossover::ALL {
             let mut next = pairs.iter().cycle();
-            g.bench_function(format!("perm_{op:?}_n{n}"), |b| {
-                b.iter(|| {
-                    let (p1, p2) = next.next().expect("cycle never ends");
-                    op.apply(std::hint::black_box(p1), std::hint::black_box(p2), &mut rng)
-                })
+            row(&format!("perm_{op:?}_n{n}"), || {
+                let (p1, p2) = next.next().expect("cycle never ends");
+                op.apply(black_box(p1), black_box(p2), &mut rng)
             });
         }
     }
@@ -55,16 +50,9 @@ fn bench_crossovers(c: &mut Criterion) {
         ("thx", RepCrossover::Thx(0.5)),
     ] {
         let mut next = pairs.iter().cycle();
-        g.bench_function(format!("rep_{name}"), |b| {
-            b.iter(|| {
-                let (p1, p2) = next.next().expect("cycle never ends");
-                op.apply(
-                    std::hint::black_box(p1),
-                    std::hint::black_box(p2),
-                    20,
-                    &mut rng,
-                )
-            })
+        row(&format!("rep_{name}"), || {
+            let (p1, p2) = next.next().expect("cycle never ends");
+            op.apply(black_box(p1), black_box(p2), 20, &mut rng)
         });
     }
     // The flexible-shop dual genome at the serve size: 20 jobs x 8
@@ -78,16 +66,9 @@ fn bench_crossovers(c: &mut Criterion) {
         })
         .collect();
     let mut next = dual_pairs.iter().cycle();
-    g.bench_function("dual_crossover", |b| {
-        b.iter(|| {
-            let (p1, p2) = next.next().expect("cycle never ends");
-            DualGenome::crossover(
-                std::hint::black_box(p1),
-                std::hint::black_box(p2),
-                20,
-                &mut rng,
-            )
-        })
+    row("dual_crossover", || {
+        let (p1, p2) = next.next().expect("cycle never ends");
+        DualGenome::crossover(black_box(p1), black_box(p2), 20, &mut rng)
     });
     let k1: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
     let k2: Vec<f64> = k1.iter().rev().copied().collect();
@@ -96,37 +77,23 @@ fn bench_crossovers(c: &mut Criterion) {
         ("arithmetic", KeysCrossover::Arithmetic),
         ("two_point", KeysCrossover::TwoPoint),
     ] {
-        g.bench_function(format!("keys_{name}"), |b| {
-            b.iter(|| {
-                op.apply(
-                    std::hint::black_box(&k1),
-                    std::hint::black_box(&k2),
-                    &mut rng,
-                )
-            })
+        row(&format!("keys_{name}"), || {
+            op.apply(black_box(&k1), black_box(&k2), &mut rng)
         });
     }
-    g.finish();
 }
 
-fn bench_mutation_selection(c: &mut Criterion) {
-    let mut g = quick(c);
+/// Mutations run in place on one 100-gene genome, so a row prices the
+/// operator alone, with no per-call allocation.
+fn bench_mutation_selection() {
     let mut rng = root_rng(2);
     for m in SeqMutation::ALL {
-        g.bench_function(format!("mutate_{m:?}"), |b| {
-            b.iter_batched(
-                || (0..100usize).collect::<Vec<_>>(),
-                |mut v| m.apply(&mut v, &mut rng),
-                criterion::BatchSize::SmallInput,
-            )
-        });
+        let mut genome: Vec<usize> = (0..100).collect();
+        row(&format!("mutate_{m:?}"), || m.apply(&mut genome, &mut rng));
     }
-    g.bench_function("mutate_gaussian_keys", |b| {
-        b.iter_batched(
-            || vec![0.5f64; 100],
-            |mut v| gaussian_keys(&mut v, 0.1, 0.2, &mut rng),
-            criterion::BatchSize::SmallInput,
-        )
+    let mut keys = vec![0.5f64; 100];
+    row("mutate_gaussian_keys", || {
+        gaussian_keys(&mut keys, 0.1, 0.2, &mut rng)
     });
     let fitness: Vec<f64> = (1..=100).map(|i| i as f64).collect();
     for (name, sel) in [
@@ -134,17 +101,16 @@ fn bench_mutation_selection(c: &mut Criterion) {
         ("tournament5", Selection::Tournament(5)),
         ("rank", Selection::LinearRank),
     ] {
-        g.bench_function(format!("select_{name}"), |b| {
-            b.iter(|| sel.pick(std::hint::black_box(&fitness), &mut rng))
+        row(&format!("select_{name}"), || {
+            sel.pick(black_box(&fitness), &mut rng)
         });
     }
-    g.bench_function("select_sus_pick100", |b| {
-        b.iter(|| {
-            Selection::StochasticUniversal.pick_many(std::hint::black_box(&fitness), 100, &mut rng)
-        })
+    row("select_sus_pick100", || {
+        Selection::StochasticUniversal.pick_many(black_box(&fitness), 100, &mut rng)
     });
-    g.finish();
 }
 
-criterion_group!(benches, bench_crossovers, bench_mutation_selection);
-criterion_main!(benches);
+fn main() {
+    bench_crossovers();
+    bench_mutation_selection();
+}

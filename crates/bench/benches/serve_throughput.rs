@@ -5,15 +5,15 @@
 //! connections of cold traffic against the persistent racer pool —
 //! the provisioning experiment behind the scheduler: racer threads
 //! stay bounded by the pool size while throughput tracks the
-//! hardware). Besides the criterion lines, it prints the throughput
-//! and sweep rows.
+//! hardware). It prints the throughput and sweep rows; perfbench's
+//! `cached_replay`, `cold_race` and `session_storm` workloads are the
+//! recorded latency numbers.
 //!
 //! A second group measures **session-event throughput vs. WAL mode**
 //! (no WAL / WAL+fsync / WAL without fsync) under concurrent
 //! sessions and prints one row per mode — the measured price of the
 //! fsync-before-answer durability guarantee.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use serve::protocol::{encode_request, InstanceSpec, Objective, SolveRequest};
 use serve::{ServeConfig, Service};
 use std::io::{BufRead, BufReader, Write};
@@ -165,7 +165,7 @@ fn session_events_sweep(addr: std::net::SocketAddr, sessions: usize, window: Dur
 /// concurrent event storm against a memory-only service, a durable one
 /// (fsync before every answer), and a durable one with fsync off —
 /// isolating framing+write cost from the fsync itself.
-fn bench_session_wal(c: &mut Criterion) {
+fn bench_session_wal() {
     const SESSIONS: usize = 4;
     let wal_root = std::env::temp_dir().join(format!("pga-wal-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_root);
@@ -174,11 +174,6 @@ fn bench_session_wal(c: &mut Criterion) {
         ("wal_fsync", true, true),
         ("wal_nofsync", true, false),
     ];
-
-    let mut g = c.benchmark_group("serve_session");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(500));
     for (mode, wal, fsync) in modes {
         let config = ServeConfig {
             gen_cap: 10,
@@ -190,37 +185,19 @@ fn bench_session_wal(c: &mut Criterion) {
         }
         .resolved();
         let service = Service::bind(config).expect("bind");
-        let addr = service.local_addr();
-
-        // Criterion line: one event on one warm session.
-        let mut client = Client::connect(addr);
-        let opened = client.roundtrip(&session_open_line(7));
-        let sid = serve::json::parse(opened.trim())
-            .expect("parse open")
-            .get("session")
-            .expect("session id")
-            .as_str()
-            .expect("string id")
-            .to_string();
-        let line = session_event_line(&sid);
-        g.bench_function(format!("event_{mode}"), |b| {
-            b.iter(|| client.roundtrip(&line))
-        });
-
-        let events_per_sec = session_events_sweep(addr, SESSIONS, Duration::from_millis(800));
+        let events_per_sec =
+            session_events_sweep(service.local_addr(), SESSIONS, Duration::from_millis(800));
         println!(
             "serve_session_wal: mode {mode}, {SESSIONS} sessions, gen_cap 10: \
              {events_per_sec:.1} events/s"
         );
 
-        drop(client);
         service.shutdown();
     }
-    g.finish();
     let _ = std::fs::remove_dir_all(&wal_root);
 }
 
-fn bench_serve(c: &mut Criterion) {
+fn bench_serve() {
     let config = ServeConfig {
         // Small caps keep a cold ft06 race in the low milliseconds so
         // the bench finishes quickly; the cached path is cap-independent.
@@ -236,25 +213,9 @@ fn bench_serve(c: &mut Criterion) {
     let service = Service::bind(config).expect("bind");
     let addr = service.local_addr();
 
-    // Warm the cache entry the "cached" benchmark hits.
+    // Warm the cache entry the cached row hits.
     let mut client = Client::connect(addr);
     client.roundtrip(&solve_line(42));
-
-    let mut g = c.benchmark_group("serve");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(500));
-    g.bench_function("request_ft06_cached", |b| {
-        b.iter(|| client.roundtrip(&solve_line(42)))
-    });
-    let mut cold_seed = 1_000u64;
-    g.bench_function("request_ft06_cold", |b| {
-        b.iter(|| {
-            cold_seed += 1;
-            client.roundtrip(&solve_line(cold_seed))
-        })
-    });
-    g.finish();
 
     // Single-client throughput rows.
     let cached_rps = throughput(&mut client, Duration::from_millis(800), || solve_line(42));
@@ -291,5 +252,7 @@ fn bench_serve(c: &mut Criterion) {
     service.shutdown();
 }
 
-criterion_group!(benches, bench_serve, bench_session_wal);
-criterion_main!(benches);
+fn main() {
+    bench_serve();
+    bench_session_wal();
+}

@@ -203,7 +203,6 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
             obs.on_phase(GaPhase::Evaluate, ga::clock::elapsed_since(te));
         }
         self.telemetry.evaluations += n as u64;
-        self.telemetry.evals_per_generation.push(n as u64);
         self.telemetry.generations += 1;
         // Each cell exchanged state with its neighbours once.
         self.telemetry.messages += (n * self.config.shape.offsets().len()) as u64;

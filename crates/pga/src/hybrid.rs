@@ -119,7 +119,6 @@ impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
         }
         let evals_this_gen = self.grid_evaluations() - evals_before;
         self.telemetry.generations += 1;
-        self.telemetry.evals_per_generation.push(evals_this_gen);
         self.telemetry.evaluations += evals_this_gen;
         let tm = obs.wants_phases().then(ga::clock::now);
         if migrated {
@@ -260,7 +259,6 @@ mod tests {
         run(&mut h, &budget, &mut ());
         assert_eq!(h.telemetry.generations, 5);
         assert_eq!(h.telemetry.evaluations, 18 + 5 * 18);
-        assert_eq!(h.telemetry.evals_per_generation, vec![18; 5]);
         let grids: u64 = h.grids().iter().map(|g| g.telemetry.evaluations).sum();
         assert_eq!(h.telemetry.evaluations, grids);
     }

@@ -293,7 +293,6 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
         // so count what the engines actually evaluated.
         let evals_this_gen = self.engine_evaluations() - evals_before;
         self.telemetry.generations += 1;
-        self.telemetry.evals_per_generation.push(evals_this_gen);
         self.telemetry.evaluations += evals_this_gen;
 
         let tm = obs.wants_phases().then(ga::clock::now);
@@ -632,13 +631,14 @@ mod tests {
             &eval,
             IslandConfig::new(MigrationConfig::ring(3, 1)),
         );
-        run(&mut ig, &Termination::Generations(9), &mut ());
+        let initial = ig.telemetry.evaluations;
+        for _ in 0..9 {
+            let before = ig.telemetry.evaluations;
+            ig.step(&mut ());
+            assert_eq!(ig.telemetry.evaluations - before, 3 * 14);
+        }
+        assert_eq!(ig.telemetry.evaluations, initial + 9 * 3 * 14);
         let engines: u64 = ig.engines().iter().map(Engine::evaluations).sum();
         assert_eq!(ig.telemetry.evaluations, engines);
-        assert!(ig
-            .telemetry
-            .evals_per_generation
-            .iter()
-            .all(|&n| n == 3 * 14));
     }
 }

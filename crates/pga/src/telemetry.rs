@@ -12,14 +12,11 @@ use ga::engine::{Engine, Model};
 /// Counters describing one run of any parallel GA model.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTelemetry {
-    /// Generations executed (per island, summed over islands for island
-    /// models).
+    /// Generations executed: model steps, where one island-model step
+    /// advances every island by one generation.
     pub generations: u64,
     /// Total fitness evaluations.
     pub evaluations: u64,
-    /// Evaluations per generation of the *critical path* unit (one
-    /// island's generation, one master batch, ...).
-    pub evals_per_generation: Vec<u64>,
     /// Migration (or neighbour-exchange) messages sent.
     pub messages: u64,
     /// Total migrated individuals (message payload, in genomes).

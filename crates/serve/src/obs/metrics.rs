@@ -37,8 +37,7 @@ impl Counter {
 
 /// A gauge: a value that can move both ways (queue depth, open
 /// sessions, uptime). Set-at-read by the exposition path for values
-/// that already live elsewhere (cache length, pool depth); the session
-/// lifecycle tallies add into theirs in place.
+/// that already live elsewhere (cache length, pool depth).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -46,11 +45,6 @@ impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.

@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 /// The service counts behind the `stats` reply (lock-free; read each
 /// with `.get()` through [`super::Service::stats`]). Every field is a
 /// handle to a cell of the metrics registry, registered at
-/// construction: the `serve_<field>_total` counter, or the
-/// `serve_<field>` gauge for the session lifecycle tallies. There is no
+/// construction as the `serve_<field>_total` counter. There is no
 /// second copy, so `stats`, `metrics` and the periodic stderr summary
 /// can never disagree.
 ///
@@ -73,15 +72,15 @@ pub struct ServiceStats {
     /// recovery plus lazy recovery on first touch).
     pub wal_replays: Arc<Counter>,
     /// Sessions ever opened by a `session_open`.
-    pub sessions_opened: Arc<Gauge>,
+    pub sessions_opened: Arc<Counter>,
     /// Sessions closed by request.
-    pub sessions_closed: Arc<Gauge>,
+    pub sessions_closed: Arc<Counter>,
     /// Sessions expired by idle TTL.
-    pub sessions_expired: Arc<Gauge>,
+    pub sessions_expired: Arc<Counter>,
     /// Sessions evicted by the LRU capacity cap.
-    pub sessions_evicted: Arc<Gauge>,
+    pub sessions_evicted: Arc<Counter>,
     /// Sessions rebuilt from the write-ahead log.
-    pub sessions_recovered: Arc<Gauge>,
+    pub sessions_recovered: Arc<Counter>,
 }
 
 impl ServiceStats {
@@ -147,13 +146,18 @@ impl ServiceStats {
                 "serve_wal_replays_total",
                 "write-ahead-log records replayed into sessions",
             ),
-            sessions_opened: registry.gauge("serve_sessions_opened", "sessions ever opened"),
-            sessions_closed: registry.gauge("serve_sessions_closed", "sessions explicitly closed"),
-            sessions_expired: registry.gauge("serve_sessions_expired", "sessions expired by TTL"),
-            sessions_evicted: registry
-                .gauge("serve_sessions_evicted", "sessions evicted by the LRU cap"),
-            sessions_recovered: registry.gauge(
-                "serve_sessions_recovered",
+            sessions_opened: registry
+                .counter("serve_sessions_opened_total", "sessions ever opened"),
+            sessions_closed: registry
+                .counter("serve_sessions_closed_total", "sessions explicitly closed"),
+            sessions_expired: registry
+                .counter("serve_sessions_expired_total", "sessions expired by TTL"),
+            sessions_evicted: registry.counter(
+                "serve_sessions_evicted_total",
+                "sessions evicted by the LRU cap",
+            ),
+            sessions_recovered: registry.counter(
+                "serve_sessions_recovered_total",
                 "sessions rebuilt from the write-ahead log",
             ),
         }

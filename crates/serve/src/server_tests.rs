@@ -1116,19 +1116,14 @@ fn evicted_durable_session_is_recovered_from_its_log() {
 fn session_tallies(service: &Service) -> [u64; 6] {
     service.shared.refresh_gauges();
     let tallies = [
-        "open",
-        "opened",
-        "closed",
-        "expired",
-        "evicted",
-        "recovered",
+        "serve_sessions_open",
+        "serve_sessions_opened_total",
+        "serve_sessions_closed_total",
+        "serve_sessions_expired_total",
+        "serve_sessions_evicted_total",
+        "serve_sessions_recovered_total",
     ]
-    .map(|t| {
-        service
-            .registry()
-            .value(&format!("serve_sessions_{t}"))
-            .unwrap()
-    });
+    .map(|series| service.registry().value(series).unwrap());
     let [open, opened, closed, expired, evicted, recovered] = tallies;
     assert_eq!(
         opened + recovered,
@@ -1438,11 +1433,11 @@ fn metrics_command_exposes_json_and_text() {
         ("session_resolve_busy", "serve_session_resolve_busy_total"),
         ("wal_appends", "serve_wal_appends_total"),
         ("wal_replays", "serve_wal_replays_total"),
-        ("sessions_opened", "serve_sessions_opened"),
-        ("sessions_closed", "serve_sessions_closed"),
-        ("sessions_expired", "serve_sessions_expired"),
-        ("sessions_evicted", "serve_sessions_evicted"),
-        ("sessions_recovered", "serve_sessions_recovered"),
+        ("sessions_opened", "serve_sessions_opened_total"),
+        ("sessions_closed", "serve_sessions_closed_total"),
+        ("sessions_expired", "serve_sessions_expired_total"),
+        ("sessions_evicted", "serve_sessions_evicted_total"),
+        ("sessions_recovered", "serve_sessions_recovered_total"),
     ] {
         assert_eq!(
             json.get(metric).and_then(Json::as_u64),
@@ -1473,6 +1468,11 @@ fn metrics_command_exposes_json_and_text() {
     assert!(text.contains("# TYPE serve_requests_total counter"));
     assert!(text.contains("# TYPE serve_request_us histogram"));
     assert!(text.contains("serve_requests_by_type_total{type=\"solve\"} 1"));
+    // The session lifecycle tallies only grow, so they are counters.
+    for tally in ["opened", "closed", "expired", "evicted", "recovered"] {
+        let declared = format!("# TYPE serve_sessions_{tally}_total counter");
+        assert!(text.contains(&declared), "missing {declared:?}");
+    }
     // The stats body itself gained uptime and version.
     assert!(stats.get("uptime_ms").is_some());
     assert_eq!(

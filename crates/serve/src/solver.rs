@@ -102,12 +102,6 @@ pub struct SolveOutcome {
     /// Summed wall-clock nanoseconds the race members actually ran
     /// (always recorded — see `portfolio::RaceResult::run_ns`).
     pub run_ns: u64,
-    /// Operation count of the solved instance. With the summed member
-    /// evaluations from `models`, this prices the observed cost per
-    /// operation — `run_ns / (evaluations × total_ops)` — which the
-    /// server compares against the calibrated `hpc::calibrate`
-    /// constants for the drift gauge.
-    pub total_ops: u64,
 }
 
 /// Races the portfolio on `inst` until `deadline` on `pool` and returns
@@ -293,7 +287,6 @@ fn finish<G>(
         pool_wait: outcome.pool_wait,
         timelines: outcome.timelines,
         run_ns: outcome.run_ns,
-        total_ops: inst.total_ops() as u64,
     }
 }
 

@@ -40,7 +40,7 @@
 //! bit flips through this contract.
 
 use crate::json::{obj, Json};
-use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::obs::metrics::{Counter, Histogram, Registry};
 use crate::protocol::{
     event_from_json, event_to_json, schedule_from_json, schedule_to_json, Objective, Solution,
 };
@@ -821,11 +821,11 @@ pub struct SessionStore {
     recovery: Mutex<()>,
     /// The service's session tallies, `wal_appends`, `wal_replays` and
     /// `errors` cells in the metrics registry.
-    sessions_opened: Arc<Gauge>,
-    sessions_closed: Arc<Gauge>,
-    sessions_expired: Arc<Gauge>,
-    sessions_evicted: Arc<Gauge>,
-    sessions_recovered: Arc<Gauge>,
+    sessions_opened: Arc<Counter>,
+    sessions_closed: Arc<Counter>,
+    sessions_expired: Arc<Counter>,
+    sessions_evicted: Arc<Counter>,
+    sessions_recovered: Arc<Counter>,
     wal_appends: Arc<Counter>,
     wal_replays: Arc<Counter>,
     errors: Arc<Counter>,
@@ -1002,7 +1002,7 @@ impl SessionStore {
         }
         // This close holds the entry, so no sweep or eviction removed it.
         self.lock_slots().remove(id);
-        self.sessions_closed.add(1);
+        self.sessions_closed.inc();
         Some(state)
     }
 
@@ -1030,7 +1030,7 @@ impl SessionStore {
     /// evicting least-recently-used unheld sessions down to capacity,
     /// and bumps `tally` when it inserted. The idle TTL comes from
     /// `state.ttl_ms`, clamped to ten times the default.
-    fn insert(&self, id: &str, state: SessionState, tally: &Gauge) -> SessionEntry {
+    fn insert(&self, id: &str, state: SessionState, tally: &Counter) -> SessionEntry {
         let ttl = match state.ttl_ms {
             0 => self.ttl,
             ms => Duration::from_millis(ms).min(self.ttl.saturating_mul(10)),
@@ -1051,7 +1051,7 @@ impl SessionStore {
                 break;
             };
             slots.remove(&lru);
-            self.sessions_evicted.add(1);
+            self.sessions_evicted.inc();
         }
         let entry = Arc::new(Mutex::new(Some(state)));
         slots.insert(
@@ -1063,7 +1063,7 @@ impl SessionStore {
                 entry: Arc::clone(&entry),
             },
         );
-        tally.add(1);
+        tally.inc();
         entry
     }
 
@@ -1232,7 +1232,7 @@ pub(crate) mod tests {
         // A restart replays the open record, and the TTL rides in the
         // state it rebuilds.
         let restarted = open_store();
-        assert_eq!(registry.value("serve_sessions_recovered"), Some(1));
+        assert_eq!(registry.value("serve_sessions_recovered_total"), Some(1));
         let ttl = restarted.lock_slots().get(&id).map(|slot| slot.ttl);
         assert_eq!(ttl, Some(Duration::from_millis(90_000)));
         let _ = std::fs::remove_dir_all(&dir);

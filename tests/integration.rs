@@ -113,11 +113,12 @@ fn cost_model_orders_platforms_consistently_with_telemetry() {
         &eval,
         IslandConfig::new(MigrationConfig::ring(5, 1)),
     );
+    let initial = ig.telemetry.evaluations;
     ga::run(&mut ig, &Termination::Generations(20), &mut ());
-    let per_gen = &ig.telemetry.evals_per_generation;
+    let generations = ig.telemetry.generations;
     let shape = hpc::model::RunShape {
-        generations: ig.telemetry.generations,
-        evals_per_gen: per_gen.iter().sum::<u64>() / per_gen.len() as u64,
+        generations,
+        evals_per_gen: (ig.telemetry.evaluations - initial) / generations,
         eval_s: 2e-6,
         serial_gen_s: 1e-6,
         genome_bytes: 200.0,
