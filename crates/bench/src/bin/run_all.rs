@@ -23,9 +23,9 @@ fn main() {
     let mut held = 0usize;
     let experiments = bench::experiments::all();
     let total = experiments.len();
-    for run in experiments {
+    for experiment in experiments {
         let t0 = Instant::now();
-        let report = run();
+        let report = (experiment.run)();
         let dt = t0.elapsed().as_secs_f64();
         println!("{}", report.to_text());
         println!("  ({dt:.1}s)\n");

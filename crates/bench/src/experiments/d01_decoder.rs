@@ -189,17 +189,12 @@ pub fn measure() -> Vec<DecodeRow> {
 
 /// Renders the lane as a standard experiment report.
 pub fn run() -> Report {
-    report_from(&measure())
-}
-
-/// Builds the report for already-measured rows (lets the runner binary
-/// measure once and both print and persist the same rows).
-fn report_from(rows: &[DecodeRow]) -> Report {
+    let rows = measure();
     // Shape: the flat table at least doubles the materialising
     // reference on flexible and open (the families whose reference
     // decode allocates per operation).
     let mut shape_holds = !rows.is_empty();
-    for r in rows {
+    for r in &rows {
         shape_holds &= r.ref_per_s > 0.0 && r.full_per_s > 0.0;
         if r.family == "flexible" || r.family == "open" {
             shape_holds &= r.full_x() >= 2.0;

@@ -105,12 +105,7 @@ pub fn measure() -> Vec<SweepRow> {
 
 /// Renders the sweep as a standard experiment report.
 pub fn run() -> Report {
-    report_from(&measure())
-}
-
-/// Builds the report for an already-measured sweep (lets the runner
-/// binary measure once and both print and persist the same rows).
-fn report_from(rows: &[SweepRow]) -> Report {
+    let rows = measure();
     // Shape: within each family, the largest instance must be both
     // predicted and observed slower than the smallest (monotone ends;
     // the middle point is reported but not asserted, timing noise on

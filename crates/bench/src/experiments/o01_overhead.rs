@@ -20,7 +20,7 @@
 //! min-of-repeats wall clock of *both* instrumented modes stays
 //! within `MAX_OVERHEAD_PCT` of bare. The unit test checks (a) and (b)
 //! from one repeat; (c) is a wall-clock ratio, so only `run_all` and
-//! the `o01_trace_overhead` binary judge it.
+//! `experiment o01` judge it.
 
 use crate::report::{fmt, Report};
 use serve::scheduler::RacerPool;
@@ -204,12 +204,7 @@ pub fn measure() -> Vec<OverheadRow> {
 
 /// Renders the lane as a standard experiment report.
 pub fn run() -> Report {
-    report_from(&measure())
-}
-
-/// Builds the report for an already-measured lane (lets the runner
-/// binary measure once and both print and persist the same rows).
-fn report_from(rows: &[OverheadRow]) -> Report {
+    let rows = measure();
     let bare_total: f64 = rows.iter().map(|r| r.untraced_ms).sum();
     let traced_total: f64 = rows.iter().map(|r| r.traced_ms).sum();
     let watched_total: f64 = rows.iter().map(|r| r.watched_ms).sum();

@@ -12,7 +12,9 @@ use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
 use ga::termination::Termination;
 use shop::decoder::job::JobDecoder;
-use shop::dynamic::{frozen_prefix, reschedule_suffix, right_shift_repair, Event};
+use shop::dynamic::{
+    frozen_prefix, repair_with_windows, reschedule_suffix_with_windows, DownWindow,
+};
 use shop::instance::generate::{job_shop_uniform, GenConfig};
 use shop::Problem;
 
@@ -41,14 +43,14 @@ pub fn run() -> Report {
     let mk0 = schedule.makespan();
 
     // Disruption: the busiest machine dies for a third of the horizon.
-    let event = Event::Breakdown {
+    let window = DownWindow {
         machine: 2,
         from: mk0 / 4,
-        duration: mk0 / 3,
+        until: mk0 / 4 + mk0 / 3,
     };
 
     // (a) Right-shift repair.
-    let repaired = right_shift_repair(&inst, &schedule, &event);
+    let repaired = repair_with_windows(&inst, &schedule, 0, &[window]);
     repaired.validate_job(&inst).expect("repair stays feasible");
 
     // (b) Reactive GA rescheduling of the suffix, warm-started from the
@@ -57,10 +59,10 @@ pub fn run() -> Report {
     let frozen_cl = frozen.clone();
     let remaining_cl = remaining.clone();
     let inst_ref = &inst;
-    let event_cl = event.clone();
     let suffix_eval = move |perm: &Vec<usize>| {
         let order: Vec<(usize, usize)> = perm.iter().map(|&i| remaining_cl[i]).collect();
-        reschedule_suffix(inst_ref, &frozen_cl, &order, &event_cl).makespan() as f64
+        reschedule_suffix_with_windows(inst_ref, &frozen_cl, &order, &[window], 0).makespan()
+            as f64
     };
     let k = remaining.len();
     let suffix_tk = Toolkit::permutation(k, PermCrossover::Order, SeqMutation::Shift);
@@ -79,7 +81,7 @@ pub fn run() -> Report {
 
     // Validity check of the reactive winner.
     let order: Vec<(usize, usize)> = rebest.genome.iter().map(|&i| remaining[i]).collect();
-    let resched = reschedule_suffix(&inst, &frozen, &order, &event);
+    let resched = reschedule_suffix_with_windows(&inst, &frozen, &order, &[window], 0);
     resched
         .validate_job(&inst)
         .expect("reschedule stays feasible");

@@ -186,8 +186,8 @@ pub fn run() -> Report {
     report_from(&measure())
 }
 
-/// Builds the report for an already-measured sweep (lets the runner
-/// binary measure once and both print and persist the same rows).
+/// Builds the report for an already-measured sweep (lets the unit test
+/// pin the rows and check the verdict from one sweep).
 fn report_from(rows: &[StormRow]) -> Report {
     // Shape: (a) warm never loses to right-shift repair, per event —
     // the warm-start guarantee; (b) summed over the storm, warm never

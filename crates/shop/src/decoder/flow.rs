@@ -38,24 +38,6 @@ impl<'a> FlowDecoder<'a> {
         frontier[m - 1]
     }
 
-    /// Completion time `C_j` of every job under `perm` (indexed by job
-    /// id, not by position). Needed for the weighted criteria.
-    pub fn completion_times(&self, perm: &[usize]) -> Vec<Time> {
-        let m = self.inst.n_machines();
-        let mut frontier = vec![0 as Time; m];
-        let mut completion = vec![0 as Time; self.inst.n_jobs()];
-        for &j in perm {
-            let mut prev = frontier[0].max(self.inst.release(j)) + self.inst.proc(j, 0);
-            frontier[0] = prev;
-            for k in 1..m {
-                prev = prev.max(frontier[k]) + self.inst.proc(j, k);
-                frontier[k] = prev;
-            }
-            completion[j] = frontier[m - 1];
-        }
-        completion
-    }
-
     /// Full semi-active schedule for `perm`.
     pub fn schedule(&self, perm: &[usize]) -> Schedule {
         let m = self.inst.n_machines();
@@ -135,16 +117,6 @@ mod tests {
         let s = d.schedule(&perm);
         assert_eq!(s.makespan(), d.makespan(&perm));
         s.validate_flow(&inst).unwrap();
-    }
-
-    #[test]
-    fn completion_times_agree_with_schedule() {
-        let inst = flow_shop_taillard(&GenConfig::new(9, 3, 5));
-        let d = FlowDecoder::new(&inst);
-        let perm: Vec<usize> = vec![4, 1, 7, 0, 8, 2, 6, 3, 5];
-        let c = d.completion_times(&perm);
-        let s = d.schedule(&perm);
-        assert_eq!(c, s.completion_times(9));
     }
 
     #[test]

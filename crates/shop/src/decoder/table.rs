@@ -584,7 +584,7 @@ mod tests {
         let mut scratch = DecodeScratch::new();
         let perm: Vec<usize> = (0..9).rev().collect();
         assert_eq!(table.flow_makespan(&perm, &mut scratch), d.makespan(&perm));
-        let sum: Time = d.completion_times(&perm).iter().sum();
+        let sum: Time = d.schedule(&perm).completion_times(9).iter().sum();
         assert_eq!(table.flow_completion_sum(&perm, &mut scratch), sum);
     }
 

@@ -27,10 +27,10 @@
 //! before an event's time runs to completion — a breakdown window is
 //! only enforced against operations that have not started yet (the
 //! machine is assumed to fail between operations, or the event to be
-//! known by the time the affected operation would start). The
-//! time-zero convenience wrappers ([`right_shift_repair`],
-//! [`reschedule_suffix`]) treat every operation as unstarted, which
-//! recovers the classic textbook repair.
+//! known by the time the affected operation would start). Called with
+//! `now = 0`, [`repair_with_windows`] and
+//! [`reschedule_suffix_with_windows`] treat every operation as
+//! unstarted, which recovers the classic textbook repair.
 
 use crate::instance::{JobShopInstance, Op};
 use crate::schedule::{Schedule, ScheduledOp};
@@ -185,37 +185,6 @@ pub fn repair_with_windows(
     Schedule::new(out)
 }
 
-/// Right-shift repair for a single breakdown with nothing yet started
-/// (the classic textbook form, kept for the predictive-phase callers).
-/// Keeps every machine sequence and job order from `schedule` and
-/// pushes operations later until the breakdown window and all
-/// precedences are respected.
-///
-/// # Panics
-///
-/// On a non-breakdown event: arrivals and revisions change the
-/// *instance*, so they must go through [`apply_event`].
-pub fn right_shift_repair(inst: &JobShopInstance, schedule: &Schedule, event: &Event) -> Schedule {
-    let Event::Breakdown {
-        machine,
-        from,
-        duration,
-    } = *event
-    else {
-        panic!("right_shift_repair handles breakdowns only; use apply_event");
-    };
-    repair_with_windows(
-        inst,
-        schedule,
-        0,
-        &[DownWindow {
-            machine,
-            from,
-            until: from.saturating_add(duration),
-        }],
-    )
-}
-
 /// Splits `schedule` at `t`: operations that already *started* (strictly
 /// before `t`; an operation starting exactly at `t` is still free to
 /// move) stay frozen; the rest are collected as a remaining operation
@@ -293,39 +262,6 @@ pub fn reschedule_suffix_with_windows(
         next_op[j] = s + 1;
     }
     Schedule::new(ops)
-}
-
-/// Single-breakdown suffix reschedule (time-zero convenience wrapper of
-/// [`reschedule_suffix_with_windows`]).
-///
-/// # Panics
-///
-/// On a non-breakdown event, like [`right_shift_repair`].
-pub fn reschedule_suffix(
-    inst: &JobShopInstance,
-    frozen: &[ScheduledOp],
-    suffix_order: &[(usize, usize)],
-    event: &Event,
-) -> Schedule {
-    let Event::Breakdown {
-        machine,
-        from,
-        duration,
-    } = *event
-    else {
-        panic!("reschedule_suffix handles breakdowns only; use apply_event");
-    };
-    reschedule_suffix_with_windows(
-        inst,
-        frozen,
-        suffix_order,
-        &[DownWindow {
-            machine,
-            from,
-            until: from.saturating_add(duration),
-        }],
-        0,
-    )
 }
 
 /// Appends a newly arrived job (release time `at`) to the instance.
@@ -705,23 +641,20 @@ mod tests {
     fn right_shift_repair_is_feasible_and_avoids_window() {
         let (inst, sched) = base();
         let mk = sched.makespan();
-        let event = Event::Breakdown {
+        let window = DownWindow {
             machine: 1,
             from: mk / 4,
-            duration: mk / 3,
+            until: mk / 4 + mk / 3,
         };
-        let repaired = right_shift_repair(&inst, &sched, &event);
+        let repaired = repair_with_windows(&inst, &sched, 0, &[window]);
         repaired.validate_job(&inst).unwrap();
-        let Event::Breakdown {
+        let DownWindow {
             machine,
             from,
-            duration,
-        } = event
-        else {
-            unreachable!()
-        };
+            until,
+        } = window;
         for o in repaired.ops.iter().filter(|o| o.machine == machine) {
-            let overlaps = o.start < from + duration && o.end > from;
+            let overlaps = o.start < until && o.end > from;
             assert!(!overlaps, "op {o:?} overlaps breakdown window");
         }
         assert!(repaired.makespan() >= mk);
@@ -741,28 +674,25 @@ mod tests {
         let (inst, sched) = base();
         let mk = sched.makespan();
         let t = mk / 3;
-        let event = Event::Breakdown {
+        let window = DownWindow {
             machine: 0,
             from: t,
-            duration: mk / 4,
+            until: t + mk / 4,
         };
         let (frozen, rest) = frozen_prefix(&sched, t);
-        let re = reschedule_suffix(&inst, &frozen, &rest, &event);
+        let re = reschedule_suffix_with_windows(&inst, &frozen, &rest, &[window], 0);
         re.validate_job(&inst).unwrap();
-        let Event::Breakdown {
+        let DownWindow {
             machine,
             from,
-            duration,
-        } = event
-        else {
-            unreachable!()
-        };
+            until,
+        } = window;
         for o in re
             .ops
             .iter()
             .filter(|o| o.machine == machine && o.start >= t)
         {
-            let overlaps = o.start < from + duration && o.end > from;
+            let overlaps = o.start < until && o.end > from;
             assert!(!overlaps);
         }
     }
@@ -828,12 +758,13 @@ mod tests {
     #[test]
     fn zero_duration_outage_is_a_no_op() {
         let (inst, sched) = base();
-        let event = Event::Breakdown {
+        let from = sched.makespan() / 2;
+        let window = DownWindow {
             machine: 1,
-            from: sched.makespan() / 2,
-            duration: 0,
+            from,
+            until: from,
         };
-        let repaired = right_shift_repair(&inst, &sched, &event);
+        let repaired = repair_with_windows(&inst, &sched, 0, &[window]);
         repaired.validate_job(&inst).unwrap();
         assert_eq!(repaired.makespan(), sched.makespan());
         // Semi-active input: the re-derived timing is identical.
