@@ -11,7 +11,6 @@ use hpc::model::{island_time, master_slave_time, RunShape};
 use hpc::Platform;
 use pga::cellular::{CellularConfig, CellularGa};
 use pga::island::{IslandConfig, IslandGa};
-use pga::master_slave::RayonEvaluator;
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::generate::{job_shop_uniform, GenConfig};
@@ -38,12 +37,8 @@ fn main() {
     };
     let cfg = crate_cfg(48);
 
-    let mut e = Engine::new(cfg.clone(), toolkit(), &eval);
+    let mut e = Engine::new(cfg, toolkit(), &eval);
     row("engine_generation_pop48", || e.step(&mut ()));
-
-    let rayon_eval = RayonEvaluator::new(eval);
-    let mut e = Engine::new(cfg, toolkit(), &rayon_eval);
-    row("master_slave_generation_pop48", || e.step(&mut ()));
 
     let mut cga = CellularGa::new(CellularConfig::new(7, 7, 3), toolkit(), &eval);
     row("cellular_generation_7x7", || cga.step(&mut ()));

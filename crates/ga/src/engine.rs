@@ -303,8 +303,9 @@ pub trait Model<G> {
 /// `&mut ()` is the bare observer. Nothing a model decides ever reads
 /// from its observer (the RNG streams never see it), so an observed run
 /// is bit-identical to a bare one. `Sync` because an island model hands
-/// one shared reference to all of its engines, which may step in
-/// parallel and report phase timings concurrently.
+/// one shared reference to all of its engines: they step in island
+/// order on one thread today, and a fork-join island step would have
+/// them report phase timings concurrently.
 pub trait Observer<G>: Sync {
     /// The best-so-far when a run starts, and after every strict
     /// improvement.
@@ -471,7 +472,7 @@ impl<'a, G: Clone> Engine<'a, G> {
     /// when [`Observer::wants_phases`] asks, but no sample: the
     /// [`Model::step`] of this engine adds its own, and an island model
     /// adds island-tagged ones. Takes the observer by shared reference
-    /// so the engines of one island model can evolve in parallel.
+    /// so the engines of one island model could evolve in parallel.
     pub fn evolve(&mut self, obs: &dyn Observer<G>) {
         self.generation += 1;
         let pop = self.config.pop_size;

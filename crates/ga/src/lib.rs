@@ -36,10 +36,12 @@ pub use termination::Termination;
 
 /// Batch evaluator abstraction: maps genomes to *costs* (minimised).
 ///
-/// The sequential implementation evaluates in order; the `pga` crate
-/// provides a rayon-backed implementation. Implementations must be pure
-/// (same genome, same cost) so that parallel evaluation preserves GA
-/// behaviour bit-for-bit.
+/// The default `cost_batch` evaluates in index order on the calling
+/// thread, and so does every implementation in the workspace (`pga`'s
+/// `BatchedEvaluator` only counts its batches). `cost_batch` is the seam
+/// where a fork-join evaluator would fan a batch out. Implementations
+/// must be pure (same genome, same cost) so that any batching or
+/// parallel evaluation preserves GA behaviour bit-for-bit.
 pub trait Evaluator<G>: Sync {
     /// Cost (objective value, lower is better) of one genome.
     fn cost(&self, genome: &G) -> f64;

@@ -6,15 +6,15 @@
 //! neighbourhoods diffuse good genes across the grid. Updates are
 //! synchronous (the whole grid advances one generation at once), matching
 //! the survey's `Parallel_Neighborhood*` pseudo-code, and every cell draws
-//! from its own deterministic RNG stream so the result is independent of
-//! thread scheduling.
+//! from its own deterministic RNG stream so the result does not depend on
+//! the order cells are bred in. Cells are bred in index order on the
+//! calling thread.
 
 use crate::telemetry::RunTelemetry;
 use ga::engine::{GaPhase, Individual, Model, Observer, Status, Toolkit};
 use ga::rng::stream_rng;
 use ga::stats::{mean_hamming, GenerationSample};
 use ga::Evaluator;
-use rayon::prelude::*;
 
 /// Neighbourhood shape on the torus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,14 +167,15 @@ impl<'a, G: Clone + Send + Sync> CellularGa<'a, G> {
         let mutation_rate = self.config.mutation_rate;
         let n = self.grid.len();
 
-        // Phase 1 (parallel, read-only grid): breed one child per cell.
+        // Phase 1 (read-only grid): breed one child per cell, in cell
+        // order on the calling thread — the loop a fork-join step would
+        // split, since each cell draws from its own stream.
         // Phase timing reads the clock only when the observer asks.
         let profiled = obs.wants_phases();
         let tb = profiled.then(ga::clock::now);
         let grid = &self.grid;
         let toolkit = &self.toolkit;
         let children: Vec<G> = (0..n)
-            .into_par_iter()
             .map(|i| {
                 let mut rng = stream_rng(seed, gen.wrapping_mul(0x1000_0000) + i as u64);
                 let mate = *self
@@ -292,23 +293,10 @@ impl<G: Clone + Send + Sync> Model<G> for CellularGa<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::PhaseTimes;
-    use ga::crossover::PermCrossover;
+    use crate::tests::{displacement, toolkit, PhaseTimes};
     use ga::engine::run;
-    use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-
-    fn displacement(p: &[usize]) -> f64 {
-        p.iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 - v as f64).abs())
-            .sum()
-    }
-
-    fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
-    }
 
     #[test]
     fn warm_started_grid_places_the_incumbent_on_the_first_cells() {

@@ -91,19 +91,19 @@ fn best_of<'g, G: Clone + Send + Sync>(grids: &'g [CellularGa<'_, G>]) -> &'g In
 }
 
 impl<G: Clone + Send + Sync> Model<G> for IslandsOfCellular<'_, G> {
-    /// One global generation: every torus steps once; on ring epochs the
-    /// best individuals of each torus replace random cells of the next
-    /// torus on the ring (timed as `Migrate`). When the observer wants
+    /// One global generation: every torus steps once, in torus order on
+    /// the calling thread; on ring epochs the best individuals of each
+    /// torus replace random cells of the next torus on the ring (timed
+    /// as `Migrate`). When the observer wants
     /// samples, reports one per torus as its own generation left it
     /// (before migration), tagged with the torus index as its `island`,
     /// with `migration: true` on ring epochs.
     fn step(&mut self, obs: &mut dyn Observer<G>) {
-        use rayon::prelude::*;
         self.generation += 1;
         let best_before = self.best.cost;
         let evals_before = self.grid_evaluations();
         let shared: &dyn Observer<G> = &*obs;
-        self.grids.par_iter_mut().for_each(|g| g.evolve(shared));
+        self.grids.iter_mut().for_each(|g| g.evolve(shared));
         let n = self.grids.len();
         let migrated = n > 1 && self.generation.is_multiple_of(self.ring_interval);
         // Migrants change neither a torus's evaluations nor its
@@ -186,21 +186,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga::crossover::PermCrossover;
+    use crate::tests::{displacement, toolkit};
     use ga::engine::run;
-    use ga::mutate::SeqMutation;
     use ga::termination::Termination;
-
-    fn displacement(p: &[usize]) -> f64 {
-        p.iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 - v as f64).abs())
-            .sum()
-    }
-
-    fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
-    }
 
     #[test]
     fn islands_of_cellular_improves_and_migrates() {

@@ -20,7 +20,6 @@ use ga::rng::{split_seed, stream_rng};
 use ga::stats::{stagnation_fraction, GenerationSample};
 use ga::Evaluator;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Island-model configuration beyond the per-island GA configs.
 #[derive(Debug, Clone)]
@@ -262,7 +261,8 @@ impl<'a, G: Clone + Send + Sync> IslandGa<'a, G> {
 }
 
 impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
-    /// Advances every active island one generation (in parallel), then
+    /// Advances every active island one generation, in island order on
+    /// the calling thread (the loop a fork-join step would split), then
     /// applies migration / broadcast / merging when due. When the
     /// observer wants samples, reports one per still-active island,
     /// tagged with the island id: best/mean/diversity as the island's
@@ -279,7 +279,7 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
         let evals_before = self.engine_evaluations();
         let shared: &dyn Observer<G> = &*obs;
         self.engines
-            .par_iter_mut()
+            .iter_mut()
             .zip(&self.active)
             .filter(|(_, &a)| a)
             .for_each(|(e, _)| e.evolve(shared));
@@ -353,23 +353,12 @@ impl<G: Clone + Send + Sync> Model<G> for IslandGa<'_, G> {
 mod tests {
     use super::*;
     use crate::migration::MigrationPolicy;
-    use crate::tests::PhaseTimes;
+    use crate::tests::{displacement, toolkit, PhaseTimes};
     use ga::crossover::PermCrossover;
     use ga::engine::run;
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-
-    fn displacement(p: &[usize]) -> f64 {
-        p.iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 - v as f64).abs())
-            .sum()
-    }
-
-    fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
-        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
-    }
 
     fn base_cfg(seed: u64) -> GaConfig {
         GaConfig {

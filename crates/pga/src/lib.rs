@@ -2,10 +2,10 @@
 //! Section III taxonomy, implemented over the sequential engine of the
 //! `ga` crate:
 //!
-//! * [`master_slave`] — Table III: one panmictic population, fitness
-//!   evaluation fanned out to workers (rayon), plus the batched-queue
-//!   variant of Akhshabi \[18\] and the "slaves run whole GAs" variant of
-//!   Mui et al. \[17\].
+//! * [`master_slave`] — Table III: one panmictic population whose
+//!   fitness batch is the slaves' share of the work, plus the
+//!   batched-queue variant of Akhshabi \[18\] and the "slaves run whole
+//!   GAs" variant of Mui et al. \[17\].
 //! * [`cellular`] — Table IV: the fine-grained / neighbourhood /
 //!   diffusion model of Tamaki \[20\] on a 2-D torus.
 //! * [`island`] — Table V: coarse-grained subpopulations with migration;
@@ -17,13 +17,22 @@
 //! * [`hybrid`] — Lin et al. \[21\]'s two hybrid models (islands of
 //!   cellular grids; island sets wired in a cellular-style topology).
 //!
+//! What runs: every model steps its islands, cells and slaves in index
+//! order on the calling thread. The seams where fork-join parallelism
+//! would go are `ga::Evaluator::cost_batch` (the master-slave fan-out)
+//! and the per-island, per-cell, per-torus and per-slave loops of
+//! [`IslandGa`], [`CellularGa`], [`IslandsOfCellular`] and
+//! [`DistributedSlavesGa`]; the `Send` / `Sync` bounds on the models
+//! are there for them.
+//!
 //! Determinism: every model takes a single `u64` seed and derives
-//! independent per-worker streams with `ga::rng::split_seed`, so results
-//! are reproducible regardless of thread scheduling. Master-slave
-//! parallel evaluation is bit-identical to sequential evaluation with the
-//! same seed (the survey's defining property of the model); island and
-//! cellular models are deterministic but — as the survey stresses — *do*
-//! change the algorithm's trajectory relative to the panmictic GA.
+//! independent per-worker streams with `ga::rng::split_seed`, so a
+//! worker's draws never depend on the order workers run in. Master-slave
+//! evaluation in any batching is bit-identical to sequential evaluation
+//! with the same seed (the survey's defining property of the model);
+//! island and cellular models are deterministic but — as the survey
+//! stresses — *do* change the algorithm's trajectory relative to the
+//! panmictic GA.
 
 pub mod cellular;
 pub mod hybrid;
@@ -40,7 +49,7 @@ pub mod topology;
 pub use cellular::{CellularConfig, CellularGa, NeighborhoodShape};
 pub use hybrid::{cellular_style_islands, IslandsOfCellular};
 pub use island::{IslandConfig, IslandGa, MergeRule};
-pub use master_slave::{BatchedEvaluator, DistributedSlavesGa, RayonEvaluator};
+pub use master_slave::{BatchedEvaluator, DistributedSlavesGa};
 pub use migration::{MigrationConfig, MigrationPolicy};
 pub use telemetry::{Instrumented, RequestTelemetry, RunTelemetry};
 pub use topology::Topology;
@@ -56,7 +65,8 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
-    /// Accumulates phase nanoseconds; safe under parallel island steps.
+    /// Accumulates phase nanoseconds through `&self`, as the observer
+    /// an island model shares among its engines must.
     #[derive(Default)]
     pub(crate) struct PhaseTimes([AtomicU64; 4]);
 
@@ -76,15 +86,18 @@ pub(crate) mod tests {
         }
     }
 
-    fn displacement(p: &[usize]) -> f64 {
+    /// Total displacement of a permutation from the identity; its
+    /// optimum is 0 at the identity.
+    pub(crate) fn displacement(p: &[usize]) -> f64 {
         p.iter()
             .enumerate()
             .map(|(i, &v)| (i as f64 - v as f64).abs())
             .sum()
     }
 
-    fn toolkit(_: usize) -> Toolkit<Vec<usize>> {
-        Toolkit::permutation(9, PermCrossover::Order, SeqMutation::Swap)
+    /// The flow/open-shop permutation bundle over `n` positions.
+    pub(crate) fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
+        Toolkit::permutation(n, PermCrossover::Order, SeqMutation::Swap)
     }
 
     /// Runs three fresh models from `build` — bare, recording samples,
@@ -115,26 +128,27 @@ pub(crate) mod tests {
     #[test]
     fn observers_never_change_any_model() {
         let eval = |g: &Vec<usize>| displacement(g);
+        let per_island = |_: usize| toolkit(9);
         let cfg = GaConfig {
             pop_size: 16,
             seed: 22,
             ..GaConfig::default()
         };
-        observers_are_passive("engine", || Engine::new(cfg.clone(), toolkit(0), &eval));
+        observers_are_passive("engine", || Engine::new(cfg.clone(), toolkit(9), &eval));
         observers_are_passive("island", || {
             IslandGa::homogeneous(
                 cfg.clone(),
                 3,
-                &toolkit,
+                &per_island,
                 &eval,
                 IslandConfig::new(MigrationConfig::ring(3, 1)),
             )
         });
         observers_are_passive("cellular", || {
-            CellularGa::new(CellularConfig::new(4, 4, 22), toolkit(0), &eval)
+            CellularGa::new(CellularConfig::new(4, 4, 22), toolkit(9), &eval)
         });
         observers_are_passive("islands_of_cellular", || {
-            IslandsOfCellular::new(2, CellularConfig::new(3, 3, 22), &toolkit, &eval, 3, 1)
+            IslandsOfCellular::new(2, CellularConfig::new(3, 3, 22), &per_island, &eval, 3, 1)
         });
     }
 }

@@ -1,15 +1,17 @@
 //! Master-slave (global) parallel GA — survey Table III.
 //!
 //! The master keeps the single population and runs selection, crossover
-//! and mutation; slaves evaluate fitness in parallel. Because evaluation
-//! is pure, the parallel run is *bit-identical* to the sequential one
-//! with the same seed — the survey's footnote that master-slave "is the
-//! only one that does not affect the behavior of the algorithm" is a
-//! testable property here.
+//! and mutation; slaves evaluate fitness. Because evaluation is pure,
+//! any split of a generation's batch across slaves leaves the run
+//! *bit-identical* to the sequential one with the same seed — the
+//! survey's footnote that master-slave "is the only one that does not
+//! affect the behavior of the algorithm" is a testable property here.
+//! Here the slaves are a seam, not threads: every batch is evaluated in
+//! index order on the calling thread, and [`Evaluator::cost_batch`] is
+//! where a fork-join evaluator would fan the batch out.
 //!
-//! Three variants:
-//! * [`RayonEvaluator`] — drop-in parallel evaluator (shared-memory
-//!   slaves, the GPU-style fan-out of AitZai \[14\] / Somani \[16\]);
+//! Two variants beyond the plain engine (which is the model with the
+//! default `cost_batch`):
 //! * [`BatchedEvaluator`] — the master-scheduler/unassigned-queue model
 //!   of Akhshabi et al. \[18\]: individuals are dispatched in fixed-size
 //!   batches, and batch counts are recorded for the cost model;
@@ -20,40 +22,7 @@ use ga::engine::{run, Engine, GaConfig, Individual, Toolkit};
 use ga::rng::split_seed;
 use ga::termination::Termination;
 use ga::Evaluator;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Wraps any evaluator so batches are mapped in parallel with rayon.
-#[derive(Clone)]
-pub struct RayonEvaluator<E> {
-    inner: E,
-}
-
-impl<E> RayonEvaluator<E> {
-    pub fn new(inner: E) -> Self {
-        RayonEvaluator { inner }
-    }
-}
-
-// The wrapped evaluator is usually a closure, so Debug is implemented by
-// hand rather than derived (a `E: Debug` bound would exclude closures).
-impl<E> std::fmt::Debug for RayonEvaluator<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RayonEvaluator")
-            .field("inner", &std::any::type_name::<E>())
-            .finish()
-    }
-}
-
-impl<G: Sync, E: Evaluator<G>> Evaluator<G> for RayonEvaluator<E> {
-    fn cost(&self, genome: &G) -> f64 {
-        self.inner.cost(genome)
-    }
-
-    fn cost_batch(&self, genomes: &[G]) -> Vec<f64> {
-        genomes.par_iter().map(|g| self.inner.cost(g)).collect()
-    }
-}
 
 /// Akhshabi-style batched dispatch: the master partitions the unassigned
 /// queue into batches of `batch_size` and hands each batch to a slave.
@@ -105,8 +74,8 @@ impl<G: Sync, E: Evaluator<G>> Evaluator<G> for BatchedEvaluator<E> {
         self.batches_dispatched
             .fetch_add(n_batches, Ordering::Relaxed);
         genomes
-            .par_chunks(self.batch_size)
-            .flat_map_iter(|chunk| chunk.iter().map(|g| self.inner.cost(g)))
+            .chunks(self.batch_size)
+            .flat_map(|chunk| chunk.iter().map(|g| self.inner.cost(g)))
             .collect()
     }
 }
@@ -122,7 +91,8 @@ pub struct DistributedSlavesGa<G> {
 
 impl<G: Clone + Send + Sync> DistributedSlavesGa<G> {
     /// Runs `n_slaves` independent GAs (seeded from `base_config.seed`)
-    /// in parallel and collects each slave's best individual.
+    /// one after another, in slave order on the calling thread, and
+    /// collects each slave's best individual.
     pub fn run<E: Evaluator<G> + Sync>(
         base_config: &GaConfig,
         toolkit_factory: &(dyn Fn() -> Toolkit<G> + Sync),
@@ -132,7 +102,6 @@ impl<G: Clone + Send + Sync> DistributedSlavesGa<G> {
     ) -> Self {
         assert!(n_slaves >= 1);
         let runs: Vec<(Individual<G>, u64)> = (0..n_slaves)
-            .into_par_iter()
             .map(|slave| {
                 let mut cfg = base_config.clone();
                 cfg.seed = split_seed(base_config.seed, slave as u64);
@@ -160,17 +129,11 @@ impl<G: Clone + Send + Sync> DistributedSlavesGa<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::displacement;
     use ga::crossover::PermCrossover;
     use ga::mutate::SeqMutation;
     use ga::stats::History;
     use ga::termination::Termination;
-
-    fn displacement(p: &[usize]) -> f64 {
-        p.iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 - v as f64).abs())
-            .sum()
-    }
 
     fn toolkit(n: usize) -> Toolkit<Vec<usize>> {
         Toolkit::permutation(n, PermCrossover::Pmx, SeqMutation::Shift)
@@ -179,9 +142,9 @@ mod tests {
     #[test]
     fn warm_started_master_slave_starts_at_the_incumbent() {
         // The warm-start API threads through the master-slave model
-        // untouched: the parallel evaluator sees the seeded population
+        // untouched: the batched evaluator sees the seeded population
         // and the initial best is the incumbent (here: the optimum).
-        let parallel = RayonEvaluator::new(|g: &Vec<usize>| displacement(g));
+        let batched = BatchedEvaluator::new(|g: &Vec<usize>| displacement(g), 7);
         let cfg = GaConfig {
             pop_size: 24,
             seed: 7,
@@ -189,23 +152,25 @@ mod tests {
         };
         let incumbent: Vec<usize> = (0..12).collect();
         let tk = toolkit(12).with_warm_start(vec![incumbent.clone()], 6);
-        let engine = Engine::new(cfg, tk, &parallel);
+        let engine = Engine::new(cfg, tk, &batched);
         assert_eq!(engine.best().cost, 0.0);
         assert_eq!(engine.best().genome, incumbent);
     }
 
     #[test]
-    fn parallel_evaluation_is_bit_identical_to_sequential() {
-        // The survey's master-slave equivalence property.
+    fn batched_evaluation_is_bit_identical_to_sequential() {
+        // The survey's master-slave equivalence property: dispatching
+        // each generation in batches of 7 (the last one short) leaves
+        // the trajectory exactly as the bare evaluator's.
         let sequential = |g: &Vec<usize>| displacement(g);
-        let parallel = RayonEvaluator::new(|g: &Vec<usize>| displacement(g));
+        let batched = BatchedEvaluator::new(|g: &Vec<usize>| displacement(g), 7);
         let cfg = GaConfig {
             pop_size: 30,
             seed: 99,
             ..GaConfig::default()
         };
         let mut a = Engine::new(cfg.clone(), toolkit(10), &sequential);
-        let mut b = Engine::new(cfg, toolkit(10), &parallel);
+        let mut b = Engine::new(cfg, toolkit(10), &batched);
         let term = Termination::Generations(20);
         let (mut history_a, mut history_b) = (History::default(), History::default());
         let best_a = run(&mut a, &term, &mut history_a);

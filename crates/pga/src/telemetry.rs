@@ -43,8 +43,8 @@ pub trait Instrumented<G>: Model<G> {
     fn telemetry(&self) -> RunTelemetry;
 }
 
-/// The panmictic engine as the master-slave model: one logical master
-/// (the slave count is rayon's pool).
+/// The panmictic engine as the master-slave model: one logical master,
+/// whose fitness batch runs in index order on the calling thread.
 impl<G: Clone> Instrumented<G> for Engine<'_, G> {
     fn telemetry(&self) -> RunTelemetry {
         RunTelemetry {

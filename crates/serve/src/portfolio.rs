@@ -102,6 +102,18 @@ impl BestSoFar {
     }
 }
 
+/// A family's nominal whole-walk decode cost, seconds per operation
+/// (see [`hpc::calibrate`]): the one family → cost map that both the
+/// lineup pricing and the service's drift gauge read.
+pub(crate) fn decode_op_s(family: Family) -> f64 {
+    match family {
+        Family::Flow => hpc::calibrate::DECODE_OP_S_FLOW,
+        Family::Job => hpc::calibrate::DECODE_OP_S_JOB,
+        Family::Open => hpc::calibrate::DECODE_OP_S_OPEN,
+        Family::Flexible => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
+    }
+}
+
 /// Prices candidate configurations of all three models for a `family`
 /// instance with `total_ops` operations on a multicore platform of
 /// `threads` width, returning them ranked cheapest-first as
@@ -112,22 +124,16 @@ impl BestSoFar {
 /// generated-sweep predictions 3–10x off on the flexible/open
 /// families. The constants are still nominal (the ranking stays
 /// machine-independent); the generated-sweep bench
-/// (`g01_generated_sweep`) records predicted next to observed runtimes
+/// (`experiment g01`) records predicted next to observed runtimes
 /// to track how the model scales with size.
 pub fn price_lineup(family: Family, total_ops: usize, threads: usize) -> Vec<(f64, ModelKind)> {
     let threads = threads.clamp(1, 3);
     // Population scales with instance size, bounded for latency.
     let pop = (2 * total_ops).clamp(32, 128);
-    let decode_op_s = match family {
-        Family::Flow => hpc::calibrate::DECODE_OP_S_FLOW,
-        Family::Job => hpc::calibrate::DECODE_OP_S_JOB,
-        Family::Open => hpc::calibrate::DECODE_OP_S_OPEN,
-        Family::Flexible => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
-    };
     let shape = RunShape {
         generations: 100,
         evals_per_gen: pop as u64,
-        eval_s: decode_op_s * total_ops as f64,
+        eval_s: decode_op_s(family) * total_ops as f64,
         serial_gen_s: 150e-9 * pop as f64,
         genome_bytes: 8.0 * total_ops as f64,
     };

@@ -7,6 +7,8 @@
 use super::Shared;
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
+use crate::portfolio::decode_op_s;
+use shop::gen::Family;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -348,11 +350,12 @@ impl ServeMetrics {
     /// time, not any scoped phase slice.
     pub(super) fn observe_race_profile(
         &self,
-        family: &str,
+        family: Family,
         phases: &PhaseAcc,
         run_ns: u64,
         eval_ops: u64,
     ) {
+        let name = family.name();
         let snapshot = phases.snapshot_ns();
         for (i, &p) in PHASE_NAMES.iter().enumerate() {
             // panic-safe: i < PHASE_NAMES.len() == snapshot_ns() length (5).
@@ -362,7 +365,7 @@ impl ServeMetrics {
             if let Some((_, h)) = self
                 .phase_us
                 .iter()
-                .find(|((f, ph), _)| *f == family && *ph == p)
+                .find(|((f, ph), _)| *f == name && *ph == p)
             {
                 // panic-safe: as above — i indexes the fixed 5-phase array.
                 h.observe(snapshot[i] / 1_000);
@@ -371,8 +374,7 @@ impl ServeMetrics {
         if run_ns == 0 || eval_ops == 0 {
             return;
         }
-        let Some((_, ns_acc, ops_acc)) = self.drift_acc.iter().find(|(f, _, _)| *f == family)
-        else {
+        let Some((_, ns_acc, ops_acc)) = self.drift_acc.iter().find(|(f, _, _)| *f == name) else {
             return;
         };
         // Cumulative ratio: one slow outlier race cannot whipsaw the
@@ -380,9 +382,9 @@ impl ServeMetrics {
         let ns = ns_acc.fetch_add(run_ns, Ordering::Relaxed) + run_ns;
         let ops = ops_acc.fetch_add(eval_ops, Ordering::Relaxed) + eval_ops;
         let observed_ns_per_op = ns as f64 / ops as f64;
-        let calibrated_ns_per_op = calibrated_op_s(family) * 1e9;
+        let calibrated_ns_per_op = decode_op_s(family) * 1e9;
         let milli = (observed_ns_per_op / calibrated_ns_per_op * 1000.0).round();
-        if let Some((_, g)) = self.drift_milli.iter().find(|(f, _)| *f == family) {
+        if let Some((_, g)) = self.drift_milli.iter().find(|(f, _)| *f == name) {
             g.set(milli.max(0.0) as u64);
         }
     }
@@ -395,17 +397,6 @@ impl ServeMetrics {
             .find(|(f, _)| *f == family)
             .map(|(_, g)| g.get())
             .unwrap_or(0)
-    }
-}
-
-/// Calibrated whole-walk decode cost for a family, seconds per
-/// operation (see `hpc::calibrate`).
-fn calibrated_op_s(family: &str) -> f64 {
-    match family {
-        "flow" => hpc::calibrate::DECODE_OP_S_FLOW,
-        "job" => hpc::calibrate::DECODE_OP_S_JOB,
-        "open" => hpc::calibrate::DECODE_OP_S_OPEN,
-        _ => hpc::calibrate::DECODE_OP_S_FLEXIBLE,
     }
 }
 

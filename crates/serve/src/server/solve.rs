@@ -298,7 +298,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
         .saturating_mul(inst.total_ops() as u64);
     shared
         .metrics
-        .observe_race_profile(inst.family().name(), &phases, outcome.run_ns, eval_ops);
+        .observe_race_profile(inst.family(), &phases, outcome.run_ns, eval_ops);
     if let (Some(tr), Some(start)) = (trace, race_start) {
         tr.member_spans(start, &outcome.timelines);
         let decodes: u64 = outcome.models.iter().map(|(_, t)| t.decode_calls).sum();

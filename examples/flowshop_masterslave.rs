@@ -1,6 +1,8 @@
 //! Master-slave parallelism: demonstrates the survey's defining property
-//! of the model — parallel fitness evaluation leaves the GA's trajectory
-//! bit-identical — and prices the run on three modelled HPC platforms.
+//! of the model — splitting each generation's fitness batch across
+//! slaves leaves the GA's trajectory bit-identical — and prices the run
+//! on three modelled HPC platforms. The batches are evaluated in order on
+//! this thread; the platform prices are model predictions.
 //!
 //! Run with: `cargo run --release --example flowshop_masterslave`
 
@@ -11,7 +13,7 @@ use ga::termination::Termination;
 use hpc::calibrate::measure_adaptive_s;
 use hpc::model::{master_slave_time, sequential_time, speedup, RunShape};
 use hpc::Platform;
-use pga::master_slave::RayonEvaluator;
+use pga::master_slave::BatchedEvaluator;
 use shop::decoder::flow::FlowDecoder;
 use shop::instance::generate::{flow_shop_taillard, GenConfig};
 
@@ -34,9 +36,10 @@ fn main() {
     let mut seq_engine = Engine::new(cfg.clone(), toolkit(50), &eval);
     let seq_best = ga::run(&mut seq_engine, &term, &mut ());
 
-    // Master-slave: same algorithm, rayon-parallel fitness evaluation.
-    let parallel = RayonEvaluator::new(eval);
-    let mut ms_engine = Engine::new(cfg, toolkit(50), &parallel);
+    // Master-slave: same algorithm, fitness dispatched to slaves in
+    // batches of 8 individuals.
+    let batched = BatchedEvaluator::new(eval, 8);
+    let mut ms_engine = Engine::new(cfg, toolkit(50), &batched);
     let ms_best = ga::run(&mut ms_engine, &term, &mut ());
 
     println!("sequential best:  {}", seq_best.cost);

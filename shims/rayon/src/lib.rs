@@ -1,124 +1,5 @@
-//! Offline shim for the `rayon` parallel-iterator API subset this
-//! workspace uses (`par_iter`, `par_iter_mut`, `into_par_iter`,
-//! `par_chunks`). Every adapter returns the corresponding *sequential*
-//! standard-library iterator, so all `Iterator` combinators compose
-//! unchanged and execution is deterministic and in-order — which is
-//! exactly the single-threaded reduction path the master-slave
-//! determinism contract requires. When a real crates.io mirror is
-//! available, swapping the workspace dependency back to upstream rayon
-//! is a one-line change and no call sites move.
-
-pub mod iter {
-    /// `collection.into_par_iter()` — sequential stand-in.
-    pub trait IntoParallelIterator {
-        type Iter: Iterator<Item = Self::Item>;
-        type Item;
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<I: IntoIterator> IntoParallelIterator for I {
-        type Iter = I::IntoIter;
-        type Item = I::Item;
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    /// `collection.par_iter()` — sequential stand-in.
-    pub trait IntoParallelRefIterator<'data> {
-        type Iter: Iterator<Item = Self::Item>;
-        type Item: 'data;
-        fn par_iter(&'data self) -> Self::Iter;
-    }
-
-    impl<'data, C: 'data + ?Sized> IntoParallelRefIterator<'data> for C
-    where
-        &'data C: IntoIterator,
-    {
-        type Iter = <&'data C as IntoIterator>::IntoIter;
-        type Item = <&'data C as IntoIterator>::Item;
-        fn par_iter(&'data self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    /// `collection.par_iter_mut()` — sequential stand-in.
-    pub trait IntoParallelRefMutIterator<'data> {
-        type Iter: Iterator<Item = Self::Item>;
-        type Item: 'data;
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-    where
-        &'data mut C: IntoIterator,
-    {
-        type Iter = <&'data mut C as IntoIterator>::IntoIter;
-        type Item = <&'data mut C as IntoIterator>::Item;
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    /// Rayon-specific combinators that plain `Iterator` lacks, provided
-    /// on every iterator so `rayon::prelude::*` call sites compile
-    /// unchanged against the sequential adapters.
-    pub trait ParallelIterator: Iterator + Sized {
-        /// Rayon's `flat_map_iter` (sequential inner iterator) — here
-        /// everything is sequential, so it is plain `flat_map`.
-        fn flat_map_iter<U, F>(self, f: F) -> std::iter::FlatMap<Self, U, F>
-        where
-            U: IntoIterator,
-            F: FnMut(Self::Item) -> U,
-        {
-            self.flat_map(f)
-        }
-    }
-
-    impl<I: Iterator> ParallelIterator for I {}
-
-    /// `slice.par_chunks(n)` — sequential stand-in.
-    pub trait ParallelSlice<T> {
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-            self.chunks(chunk_size)
-        }
-    }
-}
-
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIterator, ParallelSlice,
-    };
-}
-
-/// Sequential shim: always reports a single "thread".
-pub fn current_num_threads() -> usize {
-    1
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::prelude::*;
-
-    #[test]
-    fn adapters_match_sequential_results() {
-        let v = vec![1, 2, 3, 4, 5];
-        let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8, 10]);
-
-        let mut w = v.clone();
-        w.par_iter_mut().for_each(|x| *x += 1);
-        assert_eq!(w, vec![2, 3, 4, 5, 6]);
-
-        let sums: Vec<i32> = v.par_chunks(2).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, vec![3, 7, 5]);
-
-        let squares: Vec<usize> = (0..4).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares, vec![0, 1, 4, 9]);
-    }
-}
+//! Empty stand-in for `rayon`. No code in the workspace uses it: the
+//! parallel models in `pga` step their islands and cells in index order
+//! on one thread, and `ga::Evaluator::cost_batch` plus those loops are
+//! where fork-join parallelism would go. The package stays only because
+//! `pga`'s manifest, and so the committed lockfiles, still name it.

@@ -7,7 +7,7 @@ use ga::stats::History;
 use ga::termination::Termination;
 use pga::cellular::{CellularConfig, CellularGa};
 use pga::island::{IslandConfig, IslandGa};
-use pga::master_slave::RayonEvaluator;
+use pga::master_slave::BatchedEvaluator;
 use pga::migration::MigrationConfig;
 use shop::decoder::job::JobDecoder;
 use shop::instance::classic;
@@ -66,13 +66,14 @@ fn master_slave_trajectory_equals_sequential_on_real_instance() {
     let mut sequential_history = History::default();
     ga::run(&mut sequential, &term, &mut sequential_history);
 
-    let parallel_eval = RayonEvaluator::new(eval);
-    let mut parallel = Engine::new(cfg, opseq_toolkit(inst), &parallel_eval);
-    let mut parallel_history = History::default();
-    ga::run(&mut parallel, &term, &mut parallel_history);
+    // Slaves take the population in batches of 8 (the last one short).
+    let batched_eval = BatchedEvaluator::new(eval, 8);
+    let mut batched = Engine::new(cfg, opseq_toolkit(inst), &batched_eval);
+    let mut batched_history = History::default();
+    ga::run(&mut batched, &term, &mut batched_history);
 
-    assert_eq!(sequential_history, parallel_history);
-    assert_eq!(sequential.best().genome, parallel.best().genome);
+    assert_eq!(sequential_history, batched_history);
+    assert_eq!(sequential.best().genome, batched.best().genome);
 }
 
 #[test]
