@@ -1,25 +1,27 @@
 //! O01 — observability: instrumentation-overhead lane. The serve tier
 //! can observe a race three ways — request tracing, live `watch`
 //! streaming and phase profiling (scoped
-//! select/breed/evaluate/migrate/decode timers feeding the cost-model
-//! drift gauge). Tracing and watching share one per-member frame
-//! stream (start / best / sample / finish): a traced race records it
-//! through a trace recorder into per-member anytime `(elapsed_us,
-//! best)` points plus retained convergence samples, and forwards it to
-//! the watch sink when there is one. The lane proves the whole stack
-//! rides along for free. Every race is cap-bound (small generation
-//! cap, generous wall clock), so the bare, traced and fully-observed
-//! runs do *identical* search work from identical seeds — any
+//! select/breed/evaluate/migrate/decode timers feeding the
+//! `serve_phase_us` histograms). Tracing and watching share one
+//! per-member frame stream (start / best / sample / finish): a traced
+//! race records it through a trace recorder into per-member anytime
+//! `(elapsed_us, best)` points plus retained convergence samples, and
+//! forwards it to the watch sink when there is one. The service
+//! profiles every cold solve, so the *served* mode (phases only, no
+//! trace, no watch) is what each cold request pays. Every race is
+//! cap-bound (small generation cap, generous wall clock), so all four
+//! modes do *identical* search work from identical seeds — any
 //! wall-clock gap is pure observation cost.
 //!
 //! Shape: (a) observation never changes the answer — same best value
-//! per instance across all three modes (the observers are passive);
+//! per instance across all four modes (the observers are passive);
 //! (b) traced runs record non-empty timelines, fully-observed runs
-//! additionally emit watch frames and accumulate phase time, while
+//! additionally emit watch frames and accumulate phase time, served
+//! runs accumulate phase time but record no timelines or frames, and
 //! bare runs record none of it; (c) summed over the sweep, the
-//! min-of-repeats wall clock of *both* instrumented modes stays
-//! within `MAX_OVERHEAD_PCT` of bare. The unit test checks (a) and (b)
-//! from one repeat; (c) is a wall-clock ratio, so only `run_all` and
+//! min-of-repeats wall clock of *every* instrumented mode stays within
+//! `MAX_OVERHEAD_PCT` of bare. The unit test checks (a) and (b) from
+//! one repeat; (c) is a wall-clock ratio, so only `run_all` and
 //! `experiment o01` judge it.
 
 use crate::report::{fmt, Report};
@@ -43,14 +45,17 @@ pub struct OverheadRow {
     /// Min-of-repeats traced+watched+profiled race wall time, in
     /// milliseconds.
     pub watched_ms: f64,
+    /// Min-of-repeats profiled-only race wall time (what the service
+    /// runs for every cold solve), in milliseconds.
+    pub served_ms: f64,
     /// Best objective value (identical for all modes by construction).
     pub value: f64,
     /// Anytime points recorded across members by the traced run.
     pub points: usize,
     /// Watch frames emitted by the fully-observed run.
     pub frames: usize,
-    /// True when all three modes returned the same value and both
-    /// instrumented modes actually recorded something.
+    /// True when all four modes returned the same value and the traced
+    /// and fully-observed modes actually recorded something.
     pub deterministic: bool,
 }
 
@@ -65,6 +70,11 @@ impl OverheadRow {
     /// slower).
     pub fn watched_overhead_pct(&self) -> f64 {
         mode_overhead_pct(self.untraced_ms, self.watched_ms)
+    }
+
+    /// Served-over-bare overhead, in percent (0 when not slower).
+    pub fn served_overhead_pct(&self) -> f64 {
+        mode_overhead_pct(self.untraced_ms, self.served_ms)
     }
 }
 
@@ -120,6 +130,9 @@ enum Mode {
     /// Tracing + watch streaming + phase profiling, all at once — the
     /// full production observability stack.
     Full,
+    /// Phase profiling alone: an untraced, unwatched cold solve as
+    /// the service runs it.
+    Served,
 }
 
 /// Runs the lane and returns the raw measurements.
@@ -137,7 +150,8 @@ pub fn measure() -> Vec<OverheadRow> {
         let inst: Arc<LoadedInstance> = Arc::new(generated.instance);
         let run = |mode: Mode| {
             let sink: Option<Arc<CountingSink>> = (mode == Mode::Full).then(Arc::default);
-            let phases = (mode == Mode::Full).then(|| Arc::new(PhaseAcc::new()));
+            let phases =
+                matches!(mode, Mode::Full | Mode::Served).then(|| Arc::new(PhaseAcc::new()));
             let started = Instant::now();
             let out = solve_hooked(
                 &pool,
@@ -148,7 +162,7 @@ pub fn measure() -> Vec<OverheadRow> {
                 LANE_GEN_CAP,
                 LANE_RACERS,
                 SolveHooks {
-                    traced: mode != Mode::Bare,
+                    traced: matches!(mode, Mode::Traced | Mode::Full),
                     watch: sink.clone().map(|s| s as Arc<dyn WatchSink>),
                     phases: phases.clone(),
                 },
@@ -158,6 +172,12 @@ pub fn measure() -> Vec<OverheadRow> {
             if let Some(p) = &phases {
                 assert!(!p.is_zero(), "profiled races must accumulate phase time");
             }
+            if matches!(mode, Mode::Bare | Mode::Served) {
+                assert!(
+                    out.timelines.is_empty() && frames == 0,
+                    "untraced, unwatched races must record no timelines or frames"
+                );
+            }
             (ms, out, frames)
         };
         // Warm-up once so no mode pays first-touch costs.
@@ -165,17 +185,14 @@ pub fn measure() -> Vec<OverheadRow> {
         let mut untraced_ms = f64::INFINITY;
         let mut traced_ms = f64::INFINITY;
         let mut watched_ms = f64::INFINITY;
-        let mut values = [f64::NAN; 3];
+        let mut served_ms = f64::INFINITY;
+        let mut values = [f64::NAN; 4];
         let mut points = 0usize;
         let mut frames = 0usize;
         for _ in 0..LANE_REPEATS {
             let (ms, out, _) = run(Mode::Bare);
             untraced_ms = untraced_ms.min(ms);
             values[0] = out.solution.value;
-            assert!(
-                out.timelines.is_empty(),
-                "bare races must not record timelines"
-            );
             let (ms, out, _) = run(Mode::Traced);
             traced_ms = traced_ms.min(ms);
             values[1] = out.solution.value;
@@ -184,17 +201,20 @@ pub fn measure() -> Vec<OverheadRow> {
             watched_ms = watched_ms.min(ms);
             values[2] = out.solution.value;
             frames = n;
+            let (ms, out, _) = run(Mode::Served);
+            served_ms = served_ms.min(ms);
+            values[3] = out.solution.value;
         }
         rows.push(OverheadRow {
             name: generated.name.clone(),
             untraced_ms,
             traced_ms,
             watched_ms,
+            served_ms,
             value: values[0],
             points,
             frames,
-            deterministic: values[0] == values[1]
-                && values[0] == values[2]
+            deterministic: values.iter().all(|&v| v == values[0])
                 && points > 0
                 && frames > 0,
         });
@@ -209,24 +229,30 @@ pub fn run() -> Report {
     let traced_total: f64 = rows.iter().map(|r| r.traced_ms).sum();
     let watched_total: f64 = rows.iter().map(|r| r.watched_ms).sum();
     let traced_pct = mode_overhead_pct(bare_total, traced_total);
+    let served_total: f64 = rows.iter().map(|r| r.served_ms).sum();
     let watched_pct = mode_overhead_pct(bare_total, watched_total);
+    let served_pct = mode_overhead_pct(bare_total, served_total);
     let shape_holds = !rows.is_empty()
         && rows.iter().all(|r| r.deterministic)
         && traced_pct <= MAX_OVERHEAD_PCT
-        && watched_pct <= MAX_OVERHEAD_PCT;
+        && watched_pct <= MAX_OVERHEAD_PCT
+        && served_pct <= MAX_OVERHEAD_PCT;
     Report {
         id: "O01",
         title: "observability: trace / watch / profile overhead",
         paper_claim: "search observability must be effectively free: identical \
-                      cap-bound races bare vs traced vs traced+watched+profiled \
-                      stay within 5% wall clock and return identical answers",
+                      cap-bound races bare vs traced vs traced+watched+profiled vs \
+                      profiled (served) stay within 5% wall clock and return \
+                      identical answers",
         columns: vec![
             "instance",
             "bare ms",
             "traced ms",
             "full-obs ms",
+            "served ms",
             "traced %",
             "full-obs %",
+            "served %",
             "value",
             "points",
             "frames",
@@ -239,8 +265,10 @@ pub fn run() -> Report {
                     fmt(r.untraced_ms),
                     fmt(r.traced_ms),
                     fmt(r.watched_ms),
+                    fmt(r.served_ms),
                     fmt(r.overhead_pct()),
                     fmt(r.watched_overhead_pct()),
+                    fmt(r.served_overhead_pct()),
                     fmt(r.value),
                     r.points.to_string(),
                     r.frames.to_string(),
@@ -252,8 +280,9 @@ pub fn run() -> Report {
             "2 generated job shops (gen-job-*-s42), gen_cap {LANE_GEN_CAP}, {LANE_RACERS} \
              racers, min of {LANE_REPEATS} alternating repeats per mode after a warm-up; \
              aggregate overhead traced {traced_pct:.2}%, traced+watched+profiled \
-             {watched_pct:.2}% (bound {MAX_OVERHEAD_PCT}% each). The full-obs mode \
-             renders every watch frame to its wire line into a counting sink."
+             {watched_pct:.2}%, served (profiled only, as every cold solve on the \
+             service) {served_pct:.2}% (bound {MAX_OVERHEAD_PCT}% each). The full-obs \
+             mode renders every watch frame to its wire line into a counting sink."
         ),
     }
 }
@@ -262,7 +291,8 @@ pub fn run() -> Report {
 mod tests {
     /// The deterministic half of the shape: identical values across
     /// modes, timelines only on traced runs, frames on full runs (bare
-    /// runs recording nothing is asserted inside `measure`). The
+    /// and served runs recording no timeline, and profiled runs
+    /// accumulating phase time, are asserted inside `measure`). The
     /// wall-clock bound stays out of `cargo test`, where the whole
     /// workspace suite shares the machine.
     #[test]

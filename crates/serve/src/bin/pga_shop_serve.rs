@@ -7,7 +7,6 @@
 //!                [--max-queue-depth N] [--cache-shards N]
 //!                [--session-ttl-ms N] [--max-sessions N]
 //!                [--event-deadline-ms N] [--port-file PATH]
-//!                [--metrics-interval-ms N] [--trace-ring N]
 //!                [--wal-dir PATH] [--wal-snapshot-every N]
 //!                [--wal-no-fsync]
 //! ```
@@ -25,8 +24,6 @@ fn usage() -> ! {
          [--racer-pool N (0 = host cores)] [--max-queue-depth N (0 = auto)] \
          [--cache-shards N (0 = auto)] [--session-ttl-ms N] [--max-sessions N] \
          [--event-deadline-ms N] [--port-file PATH] \
-         [--metrics-interval-ms N (0 = no stderr summary)] \
-         [--trace-ring N (retained traces, 0 = default 64)] \
          [--wal-dir PATH (durable sessions: per-session write-ahead logs)] \
          [--wal-snapshot-every N (compact cadence in events, 0 = default 64)] \
          [--wal-no-fsync (skip fsync per append: faster, weaker crash story)]"
@@ -90,14 +87,6 @@ fn main() {
                 config.default_event_deadline_ms = value("--event-deadline-ms")
                     .parse()
                     .unwrap_or_else(|_| usage())
-            }
-            "--metrics-interval-ms" => {
-                config.metrics_interval_ms = value("--metrics-interval-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--trace-ring" => {
-                config.trace_ring = value("--trace-ring").parse().unwrap_or_else(|_| usage())
             }
             "--wal-dir" => config.wal_dir = Some(value("--wal-dir")),
             "--wal-snapshot-every" => {

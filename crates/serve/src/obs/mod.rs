@@ -15,8 +15,7 @@
 //!   [`metrics::Registry`] hands out `Arc` handles at service start and
 //!   renders every registered series as JSON or Prometheus text on
 //!   demand. It is the only store of every service count: the `stats`
-//!   reply, the `metrics` exposition and the periodic stderr summary
-//!   all read its cells.
+//!   reply and the `metrics` exposition both read its cells.
 //! - [`trace`]: *per-request* state. A [`trace::Trace`] is built by the
 //!   one worker thread handling the request (no synchronisation), race
 //!   members emit one [`trace::Frame`] stream that a traced race
@@ -27,16 +26,15 @@
 //!   fixed set of relaxed atomics one race's members add
 //!   select/breed/evaluate/migrate/decode nanoseconds into via the
 //!   member observer's `on_phase`; the server folds the totals into
-//!   per-family `serve_phase_us` histograms and the
-//!   `serve_cost_model_drift_milli` gauges that compare observed ns/op
-//!   against the calibrated `hpc::calibrate` constants.
+//!   per-family `serve_phase_us` histograms.
 //!
 //! Overhead budget: an untraced request pays a handful of relaxed
-//! atomic increments and two `Instant::now` calls; tracing is opt-in
-//! per request (`"trace": true`) and bounded by the improvement count,
-//! which the o01 bench lane holds to within 5% of untraced cold-solve
-//! throughput — the bound now also covers the phase timers and a live
-//! watch subscriber.
+//! atomic increments and two `Instant::now` calls. Every cold solve is
+//! also phase-profiled, which reads the clock three times per pair of
+//! children and twice per decode. Tracing is opt-in per request
+//! (`"trace": true`) and bounded by the improvement count. The o01
+//! bench lane checks the served (profiled), traced and fully observed
+//! modes each against a 5% bound on a bare race's wall time.
 
 pub mod metrics;
 pub mod phase;

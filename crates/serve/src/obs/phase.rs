@@ -5,11 +5,12 @@
 //!
 //! One [`PhaseAcc`] lives for the duration of one cold solve race (all
 //! members add into it concurrently); after the race the server folds the
-//! totals into the per-family `serve_phase_us` histograms and the
-//! cost-model drift accumulators. The hot path pays nothing when
-//! profiling is off (the models skip their clock reads entirely unless
-//! the observer asks for phase timings) and five relaxed `fetch_add`s
-//! per generation when it is on.
+//! totals into the per-family `serve_phase_us` histograms. The hot path
+//! pays nothing when profiling is off (the models skip their clock
+//! reads entirely unless the observer asks for phase timings); when it
+//! is on, the engine reads the clock three times per pair of children,
+//! each member twice per decode, and each generation adds five relaxed
+//! `fetch_add`s.
 
 use ga::engine::GaPhase;
 use std::sync::atomic::{AtomicU64, Ordering};

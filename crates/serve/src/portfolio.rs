@@ -66,12 +66,16 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
+    /// Every model's label, in declaration order.
+    pub const NAMES: [&'static str; 3] = ["master_slave", "island", "cellular"];
+
     /// Stable wire/telemetry label of the model.
     pub fn name(&self) -> &'static str {
+        let [master_slave, island, cellular] = ModelKind::NAMES;
         match self {
-            ModelKind::MasterSlave { .. } => "master_slave",
-            ModelKind::Island { .. } => "island",
-            ModelKind::Cellular { .. } => "cellular",
+            ModelKind::MasterSlave { .. } => master_slave,
+            ModelKind::Island { .. } => island,
+            ModelKind::Cellular { .. } => cellular,
         }
     }
 }
@@ -552,6 +556,9 @@ where
     let recorder = hooks
         .traced
         .then(|| Arc::new(TraceRecorder::new(members, hooks.watch.clone())));
+    // Every member evolves genomes of one length; the winner's view
+    // through one toolkit tells it after the race.
+    let seq_view = toolkit_factory().seq_view;
     let run = move |member: ModelKind, seed: u64, stop: &StopRule, obs: &mut MemberObs<'_>| {
         run_member(
             member,
@@ -663,6 +670,11 @@ where
         }
     }
     let (idx, best) = winner.expect("the inline member always completes");
+    // Every decode is a full decode of one fixed-length genome.
+    let len = seq_view.map_or(0, |view| view(&best.genome).len()) as u64;
+    for (_, telemetry) in &mut models {
+        telemetry.retimed_positions = telemetry.decode_calls * len;
+    }
     debug_assert!(best.cost >= state.best.get());
     // A certified target is a proof of optimality, so extra wall-clock
     // could not improve on it even if some rival was cut off mid-search
@@ -807,12 +819,7 @@ where
     if let Some(acc) = obs.phases {
         acc.add_decode(Duration::from_nanos(d.ns));
     }
-    // Every decode is a full decode of one fixed-length genome.
-    let len = toolkit_factory()
-        .seq_view
-        .map_or(0, |view| view(&best.genome).len());
     telemetry.decode_calls = d.calls;
-    telemetry.retimed_positions = d.calls * len as u64;
     (best, telemetry, timed_out)
 }
 

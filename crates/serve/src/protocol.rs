@@ -314,6 +314,47 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// Every `type` label of `serve_requests_by_type_total`: one per
+    /// request kind, then `invalid` for a line that did not parse.
+    pub const TYPES: [&'static str; 14] = [
+        "solve",
+        "generate",
+        "batch",
+        "watch",
+        "session_open",
+        "session_event",
+        "session_get",
+        "session_events",
+        "session_close",
+        "stats",
+        "metrics",
+        "trace_dump",
+        "shutdown",
+        "invalid",
+    ];
+
+    /// The [`Request::TYPES`] label of a parsed line.
+    pub fn type_label(parsed: &Result<Request, ProtocolError>) -> &'static str {
+        match parsed {
+            Err(_) => "invalid",
+            Ok(Request::Solve(_)) => "solve",
+            Ok(Request::Generate(_)) => "generate",
+            Ok(Request::Batch(_)) => "batch",
+            Ok(Request::Watch(_)) => "watch",
+            Ok(Request::SessionOpen(_)) => "session_open",
+            Ok(Request::SessionEvent(_)) => "session_event",
+            Ok(Request::SessionGet(_)) => "session_get",
+            Ok(Request::SessionEvents(_)) => "session_events",
+            Ok(Request::SessionClose(_)) => "session_close",
+            Ok(Request::Stats) => "stats",
+            Ok(Request::Metrics) => "metrics",
+            Ok(Request::TraceDump { .. }) => "trace_dump",
+            Ok(Request::Shutdown) => "shutdown",
+        }
+    }
+}
+
 /// Protocol-level failure (bad request line). The server answers with a
 /// `status:"error"` line instead of dropping the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1069,6 +1110,31 @@ pub fn encode_error(id: Option<&str>, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One line of each kind labels as the matching entry of
+    /// [`Request::TYPES`], in order.
+    #[test]
+    fn type_labels_follow_the_type_list() {
+        let spec = r#""spec":{"family":"job","jobs":2,"machines":2}"#;
+        let lines = [
+            r#"{"instance":{"name":"ft06"}}"#.to_string(),
+            format!(r#"{{"cmd":"generate",{spec}}}"#),
+            r#"{"cmd":"batch","items":[{"instance":{"name":"ft06"}}]}"#.into(),
+            r#"{"cmd":"watch","request":"w"}"#.into(),
+            r#"{"cmd":"session_open","instance":{"name":"ft06"}}"#.into(),
+            r#"{"cmd":"session_event","session":"s","event":{"type":"breakdown","machine":0,"from":1,"duration":1}}"#.into(),
+            r#"{"cmd":"session_get","session":"s"}"#.into(),
+            r#"{"cmd":"session_events","session":"s"}"#.into(),
+            r#"{"cmd":"session_close","session":"s"}"#.into(),
+            r#"{"cmd":"stats"}"#.into(),
+            r#"{"cmd":"metrics"}"#.into(),
+            r#"{"cmd":"trace_dump"}"#.into(),
+            r#"{"cmd":"shutdown"}"#.into(),
+            "garbage".into(),
+        ];
+        let labels = lines.map(|l| Request::type_label(&parse_request(&l)));
+        assert_eq!(labels, Request::TYPES);
+    }
 
     #[test]
     fn solve_request_roundtrips() {

@@ -209,7 +209,19 @@ impl RacerPool {
 
 impl Drop for RacerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a racer checks it under
+        // that lock before it waits, so it either sees the flag or is
+        // already waiting when the notify comes. Set outside the lock,
+        // the store and notify can land between a racer's check and its
+        // wait, and that racer sleeps forever, hanging this join.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.ready.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();

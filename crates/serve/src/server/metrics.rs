@@ -1,24 +1,25 @@
 //! Service counters and metrics: the `stats` counters as handles into
-//! the metrics registry, the histograms and labeled families behind
-//! the `metrics` command, and the periodic stderr summary. The
-//! registry is the only store of every count: `stats`, `metrics` and
-//! the summary all read its cells.
+//! the metrics registry, and the histograms and labeled families
+//! behind the `metrics` command. The registry is the only store of
+//! every count: `stats` and `metrics` both read its cells. Each label
+//! set belongs to the type it labels ([`Request::TYPES`],
+//! [`Family::ALL`], [`ModelKind::NAMES`], [`PHASE_NAMES`]); none is
+//! copied here.
 
 use super::Shared;
 use crate::obs::metrics::{Counter, Gauge, Histogram, Registry};
 use crate::obs::phase::{PhaseAcc, PHASE_NAMES};
-use crate::portfolio::decode_op_s;
+use crate::portfolio::{decode_op_s, ModelKind};
+use crate::protocol::Request;
 use shop::gen::Family;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The service counts behind the `stats` reply (lock-free; read each
 /// with `.get()` through [`super::Service::stats`]). Every field is a
 /// handle to a cell of the metrics registry, registered at
 /// construction as the `serve_<field>_total` counter. There is no
-/// second copy, so `stats`, `metrics` and the periodic stderr summary
-/// can never disagree.
+/// second copy, so `stats` and `metrics` can never disagree.
 ///
 /// `cache_hits` counts responses answered from the memoised solution
 /// (including the rare validation-failure fallback); `cache_misses`
@@ -166,33 +167,6 @@ impl ServiceStats {
     }
 }
 
-/// Wire request type labels of the `serve_requests_by_type_total`
-/// series; `invalid` covers lines that failed to parse.
-const REQUEST_TYPES: [&str; 14] = [
-    "solve",
-    "generate",
-    "batch",
-    "watch",
-    "session_open",
-    "session_event",
-    "session_get",
-    "session_events",
-    "session_close",
-    "stats",
-    "metrics",
-    "trace_dump",
-    "shutdown",
-    "invalid",
-];
-
-/// Instance families of `serve_solved_by_family_total` (must match
-/// [`shop::gen::Family::name`]).
-pub(super) const FAMILIES: [&str; 4] = ["flow", "job", "open", "flexible"];
-
-/// Race member kinds of `serve_race_wins_total` (must match
-/// `portfolio::ModelKind` names).
-const MEMBERS: [&str; 3] = ["master_slave", "island", "cellular"];
-
 /// Registry handles beyond the [`ServiceStats`] counters:
 /// latency histograms, labeled counters (static label sets registered
 /// once at bind), and the gauges the exposition path refreshes at
@@ -203,24 +177,27 @@ pub(super) struct ServeMetrics {
     /// Per-`session_event` latency (repair + optional re-solve), µs.
     pub(super) session_event_us: Arc<Histogram>,
     /// `serve_requests_by_type_total{type=...}` — one pre-registered
-    /// counter per [`REQUEST_TYPES`] label.
-    pub(super) by_type: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_solved_by_family_total{family=...}` per [`FAMILIES`].
-    pub(super) by_family: Vec<(&'static str, Arc<Counter>)>,
-    /// `serve_race_wins_total{member=...}` per [`MEMBERS`].
-    pub(super) race_wins: Vec<(&'static str, Arc<Counter>)>,
+    /// counter per [`Request::TYPES`] label.
+    by_type: Vec<(&'static str, Arc<Counter>)>,
+    /// `serve_solved_by_family_total{family=...}`, indexed by
+    /// [`Family`].
+    by_family: [Arc<Counter>; 4],
+    /// `serve_race_wins_total{member=...}` per [`ModelKind::NAMES`]
+    /// label.
+    race_wins: Vec<(&'static str, Arc<Counter>)>,
     /// `serve_phase_us{family=...,phase=...}` — per-cold-race
-    /// search-phase time histograms, one per ([`FAMILIES`] ×
-    /// [`PHASE_NAMES`]) pair.
-    phase_us: Vec<((&'static str, &'static str), Arc<Histogram>)>,
-    /// `serve_cost_model_drift_milli{family=...}` — cumulative observed
-    /// decode ns/op over the calibrated `hpc::calibrate` constant, in
-    /// thousandths (1000 = exactly calibrated; 2000 = 2× slower).
-    drift_milli: Vec<(&'static str, Arc<Gauge>)>,
-    /// Drift accumulators per family: summed observed decode
-    /// nanoseconds and summed decoded operations (`decode calls ×
+    /// search-phase time histograms, indexed by [`Family`], then by
+    /// [`PHASE_NAMES`] position.
+    phase_us: [[Arc<Histogram>; 5]; 4],
+    /// `serve_cost_model_drift_milli{family=...}` — cumulative member
+    /// run ns per evaluated operation over the calibrated
+    /// `hpc::calibrate` constant, in thousandths (1000 = exactly
+    /// calibrated; 2000 = 2× slower), indexed by [`Family`].
+    drift_milli: [Arc<Gauge>; 4],
+    /// Drift accumulators per [`Family`]: summed member run
+    /// nanoseconds and summed evaluated operations (`evaluations ×
     /// instance total_ops`) across every profiled race.
-    drift_acc: Vec<(&'static str, AtomicU64, AtomicU64)>,
+    drift_acc: [(AtomicU64, AtomicU64); 4],
     /// `serve_watch_frames_dropped_total` — frames dropped instead of
     /// blocking a race on a watch subscriber that stopped reading.
     pub(super) watch_drops: Arc<Counter>,
@@ -260,51 +237,37 @@ impl ServeMetrics {
             by_type: labeled(
                 "serve_requests_by_type_total",
                 "type",
-                &REQUEST_TYPES,
+                &Request::TYPES,
                 "requests by wire request type",
             ),
-            by_family: labeled(
-                "serve_solved_by_family_total",
-                "family",
-                &FAMILIES,
-                "completed races by instance family",
-            ),
+            by_family: Family::ALL.map(|f| {
+                registry.counter(
+                    &format!("serve_solved_by_family_total{{family=\"{}\"}}", f.name()),
+                    "completed races by instance family",
+                )
+            }),
             race_wins: labeled(
                 "serve_race_wins_total",
                 "member",
-                &MEMBERS,
+                &ModelKind::NAMES,
                 "race wins by portfolio member kind",
             ),
-            phase_us: FAMILIES
-                .iter()
-                .flat_map(|&f| PHASE_NAMES.iter().map(move |&p| (f, p)))
-                .map(|(f, p)| {
-                    (
-                        (f, p),
-                        registry.histogram(
-                            &format!("serve_phase_us{{family=\"{f}\",phase=\"{p}\"}}"),
-                            "per-race search-phase time in microseconds",
-                        ),
+            phase_us: Family::ALL.map(|f| {
+                PHASE_NAMES.map(|p| {
+                    registry.histogram(
+                        &format!("serve_phase_us{{family=\"{}\",phase=\"{p}\"}}", f.name()),
+                        "per-race search-phase time in microseconds",
                     )
                 })
-                .collect(),
-            drift_milli: FAMILIES
-                .iter()
-                .map(|&f| {
-                    (
-                        f,
-                        registry.gauge(
-                            &format!("serve_cost_model_drift_milli{{family=\"{f}\"}}"),
-                            "observed per-op evaluation cost over the calibrated \
-                             cost model, in thousandths",
-                        ),
-                    )
-                })
-                .collect(),
-            drift_acc: FAMILIES
-                .iter()
-                .map(|&f| (f, AtomicU64::new(0), AtomicU64::new(0)))
-                .collect(),
+            }),
+            drift_milli: Family::ALL.map(|f| {
+                registry.gauge(
+                    &format!("serve_cost_model_drift_milli{{family=\"{}\"}}", f.name()),
+                    "observed per-op evaluation cost over the calibrated cost model, in \
+                     thousandths",
+                )
+            }),
+            drift_acc: Family::ALL.map(|_| (AtomicU64::new(0), AtomicU64::new(0))),
             watch_drops: registry.counter(
                 "serve_watch_frames_dropped_total",
                 "watch frames dropped to a slow subscriber instead of blocking the race",
@@ -327,15 +290,21 @@ impl ServeMetrics {
         }
     }
 
-    /// The pre-registered counter for a static label value; `None` for
-    /// a value outside the set fixed at bind.
-    pub(super) fn labeled(
-        set: &[(&'static str, Arc<Counter>)],
-        value: &str,
-    ) -> Option<Arc<Counter>> {
-        set.iter()
-            .find(|(label, _)| *label == value)
-            .map(|(_, c)| Arc::clone(c))
+    /// Counts one request line under its `type` label.
+    pub(super) fn count_request(&self, label: &str) {
+        inc_labeled(&self.by_type, label);
+    }
+
+    /// Counts one race win under the winning member's label.
+    pub(super) fn count_win(&self, model: &str) {
+        inc_labeled(&self.race_wins, model);
+    }
+
+    /// Counts one completed race on a `family` instance.
+    pub(super) fn count_solved(&self, family: Family) {
+        // panic-safe: by_family has one cell per Family::ALL entry, and
+        // ALL[f as usize] == f.
+        self.by_family[family as usize].inc();
     }
 
     /// Folds one profiled race into the family's phase histograms and
@@ -355,28 +324,19 @@ impl ServeMetrics {
         run_ns: u64,
         eval_ops: u64,
     ) {
-        let name = family.name();
-        let snapshot = phases.snapshot_ns();
-        for (i, &p) in PHASE_NAMES.iter().enumerate() {
-            // panic-safe: i < PHASE_NAMES.len() == snapshot_ns() length (5).
-            if snapshot[i] == 0 {
-                continue;
-            }
-            if let Some((_, h)) = self
-                .phase_us
-                .iter()
-                .find(|((f, ph), _)| *f == name && *ph == p)
-            {
-                // panic-safe: as above — i indexes the fixed 5-phase array.
-                h.observe(snapshot[i] / 1_000);
+        let f = family as usize;
+        // panic-safe: phase_us has one row per Family::ALL entry, and
+        // ALL[f] == family.
+        for (h, ns) in self.phase_us[f].iter().zip(phases.snapshot_ns()) {
+            if ns > 0 {
+                h.observe(ns / 1_000);
             }
         }
         if run_ns == 0 || eval_ops == 0 {
             return;
         }
-        let Some((_, ns_acc, ops_acc)) = self.drift_acc.iter().find(|(f, _, _)| *f == name) else {
-            return;
-        };
+        // panic-safe: drift_acc has one entry per Family::ALL entry.
+        let (ns_acc, ops_acc) = &self.drift_acc[f];
         // Cumulative ratio: one slow outlier race cannot whipsaw the
         // gauge the way a per-race ratio would.
         let ns = ns_acc.fetch_add(run_ns, Ordering::Relaxed) + run_ns;
@@ -384,63 +344,23 @@ impl ServeMetrics {
         let observed_ns_per_op = ns as f64 / ops as f64;
         let calibrated_ns_per_op = decode_op_s(family) * 1e9;
         let milli = (observed_ns_per_op / calibrated_ns_per_op * 1000.0).round();
-        if let Some((_, g)) = self.drift_milli.iter().find(|(f, _)| *f == name) {
-            g.set(milli.max(0.0) as u64);
-        }
+        // panic-safe: drift_milli has one gauge per Family::ALL entry.
+        self.drift_milli[f].set(milli.max(0.0) as u64);
     }
 
     /// Current drift gauge for a family, in thousandths of the
-    /// calibrated cost (0 = no profiled decode yet).
-    pub(super) fn drift_reading(&self, family: &str) -> u64 {
-        self.drift_milli
-            .iter()
-            .find(|(f, _)| *f == family)
-            .map(|(_, g)| g.get())
-            .unwrap_or(0)
+    /// calibrated cost (0 = no profiled race yet).
+    pub(super) fn drift_reading(&self, family: Family) -> u64 {
+        // panic-safe: drift_milli has one gauge per Family::ALL entry.
+        self.drift_milli[family as usize].get()
     }
 }
 
-/// Prints a one-line service summary to stderr every
-/// `metrics_interval_ms`, sleeping in short slices so shutdown is
-/// observed promptly.
-pub(super) fn metrics_summary_loop(shared: &Shared) {
-    let interval = Duration::from_millis(shared.config.metrics_interval_ms.max(1));
-    let mut last = Instant::now();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(interval.as_millis().min(25) as u64));
-        if last.elapsed() < interval {
-            continue;
-        }
-        last = Instant::now();
-        let s = &shared.stats;
-        eprintln!(
-            "[serve] up {}s: {} requests ({} solved, {} cache hits, {} errors, {} busy), \
-             queue depth {}, {} sessions open, {} session events, {} worker panics",
-            shared.started.elapsed().as_secs(),
-            s.requests.get(),
-            s.solved.get(),
-            s.cache_hits.get(),
-            s.errors.get(),
-            s.busy_rejections.get(),
-            shared.pool.queue_depth(),
-            shared.sessions.open_count(),
-            s.session_events.get(),
-            shared.pool.panics(),
-        );
-        // Cost-model drift check: observed per-op evaluation cost vs
-        // the calibrated `hpc::calibrate::DECODE_OP_S_*` constant.
-        // Beyond 2x either way the calibration no longer describes
-        // this host.
-        for &family in &FAMILIES {
-            let milli = shared.metrics.drift_reading(family);
-            if milli > 0 && !(500..=2000).contains(&milli) {
-                eprintln!(
-                    "[serve] cost-model drift: family {family} evaluates at {:.2}x \
-                     its calibrated cost (re-run calibration for this host)",
-                    milli as f64 / 1000.0,
-                );
-            }
-        }
+/// Adds one to the counter of `label` in a label set fixed at bind; a
+/// label outside the set counts nowhere.
+fn inc_labeled(set: &[(&'static str, Arc<Counter>)], label: &str) {
+    if let Some((_, c)) = set.iter().find(|(l, _)| *l == label) {
+        c.inc();
     }
 }
 

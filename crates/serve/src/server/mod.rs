@@ -30,14 +30,15 @@
 //! and `trace_dump` bodies); `solve` the cache-aware solve core and the
 //! solve, generate, batch and watch handlers; `sessions` the session
 //! handlers over [`crate::wal::SessionStore`], which owns the session
-//! lifecycle and its durability; `metrics` the counters, histograms and
-//! the periodic stderr summary.
+//! lifecycle and its durability; `metrics` the counters and histograms.
 
 use crate::cache::{ShardedCache, SpecMemo, SPEC_MEMO_BYTES};
 use crate::json::{obj, Json};
 use crate::obs::metrics::Registry;
 use crate::obs::trace::{Trace, TraceRing};
-use crate::protocol::{encode_error, extended, parse_request, write_line, Request, WatchTarget};
+use crate::protocol::{
+    encode_error, extended, parse_request, write_line, Family, Request, WatchTarget,
+};
 use crate::scheduler::RacerPool;
 use crate::wal::SessionStore;
 use crate::watch::WatchHub;
@@ -54,8 +55,8 @@ mod solve;
 #[path = "../server_tests.rs"]
 mod tests;
 
+use metrics::ServeMetrics;
 pub use metrics::ServiceStats;
-use metrics::{metrics_summary_loop, ServeMetrics, FAMILIES};
 use sessions::{
     handle_session_close, handle_session_events, handle_session_get, handle_session_open,
     session_event_body,
@@ -121,13 +122,6 @@ pub struct ServeConfig {
     /// and right-shift repair guarantees *some* feasible answer
     /// whatever the budget.
     pub default_event_deadline_ms: u64,
-    /// When nonzero, a background thread prints a one-line service
-    /// summary (requests, solves, cache hits, queue depth, sessions,
-    /// worker panics) to stderr every this-many milliseconds.
-    pub metrics_interval_ms: u64,
-    /// Capacity of the retained-trace ring served by `trace_dump`
-    /// (0, the default, resolves to 64).
-    pub trace_ring: usize,
     /// Write-ahead-log directory for durable sessions (`None`, the
     /// default, keeps sessions memory-only). With a directory set,
     /// every session's open + events are logged and fsync'd before the
@@ -159,8 +153,6 @@ impl Default for ServeConfig {
             session_ttl_ms: 600_000,
             max_sessions: 256,
             default_event_deadline_ms: 200,
-            metrics_interval_ms: 0,
-            trace_ring: 0,
             wal_dir: None,
             wal_snapshot_every: 0,
             wal_fsync: true,
@@ -183,15 +175,15 @@ impl ServeConfig {
         if self.cache_shards == 0 {
             self.cache_shards = self.cache_capacity.clamp(1, 8);
         }
-        if self.trace_ring == 0 {
-            self.trace_ring = 64;
-        }
         if self.wal_snapshot_every == 0 {
             self.wal_snapshot_every = 64;
         }
         self
     }
 }
+
+/// Capacity of the retained-trace ring served by `trace_dump`.
+const TRACE_RING: usize = 64;
 
 struct Shared {
     config: ServeConfig,
@@ -212,7 +204,7 @@ struct Shared {
     sessions: SessionStore,
     stats: ServiceStats,
     /// The metrics registry: the only store of every service count,
-    /// read by `stats`, `metrics` and the periodic stderr summary.
+    /// read by `stats` and `metrics`.
     registry: Registry,
     metrics: ServeMetrics,
     /// Recently finished request traces, served by `trace_dump`.
@@ -266,7 +258,7 @@ impl Service {
             memo: SpecMemo::new(config.cache_capacity, SPEC_MEMO_BYTES),
             pool: RacerPool::new(config.racer_pool),
             sessions,
-            traces: TraceRing::new(config.trace_ring),
+            traces: TraceRing::new(TRACE_RING),
             watches: WatchHub::default(),
             config,
             queue: Mutex::new(VecDeque::new()),
@@ -283,9 +275,6 @@ impl Service {
         })];
         for i in 0..shared.config.workers {
             threads.push(spawn(format!("serve-worker-{i}"), &shared, worker_loop));
-        }
-        if shared.config.metrics_interval_ms > 0 {
-            threads.push(spawn("serve-metrics".into(), &shared, metrics_summary_loop));
         }
         Ok(Service {
             addr,
@@ -585,26 +574,6 @@ enum LineOutcome {
     Watch(Box<WatchTarget>, u64),
 }
 
-/// The `serve_requests_by_type_total` label of a parse outcome.
-fn request_type_label(parsed: &Result<Request, crate::protocol::ProtocolError>) -> &'static str {
-    match parsed {
-        Err(_) => "invalid",
-        Ok(Request::Solve(_)) => "solve",
-        Ok(Request::Generate(_)) => "generate",
-        Ok(Request::Batch(_)) => "batch",
-        Ok(Request::SessionOpen(_)) => "session_open",
-        Ok(Request::SessionEvent(_)) => "session_event",
-        Ok(Request::SessionGet(_)) => "session_get",
-        Ok(Request::SessionEvents(_)) => "session_events",
-        Ok(Request::SessionClose(_)) => "session_close",
-        Ok(Request::Stats) => "stats",
-        Ok(Request::Metrics) => "metrics",
-        Ok(Request::TraceDump { .. }) => "trace_dump",
-        Ok(Request::Watch(_)) => "watch",
-        Ok(Request::Shutdown) => "shutdown",
-    }
-}
-
 /// Handles one request line; ordinary requests come back as a
 /// [`LineOutcome::Reply`] (response line plus whether the service
 /// should stop), `watch` subscriptions as [`LineOutcome::Watch`] for
@@ -614,9 +583,7 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
     shared.stats.requests.inc();
     let parsed = parse_request(text);
     let parse_us = started.elapsed().as_micros() as u64;
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.by_type, request_type_label(&parsed)) {
-        c.inc();
-    }
+    shared.metrics.count_request(Request::type_label(&parsed));
     let answer = match parsed {
         Ok(Request::Watch(target)) => {
             // Streamed on the caller's socket; its latency is observed
@@ -669,9 +636,9 @@ fn handle_line(text: &str, queue_wait: Duration, shared: &Shared) -> LineOutcome
                 (
                     "cost_model_drift_milli",
                     Json::Obj(
-                        FAMILIES
+                        Family::ALL
                             .iter()
-                            .map(|&f| (f.to_string(), shared.metrics.drift_reading(f).into()))
+                            .map(|&f| (f.name().into(), shared.metrics.drift_reading(f).into()))
                             .collect(),
                     ),
                 ),

@@ -2,7 +2,7 @@
 //! `generate`, `batch` and `watch`.
 
 use super::sessions::session_event_body;
-use super::{attach_trace, start_trace, ServeConfig, ServeMetrics, Shared};
+use super::{attach_trace, start_trace, ServeConfig, Shared};
 use crate::cache::{CacheKey, CachedSolve};
 use crate::json::{obj, Json};
 use crate::obs::phase::PhaseAcc;
@@ -266,11 +266,11 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
 
     let solve_started = Instant::now();
     let race_start = trace.as_deref().map(Trace::elapsed_us);
-    // Every cold solve is phase-profiled: the scoped timers behind
-    // `serve_phase_us` and the cost-model drift gauge cost one
-    // monotonic-clock read per phase boundary, cheap enough to leave
-    // always on (the o01 bench lane holds the whole observability
-    // stack under its overhead bound).
+    // Every cold solve is phase-profiled for `serve_phase_us`: the
+    // engine then reads the clock three times per pair of children,
+    // and each member twice per decode. o01's served mode measures
+    // that cost against a bare race. The drift gauge needs no
+    // profiling: it reads the members' summed wall time (`run_ns`).
     let phases = Arc::new(PhaseAcc::new());
     let outcome = solve_hooked(
         &shared.pool,
@@ -322,9 +322,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
             ],
         );
     }
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.race_wins, &outcome.solution.model) {
-        c.inc();
-    }
+    shared.metrics.count_win(&outcome.solution.model);
 
     // Never hand out an infeasible schedule: validate before replying
     // (and before caching). If the fresh race misbehaves while a valid
@@ -392,9 +390,7 @@ pub(super) fn solve_core(job: SolveJob<'_>, shared: &Shared) -> Result<CoreOutco
     .with_decodes_from_models();
 
     shared.stats.solved.inc();
-    if let Some(c) = ServeMetrics::labeled(&shared.metrics.by_family, inst.family().name()) {
-        c.inc();
-    }
+    shared.metrics.count_solved(inst.family());
     Ok(CoreOutcome {
         solution: merged.solution,
         schedule: None,

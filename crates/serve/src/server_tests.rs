@@ -1482,6 +1482,202 @@ fn metrics_command_exposes_json_and_text() {
     service.shutdown();
 }
 
+/// The operator surface after one request of every wire kind: each
+/// kind counted once under its `type` label, the `stats` field names
+/// and the `metrics` text's `# TYPE` lines in order, and the trace
+/// ring's capacity. A renamed, retyped, dropped or reordered field or
+/// series fails here.
+#[test]
+fn every_request_kind_leaves_the_operator_surface_in_place() {
+    let service = Service::bind(tiny_config()).unwrap();
+    let addr = service.local_addr();
+    let sid = open_session(addr, 3);
+    let watched = watch_lines(
+        addr,
+        r#"{"cmd":"watch","instance":{"name":"flow05"},"seed":2,"deadline_ms":5000}"#,
+    );
+    assert!(watched.last().unwrap().contains(r#""frame":"answer""#));
+    let lines = [
+        solve_line(InstanceSpec::Named("flow05".into()), 1, 5_000, false),
+        r#"{"cmd":"generate","spec":{"family":"open","jobs":3,"machines":3,"seed":1}}"#.into(),
+        r#"{"cmd":"batch","items":[{"instance":{"name":"open_latin3"}}],"deadline_ms":5000}"#
+            .into(),
+        breakdown_line(&sid, 5),
+        format!(r#"{{"cmd":"session_get","session":"{sid}"}}"#),
+        format!(r#"{{"cmd":"session_events","session":"{sid}"}}"#),
+        format!(r#"{{"cmd":"session_close","session":"{sid}"}}"#),
+        "garbage".into(),
+        r#"{"cmd":"trace_dump"}"#.into(),
+        r#"{"cmd":"stats"}"#.into(),
+        r#"{"cmd":"metrics"}"#.into(),
+        r#"{"cmd":"shutdown"}"#.into(),
+    ];
+    let replies: Vec<Json> = send_lines(addr, &lines)
+        .iter()
+        .map(|l| crate::json::parse(l).unwrap())
+        .collect();
+    for (line, reply) in lines.iter().zip(&replies) {
+        let expected = if line == "garbage" { "error" } else { "ok" };
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some(expected),
+            "{line} -> {reply:?}"
+        );
+    }
+    assert_eq!(
+        replies[8].get("capacity").and_then(Json::as_u64),
+        Some(64),
+        "the trace ring holds 64 traces"
+    );
+    let Json::Obj(stats) = &replies[9] else {
+        panic!("stats is an object")
+    };
+    let fields: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+    let metrics = &replies[10];
+    let text = metrics.get("text").and_then(Json::as_str).unwrap();
+    let types: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    assert_eq!(
+        fields,
+        [
+            "status",
+            "requests",
+            "solved",
+            "cache_hits",
+            "cache_misses",
+            "errors",
+            "busy_rejections",
+            "queue_wait_us",
+            "pool_wait_us",
+            "cache_len",
+            "workers",
+            "racer_pool",
+            "queue_depth",
+            "max_queue_depth",
+            "sessions_open",
+            "sessions_opened",
+            "sessions_closed",
+            "sessions_expired",
+            "sessions_evicted",
+            "session_events",
+            "session_repair_wins",
+            "session_resolve_wins",
+            "session_resolve_busy",
+            "sessions_recovered",
+            "wal_appends",
+            "wal_replays",
+            "max_sessions",
+            "uptime_ms",
+            "worker_panics",
+            "cost_model_drift_milli",
+            "version",
+        ]
+    );
+    let drift = replies[9].get("cost_model_drift_milli").unwrap();
+    let Json::Obj(drift) = drift else {
+        panic!("drift is an object")
+    };
+    let drift_keys: Vec<&str> = drift.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(drift_keys, ["flow", "job", "open", "flexible"]);
+    assert_eq!(
+        types,
+        [
+            "serve_requests_total counter",
+            "serve_solved_total counter",
+            "serve_cache_hits_total counter",
+            "serve_cache_misses_total counter",
+            "serve_errors_total counter",
+            "serve_busy_rejections_total counter",
+            "serve_queue_wait_us_total counter",
+            "serve_pool_wait_us_total counter",
+            "serve_session_events_total counter",
+            "serve_session_repair_wins_total counter",
+            "serve_session_resolve_wins_total counter",
+            "serve_session_resolve_busy_total counter",
+            "serve_wal_appends_total counter",
+            "serve_wal_replays_total counter",
+            "serve_sessions_opened_total counter",
+            "serve_sessions_closed_total counter",
+            "serve_sessions_expired_total counter",
+            "serve_sessions_evicted_total counter",
+            "serve_sessions_recovered_total counter",
+            "serve_request_us histogram",
+            "serve_session_event_us histogram",
+            "serve_requests_by_type_total counter",
+            "serve_solved_by_family_total counter",
+            "serve_race_wins_total counter",
+            "serve_phase_us histogram",
+            "serve_cost_model_drift_milli gauge",
+            "serve_watch_frames_dropped_total counter",
+            "serve_uptime_ms gauge",
+            "serve_cache_len gauge",
+            "serve_queue_depth gauge",
+            "serve_worker_panics_total gauge",
+            "serve_sessions_open gauge",
+            "serve_workers gauge",
+            "serve_racer_pool gauge",
+            "serve_max_queue_depth gauge",
+            "serve_max_sessions gauge",
+            "serve_wal_append_us histogram",
+        ]
+    );
+    // The labeled series, in registration order: every label value of
+    // a family, families and phases nested as registered.
+    let json = metrics.get("json").unwrap();
+    let Json::Obj(series) = json else {
+        panic!("json exposition is an object")
+    };
+    let labeled: Vec<&str> = series
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| k.contains('{'))
+        .collect();
+    let kinds = [
+        "solve",
+        "generate",
+        "batch",
+        "watch",
+        "session_open",
+        "session_event",
+        "session_get",
+        "session_events",
+        "session_close",
+        "stats",
+        "metrics",
+        "trace_dump",
+        "shutdown",
+        "invalid",
+    ];
+    let families = ["flow", "job", "open", "flexible"];
+    let phases = ["select", "breed", "evaluate", "migrate", "decode"];
+    let expected: Vec<String> = (kinds.iter())
+        .map(|t| format!("serve_requests_by_type_total{{type=\"{t}\"}}"))
+        .chain(families.map(|f| format!("serve_solved_by_family_total{{family=\"{f}\"}}")))
+        .chain(
+            ["master_slave", "island", "cellular"]
+                .map(|m| format!("serve_race_wins_total{{member=\"{m}\"}}")),
+        )
+        .chain(families.iter().flat_map(|f| {
+            phases.map(|p| format!("serve_phase_us{{family=\"{f}\",phase=\"{p}\"}}"))
+        }))
+        .chain(families.map(|f| format!("serve_cost_model_drift_milli{{family=\"{f}\"}}")))
+        .collect();
+    assert_eq!(labeled, expected);
+    // One request of each kind; `shutdown` counts after the scrape.
+    for kind in kinds {
+        let series = format!("serve_requests_by_type_total{{type=\"{kind}\"}}");
+        let once = u64::from(kind != "shutdown");
+        assert_eq!(
+            json.get(&series).and_then(Json::as_u64),
+            Some(once),
+            "{series}"
+        );
+    }
+    service.wait();
+}
+
 /// A traced solve returns the request's span tree inline and
 /// retains it for `trace_dump`; the race leg carries per-member
 /// anytime timelines.

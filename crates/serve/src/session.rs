@@ -49,7 +49,6 @@ use ga::crossover::PermCrossover;
 use ga::engine::Toolkit;
 use ga::mutate::SeqMutation;
 use ga::rng::split_seed;
-use pga::telemetry::RunTelemetry;
 use shop::dynamic::{
     apply_event, frozen_prefix, reschedule_suffix_with_windows, DownWindow, Event, SuffixRedecoder,
 };
@@ -275,9 +274,6 @@ pub struct EventOutcome {
     pub resolve_skipped: Option<ResolveSkip>,
     /// Generations the winning re-solve member ran (0 when skipped).
     pub resolve_generations: u64,
-    /// Per-member telemetry of the re-solve race, in lineup order
-    /// (empty when the re-solve was skipped).
-    pub resolve_models: Vec<(String, RunTelemetry)>,
     /// True when the re-solve race was cut by the clock rather than
     /// its generation cap (see `portfolio::RaceResult::deadline_bound`).
     pub deadline_bound: bool,
@@ -357,7 +353,7 @@ pub(crate) fn handle_event_hooked(
     // exactly the solver's "never got a slot" semantics — so it must
     // surface as deadline_bound, not masquerade as a settled incumbent.
     let mut deadline_bound = skip == Some(ResolveSkip::Busy);
-    let (mut resolve_value, mut generations, mut resolve_models) = (None, 0, Vec::new());
+    let (mut resolve_value, mut generations) = (None, 0);
     // The resolve answer, kept only when it strictly beats repair: ties
     // go to repair, whose schedule moves the fewest operations.
     let mut better = None;
@@ -398,7 +394,6 @@ pub(crate) fn handle_event_hooked(
                 ],
             );
         }
-        resolve_models = outcome.models;
         if schedule.validate_job(&repair.inst).is_err() {
             // A decode bug must degrade to repair, never to an
             // infeasible answer; the server counts the anomaly.
@@ -437,7 +432,6 @@ pub(crate) fn handle_event_hooked(
         resolve_value,
         resolve_skipped: skip,
         resolve_generations: generations,
-        resolve_models,
         deadline_bound,
         solution,
         now: repair.at,

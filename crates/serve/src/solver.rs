@@ -360,7 +360,7 @@ mod tests {
     /// both rest on this.
     #[test]
     fn every_evaluation_is_one_full_decode() {
-        use crate::session::{handle_event, SessionState};
+        use crate::session::{resolve, Repair, SessionState};
         use shop::dynamic::{apply_event, frozen_prefix, Event};
         let pool = RacerPool::new(2);
         let mut cases = Vec::new();
@@ -387,10 +387,18 @@ mod tests {
         let incumbent = Schedule::new(opened.solution.schedule.clone());
         let (_, _, repaired) = apply_event(&inst, &incumbent, &[], &event).unwrap();
         let suffix_len = frozen_prefix(&repaired, event.at()).1.len();
-        let mut state =
+        let state =
             SessionState::opened(inst, Objective::Makespan, 5, Arc::new(opened.solution), 0);
-        let out = handle_event(&pool, &mut state, &event, deadline(), 30, 3, false).unwrap();
-        cases.push(("ft06 session", out.resolve_models, suffix_len));
+        let repair = Repair::apply(&state, &event).unwrap();
+        let warm = vec![(0..suffix_len).collect()];
+        let stop = StopRule {
+            deadline: deadline(),
+            gen_cap: 30,
+            target: 0.0,
+        };
+        let hooks = SolveHooks::default();
+        let (_, out) = resolve(&pool, &state, &repair, warm, 3, stop, hooks);
+        cases.push(("ft06 session", out.models, suffix_len));
 
         for (name, models, genome_len) in cases {
             assert!(!models.is_empty(), "{name}: no members ran");

@@ -54,6 +54,9 @@ pub enum Family {
 }
 
 impl Family {
+    /// Every family, in declaration order: `ALL[f as usize] == f`.
+    pub const ALL: [Family; 4] = [Family::Flow, Family::Job, Family::Open, Family::Flexible];
+
     /// Canonical lowercase tag (`flow` | `job` | `open` | `flexible`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -454,13 +457,17 @@ pub struct Generated {
 mod tests {
     use super::*;
 
-    fn all_families() -> [Family; 4] {
-        [Family::Flow, Family::Job, Family::Open, Family::Flexible]
+    #[test]
+    fn all_lists_each_family_at_its_discriminant() {
+        for (i, family) in Family::ALL.into_iter().enumerate() {
+            assert_eq!(family as usize, i);
+            assert_eq!(Family::from_name(family.name()), Some(family));
+        }
     }
 
     #[test]
     fn build_is_deterministic_per_family() {
-        for family in all_families() {
+        for family in Family::ALL {
             let spec = GenSpec::new(family, 6, 4, 11);
             let a = spec.build().unwrap();
             let b = spec.build().unwrap();
@@ -475,7 +482,7 @@ mod tests {
 
     #[test]
     fn text_roundtrip_preserves_hash() {
-        for family in all_families() {
+        for family in Family::ALL {
             let gen = GenSpec::new(family, 5, 3, 7).build().unwrap();
             let back = AnyInstance::parse(family, &gen.instance.text()).unwrap();
             assert_eq!(gen.instance, back, "{family:?}");

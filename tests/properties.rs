@@ -265,7 +265,7 @@ proptest! {
         density in 1u64..101,
     ) {
         use shop::gen::{AnyInstance, Family, GenSpec};
-        let family = [Family::Flow, Family::Job, Family::Open, Family::Flexible][family_idx];
+        let family = Family::ALL[family_idx];
         let mut spec = GenSpec::new(family, jobs, machines, seed)
             .with_times(min_time, min_time + width);
         if family == Family::Flexible {
