@@ -166,7 +166,9 @@ pub fn run() -> Report {
              protocol; equal total population 48, {GENERATIONS} generations (long enough \
              for the panmictic baseline to stagnate — the regime the paper's island \
              advantage lives in), survey-baseline profile (roulette wheel + Eq. 2 \
-             reciprocal fitness, bench::toolkits::survey_config). ft06/la01 are embedded \
+             reciprocal fitness, bench::toolkits::survey_config); even islands spin the \
+             roulette wheel per parent, odd islands draw each generation's parents in one \
+             stochastic-universal-sampling sweep. ft06/la01 are embedded \
              OR-Library instances; orb-like / abz-like are the seeded 10x10 stand-ins of \
              DESIGN.md 4.",
             SEEDS.len()

@@ -491,11 +491,33 @@ impl<'a, G: Clone> Engine<'a, G> {
         let profiled = obs.wants_phases();
         let mut select_ns = 0u64;
         let mut breed_ns = 0u64;
+        // SUS is a sweep over the whole generation: draw every parent
+        // in one `pick_many`, shuffle, and pair them in order. Every
+        // other selection picks each pair as it breeds it.
+        let mut swept = Vec::new();
+        if self.config.selection == Selection::StochasticUniversal {
+            let t0 = profiled.then(crate::clock::now);
+            swept = self.config.selection.pick_many(
+                &fitness,
+                2 * offspring_target.div_ceil(2),
+                &mut self.rng,
+            );
+            swept.shuffle(&mut self.rng);
+            if let Some(t0) = t0 {
+                select_ns += crate::clock::elapsed_since(t0).as_nanos() as u64;
+            }
+        }
+        let mut swept = swept.chunks_exact(2);
         let mut children: Vec<G> = Vec::with_capacity(offspring_target + immigrants);
         while children.len() < offspring_target {
             let t0 = profiled.then(crate::clock::now);
-            let a = self.config.selection.pick(&fitness, &mut self.rng);
-            let b = self.config.selection.pick(&fitness, &mut self.rng);
+            let (a, b) = match swept.next() {
+                Some(&[a, b]) => (a, b),
+                _ => (
+                    self.config.selection.pick(&fitness, &mut self.rng),
+                    self.config.selection.pick(&fitness, &mut self.rng),
+                ),
+            };
             let t1 = profiled.then(crate::clock::now);
             let (mut c1, mut c2) = if self.rng.gen_bool(self.config.crossover_rate) {
                 (self.toolkit.crossover)(
@@ -745,6 +767,59 @@ mod tests {
             let best_now = e.best().cost;
             assert!(best_now <= last + 1e-12);
             last = best_now;
+        }
+    }
+
+    /// Stochastic universal sampling draws a generation's parents in one
+    /// sweep, so each individual is drawn `⌊s·N⌋` or `⌈s·N⌉` times out
+    /// of `N` parents, `s` being its fitness share — which independent
+    /// roulette spins do not guarantee.
+    #[test]
+    fn sus_draws_each_individual_within_one_of_its_expected_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Mutex};
+        let eval = |g: &Vec<usize>| (1 + g[0] % 5) as f64;
+        for seed in 0..4 {
+            // Each genome is its individual's id; the crossover logs the
+            // parent ids it is handed.
+            let next_id = AtomicUsize::new(0);
+            let parents = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&parents);
+            let toolkit = Toolkit::<Vec<usize>> {
+                init: Box::new(move |_| vec![next_id.fetch_add(1, Ordering::Relaxed)]),
+                crossover: Box::new(move |a, b, _| {
+                    log.lock().unwrap().extend([a[0], b[0]]);
+                    (a.clone(), b.clone())
+                }),
+                mutate: Box::new(|_, _| {}),
+                seq_view: None,
+            };
+            let cfg = GaConfig {
+                pop_size: 21,
+                crossover_rate: 1.0,
+                mutation_rate: 0.0,
+                elites: 0,
+                selection: Selection::StochasticUniversal,
+                fitness: FitnessTransform::Reciprocal,
+                seed,
+                ..GaConfig::default()
+            };
+            let mut e = Engine::new(cfg.clone(), toolkit, &eval);
+            let costs: Vec<f64> = e.population().iter().map(|i| i.cost).collect();
+            let fitness = cfg.fitness.apply_all(&costs);
+            let total: f64 = fitness.iter().sum();
+            e.evolve(&());
+            // 21 offspring are bred in 11 pairs.
+            let drawn = parents.lock().unwrap().clone();
+            assert_eq!(drawn.len(), 22);
+            for (id, f) in fitness.iter().enumerate() {
+                let expected = f / total * 22.0;
+                let got = drawn.iter().filter(|&&p| p == id).count() as f64;
+                assert!(
+                    got >= expected.floor() && got <= expected.ceil(),
+                    "seed {seed}: id {id} drawn {got} times, expected {expected:.3}"
+                );
+            }
         }
     }
 

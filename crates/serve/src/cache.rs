@@ -130,11 +130,11 @@ pub(crate) type Lookup = (CachedSolve, Option<Arc<str>>);
 ///     budget_ms: 1_000,
 ///     deadline_bound: false, // cap-bound: replayable for any deadline
 /// };
-/// cache.insert(key(1), entry(55));
-/// cache.insert(key(2), entry(60));
+/// cache.insert_best(key(1), entry(55));
+/// cache.insert_best(key(2), entry(60));
 /// assert_eq!(cache.get(&key(1)).unwrap().solution.makespan, 55);
 /// // Over capacity: the least-recently-used entry (key 2) is evicted.
-/// cache.insert(key(3), entry(70));
+/// cache.insert_best(key(3), entry(70));
 /// assert!(cache.get(&key(2)).is_none());
 /// assert_eq!(cache.len(), 2);
 /// ```
@@ -206,14 +206,6 @@ impl SolutionCache {
                 e.schedule = Some(schedule);
             }
         }
-    }
-
-    /// Inserts (or replaces) an entry, evicting the least-recently-used
-    /// one when over capacity.
-    pub fn insert(&mut self, key: CacheKey, solve: CachedSolve) {
-        self.clock += 1;
-        self.map.insert(key, Entry::new(self.clock, solve));
-        self.evict_lru_if_over_capacity();
     }
 
     /// Inserts `solve`, merging with any entry already present so that
@@ -499,7 +491,7 @@ mod tests {
     fn get_returns_inserted_solution() {
         let mut c = SolutionCache::new(4);
         assert!(c.get(&key(1)).is_none());
-        c.insert(key(1), solve(55));
+        c.insert_best(key(1), solve(55));
         assert_eq!(c.get(&key(1)).unwrap().solution.makespan, 55);
         // Different seed => different key.
         let other = CacheKey { seed: 43, ..key(1) };
@@ -509,11 +501,11 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut c = SolutionCache::new(2);
-        c.insert(key(1), solve(1));
-        c.insert(key(2), solve(2));
+        c.insert_best(key(1), solve(1));
+        c.insert_best(key(2), solve(2));
         // Touch 1 so 2 becomes the LRU.
         assert!(c.get(&key(1)).is_some());
-        c.insert(key(3), solve(3));
+        c.insert_best(key(3), solve(3));
         assert_eq!(c.len(), 2);
         assert!(c.get(&key(2)).is_none(), "LRU entry should be evicted");
         assert!(c.get(&key(1)).is_some());
@@ -523,10 +515,10 @@ mod tests {
     #[test]
     fn replacing_does_not_grow() {
         let mut c = SolutionCache::new(2);
-        c.insert(key(1), solve(1));
-        c.insert(key(1), solve(10));
+        c.insert_best(key(1), solve(10));
+        c.insert_best(key(1), solve(1));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&key(1)).unwrap().solution.makespan, 10);
+        assert_eq!(c.get(&key(1)).unwrap().solution.makespan, 1);
     }
 
     #[test]
@@ -559,7 +551,7 @@ mod tests {
     fn insert_best_never_downgrades_a_concurrent_entry() {
         let mut c = SolutionCache::new(4);
         // A long-budget solve lands first...
-        c.insert(
+        c.insert_best(
             key(1),
             CachedSolve {
                 budget_ms: 400,
@@ -588,7 +580,7 @@ mod tests {
     #[test]
     fn insert_best_takes_a_strictly_better_solution_and_widens_budget() {
         let mut c = SolutionCache::new(4);
-        c.insert(
+        c.insert_best(
             key(1),
             CachedSolve {
                 budget_ms: 60,
@@ -718,7 +710,7 @@ mod tests {
     #[test]
     fn encoded_schedule_is_kept_only_for_the_solution_it_encodes() {
         let mut c = SolutionCache::new(4);
-        c.insert(key(1), solve(60));
+        c.insert_best(key(1), solve(60));
         assert_eq!(
             c.lookup(&key(1)).unwrap().1,
             None,

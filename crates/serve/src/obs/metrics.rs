@@ -29,6 +29,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the count to `total` when it is behind, for a count kept
+    /// elsewhere and copied in at read. The count never falls, and
+    /// concurrent raises cannot add twice.
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -336,6 +343,10 @@ mod tests {
         assert_eq!(r.value("t_total"), Some(5));
         assert_eq!(r.value("t_depth"), Some(3));
         assert_eq!(r.value("missing"), None);
+        // A raise only ever moves a counter up.
+        c.raise_to(9);
+        c.raise_to(2);
+        assert_eq!(r.value("t_total"), Some(9));
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub(super) struct ServeMetrics {
     uptime_ms: Arc<Gauge>,
     cache_len: Arc<Gauge>,
     queue_depth: Arc<Gauge>,
-    worker_panics: Arc<Gauge>,
+    worker_panics: Arc<Counter>,
     sessions_open: Arc<Gauge>,
     pub(super) workers: Arc<Gauge>,
     pub(super) racer_pool: Arc<Gauge>,
@@ -278,7 +278,7 @@ impl ServeMetrics {
                 "serve_queue_depth",
                 "race tasks currently queued on the racer pool",
             ),
-            worker_panics: registry.gauge(
+            worker_panics: registry.counter(
                 "serve_worker_panics_total",
                 "racer-pool tasks recovered from a panic",
             ),
@@ -366,14 +366,16 @@ fn inc_labeled(set: &[(&'static str, Arc<Counter>)], label: &str) {
 
 impl Shared {
     /// Sets the point-in-time gauges from their live sources (cache,
-    /// pool, session map, clock) at exposition. Counts are never copied
-    /// here: every counter and session tally is its own registry cell.
+    /// pool, session map, clock) at exposition, and raises the worker
+    /// panic counter to the pool's own tally (the one count kept
+    /// outside the registry). Every other counter and session tally is
+    /// its own registry cell.
     pub(super) fn refresh_gauges(&self) {
         let m = &self.metrics;
         m.uptime_ms.set(self.started.elapsed().as_millis() as u64);
         m.cache_len.set(self.cache.len() as u64);
         m.queue_depth.set(self.pool.queue_depth() as u64);
-        m.worker_panics.set(self.pool.panics());
+        m.worker_panics.raise_to(self.pool.panics());
         m.sessions_open.set(self.sessions.open_count());
     }
 }

@@ -1614,7 +1614,7 @@ fn every_request_kind_leaves_the_operator_surface_in_place() {
             "serve_uptime_ms gauge",
             "serve_cache_len gauge",
             "serve_queue_depth gauge",
-            "serve_worker_panics_total gauge",
+            "serve_worker_panics_total counter",
             "serve_sessions_open gauge",
             "serve_workers gauge",
             "serve_racer_pool gauge",

@@ -146,7 +146,8 @@ impl<'a> FlexDecoder<'a> {
         mk
     }
 
-    /// The all-fastest assignment (greedy baseline / seeding aid).
+    /// The all-fastest assignment: the greedy baseline the feasibility
+    /// tests decode (test support, audited in `analyze.toml`).
     pub fn fastest_assignment(&self) -> Vec<usize> {
         let mut a = Vec::with_capacity(self.assignment_len());
         for j in 0..self.inst.n_jobs() {
@@ -157,8 +158,9 @@ impl<'a> FlexDecoder<'a> {
         a
     }
 
-    /// Canonical sequence chromosome: jobs in round-robin order; a neutral
-    /// starting point for tests and seeding.
+    /// Canonical sequence chromosome: jobs in round-robin order; the
+    /// neutral sequence the feasibility tests decode (test support,
+    /// audited in `analyze.toml`).
     pub fn round_robin_sequence(&self) -> Vec<usize> {
         let n = self.inst.n_jobs();
         let max_ops = (0..n).map(|j| self.inst.n_ops(j)).max().unwrap_or(0);
